@@ -14,7 +14,6 @@ from .alternation import FitConfig, FitResult, fit, predict, selected_support
 from .correlation import (
     WorkingCorrelation,
     build_R,
-    build_sigma,
     estimate_alpha,
     estimate_phi,
     make_working,
@@ -40,15 +39,8 @@ from .evaluation import (
     nmse,
     support_lambdas,
 )
-from .families import Family, get_family, independence_deviance
-from .fista import (
-    InnerConfig,
-    InnerState,
-    fista_step,
-    gradient,
-    inner_solve,
-    lipschitz_upper,
-)
+from .families import Family, get_family
+from .fista import InnerConfig
 from .penalty import (
     CoefficientPair,
     norm_12_cols,
@@ -67,7 +59,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "InnerConfig",
-    "InnerState",
     "LaggedDesign",
     "LongitudinalDataset",
     "NumericalError",
@@ -77,21 +68,15 @@ __all__ = [
     "auc",
     "build_R",
     "build_lagged",
-    "build_sigma",
     "default_grids",
     "estimate_alpha",
     "estimate_phi",
-    "fista_step",
     "fit",
     "generate_classification",
     "generate_regression",
     "get_family",
-    "gradient",
     "grid_cv",
-    "independence_deviance",
-    "inner_solve",
     "lambda_max",
-    "lipschitz_upper",
     "load_csv",
     "make_working",
     "nmse",

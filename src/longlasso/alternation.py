@@ -27,7 +27,7 @@ from .errors import DataError
 from .families import Family, get_family
 from .penalty import CoefficientPair, row_norms
 
-FIT_RESULT_SCHEMA = "longlasso.fit_result.v1"
+FIT_RESULT_SCHEMA = "longlasso.fit_result.v2"
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class FitConfig:
     coef_tolerance: float = 1e-4
     inner_max_iterations: int = 2000
     inner_tolerance: float = 1e-6
-    step_mode: str = "backtracking"
 
     def __post_init__(self):
         if self.max_outer < 1:
@@ -53,7 +52,6 @@ class FitConfig:
             lam2=lam2,
             max_iterations=self.inner_max_iterations,
             tolerance=self.inner_tolerance,
-            step_mode=self.step_mode,
         )
 
 
@@ -82,7 +80,7 @@ class FitResult:
         return self.coefficients.W
 
 
-def _moment_update(design, family, structure, W, current_phi_only=False):
+def _moment_update(design, family, structure, W):
     """Pearson residuals -> phi -> alpha, using variance-function scaling.
 
     Residuals for the moment step are standardized by the variance
@@ -94,8 +92,6 @@ def _moment_update(design, family, structure, W, current_phi_only=False):
     sigma_diag = family.variance(mu)
     gamma = pearson_residuals(design.y, mu, sigma_diag)
     phi = estimate_phi(gamma, design.n_params)
-    if current_phi_only:
-        return phi, 0.0
     alpha = estimate_alpha(gamma, structure, design.n_params, phi)
     return phi, alpha
 
@@ -113,7 +109,8 @@ def fit(
 
     The independent structure runs exactly one correlation pass (phi
     only).  Hitting the outer-round cap is flagged on the result, not an
-    error.
+    error.  ``converged`` holds only when the alternation settled and the
+    final round's inner solve converged too.
     """
     if isinstance(family, str):
         family = get_family(family)
@@ -127,7 +124,7 @@ def fit(
     inner_step_traces: list[np.ndarray] = []
     U = np.zeros(design.coef_shape)
     V = np.zeros(design.coef_shape)
-    converged = False
+    settled = False
     rounds = 0
 
     for outer in range(config.max_outer):
@@ -152,22 +149,17 @@ def fit(
         inner_traces.append(result.objective_trace)
         inner_step_traces.append(result.step_trace)
 
-        if structure == "independent":
-            if outer == 0:
-                phi, _ = _moment_update(design, family, structure, U + V, current_phi_only=True)
-                working = make_working(structure, 0.0, phi, design.n)
-                continue
-            converged = True
+        if structure == "independent" and outer > 0:
+            settled = True
             break
 
         phi, alpha = _moment_update(design, family, structure, U + V)
         alpha_change = abs(alpha - working.alpha)
         working = make_working(structure, alpha, phi, design.n)
         if outer > 0 and alpha_change < config.alpha_tolerance and coef_change < config.coef_tolerance:
-            converged = True
+            settled = True
             break
 
-    max_outer_reached = not converged and rounds >= config.max_outer
     return FitResult(
         coefficients=CoefficientPair(U=U, V=V, lam1=lam1, lam2=lam2),
         working=working,
@@ -180,8 +172,8 @@ def fit(
         trace=tuple(trace),
         inner_traces=tuple(inner_traces),
         inner_step_traces=tuple(inner_step_traces),
-        converged=converged,
-        max_outer_reached=max_outer_reached,
+        converged=settled and result.converged,
+        max_outer_reached=not settled,
         config=asdict(config),
         seed=seed,
     )
@@ -237,6 +229,7 @@ def to_json_dict(result: FitResult) -> dict:
         "lambda1": result.coefficients.lam1,
         "lambda2": result.coefficients.lam2,
         "shape": list(U.shape),
+        "n": result.working.n,
         "U": [[float(v) for v in row] for row in U],
         "V": [[float(v) for v in row] for row in result.coefficients.V],
         "alpha": result.working.alpha,
@@ -252,15 +245,14 @@ def to_json_dict(result: FitResult) -> dict:
 
 
 def from_json_dict(payload: dict) -> FitResult:
-    """Rebuild a FitResult from its JSON form (correlation re-realized)."""
+    """Rebuild a FitResult from its JSON form (correlation re-realized at n)."""
     if payload.get("schema") != FIT_RESULT_SCHEMA:
         raise DataError(f"unexpected model schema {payload.get('schema')!r}")
     U = np.asarray(payload["U"], dtype=float)
     V = np.asarray(payload["V"], dtype=float)
     if list(U.shape) != list(payload["shape"]) or list(V.shape) != list(payload["shape"]):
         raise DataError("coefficient arrays disagree with the recorded shape")
-    n = max(2, U.shape[1])
-    working = make_working(payload["structure"], payload["alpha"], payload["phi"], n)
+    working = make_working(payload["structure"], payload["alpha"], payload["phi"], int(payload["n"]))
     return FitResult(
         coefficients=CoefficientPair(
             U=U, V=V, lam1=payload["lambda1"], lam2=payload["lambda2"]

@@ -164,7 +164,6 @@ def _fit_config(args) -> alternation.FitConfig:
         max_outer=args.max_outer,
         inner_max_iterations=args.inner_max_iterations,
         inner_tolerance=args.inner_tolerance,
-        step_mode=args.step_mode,
     )
 
 
@@ -363,7 +362,6 @@ def _add_solver_flags(p) -> None:
     p.add_argument("--max-outer", type=int, default=25)
     p.add_argument("--inner-max-iterations", type=int, default=2000)
     p.add_argument("--inner-tolerance", type=float, default=1e-6)
-    p.add_argument("--step-mode", choices=("backtracking", "fixed"), default="backtracking")
 
 
 def build_parser() -> _Parser:

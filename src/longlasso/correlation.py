@@ -1,8 +1,8 @@
 """Working correlation structures and their moment estimators.
 
-Covers the realized correlation matrix R(alpha), subject covariances
-Sigma = A^{1/2} R A^{1/2} / phi, Pearson residuals, and the moment
-estimators for the scale phi and the correlation parameter alpha.
+Covers the realized correlation matrix R(alpha) with its guarded inverse,
+Pearson residuals, and the moment estimators for the scale phi and the
+correlation parameter alpha.
 
 The scale convention follows var(y_t) = var(mu_t) / phi, so phi is the
 inverse of the usual GLM dispersion.
@@ -15,7 +15,6 @@ import numpy as np
 from scipy import linalg as spl
 
 from .errors import NumericalError
-from .families import Family
 
 STRUCTURES = ("independent", "exchangeable", "tridiagonal", "ar1")
 
@@ -189,11 +188,11 @@ def estimate_alpha(gamma, structure: str, n_params: int, phi: float) -> float:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2:
         raise ValueError("gamma must be (subjects, times)")
+    if structure == "independent":
+        return 0.0
     m, n = gamma.shape
     if n < 2:
         raise ValueError("alpha estimation needs at least two time points")
-    if structure == "independent":
-        return 0.0
     N = m * n
     if N <= n_params:
         raise ValueError("over-parameterized correlation estimate")
@@ -207,22 +206,3 @@ def estimate_alpha(gamma, structure: str, n_params: int, phi: float) -> float:
     lo, hi = alpha_bounds(structure, n)
     return float(np.clip(alpha, lo, hi))
 
-
-def build_sigma(family: Family, mu, R: np.ndarray, phi: float):
-    """Subject covariance Sigma = A^{1/2} R A^{1/2} / phi and its inverse.
-
-    ``A`` is the diagonal of variance-function values at ``mu``.  The
-    inverse is computed through the factored form
-    phi * A^{-1/2} R^{-1} A^{-1/2}.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if phi <= 0.0:
-        raise ValueError("phi must be positive")
-    a = family.variance(mu)
-    if np.any(a <= 0.0):
-        raise NumericalError("degenerate variance")
-    root = np.sqrt(a)
-    sigma = (root[:, None] * R * root[None, :]) / phi
-    R_inv = spd_inverse(R, "working correlation")
-    sigma_inv = phi * (R_inv / root[:, None] / root[None, :])
-    return sigma, sigma_inv

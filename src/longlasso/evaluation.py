@@ -208,16 +208,18 @@ def fold_assignments(subject_ids, folds: int, seed: int) -> dict:
     return {ids[idx]: int(pos % folds) for pos, idx in enumerate(order)}
 
 
-def _score_cell(train_ds, test_ds, tau, family, structure, lam1, lam2, spec, include_lagged_outcome):
-    design = build_lagged(train_ds, tau, include_lagged_outcome)
-    result = alternation.fit(
-        design, family, structure, lam1, lam2, config=spec.fit_config
-    )
-    test_design = build_lagged(test_ds, tau, include_lagged_outcome)
-    predictions = alternation.predict(result, test_design)
-    if spec.metric == "nmse":
-        return nmse(predictions.ravel(), test_design.y.ravel())
-    return auc(predictions.ravel(), test_design.y.ravel())
+def _score_cell(design, test_design, family, structure, lam1, lam2, spec):
+    """Held-out score of one cell on one fold; None when the fit fails."""
+    try:
+        result = alternation.fit(
+            design, family, structure, lam1, lam2, config=spec.fit_config
+        )
+        predictions = alternation.predict(result, test_design)
+        if spec.metric == "nmse":
+            return nmse(predictions.ravel(), test_design.y.ravel())
+        return auc(predictions.ravel(), test_design.y.ravel())
+    except (NumericalError, ValueError):
+        return None
 
 
 def grid_cv(
@@ -245,42 +247,30 @@ def grid_cv(
         lam1_grid = tuple(spec.lam1_grid)
         lam2_grid = tuple(spec.lam2_grid)
 
+    cells = [(lam1, lam2) for lam1 in lam1_grid for lam2 in lam2_grid]
     assignment = fold_assignments(train.subject_ids, spec.folds, spec.seed)
-    fold_ids = [
-        [sid for sid in train.subject_ids if assignment[sid] == f] for f in range(spec.folds)
-    ]
-    fold_train = [
-        train.subset([sid for sid in train.subject_ids if assignment[sid] != f])
-        for f in range(spec.folds)
-    ]
-    fold_test = [train.subset(ids) for ids in fold_ids]
+    fold_scores = []
+    for f in range(spec.folds):
+        # one fold at a time: its designs are built once, serve every cell,
+        # and are freed before the next fold's are built
+        held_out = [sid for sid in train.subject_ids if assignment[sid] == f]
+        kept = [sid for sid in train.subject_ids if assignment[sid] != f]
+        design = build_lagged(train.subset(kept), tau, include_lagged_outcome)
+        test_design = build_lagged(train.subset(held_out), tau, include_lagged_outcome)
+        fold_scores.append(
+            [_score_cell(design, test_design, family, structure, *cell, spec) for cell in cells]
+        )
+        del design, test_design
 
     table = []
     mean_scores = {}
-    for lam1 in lam1_grid:
-        for lam2 in lam2_grid:
-            scores = []
-            for f in range(spec.folds):
-                try:
-                    score = _score_cell(
-                        fold_train[f],
-                        fold_test[f],
-                        tau,
-                        family,
-                        structure,
-                        lam1,
-                        lam2,
-                        spec,
-                        include_lagged_outcome,
-                    )
-                except (NumericalError, ValueError):
-                    score = None
-                table.append((lam1, lam2, f, score))
-                scores.append(score)
-            if any(s is None for s in scores):
-                mean_scores[(lam1, lam2)] = None
-            else:
-                mean_scores[(lam1, lam2)] = float(np.mean(scores))
+    for c, (lam1, lam2) in enumerate(cells):
+        scores = [fold_scores[f][c] for f in range(spec.folds)]
+        table.extend((lam1, lam2, f, score) for f, score in enumerate(scores))
+        if any(score is None for score in scores):
+            mean_scores[(lam1, lam2)] = None
+        else:
+            mean_scores[(lam1, lam2)] = float(np.mean(scores))
 
     valid = {cell: s for cell, s in mean_scores.items() if s is not None}
     if not valid:

@@ -80,20 +80,3 @@ def get_family(name: str) -> Family:
         raise ValueError(f"unknown family {name!r}; expected one of {FAMILIES}")
     return Family(name)
 
-
-def independence_deviance(family: Family, y, eta, phi: float = 1.0) -> float:
-    """Deviance under working independence.
-
-    Computed as ``2 * sum(y*(eta~ - eta) - b(eta~) + b(eta)) / phi`` with
-    ``eta~`` the saturated value ``g(y)``.  Nonnegative, and zero exactly
-    when ``mean(eta) == y`` elementwise.  For the Gaussian family this
-    reduces to ``sum((y - eta)^2) / phi``.
-    """
-    y = np.asarray(y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if y.shape != eta.shape:
-        raise ValueError("y and eta must have matching shapes")
-    if phi <= 0.0:
-        raise ValueError("phi must be positive")
-    unit = family.saturated_term(y) - y * eta + family.cumulant(eta)
-    return float(2.0 * np.sum(unit) / phi)

@@ -10,6 +10,10 @@ only, so the two partials coincide).  Sigma_i^{-1} is evaluated in the
 factored form phi * A^{-1/2} R^{-1} A^{-1/2} with A the variance-function
 diagonal at the current iterate.
 
+Iterates carry their linear predictor eta = X.W, and momentum acts on it
+by linearity, so an iteration costs one design matvec (at the candidate)
+plus one transposed matvec (the gradient at the extrapolated point).
+
 A scalar monitored loss exists for the Gaussian family with any R and for
 Bernoulli/Poisson under working independence; those cases support
 majorization backtracking.  For Bernoulli/Poisson with a non-identity R
@@ -34,6 +38,12 @@ from .penalty import norm_12_cols, norm_12_rows, prox_col_groups, prox_row_group
 L_FLOOR = 1e-8
 POWER_ITER_STEPS = 200
 POWER_ITER_TOL = 1e-6
+# Step policy: backtracking starts from the upper bound over INIT_L_SHRINK;
+# each failed majorization test, and each guard trip of the fixed step,
+# multiplies the step constant by GROWTH, at most MAX_BACKTRACKS times.
+INIT_L_SHRINK = 8.0
+GROWTH = 2.0
+MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
@@ -41,11 +51,11 @@ class InnerConfig:
     """Solver settings for one inner run.
 
     ``step_mode`` is "backtracking" or "fixed".  Backtracking starts from
-    the upper bound divided by ``init_l_shrink`` and doubles the step
-    constant until the majorization inequality holds; it needs a scalar
-    loss and silently behaves like "fixed" where none exists.  The
-    Poisson family always backtracks (its gradient is only locally
-    Lipschitz).
+    the upper bound divided by ``INIT_L_SHRINK`` and multiplies the step
+    constant by ``GROWTH`` until the majorization inequality holds; it
+    needs a scalar loss and silently behaves like "fixed" where none
+    exists.  The Poisson family always backtracks (its gradient is only
+    locally Lipschitz).
     """
 
     lam1: float
@@ -53,9 +63,6 @@ class InnerConfig:
     max_iterations: int = 2000
     tolerance: float = 1e-6
     step_mode: str = "backtracking"
-    backtracking_growth: float = 2.0
-    max_backtracks: int = 60
-    init_l_shrink: float = 8.0
 
     def __post_init__(self):
         if self.lam1 < 0.0 or self.lam2 < 0.0:
@@ -64,28 +71,30 @@ class InnerConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
-        if self.backtracking_growth <= 1.0:
-            raise ValueError("backtracking growth factor must exceed 1")
         if self.step_mode not in ("backtracking", "fixed"):
             raise ValueError("step_mode must be 'backtracking' or 'fixed'")
 
 
 @dataclass(frozen=True)
 class InnerState:
-    """Iterates, extrapolation points, momentum scalar and step constant."""
+    """Iterate, extrapolation point, momentum scalar and step constant.
+
+    Both points carry their linear predictor, so the extrapolated
+    predictor follows from the iterates' by linearity.
+    """
 
     U: np.ndarray
     V: np.ndarray
-    U_prev: np.ndarray
-    V_prev: np.ndarray
+    eta: np.ndarray
     U_tilde: np.ndarray
     V_tilde: np.ndarray
+    eta_tilde: np.ndarray
     t: float
     L: float
     k: int
 
 
-def initial_state(coef_shape: tuple[int, int], L: float, start=None) -> InnerState:
+def initial_state(design, L: float, start=None) -> InnerState:
     """Fresh state with t_1 = 1 and the first extrapolation at the start.
 
     The default start is the all-zero pair; a warm start supplies
@@ -93,23 +102,16 @@ def initial_state(coef_shape: tuple[int, int], L: float, start=None) -> InnerSta
     (U0, V0).
     """
     if start is None:
-        U0 = np.zeros(coef_shape)
-        V0 = np.zeros(coef_shape)
+        U0 = np.zeros(design.coef_shape)
+        V0 = np.zeros(design.coef_shape)
     else:
         U0 = np.array(start[0], dtype=float)
         V0 = np.array(start[1], dtype=float)
-        if U0.shape != coef_shape or V0.shape != coef_shape:
+        if U0.shape != design.coef_shape or V0.shape != design.coef_shape:
             raise ValueError("warm start shape does not match the design")
+    eta0 = linear_predictor(design, U0 + V0)
     return InnerState(
-        U=U0.copy(),
-        V=V0.copy(),
-        U_prev=U0.copy(),
-        V_prev=V0.copy(),
-        U_tilde=U0.copy(),
-        V_tilde=V0.copy(),
-        t=1.0,
-        L=float(L),
-        k=0,
+        U=U0, V=V0, eta=eta0, U_tilde=U0, V_tilde=V0, eta_tilde=eta0, t=1.0, L=float(L), k=0
     )
 
 
@@ -124,8 +126,8 @@ def linear_predictor(design: LaggedDesign, W: np.ndarray) -> np.ndarray:
     return (flat @ np.ravel(W)).reshape(design.m, design.n)
 
 
-def _weighted_residual(design, family: Family, working: WorkingCorrelation, eta):
-    """c = A Sigma^{-1} s evaluated at eta; also returns (mu, s)."""
+def _gradient_from_eta(design, family: Family, working: WorkingCorrelation, eta):
+    """Descent gradient -X^T (A Sigma^{-1} s) at the linear predictor eta."""
     mu = family.mean(eta)
     if not np.all(np.isfinite(mu)):
         raise NumericalError("non-finite mean in gradient evaluation")
@@ -135,17 +137,16 @@ def _weighted_residual(design, family: Family, working: WorkingCorrelation, eta)
     else:
         root = np.sqrt(family.variance(mu))
         c = working.phi * root * ((s / root) @ working.R_inv)
-    return c, mu, s
+    flat = design.flat_design().reshape(design.n_examples, design.n_params)
+    return -(flat.T @ c.ravel()).reshape(design.coef_shape)
 
 
 def gradient_matrix(design, family: Family, working: WorkingCorrelation, W) -> np.ndarray:
     """Descent gradient of the weighted deviance with respect to W."""
-    eta = linear_predictor(design, W)
-    c, _, _ = _weighted_residual(design, family, working, eta)
-    flat = design.flat_design().reshape(design.n_examples, design.n_params)
-    g = -(flat.T @ c.ravel()).reshape(design.coef_shape)
+    g = _gradient_from_eta(design, family, working, linear_predictor(design, W))
     g.setflags(write=False)
     return g
+
 
 def gradient(design, family: Family, working: WorkingCorrelation, U_tilde, V_tilde):
     """Partial gradients for the U and V slots (identical matrices)."""
@@ -236,57 +237,45 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation, at=None
     return max(2.0 * lam, L_FLOOR)
 
 
-def _prox_pair(state: InnerState, grad_U, grad_V, config: InnerConfig, L: float):
-    U_c = prox_row_groups(state.U_tilde - grad_U / L, config.lam1 / L)
-    V_c = prox_col_groups(state.V_tilde - grad_V / L, config.lam2 / L)
-    return U_c, V_c
-
-
-def fista_step(
-    state: InnerState,
-    grad_U,
-    grad_V,
-    config: InnerConfig,
-    smooth_fn=None,
-    smooth_at_tilde: float | None = None,
-) -> InnerState:
+def fista_step(state: InnerState, grad, config: InnerConfig, design, loss=None) -> InnerState:
     """One accelerated step from the extrapolated point.
 
-    Applies the decomposed prox updates at the current step constant,
-    optionally doubling it until the majorization inequality holds
-    (backtracking mode with a scalar loss), then advances the momentum
-    scalar and extrapolation points.
+    Both prox slots step along the same W-gradient ``grad``, taken at the
+    extrapolated point.  Each trial costs one design matvec, at the
+    candidate.  Given ``loss`` (linear predictor -> smooth loss), the
+    step constant grows until the majorization inequality holds;
+    otherwise the step is taken at ``state.L``.  The next extrapolated
+    predictor follows by linearity, without a matvec.
     """
     L = state.L
-    backtrack = config.step_mode == "backtracking" and smooth_fn is not None
-    if backtrack and smooth_at_tilde is None:
-        smooth_at_tilde = smooth_fn(state.U_tilde + state.V_tilde)
-    U_c, V_c = _prox_pair(state, grad_U, grad_V, config, L)
-    if backtrack:
-        for _ in range(config.max_backtracks + 1):
-            dU = U_c - state.U_tilde
-            dV = V_c - state.V_tilde
-            bound = (
-                smooth_at_tilde
-                + float(np.sum(grad_U * dU) + np.sum(grad_V * dV))
-                + 0.5 * L * float(np.sum(dU * dU) + np.sum(dV * dV))
-            )
-            value = smooth_fn(U_c + V_c)
-            if value <= bound + 1e-10 * (1.0 + abs(smooth_at_tilde)):
-                break
-            L *= config.backtracking_growth
-            U_c, V_c = _prox_pair(state, grad_U, grad_V, config, L)
-        else:
-            raise NumericalError("no valid step")
+    loss_at_tilde = None if loss is None else loss(state.eta_tilde)
+    for _ in range(MAX_BACKTRACKS + 1):
+        U = prox_row_groups(state.U_tilde - grad / L, config.lam1 / L)
+        V = prox_col_groups(state.V_tilde - grad / L, config.lam2 / L)
+        eta = linear_predictor(design, U + V)
+        if loss is None:
+            break
+        dU = U - state.U_tilde
+        dV = V - state.V_tilde
+        bound = (
+            loss_at_tilde
+            + float(np.sum(grad * dU) + np.sum(grad * dV))
+            + 0.5 * L * float(np.sum(dU * dU) + np.sum(dV * dV))
+        )
+        if loss(eta) <= bound + 1e-10 * (1.0 + abs(loss_at_tilde)):
+            break
+        L *= GROWTH
+    else:
+        raise NumericalError("no valid step")
     t_next = momentum_update(state.t)
     shift = (state.t - 1.0) / t_next
     return InnerState(
-        U=U_c,
-        V=V_c,
-        U_prev=state.U,
-        V_prev=state.V,
-        U_tilde=U_c + shift * (U_c - state.U),
-        V_tilde=V_c + shift * (V_c - state.V),
+        U=U,
+        V=V,
+        eta=eta,
+        U_tilde=U + shift * (U - state.U),
+        V_tilde=V + shift * (V - state.V),
+        eta_tilde=eta + shift * (eta - state.eta),
         t=t_next,
         L=L,
         k=state.k + 1,
@@ -328,57 +317,42 @@ def inner_solve(
         # the curvature where the solve actually runs, not just at W = 0
         warm = np.asarray(start[0]) + np.asarray(start[1])
         L_bound = max(L_bound, lipschitz_upper(design, family, working, at=warm))
-    step_mode = "backtracking" if family.kind == "poisson" and exact else config.step_mode
-    config = replace(config, step_mode=step_mode)
-    backtracking = config.step_mode == "backtracking" and exact
-    L0 = L_bound / config.init_l_shrink if backtracking else L_bound
-    state = initial_state(design.coef_shape, L0, start=start)
+    backtracking = exact and (config.step_mode == "backtracking" or family.kind == "poisson")
+    origin = initial_state(design, L_bound / INIT_L_SHRINK if backtracking else L_bound, start)
 
-    smooth_fn = (lambda W: smooth_loss(design, family, working, W)) if exact else None
-    flat = design.flat_design().reshape(design.n_examples, design.n_params)
-    start_objective = penalized_objective(
-        design, family, working, state.U, state.V, config.lam1, config.lam2
-    )
-    guard_cap = 100.0 * (1.0 + abs(start_objective))
+    def smooth(eta):
+        return _smooth_from_eta(design, family, working, eta)
+
+    def objective(state):
+        penalty = config.lam1 * norm_12_rows(state.U) + config.lam2 * norm_12_cols(state.V)
+        return smooth(state.eta) + penalty
+
+    guard_cap = 100.0 * (1.0 + abs(objective(origin)))
     guard_trips = 0
+    state = origin
     objective_trace = []
     step_trace = []
     converged = False
-    iterations_left = config.max_iterations
-    while iterations_left > 0:
-        iterations_left -= 1
-        eta = linear_predictor(design, state.U_tilde + state.V_tilde)
-        c, _, _ = _weighted_residual(design, family, working, eta)
-        g = -(flat.T @ c.ravel()).reshape(design.coef_shape)
-        at_tilde = _smooth_from_eta(design, family, working, eta) if backtracking else None
-        state = fista_step(
-            state,
-            g,
-            g,
-            config,
-            smooth_fn=smooth_fn if backtracking else None,
-            smooth_at_tilde=at_tilde,
-        )
-        objective = _smooth_from_eta(
-            design, family, working, linear_predictor(design, state.U + state.V)
-        ) + config.lam1 * norm_12_rows(state.U) + config.lam2 * norm_12_cols(state.V)
-        if not backtracking and (not np.isfinite(objective) or objective > guard_cap):
+    for _ in range(config.max_iterations):
+        grad = _gradient_from_eta(design, family, working, state.eta_tilde)
+        previous = state
+        state = fista_step(state, grad, config, design, loss=smooth if backtracking else None)
+        value = objective(state)
+        if not backtracking and (not np.isfinite(value) or value > guard_cap):
             # the fixed step constant is too optimistic; grow it and
             # restart the pass from the original start point
             guard_trips += 1
-            if guard_trips > config.max_backtracks:
+            if guard_trips > MAX_BACKTRACKS:
                 raise NumericalError("no valid step")
-            state = initial_state(
-                design.coef_shape, state.L * config.backtracking_growth, start=start
-            )
+            state = replace(origin, L=state.L * GROWTH)
             continue
-        if not np.isfinite(objective):
+        if not np.isfinite(value):
             raise NumericalError("objective diverged")
-        objective_trace.append(objective)
+        objective_trace.append(value)
         step_trace.append(state.L)
         delta = max(
-            float(np.linalg.norm(state.U - state.U_prev)),
-            float(np.linalg.norm(state.V - state.V_prev)),
+            float(np.linalg.norm(state.U - previous.U)),
+            float(np.linalg.norm(state.V - previous.V)),
         )
         denom = 1.0 + float(np.linalg.norm(state.U)) + float(np.linalg.norm(state.V))
         if delta / denom < config.tolerance:

@@ -75,6 +75,18 @@ def test_max_outer_reached_flag():
     assert result.outer_iterations == 1
 
 
+def test_capped_inner_solves_do_not_report_convergence():
+    ds, _ = gaussian_dataset(1)
+    design = build_lagged(ds, 1)
+    result = ll.fit(
+        design, "gaussian", "ar1", 0.1, 0.1, config=ll.FitConfig(inner_max_iterations=1)
+    )
+    # the alternation settles, but on one-iteration inner solves
+    assert not result.max_outer_reached
+    assert all(t.size == 1 for t in result.inner_traces)
+    assert not result.converged
+
+
 def test_predict_zero_coefficients():
     ds, _ = gaussian_dataset(4)
     design = build_lagged(ds, 1)
@@ -284,6 +296,7 @@ def test_fit_result_json_round_trip():
     assert payload["shape"] == [design.d_eff, design.n_lags]
     back = alternation.from_json_dict(payload)
     assert np.allclose(back.W, res.W)
+    assert back.working.R.shape == res.working.R.shape
     assert back.working.alpha == pytest.approx(res.working.alpha)
     assert back.working.phi == pytest.approx(res.working.phi)
     assert back.feature_names == res.feature_names

@@ -4,14 +4,12 @@ import pytest
 from longlasso.correlation import (
     alpha_bounds,
     build_R,
-    build_sigma,
     estimate_alpha,
     estimate_phi,
     make_working,
     pearson_residuals,
 )
 from longlasso.errors import NumericalError
-from longlasso.families import get_family
 
 
 def test_build_R_examples():
@@ -141,28 +139,3 @@ def test_estimate_alpha_consistent_for_exchangeable_residuals():
             errs.append(abs(estimate_alpha(gamma, "exchangeable", 2, phi) - alpha))
         means.append(np.mean(errs))
     assert all(a > b for a, b in zip(means, means[1:]))
-
-
-def test_build_sigma_examples():
-    gauss = get_family("gaussian")
-    sigma, sigma_inv = build_sigma(gauss, np.zeros(3), np.eye(3), 1.0)
-    assert np.allclose(sigma, np.eye(3))
-    assert np.allclose(sigma_inv, np.eye(3))
-
-    bern = get_family("bernoulli")
-    sigma, _ = build_sigma(bern, np.array([0.5, 0.5]), np.eye(2), 1.0)
-    assert np.allclose(sigma, np.diag([0.25, 0.25]))
-
-    R = build_R("ar1", 0.5, 2)
-    sigma, sigma_inv = build_sigma(gauss, np.zeros(2), R, 2.0)
-    assert np.allclose(sigma, [[0.5, 0.25], [0.25, 0.5]])
-    assert np.allclose(sigma @ sigma_inv, np.eye(2), atol=1e-12)
-
-
-def test_build_sigma_validates():
-    gauss = get_family("gaussian")
-    with pytest.raises(ValueError):
-        build_sigma(gauss, np.zeros(2), np.eye(2), 0.0)
-    bern = get_family("bernoulli")
-    with pytest.raises(ValueError):
-        build_sigma(bern, np.array([0.0, 0.5]), np.eye(2), 1.0)

@@ -147,9 +147,9 @@ def test_fista_step_huge_penalty_kills_everything():
     working = make_working("independent", 0.0, 1.0, design.n)
     config = InnerConfig(lam1=1e9, lam2=1e9, step_mode="fixed")
     L = lipschitz_upper(design, GAUSS, working)
-    state = initial_state(design.coef_shape, L)
+    state = initial_state(design, L)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
-    state = fista_step(state, g, g, config)
+    state = fista_step(state, g, config, design)
     assert np.array_equal(state.U, np.zeros(design.coef_shape))
     assert np.array_equal(state.V, np.zeros(design.coef_shape))
 
@@ -162,15 +162,28 @@ def test_fista_step_first_iteration_extrapolates_from_start():
     rng = np.random.default_rng(7)
     U0 = rng.normal(size=design.coef_shape)
     V0 = rng.normal(size=design.coef_shape)
-    state = initial_state(design.coef_shape, L, start=(U0, V0))
+    state = initial_state(design, L, start=(U0, V0))
     assert np.array_equal(state.U_tilde, U0)
     assert np.array_equal(state.V_tilde, V0)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
-    stepped = fista_step(state, g, g, config)
+    stepped = fista_step(state, g, config, design)
     assert np.allclose(stepped.U, prox_row_groups(U0 - g / L, config.lam1 / L))
     assert np.allclose(stepped.V, prox_col_groups(V0 - g / L, config.lam2 / L))
+    assert np.allclose(stepped.eta, fista.linear_predictor(design, stepped.U + stepped.V))
     assert stepped.t == pytest.approx(momentum_update(1.0))
     assert stepped.k == 1
+
+
+def test_fista_step_extrapolated_predictor_matches_matvec():
+    design = random_design(20)
+    working = make_working("ar1", 0.3, 1.0, design.n)
+    config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="fixed")
+    state = initial_state(design, lipschitz_upper(design, GAUSS, working))
+    for _ in range(5):
+        g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
+        state = fista_step(state, g, config, design)
+        direct = fista.linear_predictor(design, state.U_tilde + state.V_tilde)
+        assert np.allclose(state.eta_tilde, direct, rtol=1e-12, atol=1e-12)
 
 
 def test_fista_step_backtracking_grows_L():
@@ -178,21 +191,23 @@ def test_fista_step_backtracking_grows_L():
     working = make_working("independent", 0.0, 1.0, design.n)
     L = lipschitz_upper(design, GAUSS, working)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking")
-    state = initial_state(design.coef_shape, L / 64.0)
+    state = initial_state(design, L / 64.0)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
-    smooth_fn = lambda W: smooth_loss(design, GAUSS, working, W)
-    stepped = fista_step(state, g, g, config, smooth_fn=smooth_fn)
+    loss = lambda eta: 0.5 * float(np.sum((design.y - eta) ** 2))
+    stepped = fista_step(state, g, config, design, loss=loss)
     assert stepped.L > L / 64.0
 
 
 def test_fista_step_no_valid_step_error():
     design = random_design(9)
     working = make_working("independent", 0.0, 1.0, design.n)
-    config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking", max_backtracks=3)
-    state = initial_state(design.coef_shape, 1.0)
+    config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking")
+    state = initial_state(design, 1.0)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
+    # zero loss at the all-zero extrapolated point, infinite at every candidate
+    loss = lambda eta: np.inf if np.any(eta) else 0.0
     with pytest.raises(NumericalError, match="no valid step"):
-        fista_step(state, g, g, config, smooth_fn=lambda W: np.inf, smooth_at_tilde=0.0)
+        fista_step(state, g, config, design, loss=loss)
 
 
 def test_inner_solve_zero_outcome_fixed_point():
@@ -316,7 +331,5 @@ def test_inner_config_validation():
         InnerConfig(lam1=-1.0, lam2=0.0)
     with pytest.raises(ValueError):
         InnerConfig(lam1=0.0, lam2=0.0, tolerance=0.0)
-    with pytest.raises(ValueError):
-        InnerConfig(lam1=0.0, lam2=0.0, backtracking_growth=1.0)
     with pytest.raises(ValueError):
         InnerConfig(lam1=0.0, lam2=0.0, step_mode="adaptive")
