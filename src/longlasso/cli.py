@@ -326,10 +326,16 @@ def _cmd_cv(args) -> None:
     if args.report_out:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
-        writer.writerow(["lambda1", "lambda2", "fold", args.metric])
+        writer.writerow(["lambda1", "lambda2", "fold", args.metric, "error"])
         for lam1, lam2, fold, score in cv.report_rows():
             writer.writerow(
-                [repr(lam1), repr(lam2), fold, "" if score is None else repr(score)]
+                [
+                    repr(lam1),
+                    repr(lam2),
+                    fold,
+                    "" if score is None else repr(score),
+                    cv.failures.get((lam1, lam2, fold), ""),
+                ]
             )
         _atomic_write(args.report_out, buffer.getvalue())
     design = build_lagged(ds, args.tau, args.include_lagged_outcome)

@@ -186,12 +186,19 @@ class CvSpec:
 
 @dataclass(frozen=True)
 class CvResult:
+    """Grid scores and the chosen cell.
+
+    ``failures`` maps (lambda1, lambda2, fold) of each failed fit to
+    "ExcType: message"; those rows of ``table`` score None.
+    """
+
     best_lam1: float
     best_lam2: float
     lam1_grid: tuple[float, ...]
     lam2_grid: tuple[float, ...]
     table: tuple[tuple[float, float, int, float | None], ...]
     mean_scores: dict
+    failures: dict = field(default_factory=dict)
 
     def report_rows(self):
         """(lambda1, lambda2, fold, score) rows; score None for failures."""
@@ -209,17 +216,12 @@ def fold_assignments(subject_ids, folds: int, seed: int) -> dict:
 
 
 def _score_cell(design, test_design, family, structure, lam1, lam2, spec):
-    """Held-out score of one cell on one fold; None when the fit fails."""
-    try:
-        result = alternation.fit(
-            design, family, structure, lam1, lam2, config=spec.fit_config
-        )
-        predictions = alternation.predict(result, test_design)
-        if spec.metric == "nmse":
-            return nmse(predictions.ravel(), test_design.y.ravel())
-        return auc(predictions.ravel(), test_design.y.ravel())
-    except (NumericalError, ValueError):
-        return None
+    """Held-out score of one cell on one fold."""
+    result = alternation.fit(design, family, structure, lam1, lam2, config=spec.fit_config)
+    predictions = alternation.predict(result, test_design)
+    if spec.metric == "nmse":
+        return nmse(predictions.ravel(), test_design.y.ravel())
+    return auc(predictions.ravel(), test_design.y.ravel())
 
 
 def grid_cv(
@@ -235,7 +237,8 @@ def grid_cv(
     Each cell fits on k-1 folds and scores on the held-out fold; the best
     cell optimizes the mean metric (min nMSE or max AUC) with ties broken
     toward larger lambda1 + lambda2, i.e. sparser models.  Cells whose fit
-    fails are marked invalid; if every cell is invalid an error is raised.
+    fails on any fold are marked invalid, and the reason is kept in
+    ``failures``; if every cell is invalid an error is raised.
     """
     spec = spec or CvSpec()
     if spec.lam1_grid is None or spec.lam2_grid is None:
@@ -250,6 +253,7 @@ def grid_cv(
     cells = [(lam1, lam2) for lam1 in lam1_grid for lam2 in lam2_grid]
     assignment = fold_assignments(train.subject_ids, spec.folds, spec.seed)
     fold_scores = []
+    failures = {}
     for f in range(spec.folds):
         # one fold at a time: its designs are built once, serve every cell,
         # and are freed before the next fold's are built
@@ -257,9 +261,15 @@ def grid_cv(
         kept = [sid for sid in train.subject_ids if assignment[sid] != f]
         design = build_lagged(train.subset(kept), tau, include_lagged_outcome)
         test_design = build_lagged(train.subset(held_out), tau, include_lagged_outcome)
-        fold_scores.append(
-            [_score_cell(design, test_design, family, structure, *cell, spec) for cell in cells]
-        )
+        scores = []
+        for lam1, lam2 in cells:
+            try:
+                score = _score_cell(design, test_design, family, structure, lam1, lam2, spec)
+            except (NumericalError, ValueError) as exc:
+                failures[(lam1, lam2, f)] = f"{type(exc).__name__}: {exc}"
+                score = None
+            scores.append(score)
+        fold_scores.append(scores)
         del design, test_design
 
     table = []
@@ -284,4 +294,5 @@ def grid_cv(
         lam2_grid=tuple(lam2_grid),
         table=tuple(table),
         mean_scores=mean_scores,
+        failures=failures,
     )

@@ -10,17 +10,31 @@ only, so the two partials coincide).  Sigma_i^{-1} is evaluated in the
 factored form phi * A^{-1/2} R^{-1} A^{-1/2} with A the variance-function
 diagonal at the current iterate.
 
-Iterates carry their linear predictor eta = X.W, and momentum acts on it
-by linearity, so an iteration costs one design matvec (at the candidate)
-plus one transposed matvec (the gradient at the extrapolated point).
+The family picks one of two backends for the smooth part; both carry a
+predictor with every iterate, and momentum acts on it by linearity.
 
-A scalar monitored loss exists for the Gaussian family with any R and for
-Bernoulli/Poisson under working independence; those cases support
-majorization backtracking.  For Bernoulli/Poisson with a non-identity R
-the estimating function is not the gradient of any scalar loss, so the
-solver runs at the fixed upper bound and the generalized Pearson statistic
-is reported in the trace; convergence is always declared on iterate
-change.
+- Gaussian (``GramSmooth``): the smooth part is the quadratic
+  0.5 * phi * (w^T G w - 2 b^T w + c) with the Gram
+  G = X^T (I_m kron R^{-1}) X (p x p, p = d_eff * (tau+1)),
+  b = X^T (I_m kron R^{-1}) y and c = y^T (I_m kron R^{-1}) y.
+  ``build_gram`` forms them once per inner solve, whitening a few
+  subjects at a time into one reusable buffer and accumulating G with a
+  rank-k update, so it holds one p x p float64 array plus that buffer
+  and never a whitened copy of the design.  Iterates carry G w, so an
+  iteration costs one p x p matvec.  Backtracking uses the exact
+  curvature form of the majorization test; comparing loss values would
+  subtract numbers of the size of c, which can exceed the loss at the
+  optimum by seven orders of magnitude.
+- Bernoulli/Poisson (``DesignSmooth``): matrix-free.  Iterates carry
+  eta = X.W, so an iteration costs one design matvec (at the candidate)
+  plus one transposed matvec (the gradient at the extrapolated point).
+  A scalar loss exists under working independence, where backtracking
+  compares loss values.  With a non-identity R the estimating function
+  is not the gradient of any scalar loss, so the solver runs at the
+  fixed step estimate and the generalized Pearson statistic is reported
+  in the trace.
+
+Convergence is always declared on iterate change.
 """
 from __future__ import annotations
 
@@ -28,8 +42,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import blas
 
-from .correlation import WorkingCorrelation
+from .correlation import WorkingCorrelation, spd_cholesky
 from .dataset import LaggedDesign
 from .errors import NumericalError
 from .families import Family
@@ -38,12 +53,14 @@ from .penalty import norm_12_cols, norm_12_rows, prox_col_groups, prox_row_group
 L_FLOOR = 1e-8
 POWER_ITER_STEPS = 200
 POWER_ITER_TOL = 1e-6
-# Step policy: backtracking starts from the upper bound over INIT_L_SHRINK;
+# Step policy: backtracking starts from the step estimate over INIT_L_SHRINK;
 # each failed majorization test, and each guard trip of the fixed step,
 # multiplies the step constant by GROWTH, at most MAX_BACKTRACKS times.
 INIT_L_SHRINK = 8.0
 GROWTH = 2.0
 MAX_BACKTRACKS = 60
+# size of the whitening buffer build_gram fills a few subjects at a time
+GRAM_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -51,7 +68,7 @@ class InnerConfig:
     """Solver settings for one inner run.
 
     ``step_mode`` is "backtracking" or "fixed".  Backtracking starts from
-    the upper bound divided by ``INIT_L_SHRINK`` and multiplies the step
+    the step estimate divided by ``INIT_L_SHRINK`` and multiplies the step
     constant by ``GROWTH`` until the majorization inequality holds; it
     needs a scalar loss and silently behaves like "fixed" where none
     exists.  The Poisson family always backtracks (its gradient is only
@@ -79,8 +96,9 @@ class InnerConfig:
 class InnerState:
     """Iterate, extrapolation point, momentum scalar and step constant.
 
-    Both points carry their linear predictor, so the extrapolated
-    predictor follows from the iterates' by linearity.
+    Both points carry their predictor (eta = X.W matrix-free, G w in Gram
+    form), so the extrapolated predictor follows from the iterates' by
+    linearity.  ``loss`` is the monitored smooth loss at the iterate.
     """
 
     U: np.ndarray
@@ -92,26 +110,162 @@ class InnerState:
     t: float
     L: float
     k: int
+    loss: float
 
 
-def initial_state(design, L: float, start=None) -> InnerState:
+@dataclass(frozen=True)
+class DesignSmooth:
+    """Smooth part evaluated through the N x p design; the predictor is eta = X.W."""
+
+    design: LaggedDesign
+    family: Family
+    working: WorkingCorrelation
+
+    @property
+    def coef_shape(self) -> tuple[int, int]:
+        return self.design.coef_shape
+
+    def predictor(self, W) -> np.ndarray:
+        return linear_predictor(self.design, W)
+
+    def gradient(self, eta) -> np.ndarray:
+        return _gradient_from_eta(self.design, self.family, self.working, eta)
+
+    def loss(self, eta, W=None) -> float:
+        return _smooth_from_eta(self.design, self.family, self.working, eta)
+
+    def step_test(self, state: InnerState, grad):
+        """Majorization test from ``state``'s extrapolated point, by loss values.
+
+        The returned test maps (dU, dV, eta, L) of a candidate to (holds,
+        loss at the candidate).
+        """
+        at_tilde = self.loss(state.eta_tilde)
+        slack = 1e-10 * (1.0 + abs(at_tilde))
+
+        def test(dU, dV, eta, L):
+            value = self.loss(eta)
+            bound = (
+                at_tilde
+                + float(np.sum(grad * dU) + np.sum(grad * dV))
+                + 0.5 * L * float(np.sum(dU * dU) + np.sum(dV * dV))
+            )
+            return value <= bound + slack, value
+
+        return test
+
+
+@dataclass(frozen=True)
+class GramSmooth:
+    """Gaussian smooth part 0.5 * phi * (w^T G w - 2 b^T w + c); the predictor is G w.
+
+    ``b`` has the coefficient shape; ``G`` is p x p over the row-major
+    flattened coefficients.
+    """
+
+    G: np.ndarray
+    b: np.ndarray
+    c: float
+    phi: float
+
+    @property
+    def coef_shape(self) -> tuple[int, int]:
+        return self.b.shape
+
+    def predictor(self, W) -> np.ndarray:
+        return (self.G @ np.ravel(W)).reshape(self.b.shape)
+
+    def gradient(self, Gw) -> np.ndarray:
+        return self.phi * (Gw - self.b)
+
+    def loss(self, Gw, W) -> float:
+        return float(0.5 * self.phi * (self.c - 2.0 * np.sum(self.b * W) + np.sum(W * Gw)))
+
+    def step_test(self, state: InnerState, grad):
+        """Exact curvature form of the majorization test.
+
+        For a quadratic, f(x) - f(y) - <grad, x - y> = 0.5 * phi * <G d, d>
+        with d = x - y = dU + dV, and G d is the difference of the held
+        predictors, so the test costs no product and no loss value.
+        """
+
+        def test(dU, dV, Gw, L):
+            curvature = self.phi * float(np.sum((Gw - state.eta_tilde) * (dU + dV)))
+            return curvature <= L * float(np.sum(dU * dU) + np.sum(dV * dV)), None
+
+        return test
+
+
+def build_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmooth:
+    """Gram form of the Gaussian smooth part at this working correlation.
+
+    G = sum_i X_i^T R^{-1} X_i, b = sum_i X_i^T R^{-1} y_i and
+    c = sum_i y_i^T R^{-1} y_i, with X_i subject i's n x p example matrix.
+    A chunk of subjects at a time is whitened by C^T, where R^{-1} = C C^T
+    is the Cholesky factorization, into one reusable buffer of about
+    ``GRAM_CHUNK_BYTES``, and G is accumulated from it with a rank-k
+    update.
+    """
+    m, n, p = design.m, design.n, design.n_params
+    chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
+    flat = design.flat_design()
+    root = spd_cholesky(working.R_inv, "inverse working correlation")
+    G = np.zeros((p, p), order="F")
+    b = np.zeros(p)
+    c = 0.0
+    buffer = np.empty((chunk, n, p))
+    for first in range(0, m, chunk):
+        k = min(chunk, m - first)
+        rows = np.matmul(root.T, flat[first : first + k], out=buffer[:k]).reshape(k * n, p)
+        white_y = (design.y[first : first + k] @ root).ravel()
+        # rows.T is a Fortran-ordered view, so dsyrk reads the buffer in place
+        G = blas.dsyrk(1.0, rows.T, beta=1.0, c=G, overwrite_c=1)
+        b += rows.T @ white_y
+        c += float(white_y @ white_y)
+    del buffer, rows
+    _mirror_upper(G)
+    return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
+
+
+def _mirror_upper(G: np.ndarray, block: int = 128) -> None:
+    """Copy the upper triangle into the lower one, a block of rows at a time."""
+    p = G.shape[0]
+    for j in range(0, p, block):
+        end = min(j + block, p)
+        G[j:end, :j] = G[:j, j:end].T
+        diag = G[j:end, j:end]
+        diag[...] = np.triu(diag) + np.triu(diag, 1).T
+
+
+def initial_state(smooth, L: float, start=None) -> InnerState:
     """Fresh state with t_1 = 1 and the first extrapolation at the start.
 
-    The default start is the all-zero pair; a warm start supplies
-    (U0, V0) without changing the first-iteration rule (U~1, V~1) =
-    (U0, V0).
+    ``smooth`` is a DesignSmooth or GramSmooth.  The default start is the
+    all-zero pair; a warm start supplies (U0, V0) without changing the
+    first-iteration rule (U~1, V~1) = (U0, V0).
     """
+    shape = smooth.coef_shape
     if start is None:
-        U0 = np.zeros(design.coef_shape)
-        V0 = np.zeros(design.coef_shape)
+        U0 = np.zeros(shape)
+        V0 = np.zeros(shape)
     else:
         U0 = np.array(start[0], dtype=float)
         V0 = np.array(start[1], dtype=float)
-        if U0.shape != design.coef_shape or V0.shape != design.coef_shape:
+        if U0.shape != shape or V0.shape != shape:
             raise ValueError("warm start shape does not match the design")
-    eta0 = linear_predictor(design, U0 + V0)
+    W0 = U0 + V0
+    eta0 = smooth.predictor(W0)
     return InnerState(
-        U=U0, V=V0, eta=eta0, U_tilde=U0, V_tilde=V0, eta_tilde=eta0, t=1.0, L=float(L), k=0
+        U=U0,
+        V=V0,
+        eta=eta0,
+        U_tilde=U0,
+        V_tilde=V0,
+        eta_tilde=eta0,
+        t=1.0,
+        L=float(L),
+        k=0,
+        loss=smooth.loss(eta0, W0),
     )
 
 
@@ -193,30 +347,46 @@ def penalized_objective(design, family, working, U, V, lam1: float, lam2: float)
     return smooth + lam1 * norm_12_rows(U) + lam2 * norm_12_cols(V)
 
 
-def lipschitz_upper(design, family: Family, working: WorkingCorrelation, at=None) -> float:
-    """Upper bound on the joint (U, V) Lipschitz constant of the gradient.
+def lipschitz_upper(
+    design, family: Family, working: WorkingCorrelation, at=None, gram=None
+) -> float:
+    """Estimate of the joint (U, V) Lipschitz constant of the gradient.
 
     Power iteration on the W-space Gauss-Newton curvature
     phi * X^T A^{1/2} R^{-1} A^{1/2} X, doubled because the U/V
     parameterization has joint Hessian [[H, H], [H, H]] with top
-    eigenvalue 2*lambda_max(H).  ``at`` picks the evaluation point for
-    the variance diagonal A; the default is the reference W = 0.
+    eigenvalue 2*lambda_max(H).  The result is a Rayleigh quotient, which
+    approaches lambda_max from below: an estimate, not a bound (on the
+    paper-scale Gram it read 2187660 against 2187810 from an exact
+    eigensolver).  Backtracking starts well below it anyway.  ``at``
+    picks the evaluation point for the variance diagonal A; the default
+    is the reference W = 0.  Given ``gram``, the Gaussian Gram G of this
+    design and working correlation (A = I), the products run on the
+    p x p matrix phi * G instead of the N x p design.
     """
-    flat = design.flat_design().reshape(design.n_examples, design.n_params)
-    if not np.any(flat):
-        raise NumericalError("degenerate design")
-    m, n = design.m, design.n
-    if at is None:
-        a0 = float(family.variance(family.mean(np.zeros(1)))[0])
-        root = np.full((m, n), np.sqrt(a0))
-    else:
-        root = np.sqrt(family.variance(family.mean(linear_predictor(design, at))))
     phi = working.phi
-    R_inv = working.R_inv
+    if gram is not None:
+        if not np.any(gram):
+            raise NumericalError("degenerate design")
 
-    def matvec(v):
-        z = root * (flat @ v).reshape(m, n)
-        return phi * (flat.T @ (root * (z @ R_inv)).ravel())
+        def matvec(v):
+            return phi * (gram @ v)
+
+    else:
+        flat = design.flat_design().reshape(design.n_examples, design.n_params)
+        if not np.any(flat):
+            raise NumericalError("degenerate design")
+        m, n = design.m, design.n
+        if at is None:
+            a0 = float(family.variance(family.mean(np.zeros(1)))[0])
+            root = np.full((m, n), np.sqrt(a0))
+        else:
+            root = np.sqrt(family.variance(family.mean(linear_predictor(design, at))))
+        R_inv = working.R_inv
+
+        def matvec(v):
+            z = root * (flat @ v).reshape(m, n)
+            return phi * (flat.T @ (root * (z @ R_inv)).ravel())
 
     rng = np.random.default_rng(0)
     v = rng.standard_normal(design.n_params)
@@ -237,32 +407,31 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation, at=None
     return max(2.0 * lam, L_FLOOR)
 
 
-def fista_step(state: InnerState, grad, config: InnerConfig, design, loss=None) -> InnerState:
+def fista_step(
+    state: InnerState, grad, config: InnerConfig, smooth, backtrack: bool = False
+) -> InnerState:
     """One accelerated step from the extrapolated point.
 
     Both prox slots step along the same W-gradient ``grad``, taken at the
-    extrapolated point.  Each trial costs one design matvec, at the
-    candidate.  Given ``loss`` (linear predictor -> smooth loss), the
-    step constant grows until the majorization inequality holds;
-    otherwise the step is taken at ``state.L``.  The next extrapolated
-    predictor follows by linearity, without a matvec.
+    extrapolated point.  Each trial costs one ``smooth.predictor``
+    product, at the candidate.  With ``backtrack`` the step constant
+    grows until ``smooth``'s majorization test holds; otherwise the step
+    is taken at ``state.L``.  The next extrapolated predictor follows by
+    linearity, without a product, and the new state carries the smooth
+    loss at its iterate (the value the test computed, when it did).
     """
     L = state.L
-    loss_at_tilde = None if loss is None else loss(state.eta_tilde)
+    test = smooth.step_test(state, grad) if backtrack else None
+    loss = None
     for _ in range(MAX_BACKTRACKS + 1):
         U = prox_row_groups(state.U_tilde - grad / L, config.lam1 / L)
         V = prox_col_groups(state.V_tilde - grad / L, config.lam2 / L)
-        eta = linear_predictor(design, U + V)
-        if loss is None:
+        W = U + V
+        eta = smooth.predictor(W)
+        if test is None:
             break
-        dU = U - state.U_tilde
-        dV = V - state.V_tilde
-        bound = (
-            loss_at_tilde
-            + float(np.sum(grad * dU) + np.sum(grad * dV))
-            + 0.5 * L * float(np.sum(dU * dU) + np.sum(dV * dV))
-        )
-        if loss(eta) <= bound + 1e-10 * (1.0 + abs(loss_at_tilde)):
+        holds, loss = test(U - state.U_tilde, V - state.V_tilde, eta, L)
+        if holds:
             break
         L *= GROWTH
     else:
@@ -279,6 +448,7 @@ def fista_step(state: InnerState, grad, config: InnerConfig, design, loss=None) 
         t=t_next,
         L=L,
         k=state.k + 1,
+        loss=smooth.loss(eta, W) if loss is None else loss,
     )
 
 
@@ -302,7 +472,9 @@ def inner_solve(
 ) -> InnerSolveResult:
     """Run the accelerated solver, by default from the all-zero start.
 
-    Stops once the relative iterate change
+    Gaussian solves run on the Gram form, built once here; the other
+    families run matrix-free on the design.  Stops once the relative
+    iterate change
     max(||U_k - U_{k-1}||, ||V_k - V_{k-1}||) / (1 + ||U_k|| + ||V_k||)
     drops below the tolerance, or at the iteration cap.  The trace holds
     the monitored objective at every iterate.  ``start`` may supply a
@@ -310,22 +482,25 @@ def inner_solve(
     """
     if working.n != design.n:
         raise ValueError("working correlation size does not match the design")
-    L_bound = lipschitz_upper(design, family, working)
     exact = has_exact_loss(family, working)
-    if not exact and start is not None:
-        # no scalar loss means no backtracking: the step bound must cover
-        # the curvature where the solve actually runs, not just at W = 0
-        warm = np.asarray(start[0]) + np.asarray(start[1])
-        L_bound = max(L_bound, lipschitz_upper(design, family, working, at=warm))
+    if family.kind == "gaussian":
+        smooth = build_gram(design, working)
+        L_bound = lipschitz_upper(design, family, working, gram=smooth.G)
+    else:
+        smooth = DesignSmooth(design, family, working)
+        L_bound = lipschitz_upper(design, family, working)
+        if not exact and start is not None:
+            # no scalar loss means no backtracking: the step estimate must
+            # cover the curvature where the solve actually runs, not just
+            # at W = 0
+            warm = np.asarray(start[0]) + np.asarray(start[1])
+            L_bound = max(L_bound, lipschitz_upper(design, family, working, at=warm))
     backtracking = exact and (config.step_mode == "backtracking" or family.kind == "poisson")
-    origin = initial_state(design, L_bound / INIT_L_SHRINK if backtracking else L_bound, start)
-
-    def smooth(eta):
-        return _smooth_from_eta(design, family, working, eta)
+    origin = initial_state(smooth, L_bound / INIT_L_SHRINK if backtracking else L_bound, start)
 
     def objective(state):
         penalty = config.lam1 * norm_12_rows(state.U) + config.lam2 * norm_12_cols(state.V)
-        return smooth(state.eta) + penalty
+        return state.loss + penalty
 
     guard_cap = 100.0 * (1.0 + abs(objective(origin)))
     guard_trips = 0
@@ -334,9 +509,9 @@ def inner_solve(
     step_trace = []
     converged = False
     for _ in range(config.max_iterations):
-        grad = _gradient_from_eta(design, family, working, state.eta_tilde)
+        grad = smooth.gradient(state.eta_tilde)
         previous = state
-        state = fista_step(state, grad, config, design, loss=smooth if backtracking else None)
+        state = fista_step(state, grad, config, smooth, backtracking)
         value = objective(state)
         if not backtracking and (not np.isfinite(value) or value > guard_cap):
             # the fixed step constant is too optimistic; grow it and

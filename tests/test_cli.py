@@ -178,7 +178,34 @@ def test_cv_command(tmp_path):
     with open(report) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4 * 2  # cells x folds
-    assert set(rows[0]) == {"lambda1", "lambda2", "fold", "nmse"}
+    assert set(rows[0]) == {"lambda1", "lambda2", "fold", "nmse", "error"}
+    assert all(row["nmse"] and not row["error"] for row in rows)
+
+
+def test_cv_report_keeps_failure_reason(tmp_path, monkeypatch):
+    from longlasso import alternation
+    from longlasso.errors import NumericalError
+
+    data = simulate(tmp_path)
+    real_fit = alternation.fit
+
+    def flaky(design, family, structure, lam1, lam2, **kwargs):
+        if lam1 == 0.2:
+            raise NumericalError("no valid step")
+        return real_fit(design, family, structure, lam1, lam2, **kwargs)
+
+    monkeypatch.setattr(alternation, "fit", flaky)
+    report = tmp_path / "report.csv"
+    run_ok([
+        "cv", "--input", data, "--output", tmp_path / "model.json", "--report-out", report,
+        "--tau", "1", "--grid", "0.2,2.0;0.5", "--folds", "2", "--seed", "0",
+    ])
+    with open(report) as fh:
+        rows = list(csv.DictReader(fh))
+    failed = [row for row in rows if row["lambda1"] == "0.2"]
+    assert len(failed) == 2
+    assert all(row["nmse"] == "" and row["error"] == "NumericalError: no valid step" for row in failed)
+    assert all(row["nmse"] and row["error"] == "" for row in rows if row["lambda1"] == "2.0")
 
 
 def test_grid_parsing_errors(tmp_path, capsys):

@@ -7,7 +7,9 @@ from longlasso.dataset import LaggedDesign, LongitudinalDataset, SubjectSeries, 
 from longlasso.errors import NumericalError
 from longlasso.families import get_family
 from longlasso.fista import (
+    DesignSmooth,
     InnerConfig,
+    build_gram,
     fista_step,
     gradient,
     initial_state,
@@ -34,7 +36,7 @@ def single_example_design(x=2.0, y=1.0):
     )
 
 
-def random_design(seed, m=4, d=3, T=8, tau=1, family="gaussian"):
+def random_design(seed, m=4, d=3, T=8, tau=1, family="gaussian", include_lagged_outcome=False):
     rng = np.random.default_rng(seed)
     subjects = []
     for i in range(m):
@@ -47,7 +49,7 @@ def random_design(seed, m=4, d=3, T=8, tau=1, family="gaussian"):
             y = rng.normal(0, 1, T)
         subjects.append(SubjectSeries(id=f"s{i}", features=X, outcomes=y))
     ds = LongitudinalDataset(tuple(subjects), tuple(f"f{j}" for j in range(d)))
-    return build_lagged(ds, tau)
+    return build_lagged(ds, tau, include_lagged_outcome)
 
 
 def test_gradient_zero_at_perfect_fit():
@@ -147,9 +149,10 @@ def test_fista_step_huge_penalty_kills_everything():
     working = make_working("independent", 0.0, 1.0, design.n)
     config = InnerConfig(lam1=1e9, lam2=1e9, step_mode="fixed")
     L = lipschitz_upper(design, GAUSS, working)
-    state = initial_state(design, L)
+    smooth = DesignSmooth(design, GAUSS, working)
+    state = initial_state(smooth, L)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
-    state = fista_step(state, g, config, design)
+    state = fista_step(state, g, config, smooth)
     assert np.array_equal(state.U, np.zeros(design.coef_shape))
     assert np.array_equal(state.V, np.zeros(design.coef_shape))
 
@@ -162,11 +165,12 @@ def test_fista_step_first_iteration_extrapolates_from_start():
     rng = np.random.default_rng(7)
     U0 = rng.normal(size=design.coef_shape)
     V0 = rng.normal(size=design.coef_shape)
-    state = initial_state(design, L, start=(U0, V0))
+    smooth = DesignSmooth(design, GAUSS, working)
+    state = initial_state(smooth, L, start=(U0, V0))
     assert np.array_equal(state.U_tilde, U0)
     assert np.array_equal(state.V_tilde, V0)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
-    stepped = fista_step(state, g, config, design)
+    stepped = fista_step(state, g, config, smooth)
     assert np.allclose(stepped.U, prox_row_groups(U0 - g / L, config.lam1 / L))
     assert np.allclose(stepped.V, prox_col_groups(V0 - g / L, config.lam2 / L))
     assert np.allclose(stepped.eta, fista.linear_predictor(design, stepped.U + stepped.V))
@@ -178,10 +182,11 @@ def test_fista_step_extrapolated_predictor_matches_matvec():
     design = random_design(20)
     working = make_working("ar1", 0.3, 1.0, design.n)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="fixed")
-    state = initial_state(design, lipschitz_upper(design, GAUSS, working))
+    smooth = DesignSmooth(design, GAUSS, working)
+    state = initial_state(smooth, lipschitz_upper(design, GAUSS, working))
     for _ in range(5):
         g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
-        state = fista_step(state, g, config, design)
+        state = fista_step(state, g, config, smooth)
         direct = fista.linear_predictor(design, state.U_tilde + state.V_tilde)
         assert np.allclose(state.eta_tilde, direct, rtol=1e-12, atol=1e-12)
 
@@ -191,10 +196,10 @@ def test_fista_step_backtracking_grows_L():
     working = make_working("independent", 0.0, 1.0, design.n)
     L = lipschitz_upper(design, GAUSS, working)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking")
-    state = initial_state(design, L / 64.0)
+    smooth = DesignSmooth(design, GAUSS, working)
+    state = initial_state(smooth, L / 64.0)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
-    loss = lambda eta: 0.5 * float(np.sum((design.y - eta) ** 2))
-    stepped = fista_step(state, g, config, design, loss=loss)
+    stepped = fista_step(state, g, config, smooth, backtrack=True)
     assert stepped.L > L / 64.0
 
 
@@ -202,12 +207,17 @@ def test_fista_step_no_valid_step_error():
     design = random_design(9)
     working = make_working("independent", 0.0, 1.0, design.n)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking")
-    state = initial_state(design, 1.0)
+
+    class Unbounded(DesignSmooth):
+        # zero loss at the all-zero extrapolated point, infinite at every candidate
+        def loss(self, eta, W=None):
+            return np.inf if np.any(eta) else 0.0
+
+    smooth = Unbounded(design, GAUSS, working)
+    state = initial_state(smooth, 1.0)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
-    # zero loss at the all-zero extrapolated point, infinite at every candidate
-    loss = lambda eta: np.inf if np.any(eta) else 0.0
     with pytest.raises(NumericalError, match="no valid step"):
-        fista_step(state, g, config, design, loss=loss)
+        fista_step(state, g, config, smooth, backtrack=True)
 
 
 def test_inner_solve_zero_outcome_fixed_point():
@@ -333,3 +343,116 @@ def test_inner_config_validation():
         InnerConfig(lam1=0.0, lam2=0.0, tolerance=0.0)
     with pytest.raises(ValueError):
         InnerConfig(lam1=0.0, lam2=0.0, step_mode="adaptive")
+
+
+def _per_subject_gram(design, working):
+    flat = design.flat_design()
+    G = sum(flat[i].T @ working.R_inv @ flat[i] for i in range(design.m))
+    b = sum(flat[i].T @ working.R_inv @ design.y[i] for i in range(design.m))
+    c = sum(design.y[i] @ working.R_inv @ design.y[i] for i in range(design.m))
+    return G, b.reshape(design.coef_shape), float(c)
+
+
+STRUCTURES = [("independent", 0.0), ("exchangeable", 0.3), ("tridiagonal", 0.25), ("ar1", 0.5)]
+
+
+@pytest.mark.parametrize("structure,alpha", STRUCTURES)
+@pytest.mark.parametrize("lagged", [False, True])
+@pytest.mark.parametrize("m,chunk", [(7, 3), (1, 2), (5, None)])
+def test_build_gram_matches_per_subject_sums(structure, alpha, lagged, m, chunk, monkeypatch):
+    design = random_design(30, m=m, d=3, T=8, tau=2, include_lagged_outcome=lagged)
+    if chunk is not None:
+        # a buffer of ``chunk`` subjects, so the last chunk is a partial one
+        monkeypatch.setattr(fista, "GRAM_CHUNK_BYTES", chunk * 8 * design.n * design.n_params)
+    working = make_working(structure, alpha, 1.3, design.n)
+    system = build_gram(design, working)
+    G, b, c = _per_subject_gram(design, working)
+    assert np.array_equal(system.G, system.G.T)
+    assert np.allclose(system.G, G, rtol=1e-12, atol=1e-12 * np.abs(G).max())
+    assert np.allclose(system.b, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+    assert system.c == pytest.approx(c, rel=1e-12)
+    assert system.phi == 1.3
+
+
+@pytest.mark.parametrize("structure,alpha", STRUCTURES)
+def test_gram_gradient_and_loss_match_design(structure, alpha):
+    design = random_design(31, m=6, d=3, T=9, tau=2)
+    working = make_working(structure, alpha, 0.7, design.n)
+    system = build_gram(design, working)
+    W = np.random.default_rng(32).normal(size=design.coef_shape)
+    Gw = system.predictor(W)
+    g = fista.gradient_matrix(design, GAUSS, working, W)
+    assert np.linalg.norm(system.gradient(Gw) - g) <= 1e-12 * np.linalg.norm(g)
+    assert system.loss(Gw, W) == pytest.approx(smooth_loss(design, GAUSS, working, W), rel=1e-12)
+
+
+@pytest.mark.parametrize("structure,alpha", STRUCTURES)
+def test_gram_lipschitz_matches_top_eigenvalue(structure, alpha):
+    design = random_design(33, m=6, d=3, T=9, tau=2)
+    working = make_working(structure, alpha, 1.7, design.n)
+    system = build_gram(design, working)
+    exact = 2.0 * 1.7 * np.linalg.eigvalsh(system.G)[-1]
+    assert lipschitz_upper(design, GAUSS, working, gram=system.G) == pytest.approx(exact, rel=1e-5)
+
+
+def test_inner_solve_gaussian_makes_no_design_matvec(monkeypatch):
+    design = random_design(34)
+    working = make_working("ar1", 0.3, 1.0, design.n)
+
+    def forbidden(*args):
+        raise AssertionError("Gaussian solves run on the Gram form")
+
+    monkeypatch.setattr(fista, "linear_predictor", forbidden)
+    result = inner_solve(design, GAUSS, working, InnerConfig(lam1=0.1, lam2=0.1))
+    assert result.converged
+
+
+def test_inner_solve_gram_large_outcome_offset_matches_plain_proximal():
+    # Outcomes near 1e4 make c ~ 1.6e9 against a loss of ~1e3 at the
+    # optimum: a backtracking test on loss differences then sees only
+    # rounding noise and runs out of backtracks ("no valid step").
+    rng = np.random.default_rng(21)
+    subjects = []
+    for i in range(5):
+        X = np.vstack([np.ones(6), rng.normal(0, 1, (2, 6))])
+        y = 1e4 + X[1] - 0.5 * X[2] + rng.normal(0, 0.5, 6)
+        subjects.append(SubjectSeries(id=f"s{i}", features=X, outcomes=y))
+    design = build_lagged(LongitudinalDataset(tuple(subjects), ("one", "a", "b")), 0)
+    working = make_working("ar1", 0.4, 1.0, design.n)
+    lam = 0.1
+    assert build_gram(design, working).c > 1e6 * 1e3
+    result = inner_solve(
+        design, GAUSS, working, InnerConfig(lam1=lam, lam2=lam, max_iterations=5000, tolerance=1e-12)
+    )
+    assert result.converged
+    L = lipschitz_upper(design, GAUSS, working)
+    U = np.zeros(design.coef_shape)
+    V = np.zeros(design.coef_shape)
+    for _ in range(5000):
+        g = fista.gradient_matrix(design, GAUSS, working, U + V)
+        U = prox_row_groups(U - g / L, lam / L)
+        V = prox_col_groups(V - g / L, lam / L)
+
+    def f(U, V):
+        return smooth_loss(design, GAUSS, working, U + V) + lam * norm_12_rows(U) + lam * norm_12_cols(V)
+
+    assert abs(f(result.U, result.V) - f(U, V)) <= 1e-6
+
+
+def test_inner_solve_evaluates_each_candidate_loss_once(monkeypatch):
+    design = random_design(35, family="bernoulli")
+    working = make_working("independent", 0.0, 1.0, design.n)
+    calls = []
+    real = fista._smooth_from_eta
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fista, "_smooth_from_eta", counted)
+    result = inner_solve(design, get_family("bernoulli"), working, InnerConfig(lam1=0.05, lam2=0.05))
+    backtracks = np.log2(result.step_trace[-1] / (result.lipschitz_bound / fista.INIT_L_SHRINK))
+    assert backtracks == int(backtracks)
+    # one loss at the start, then per iteration one at the extrapolated
+    # point and one per trial candidate; the trace reuses the accepted one
+    assert len(calls) == 1 + 2 * result.iterations + int(backtracks)
