@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,17 +117,103 @@ class CsvSchema:
     feature_cols: tuple[str, ...] | None = None  # None: every other column
 
 
+_TIME = re.compile(r"[+-]?[0-9]+")
+_INT64_LIMIT = 2**63
+
+
 def _parse_cell(raw: str, subject: str, time: str, column: str) -> float:
     raw = raw.strip()
     if raw == "":
         raise DataError(f"missing value at ({subject},{time},{column})")
+    if not raw.isascii() or "_" in raw:
+        raise DataError(f"invalid value at ({subject},{time},{column}): {raw!r}")
     try:
         value = float(raw)
     except ValueError:
         raise DataError(f"invalid value at ({subject},{time},{column}): {raw!r}") from None
     if math.isnan(value):
         raise DataError(f"missing value at ({subject},{time},{column})")
+    if math.isinf(value):
+        raise DataError(f"non-finite value at ({subject},{time},{column})")
     return value
+
+
+def _parse_time(raw: str, subject: str) -> int:
+    raw = raw.strip()
+    if not _TIME.fullmatch(raw):
+        raise DataError(f"non-integer time {raw!r} for subject {subject!r}")
+    time = int(raw)
+    if not -_INT64_LIMIT <= time < _INT64_LIMIT:
+        raise DataError(f"time {raw!r} out of range for subject {subject!r}")
+    return time
+
+
+def _read_lines(source) -> list[str]:
+    """The payload split on ``\\n`` and ``\\r\\n`` only (not ``\\x0c``, ``\\u2028``, ...)."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, "rb") as fh:
+            payload = fh.read()
+    else:
+        payload = source.read()
+    if isinstance(payload, bytes):
+        payload = payload.decode("utf-8")
+    if not payload:
+        raise DataError("empty CSV")
+    lines = payload.split("\n")
+    del payload
+    for i, line in enumerate(lines):  # in place, so one copy of the text is live
+        if line.endswith("\r"):
+            lines[i] = line[:-1]
+    return lines
+
+
+def _csv_cells(line: str, lineno: int) -> list[str]:
+    """One line split by the csv module's rules; a field may not hold a line break."""
+    try:
+        # The appended newline lands inside a field only if a quote is left open.
+        cells = next(csv.reader([line + "\n"]))
+    except csv.Error:  # a carriage return outside quotes
+        raise DataError(f"row {lineno} has a line break inside a field") from None
+    if any("\n" in cell for cell in cells):
+        raise DataError(f"row {lineno} has a line break inside a field")
+    return cells
+
+
+def _reject_repeats(names) -> None:
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"duplicate column {name!r}")
+        seen.add(name)
+
+
+def _is_blank(line: str) -> bool:
+    head = line[:1]  # most lines start with data: skip copying them
+    if head and not head.isspace() and head != ",":
+        return False
+    return not line.replace(",", "").strip()
+
+
+def _raise_first_row_error(rows, width, subject_pos, time_pos, value_cols):
+    """Name the first bad row in file order, as a per-row reader would.
+
+    Error reporting only: the bulk parse found a problem, and this scan
+    checks the rows one by one up to the first one that shows it.
+    """
+    seen = set()
+    for lineno, line in rows:
+        cells = _csv_cells(line, lineno)
+        if len(cells) != width:
+            raise DataError(f"row {lineno} has {len(cells)} cells, expected {width}")
+        subject = cells[subject_pos].strip()
+        time = _parse_time(cells[time_pos], subject)
+        for column, pos in value_cols:
+            _parse_cell(cells[pos], subject, cells[time_pos].strip(), column)
+        if (subject, time) in seen:
+            raise DataError(f"duplicate (subject,time) pair ({subject},{time})")
+        seen.add((subject, time))
+    # Not reached while the scan checks at least what the bulk parse does.
+    raise DataError("CSV rows could not be parsed")
 
 
 def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
@@ -134,27 +221,21 @@ def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
 
     ``source`` may be a path, a text stream, or a byte stream; content is
     UTF-8 with a header row ``subject_id,time,y,<feature names...>``.
+    Lines end in ``\\n`` or ``\\r\\n``; blank and all-separator lines are
+    skipped.  Fields follow the csv module's default dialect, and a quoted
+    field may not span lines.  Cells are stripped of whitespace; a time is
+    ASCII ``[+-]?[0-9]+`` within 64-bit range, and a value is an ASCII
+    Python float literal without underscores (``1_0`` and non-ASCII digits
+    such as ``١`` are rejected) that is neither NaN nor infinite.
     Subjects come out sorted by id and times ascending, so differently
-    ordered files load to bit-equal datasets.  Ragged subjects, duplicate
-    (subject, time) pairs, gaps in the time range, and missing cells are
-    all rejected.
+    ordered files load to bit-equal datasets.  Repeated header names,
+    ragged subjects, duplicate (subject, time) pairs, gaps in the time
+    range, and missing or non-finite cells are all rejected; a per-row
+    error names the first bad row or cell in file order.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "rb") as fh:
-            payload = fh.read()
-    else:
-        payload = source.read()
-    if isinstance(payload, bytes):
-        text = payload.decode("utf-8")
-    else:
-        text = payload
-
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty CSV") from None
-    header = [h.strip() for h in header]
+    lines = _read_lines(source)
+    header = [h.strip() for h in _csv_cells(lines[0], 1)]
+    _reject_repeats(header)
     for col in (schema.subject_col, schema.time_col, schema.outcome_col):
         if col not in header:
             raise DataError(f"missing required column {col!r}")
@@ -166,64 +247,105 @@ def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
         for col in feature_cols:
             if col not in header:
                 raise DataError(f"missing feature column {col!r}")
+        _reject_repeats(feature_cols)
     if not feature_cols:
         raise DataError("no feature columns found")
-    pos = {name: header.index(name) for name in header}
+    width = len(header)
+    subject_pos = header.index(schema.subject_col)
+    time_pos = header.index(schema.time_col)
+    value_cols = [(c, header.index(c)) for c in (schema.outcome_col, *feature_cols)]
+    layout = (width, subject_pos, time_pos, value_cols)
+    key_split = max(subject_pos, time_pos) + 1
 
-    rows_by_subject: dict[str, dict[int, tuple[float, list[float]]]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+    # One pass over the lines: drop blanks, check widths, pull out the keys.
+    rows, subjects, times = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if '"' in line or "\r" in line:
+            cells = _csv_cells(line, lineno)
+            if all(not c.strip() for c in cells):
+                continue
+            n_cells = len(cells)
+        elif _is_blank(line):
             continue
-        if len(row) != len(header):
-            raise DataError(f"row {lineno} has {len(row)} cells, expected {len(header)}")
-        subject = row[pos[schema.subject_col]].strip()
-        time_raw = row[pos[schema.time_col]].strip()
+        else:
+            cells = line.split(",", key_split)
+            n_cells = line.count(",") + 1
+        rows.append((lineno, line))
+        if n_cells != width:
+            _raise_first_row_error(rows, *layout)
+        subject = cells[subject_pos].strip()
         try:
-            time = int(time_raw)
-        except ValueError:
-            raise DataError(f"non-integer time {time_raw!r} for subject {subject!r}") from None
-        y = _parse_cell(row[pos[schema.outcome_col]], subject, time_raw, schema.outcome_col)
-        feats = [_parse_cell(row[pos[c]], subject, time_raw, c) for c in feature_cols]
-        per_subject = rows_by_subject.setdefault(subject, {})
-        if time in per_subject:
-            raise DataError(f"duplicate (subject,time) pair ({subject},{time})")
-        per_subject[time] = (y, feats)
-
-    if not rows_by_subject:
+            times.append(_parse_time(cells[time_pos], subject))
+        except DataError:
+            _raise_first_row_error(rows, *layout)
+        subjects.append(subject)
+    if not rows:
         raise DataError("CSV contains no data rows")
 
-    lengths = {len(times) for times in rows_by_subject.values()}
-    if len(lengths) != 1:
+    try:
+        values = np.loadtxt(
+            [line for _, line in rows], delimiter=",", quotechar='"', comments=None,
+            usecols=[pos for _, pos in value_cols], ndmin=2,
+        )
+    except ValueError:
+        _raise_first_row_error(rows, *layout)
+    if not np.isfinite(values).all():
+        _raise_first_row_error(rows, *layout)
+
+    ids, subject_of = np.unique(np.array(subjects, dtype=object), return_inverse=True)
+    times = np.array(times, dtype=np.int64)
+    order = np.lexsort((times, subject_of))
+    subject_of, times = subject_of[order], times[order]
+    if np.any((subject_of[1:] == subject_of[:-1]) & (times[1:] == times[:-1])):
+        _raise_first_row_error(rows, *layout)
+    counts = np.bincount(subject_of)
+    if counts.min() != counts.max():
         raise DataError("unequal series length")
 
-    subjects = []
-    for subject in sorted(rows_by_subject):
-        per_subject = rows_by_subject[subject]
-        times = sorted(per_subject)
-        if times[-1] - times[0] != len(times) - 1:
-            raise DataError(f"times for subject {subject!r} are not consecutive")
-        outcomes = np.array([per_subject[t][0] for t in times])
-        features = np.array([per_subject[t][1] for t in times]).T
-        subjects.append(
-            SubjectSeries(
-                id=subject, features=features, outcomes=outcomes, time_start=times[0]
-            )
+    m, T = len(ids), int(counts[0])
+    sorted_times = times.reshape(m, T)
+    gaps = np.flatnonzero(sorted_times[:, -1] - sorted_times[:, 0] != T - 1)
+    if gaps.size:
+        raise DataError(f"times for subject {ids[gaps[0]]!r} are not consecutive")
+    # (m, 1+d, T): each subject's outcomes and features are contiguous slices.
+    cube = np.ascontiguousarray(values[order].reshape(m, T, -1).transpose(0, 2, 1))
+    subjects = tuple(
+        SubjectSeries(
+            id=subject, features=cube[k, 1:], outcomes=cube[k, 0],
+            time_start=int(sorted_times[k, 0]),
         )
-    return LongitudinalDataset(tuple(subjects), feature_cols)
+        for k, subject in enumerate(ids.tolist())
+    )
+    return LongitudinalDataset(subjects, feature_cols)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module's default writer puts it inside a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
 
 
 def write_csv(ds: LongitudinalDataset, target) -> None:
-    """Write a dataset in the same long-format schema that load_csv reads."""
+    """Write a dataset in the same long-format schema that load_csv reads.
+
+    The output is what the csv module's default writer makes of the rows
+    ``subject_id, time, y, features...``, with each value written as its
+    ``repr`` (the shortest string that reads back to the same float) and
+    ``\\r\\n`` line ends, byte for byte as earlier versions wrote it.
+    ``load_csv`` reads it back bit-equal.
+    """
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     fh = open(target, "w", newline="") if own else target
     try:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "time", "y", *ds.feature_names])
+        csv.writer(fh).writerow(["subject_id", "time", "y", *ds.feature_names])
         for s in ds.subjects:
-            for t in range(ds.T):
-                row = [s.id, s.time_start + t, repr(float(s.outcomes[t]))]
-                row.extend(repr(float(v)) for v in s.features[:, t])
-                writer.writerow(row)
+            subject = _csv_field(s.id)
+            block = np.column_stack([s.outcomes, s.features.T]).tolist()
+            fh.write("".join(
+                f"{subject},{s.time_start + t},{','.join(map(repr, row))}\r\n"
+                for t, row in enumerate(block)
+            ))
     finally:
         if own:
             fh.close()

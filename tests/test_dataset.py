@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -67,6 +68,13 @@ def test_load_csv_missing_value():
         _ds(text)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400"])
+def test_load_csv_non_finite_value(cell):
+    text = WELL_FORMED.replace("a,2,0.6,2.0", f"a,2,0.6,{cell}")
+    with pytest.raises(DataError, match=r"^non-finite value at \(a,2,x1\)$"):
+        _ds(text)
+
+
 def test_load_csv_duplicate_pair():
     text = WELL_FORMED + "b,3,9.9,9.9\n"
     with pytest.raises(DataError, match=r"duplicate \(subject,time\)"):
@@ -113,6 +121,217 @@ def test_write_then_load_round_trip(tmp_path):
     for sa, sb in zip(ds.subjects, again.subjects):
         assert np.array_equal(sa.features, sb.features)
         assert np.array_equal(sa.outcomes, sb.outcomes)
+
+
+def test_load_csv_duplicate_column():
+    text = "subject_id,time,y,x1,x1\na,1,0.5,1.0,9.0\na,2,0.6,2.0,9.0\n"
+    with pytest.raises(DataError, match=r"^duplicate column 'x1'$"):
+        _ds(text)
+    with pytest.raises(DataError, match=r"^duplicate column 'x1'$"):
+        _ds(WELL_FORMED, CsvSchema(feature_cols=("x1", "x1")))
+
+
+@pytest.mark.parametrize("time", ["1_0", "١", "2.0", "0x2", "2e0"])
+def test_load_csv_time_grammar(time):
+    text = WELL_FORMED.replace("a,2,0.6,2.0", f"a,{time},0.6,2.0")
+    with pytest.raises(DataError, match=r"^non-integer time .* for subject 'a'$"):
+        _ds(text)
+
+
+def test_load_csv_time_out_of_range():
+    text = WELL_FORMED.replace("a,2,0.6,2.0", "a,9223372036854775808,0.6,2.0")
+    with pytest.raises(DataError, match=r"^time '9223372036854775808' out of range"):
+        _ds(text)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١", "١.٥", "0x1", "1d5"])
+def test_load_csv_value_grammar(cell):
+    text = WELL_FORMED.replace("a,2,0.6,2.0", f"a,2,0.6,{cell}")
+    with pytest.raises(DataError, match=r"^invalid value at \(a,2,x1\): "):
+        _ds(text)
+
+
+def test_load_csv_signed_and_padded_cells_still_load():
+    text = WELL_FORMED.replace("a,2,0.6,2.0", 'a, +02 ,"0.6", 2.0\t')
+    ds = _ds(text)
+    assert ds.subjects[0].time_start == 1
+    assert ds.subjects[0].features[0, 1] == 2.0
+    assert ds.subjects[0].outcomes[1] == 0.6
+
+
+@pytest.mark.parametrize(
+    "row", ['"a\nb",1,0.5,1.0', 'a,1,0.5,"1.0\n",2', "a\rb,1,0.5,1.0"]
+)
+def test_load_csv_line_break_inside_field(row):
+    with pytest.raises(DataError, match=r"^row 2 has a line break inside a field$"):
+        _ds("subject_id,time,y,x1\n" + row + "\n")
+
+
+def test_load_csv_lines_split_only_on_newlines():
+    ids = ["a\x0cb", "a b", "a\x85b"]
+    text = "subject_id,time,y,x1\r\n" + "".join(
+        f"{i},{t},0.5,1.0\r\n" for i in ids for t in (1, 2)
+    )
+    assert _ds(text).subject_ids == tuple(sorted(ids))
+
+
+# A panel of 100 subjects x 30 times (3000 rows).  The error tests below
+# damage one cell or row deep in it, so the bulk parse or the whole-array
+# checks find the problem and the message still names the exact row or cell.
+DEEP_M, DEEP_T = 100, 30
+
+
+def _deep_rows():
+    rng = np.random.default_rng(5)
+    return [
+        [f"s{i:03d}", str(t), *(repr(v) for v in rng.normal(size=3).tolist())]
+        for i in range(DEEP_M)
+        for t in range(1, DEEP_T + 1)
+    ]
+
+
+def _deep_text(rows):
+    return "subject_id,time,y,x1,x2\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+def _deep_index(subject, time):
+    return subject * DEEP_T + time - 1
+
+
+DEEP = _deep_index(93, 14)  # file row DEEP + 2
+
+
+def _set(col, value):
+    def mutate(rows):
+        rows[DEEP][col] = value
+    return mutate
+
+
+def _drop_last_cell(rows):
+    rows[DEEP].pop()
+
+
+def _drop_row(rows):
+    del rows[_deep_index(93, DEEP_T)]
+
+
+def _shift_last_time(rows):
+    rows[_deep_index(93, DEEP_T)][1] = str(DEEP_T + 1)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_drop_last_cell, rf"row {DEEP + 2} has 4 cells, expected 5"),
+        (_set(1, "14.5"), r"non-integer time '14.5' for subject 's093'"),
+        (_set(3, " "), r"missing value at \(s093,14,x1\)"),
+        (_set(4, "nan"), r"missing value at \(s093,14,x2\)"),
+        (_set(2, "abc"), r"invalid value at \(s093,14,y\): 'abc'"),
+        (_set(4, "-inf"), r"non-finite value at \(s093,14,x2\)"),
+        (_set(1, "13"), r"duplicate \(subject,time\) pair \(s093,13\)"),
+        (_drop_row, r"unequal series length"),
+        (_shift_last_time, r"times for subject 's093' are not consecutive"),
+    ],
+)
+def test_load_csv_errors_deep_in_large_file(mutate, message):
+    rows = _deep_rows()
+    mutate(rows)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        _ds(_deep_text(rows))
+
+
+def test_load_csv_reports_first_bad_row_in_file_order():
+    rows = _deep_rows()
+    rows[_deep_index(90, 5)][3] = "abc"
+    rows[_deep_index(95, 5)].pop()
+    rows[_deep_index(97, 5)][1] = "13"
+    with pytest.raises(DataError, match=r"^invalid value at \(s090,5,x1\): 'abc'$"):
+        _ds(_deep_text(rows))
+    rows[_deep_index(90, 5)][3] = "1.0"
+    with pytest.raises(DataError, match=rf"^row {_deep_index(95, 5) + 2} has 4 cells"):
+        _ds(_deep_text(rows))
+
+
+def _reference_csv(ds: LongitudinalDataset) -> str:
+    """The row-by-row csv.writer output that write_csv must reproduce byte for byte."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["subject_id", "time", "y", *ds.feature_names])
+    for s in ds.subjects:
+        for t in range(ds.T):
+            row = [s.id, s.time_start + t, repr(float(s.outcomes[t]))]
+            row.extend(repr(float(v)) for v in s.features[:, t])
+            writer.writerow(row)
+    return buffer.getvalue()
+
+
+_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 1e16, 1e-5, 123456789.12345679,
+]
+_values = st.one_of(
+    st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+_names = st.text(alphabet='ab ,"', min_size=1, max_size=5).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def _datasets(draw):
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    T = draw(st.integers(2, 5))
+    ids = draw(st.lists(_names, min_size=m, max_size=m, unique=True))
+    features = draw(
+        st.lists(st.lists(_values, min_size=d * T, max_size=d * T), min_size=m, max_size=m)
+    )
+    outcomes = draw(st.lists(st.lists(_values, min_size=T, max_size=T), min_size=m, max_size=m))
+    starts = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    names = draw(
+        st.lists(
+            _names.filter(lambda s: s not in ("subject_id", "time", "y")),
+            min_size=d, max_size=d, unique=True,
+        )
+    )
+    subjects = tuple(
+        SubjectSeries(
+            id=ids[i],
+            features=np.reshape(features[i], (d, T)),
+            outcomes=np.array(outcomes[i]),
+            time_start=starts[i],
+        )
+        for i in range(m)
+    )
+    return LongitudinalDataset(subjects, tuple(names))
+
+
+def _assert_bit_equal(ds: LongitudinalDataset, back: LongitudinalDataset):
+    by_id = sorted(ds.subjects, key=lambda s: s.id)
+    assert back.subject_ids == tuple(s.id for s in by_id)
+    assert back.feature_names == ds.feature_names
+    for s, b in zip(by_id, back.subjects):
+        assert b.features.tobytes() == s.features.tobytes()
+        assert b.outcomes.tobytes() == s.outcomes.tobytes()
+        assert b.time_start == s.time_start
+
+
+@settings(deadline=None, max_examples=60)
+@given(ds=_datasets(), data=st.data())
+def test_write_csv_matches_reference_and_round_trips(ds, data):
+    buffer = io.StringIO()
+    write_csv(ds, buffer)
+    text = buffer.getvalue()
+    assert text == _reference_csv(ds)
+    _assert_bit_equal(ds, _ds(text))
+    header, *body = text.split("\r\n")[:-1]
+    shuffled = data.draw(st.permutations(body))
+    _assert_bit_equal(ds, _ds("\r\n".join([header, *shuffled]) + "\r\n"))
+
+
+def test_write_csv_to_path_matches_reference(tmp_path):
+    ds = _ds(WELL_FORMED.replace("a,", '"a, ""x""",'))
+    path = tmp_path / "out.csv"
+    write_csv(ds, path)
+    assert path.read_bytes() == _reference_csv(ds).encode("utf-8")
 
 
 def test_dataset_invariants():
