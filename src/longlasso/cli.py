@@ -327,7 +327,7 @@ def _cmd_cv(args) -> None:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(["lambda1", "lambda2", "fold", args.metric, "error"])
-        for lam1, lam2, fold, score in cv.report_rows():
+        for lam1, lam2, fold, score in cv.table:
             writer.writerow(
                 [
                     repr(lam1),

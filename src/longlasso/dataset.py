@@ -319,6 +319,11 @@ def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
     return LongitudinalDataset(subjects, feature_cols)
 
 
+def _changes_on_load(text: str) -> bool:
+    """Whether a written field would fail to load (a line break) or load stripped."""
+    return "\n" in text or text != text.strip()
+
+
 def _csv_field(text: str) -> str:
     """``text`` as the csv module's default writer puts it inside a row."""
     buffer = io.StringIO()
@@ -333,12 +338,22 @@ def write_csv(ds: LongitudinalDataset, target) -> None:
     ``subject_id, time, y, features...``, with each value written as its
     ``repr`` (the shortest string that reads back to the same float) and
     ``\\r\\n`` line ends, byte for byte as earlier versions wrote it.
-    ``load_csv`` reads it back bit-equal.
+    ``load_csv`` reads it back bit-equal.  Before anything is written, a
+    DataError names any subject id or feature name that would not load
+    back as itself: one holding a line break or with whitespace at either
+    end, or a feature named like a key column or like another feature.
     """
+    for s in ds.subjects:
+        if _changes_on_load(s.id):
+            raise DataError(f"subject id {s.id!r} would not load back from CSV")
+    header = ["subject_id", "time", "y", *ds.feature_names]
+    for name in ds.feature_names:
+        if _changes_on_load(name) or header.count(name) > 1:
+            raise DataError(f"feature name {name!r} would not load back from CSV")
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     fh = open(target, "w", newline="") if own else target
     try:
-        csv.writer(fh).writerow(["subject_id", "time", "y", *ds.feature_names])
+        csv.writer(fh).writerow(header)
         for s in ds.subjects:
             subject = _csv_field(s.id)
             block = np.column_stack([s.outcomes, s.features.T]).tolist()

@@ -155,7 +155,8 @@ def default_grids(design, family, n_points: int = 5, span: float = 1e-3):
 class CvSpec:
     """Cross-validation plan.
 
-    ``lam1_grid``/``lam2_grid`` default to the data-driven log grids.
+    ``lam1_grid``/``lam2_grid`` default to the data-driven log grids of
+    ``default_grids``.
     The per-cell fit runs a lighter solver configuration than a final
     fit: cells only need ranking, not full precision.
     """
@@ -165,8 +166,6 @@ class CvSpec:
     folds: int = 3
     metric: str = "nmse"
     seed: int = 0
-    grid_points: int = 5
-    grid_span: float = 1e-3
     fit_config: alternation.FitConfig = field(
         default_factory=lambda: alternation.FitConfig(
             max_outer=6, inner_max_iterations=800, inner_tolerance=1e-5
@@ -199,10 +198,6 @@ class CvResult:
     table: tuple[tuple[float, float, int, float | None], ...]
     mean_scores: dict
     failures: dict = field(default_factory=dict)
-
-    def report_rows(self):
-        """(lambda1, lambda2, fold, score) rows; score None for failures."""
-        return self.table
 
 
 def fold_assignments(subject_ids, folds: int, seed: int) -> dict:
@@ -243,7 +238,7 @@ def grid_cv(
     spec = spec or CvSpec()
     if spec.lam1_grid is None or spec.lam2_grid is None:
         full_design = build_lagged(train, tau, include_lagged_outcome)
-        auto1, auto2 = default_grids(full_design, family, spec.grid_points, spec.grid_span)
+        auto1, auto2 = default_grids(full_design, family)
         lam1_grid = spec.lam1_grid or auto1
         lam2_grid = spec.lam2_grid or auto2
     else:

@@ -31,8 +31,13 @@ predictor with every iterate, and momentum acts on it by linearity.
   A scalar loss exists under working independence, where backtracking
   compares loss values.  With a non-identity R the estimating function
   is not the gradient of any scalar loss, so the solver runs at the
-  fixed step estimate and the generalized Pearson statistic is reported
-  in the trace.
+  fixed step 1/L and the generalized Pearson statistic is reported in
+  the trace.
+
+Every step bound L = 2 * phi * lambda_max(H) is exact: H is the p x p
+curvature Gram, which ``build_gram`` forms (for Gaussian solves it is G
+itself; otherwise the same pass weights each example by the square root
+of its variance), and its top eigenvalue comes from one LAPACK call.
 
 Convergence is always declared on iterate change.
 """
@@ -42,7 +47,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import blas, eigh
 
 from .correlation import WorkingCorrelation, spd_cholesky
 from .dataset import LaggedDesign
@@ -51,9 +56,7 @@ from .families import Family
 from .penalty import norm_12_cols, norm_12_rows, prox_col_groups, prox_row_groups
 
 L_FLOOR = 1e-8
-POWER_ITER_STEPS = 200
-POWER_ITER_TOL = 1e-6
-# Step policy: backtracking starts from the step estimate over INIT_L_SHRINK;
+# Step policy: backtracking starts from the Lipschitz bound over INIT_L_SHRINK;
 # each failed majorization test, and each guard trip of the fixed step,
 # multiplies the step constant by GROWTH, at most MAX_BACKTRACKS times.
 INIT_L_SHRINK = 8.0
@@ -68,7 +71,7 @@ class InnerConfig:
     """Solver settings for one inner run.
 
     ``step_mode`` is "backtracking" or "fixed".  Backtracking starts from
-    the step estimate divided by ``INIT_L_SHRINK`` and multiplies the step
+    the Lipschitz bound divided by ``INIT_L_SHRINK`` and multiplies the step
     constant by ``GROWTH`` until the majorization inequality holds; it
     needs a scalar loss and silently behaves like "fixed" where none
     exists.  The Poisson family always backtracks (its gradient is only
@@ -196,7 +199,7 @@ class GramSmooth:
         return test
 
 
-def build_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmooth:
+def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None) -> GramSmooth:
     """Gram form of the Gaussian smooth part at this working correlation.
 
     G = sum_i X_i^T R^{-1} X_i, b = sum_i X_i^T R^{-1} y_i and
@@ -204,20 +207,31 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmooth:
     A chunk of subjects at a time is whitened by C^T, where R^{-1} = C C^T
     is the Cholesky factorization, into one reusable buffer of about
     ``GRAM_CHUNK_BYTES``, and G is accumulated from it with a rank-k
-    update.
+    update.  ``root_var``, the square root of a variance diagonal (a
+    scalar, or one entry per example in an (m, n) array), weights each
+    subject as X_i -> A_i^{1/2} X_i and y_i -> A_i^{1/2} y_i; G is then
+    the curvature Gram H of ``lipschitz_upper``.
     """
     m, n, p = design.m, design.n, design.n_params
     chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
     flat = design.flat_design()
     root = spd_cholesky(working.R_inv, "inverse working correlation")
+    scale = None if root_var is None else np.broadcast_to(root_var, (m, n))
     G = np.zeros((p, p), order="F")
     b = np.zeros(p)
     c = 0.0
     buffer = np.empty((chunk, n, p))
     for first in range(0, m, chunk):
         k = min(chunk, m - first)
-        rows = np.matmul(root.T, flat[first : first + k], out=buffer[:k]).reshape(k * n, p)
-        white_y = (design.y[first : first + k] @ root).ravel()
+        block = slice(first, first + k)
+        y = design.y[block]
+        whiten = root.T
+        if scale is not None:
+            # C^T A_i^{1/2}, one n x n factor per subject
+            whiten = root.T * scale[block, None, :]
+            y = y * scale[block]
+        rows = np.matmul(whiten, flat[block], out=buffer[:k]).reshape(k * n, p)
+        white_y = (y @ root).ravel()
         # rows.T is a Fortran-ordered view, so dsyrk reads the buffer in place
         G = blas.dsyrk(1.0, rows.T, beta=1.0, c=G, overwrite_c=1)
         b += rows.T @ white_y
@@ -350,61 +364,30 @@ def penalized_objective(design, family, working, U, V, lam1: float, lam2: float)
 def lipschitz_upper(
     design, family: Family, working: WorkingCorrelation, at=None, gram=None
 ) -> float:
-    """Estimate of the joint (U, V) Lipschitz constant of the gradient.
+    """Joint (U, V) Lipschitz constant of the gradient, 2 * phi * lambda_max(H).
 
-    Power iteration on the W-space Gauss-Newton curvature
-    phi * X^T A^{1/2} R^{-1} A^{1/2} X, doubled because the U/V
-    parameterization has joint Hessian [[H, H], [H, H]] with top
-    eigenvalue 2*lambda_max(H).  The result is a Rayleigh quotient, which
-    approaches lambda_max from below: an estimate, not a bound (on the
-    paper-scale Gram it read 2187660 against 2187810 from an exact
-    eigensolver).  Backtracking starts well below it anyway.  ``at``
-    picks the evaluation point for the variance diagonal A; the default
-    is the reference W = 0.  Given ``gram``, the Gaussian Gram G of this
-    design and working correlation (A = I), the products run on the
-    p x p matrix phi * G instead of the N x p design.
+    H = sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i is the W-space
+    Gauss-Newton curvature, with A_i the variance-function diagonal at
+    ``at`` (default the reference W = 0, where A = a0 * I).  The U/V
+    parameterization has joint Hessian phi * [[H, H], [H, H]], whose top
+    eigenvalue is 2 * phi * lambda_max(H).  ``build_gram`` forms H with
+    the variance weighting; given ``gram``, the Gaussian Gram G of this
+    design and working correlation (A = I), G serves as H.  The top
+    eigenvalue comes from one LAPACK call on H.
     """
-    phi = working.phi
-    if gram is not None:
-        if not np.any(gram):
-            raise NumericalError("degenerate design")
-
-        def matvec(v):
-            return phi * (gram @ v)
-
-    else:
-        flat = design.flat_design().reshape(design.n_examples, design.n_params)
-        if not np.any(flat):
-            raise NumericalError("degenerate design")
-        m, n = design.m, design.n
+    own = gram is None
+    if own:
         if at is None:
-            a0 = float(family.variance(family.mean(np.zeros(1)))[0])
-            root = np.full((m, n), np.sqrt(a0))
+            root_var = math.sqrt(float(family.variance(family.mean(np.zeros(1)))[0]))
         else:
-            root = np.sqrt(family.variance(family.mean(linear_predictor(design, at))))
-        R_inv = working.R_inv
-
-        def matvec(v):
-            z = root * (flat @ v).reshape(m, n)
-            return phi * (flat.T @ (root * (z @ R_inv)).ravel())
-
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(design.n_params)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_ITER_STEPS):
-        w = matvec(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            lam = 0.0
-            break
-        lam_new = float(v @ w)
-        v = w / norm
-        if abs(lam_new - lam) <= POWER_ITER_TOL * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return max(2.0 * lam, L_FLOOR)
+            root_var = np.sqrt(family.variance(family.mean(linear_predictor(design, at))))
+        gram = build_gram(design, working, root_var).G
+    if not np.any(gram):
+        raise NumericalError("degenerate design")
+    p = gram.shape[0]
+    # LAPACK may work in place on a Gram built here, not on the caller's
+    top = eigh(gram, eigvals_only=True, subset_by_index=[p - 1, p - 1], overwrite_a=own)[0]
+    return max(2.0 * working.phi * float(top), L_FLOOR)
 
 
 def fista_step(
@@ -490,7 +473,7 @@ def inner_solve(
         smooth = DesignSmooth(design, family, working)
         L_bound = lipschitz_upper(design, family, working)
         if not exact and start is not None:
-            # no scalar loss means no backtracking: the step estimate must
+            # no scalar loss means no backtracking: the step bound must
             # cover the curvature where the solve actually runs, not just
             # at W = 0
             warm = np.asarray(start[0]) + np.asarray(start[1])

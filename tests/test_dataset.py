@@ -334,6 +334,53 @@ def test_write_csv_to_path_matches_reference(tmp_path):
     assert path.read_bytes() == _reference_csv(ds).encode("utf-8")
 
 
+def _one_subject(subject_id="a", feature="x1"):
+    series = SubjectSeries(id=subject_id, features=np.ones((1, 2)), outcomes=np.zeros(2))
+    return LongitudinalDataset((series,), (feature,))
+
+
+@pytest.mark.parametrize("subject_id", ["a\nb", " a", "a ", "a\r"])
+def test_write_csv_rejects_ids_that_would_not_load_back(subject_id):
+    buffer = io.StringIO()
+    with pytest.raises(DataError) as excinfo:
+        write_csv(_one_subject(subject_id=subject_id), buffer)
+    assert str(excinfo.value) == f"subject id {subject_id!r} would not load back from CSV"
+    assert buffer.getvalue() == ""
+
+
+@pytest.mark.parametrize("feature", ["x\n1", " x1", "x1\t", "subject_id", "time", "y"])
+def test_write_csv_rejects_feature_names_that_would_not_load_back(feature, tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(DataError, match="feature name .* would not load back"):
+        write_csv(_one_subject(feature=feature), path)
+    assert not path.exists()
+
+
+def test_write_csv_rejects_repeated_feature_names():
+    series = SubjectSeries(id="a", features=np.ones((2, 2)), outcomes=np.zeros(2))
+    with pytest.raises(DataError, match="feature name 'x1' would not load back"):
+        write_csv(LongitudinalDataset((series,), ("x1", "x1")), io.StringIO())
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.text(alphabet='a \t\r\n\x0c,"', max_size=4))
+def test_write_csv_writes_only_ids_that_load_back(subject_id):
+    ds = _one_subject(subject_id=subject_id)
+    buffer = io.StringIO()
+    try:
+        write_csv(ds, buffer)
+    except DataError:
+        assert buffer.getvalue() == ""
+        # rejected only if the unchecked bytes fail to load or load changed
+        try:
+            back = _ds(_reference_csv(ds)).subject_ids
+        except DataError:
+            back = None
+        assert back != (subject_id,)
+        return
+    assert _ds(buffer.getvalue()).subject_ids == (subject_id,)
+
+
 def test_dataset_invariants():
     good = SubjectSeries(id="a", features=np.ones((2, 3)), outcomes=np.zeros(3))
     with pytest.raises(DataError, match="unique"):

@@ -182,7 +182,7 @@ def test_grid_cv_partial_failure_marks_cell_invalid(monkeypatch):
         (0.1, 0.5, 0): "NumericalError: synthetic failure",
         (0.1, 0.5, 1): "NumericalError: synthetic failure",
     }
-    assert [row[3] is None for row in cv.report_rows()] == [True, True, False, False]
+    assert [row[3] is None for row in cv.table] == [True, True, False, False]
 
 
 def test_lambda_max_kills_everything_at_first_step():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,20 @@ def _per_subject_gram(design, working):
     return G, b.reshape(design.coef_shape), float(c)
 
 
+def _weighted(design, weights):
+    """The design with example (i, j) of X and y scaled by weights[i, j]."""
+    return LaggedDesign(
+        tau=design.tau,
+        include_lagged_outcome=design.include_lagged_outcome,
+        subject_ids=design.subject_ids,
+        feature_names=design.feature_names,
+        times=design.times,
+        subject_starts=design.subject_starts,
+        X=design.X * weights[:, :, None, None],
+        y=design.y * weights,
+    )
+
+
 STRUCTURES = [("independent", 0.0), ("exchangeable", 0.3), ("tridiagonal", 0.25), ("ar1", 0.5)]
 
 
@@ -374,6 +390,21 @@ def test_build_gram_matches_per_subject_sums(structure, alpha, lagged, m, chunk,
     assert system.phi == 1.3
 
 
+@pytest.mark.parametrize("per_example", [False, True])
+def test_build_gram_variance_weighting_matches_per_subject_sums(per_example, monkeypatch):
+    design = random_design(41, m=7, d=3, T=8, tau=2, include_lagged_outcome=True)
+    monkeypatch.setattr(fista, "GRAM_CHUNK_BYTES", 3 * 8 * design.n * design.n_params)
+    working = make_working("ar1", 0.5, 1.3, design.n)
+    rng = np.random.default_rng(42)
+    root_var = rng.uniform(0.2, 2.0, (design.m, design.n)) if per_example else 0.5
+    system = build_gram(design, working, root_var)
+    G, b, c = _per_subject_gram(_weighted(design, np.broadcast_to(root_var, design.y.shape)), working)
+    assert np.array_equal(system.G, system.G.T)
+    assert np.allclose(system.G, G, rtol=1e-12, atol=1e-12 * np.abs(G).max())
+    assert np.allclose(system.b, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+    assert system.c == pytest.approx(c, rel=1e-12)
+
+
 @pytest.mark.parametrize("structure,alpha", STRUCTURES)
 def test_gram_gradient_and_loss_match_design(structure, alpha):
     design = random_design(31, m=6, d=3, T=9, tau=2)
@@ -392,7 +423,71 @@ def test_gram_lipschitz_matches_top_eigenvalue(structure, alpha):
     working = make_working(structure, alpha, 1.7, design.n)
     system = build_gram(design, working)
     exact = 2.0 * 1.7 * np.linalg.eigvalsh(system.G)[-1]
-    assert lipschitz_upper(design, GAUSS, working, gram=system.G) == pytest.approx(exact, rel=1e-5)
+    assert lipschitz_upper(design, GAUSS, working, gram=system.G) == pytest.approx(exact, rel=1e-10)
+
+
+def _dense_lipschitz(design, family, working, W):
+    """2 * phi * lambda_max of the curvature, summed subject by subject."""
+    root = np.sqrt(family.variance(family.mean(design.flat_design() @ W.ravel())))
+    H, _, _ = _per_subject_gram(_weighted(design, root), working)
+    return 2.0 * working.phi * np.linalg.eigvalsh(H)[-1]
+
+
+@pytest.mark.parametrize(
+    "family_name,structure,alpha", [("bernoulli", "ar1", 0.5), ("poisson", "exchangeable", 0.3)]
+)
+@pytest.mark.parametrize("warm", [False, True])
+def test_lipschitz_matrix_free_matches_dense_curvature(family_name, structure, alpha, warm):
+    family = get_family(family_name)
+    design = random_design(36, m=6, d=3, T=9, tau=2, family=family_name)
+    working = make_working(structure, alpha, 1.4, design.n)
+    if warm:
+        W = np.random.default_rng(37).normal(0, 0.3, design.coef_shape)
+        L = lipschitz_upper(design, family, working, at=W)
+    else:
+        W = np.zeros(design.coef_shape)
+        L = lipschitz_upper(design, family, working)
+    assert L == pytest.approx(_dense_lipschitz(design, family, working, W), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "family_name,structure,alpha", [("bernoulli", "ar1", 0.5), ("poisson", "exchangeable", 0.3)]
+)
+def test_inner_solve_fixed_step_covers_warm_start(family_name, structure, alpha):
+    family = get_family(family_name)
+    design = random_design(38, m=6, d=3, T=9, tau=2, family=family_name)
+    working = make_working(structure, alpha, 1.0, design.n)
+    rng = np.random.default_rng(39)
+    start = (rng.normal(0, 0.2, design.coef_shape), rng.normal(0, 0.2, design.coef_shape))
+    result = inner_solve(design, family, working, InnerConfig(lam1=0.2, lam2=0.2), start=start)
+    cold = lipschitz_upper(design, family, working)
+    warm = lipschitz_upper(design, family, working, at=start[0] + start[1])
+    assert result.lipschitz_bound == max(cold, warm)
+    assert np.allclose(result.step_trace, result.lipschitz_bound)
+
+
+def test_inner_solve_fixed_step_guard_grows_too_small_bound(monkeypatch):
+    family = get_family("bernoulli")
+    design = random_design(40, m=6, d=3, T=9, tau=2, family="bernoulli")
+    working = make_working("ar1", 0.5, 1.0, design.n)
+    config = InnerConfig(lam1=0.1, lam2=0.1)
+    small = lipschitz_upper(design, family, working) / 2**10
+    monkeypatch.setattr(fista, "lipschitz_upper", lambda *args, **kwargs: small)
+    result = inner_solve(design, family, working, config)
+    assert result.converged
+    assert np.all(np.isfinite(result.U)) and np.all(np.isfinite(result.V))
+    assert np.all(np.isfinite(result.objective_trace))
+    # each guard trip restarts from the start with the step constant grown
+    trips = np.round(np.log(result.step_trace / small) / math.log(fista.GROWTH))
+    assert np.array_equal(result.step_trace, small * fista.GROWTH**trips)
+    assert trips[0] >= 1
+    assert np.all(np.diff(result.step_trace) >= 0.0)
+
+    # GROWTH**MAX_BACKTRACKS is not enough to reach a usable step from here
+    hopeless = small / fista.GROWTH**70
+    monkeypatch.setattr(fista, "lipschitz_upper", lambda *args, **kwargs: hopeless)
+    with pytest.raises(NumericalError, match="no valid step"):
+        inner_solve(design, family, working, config)
 
 
 def test_inner_solve_gaussian_makes_no_design_matvec(monkeypatch):
