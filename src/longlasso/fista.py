@@ -209,8 +209,8 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     ``GRAM_CHUNK_BYTES``, and G is accumulated from it with a rank-k
     update.  ``root_var``, the square root of a variance diagonal (a
     scalar, or one entry per example in an (m, n) array), weights each
-    subject as X_i -> A_i^{1/2} X_i and y_i -> A_i^{1/2} y_i; G is then
-    the curvature Gram H of ``lipschitz_upper``.
+    subject's examples as X_i -> A_i^{1/2} X_i; G is then the curvature
+    Gram H of ``lipschitz_upper``, and only G is meaningful.
     """
     m, n, p = design.m, design.n, design.n_params
     chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
@@ -229,7 +229,6 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
         if scale is not None:
             # C^T A_i^{1/2}, one n x n factor per subject
             whiten = root.T * scale[block, None, :]
-            y = y * scale[block]
         rows = np.matmul(whiten, flat[block], out=buffer[:k]).reshape(k * n, p)
         white_y = (y @ root).ravel()
         # rows.T is a Fortran-ordered view, so dsyrk reads the buffer in place
