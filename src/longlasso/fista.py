@@ -10,41 +10,37 @@ only, so the two partials coincide).  Sigma_i^{-1} is evaluated in the
 factored form phi * A^{-1/2} R^{-1} A^{-1/2} with A the variance-function
 diagonal at the current iterate.
 
-The family picks one of two backends for the smooth part; both carry a
-predictor with every iterate, and momentum acts on it by linearity.
+Every family runs one accelerated loop on one backend, ``GramSmooth``:
+the quadratic 0.5 * phi * (w^T G w - 2 b^T w + c) over a p x p Gram G
+(p = d_eff * (tau+1)).  ``build_gram`` forms G a few whitened subjects at
+a time with a rank-k update, so it holds one p x p array plus a small
+buffer.  Iterates carry G w, so an iteration costs one p x p matvec, and
+backtracking uses the exact curvature form of the majorization test
+(comparing loss values would subtract numbers of the size of c).
 
-- Gaussian (``GramSmooth``): the smooth part is the quadratic
-  0.5 * phi * (w^T G w - 2 b^T w + c) with the Gram
-  G = X^T (I_m kron R^{-1}) X (p x p, p = d_eff * (tau+1)),
-  b = X^T (I_m kron R^{-1}) y and c = y^T (I_m kron R^{-1}) y.
-  ``build_gram`` forms them once per inner solve, whitening a few
-  subjects at a time into one reusable buffer and accumulating G with a
-  rank-k update, so it holds one p x p float64 array plus that buffer
-  and never a whitened copy of the design.  Iterates carry G w, so an
-  iteration costs one p x p matvec.  Backtracking uses the exact
-  curvature form of the majorization test; comparing loss values would
-  subtract numbers of the size of c, which can exceed the loss at the
-  optimum by seven orders of magnitude.
-- Bernoulli/Poisson (``DesignSmooth``): matrix-free.  Iterates carry
-  eta = X.W, so an iteration costs one design matvec (at the candidate)
-  plus one transposed matvec (the gradient at the extrapolated point).
-  A scalar loss exists under working independence, where backtracking
-  compares loss values.  With a non-identity R the estimating function
-  is not the gradient of any scalar loss, so the solver runs at the
-  fixed step 1/L and the generalized Pearson statistic is reported in
-  the trace.
+- Gaussian: the quadratic is the smooth part itself, with
+  G = X^T (I_m kron R^{-1}) X, b = X^T (I_m kron R^{-1}) y and
+  c = y^T (I_m kron R^{-1}) y: one solve on one Gram.
+- Bernoulli/Poisson: penalized Fisher scoring, since under a non-identity
+  R the estimating function is the gradient of no scalar loss.  Each
+  outer step solves the model at the current point w with G = H, the
+  curvature Gram sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i (GEE's Fisher
+  information over phi), b = H w - grad / phi and c = 0, stopping early
+  once the model's own gradient mapping is below ``EARLY_STOP`` times the
+  outer one.  The step is accepted when the gradient-mapping norm
+  ||L0 (x - prox(x - grad / L0))||, L0 fixed per solve, does not rise.
+  Otherwise H is rebuilt at the current point, and a step that fails on
+  a fresh H is halved toward it.  H is also rebuilt after an accepted
+  step that left the norm above ``STALL`` times its value.
 
-Every step bound L = 2 * phi * lambda_max(H) is exact: H is the p x p
-curvature Gram, which ``build_gram`` forms (for Gaussian solves it is G
-itself; otherwise the same pass weights each example by the square root
-of its variance), and its top eigenvalue comes from one LAPACK call.
-
-Convergence is always declared on iterate change.
+Every step bound L = 2 * phi * lambda_max(H) is exact, from one LAPACK
+call on the curvature Gram (G itself for Gaussian solves).  Convergence
+is declared on iterate change between consecutive iterates.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, eigh
@@ -57,11 +53,17 @@ from .penalty import norm_12_cols, norm_12_rows, prox_col_groups, prox_row_group
 
 L_FLOOR = 1e-8
 # Step policy: backtracking starts from the Lipschitz bound over INIT_L_SHRINK;
-# each failed majorization test, and each guard trip of the fixed step,
-# multiplies the step constant by GROWTH, at most MAX_BACKTRACKS times.
+# each failed majorization test multiplies the step constant by GROWTH, at
+# most MAX_BACKTRACKS times.  A scoring step that fails on a fresh model is
+# halved toward the current point at most MAX_BACKTRACKS times.
 INIT_L_SHRINK = 8.0
 GROWTH = 2.0
 MAX_BACKTRACKS = 60
+# a scoring step that leaves the gradient-mapping norm above STALL times its
+# value rebuilds the model; a model solve stops once its own mapping is below
+# EARLY_STOP times the outer one
+STALL = 0.5
+EARLY_STOP = 0.1
 # size of the whitening buffer build_gram fills a few subjects at a time
 GRAM_CHUNK_BYTES = 1 << 20
 
@@ -70,12 +72,12 @@ GRAM_CHUNK_BYTES = 1 << 20
 class InnerConfig:
     """Solver settings for one inner run.
 
-    ``step_mode`` is "backtracking" or "fixed".  Backtracking starts from
-    the Lipschitz bound divided by ``INIT_L_SHRINK`` and multiplies the step
-    constant by ``GROWTH`` until the majorization inequality holds; it
-    needs a scalar loss and silently behaves like "fixed" where none
-    exists.  The Poisson family always backtracks (its gradient is only
-    locally Lipschitz).
+    ``step_mode`` is "backtracking" or "fixed", for every family.
+    Backtracking starts each quadratic solve from its Lipschitz bound
+    divided by ``INIT_L_SHRINK`` and multiplies the step constant by
+    ``GROWTH`` until the majorization inequality holds; "fixed" steps at
+    the bound.  ``max_iterations`` caps the accelerated iterations of one
+    inner solve, summed over all of its quadratic models.
     """
 
     lam1: float
@@ -99,9 +101,9 @@ class InnerConfig:
 class InnerState:
     """Iterate, extrapolation point, momentum scalar and step constant.
 
-    Both points carry their predictor (eta = X.W matrix-free, G w in Gram
-    form), so the extrapolated predictor follows from the iterates' by
-    linearity.  ``loss`` is the monitored smooth loss at the iterate.
+    Both points carry their predictor G w, so the extrapolated predictor
+    follows from the iterates' by linearity.  ``loss`` is the quadratic's
+    value at the iterate.
     """
 
     U: np.ndarray
@@ -112,55 +114,12 @@ class InnerState:
     eta_tilde: np.ndarray
     t: float
     L: float
-    k: int
     loss: float
 
 
 @dataclass(frozen=True)
-class DesignSmooth:
-    """Smooth part evaluated through the N x p design; the predictor is eta = X.W."""
-
-    design: LaggedDesign
-    family: Family
-    working: WorkingCorrelation
-
-    @property
-    def coef_shape(self) -> tuple[int, int]:
-        return self.design.coef_shape
-
-    def predictor(self, W) -> np.ndarray:
-        return linear_predictor(self.design, W)
-
-    def gradient(self, eta) -> np.ndarray:
-        return _gradient_from_eta(self.design, self.family, self.working, eta)
-
-    def loss(self, eta, W=None) -> float:
-        return _smooth_from_eta(self.design, self.family, self.working, eta)
-
-    def step_test(self, state: InnerState, grad):
-        """Majorization test from ``state``'s extrapolated point, by loss values.
-
-        The returned test maps (dU, dV, eta, L) of a candidate to (holds,
-        loss at the candidate).
-        """
-        at_tilde = self.loss(state.eta_tilde)
-        slack = 1e-10 * (1.0 + abs(at_tilde))
-
-        def test(dU, dV, eta, L):
-            value = self.loss(eta)
-            bound = (
-                at_tilde
-                + float(np.sum(grad * dU) + np.sum(grad * dV))
-                + 0.5 * L * float(np.sum(dU * dU) + np.sum(dV * dV))
-            )
-            return value <= bound + slack, value
-
-        return test
-
-
-@dataclass(frozen=True)
 class GramSmooth:
-    """Gaussian smooth part 0.5 * phi * (w^T G w - 2 b^T w + c); the predictor is G w.
+    """Quadratic smooth part 0.5 * phi * (w^T G w - 2 b^T w + c); the predictor is G w.
 
     ``b`` has the coefficient shape; ``G`` is p x p over the row-major
     flattened coefficients.
@@ -171,10 +130,6 @@ class GramSmooth:
     c: float
     phi: float
 
-    @property
-    def coef_shape(self) -> tuple[int, int]:
-        return self.b.shape
-
     def predictor(self, W) -> np.ndarray:
         return (self.G @ np.ravel(W)).reshape(self.b.shape)
 
@@ -183,20 +138,6 @@ class GramSmooth:
 
     def loss(self, Gw, W) -> float:
         return float(0.5 * self.phi * (self.c - 2.0 * np.sum(self.b * W) + np.sum(W * Gw)))
-
-    def step_test(self, state: InnerState, grad):
-        """Exact curvature form of the majorization test.
-
-        For a quadratic, f(x) - f(y) - <grad, x - y> = 0.5 * phi * <G d, d>
-        with d = x - y = dU + dV, and G d is the difference of the held
-        predictors, so the test costs no product and no loss value.
-        """
-
-        def test(dU, dV, Gw, L):
-            curvature = self.phi * float(np.sum((Gw - state.eta_tilde) * (dU + dV)))
-            return curvature <= L * float(np.sum(dU * dU) + np.sum(dV * dV)), None
-
-        return test
 
 
 def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None) -> GramSmooth:
@@ -210,7 +151,8 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     update.  ``root_var``, the square root of a variance diagonal (a
     scalar, or one entry per example in an (m, n) array), weights each
     subject's examples as X_i -> A_i^{1/2} X_i; G is then the curvature
-    Gram H of ``lipschitz_upper``, and only G is meaningful.
+    Gram H of ``lipschitz_upper`` and of the scoring model, and only G is
+    meaningful.
     """
     m, n, p = design.m, design.n, design.n_params
     chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
@@ -250,22 +192,24 @@ def _mirror_upper(G: np.ndarray, block: int = 128) -> None:
         diag[...] = np.triu(diag) + np.triu(diag, 1).T
 
 
-def initial_state(smooth, L: float, start=None) -> InnerState:
+def _start_pair(shape, start) -> tuple[np.ndarray, np.ndarray]:
+    """The all-zero pair, or a checked copy of the warm start (U0, V0)."""
+    if start is None:
+        return np.zeros(shape), np.zeros(shape)
+    U0, V0 = (np.array(half, dtype=float) for half in start)
+    if U0.shape != shape or V0.shape != shape:
+        raise ValueError("warm start shape does not match the design")
+    return U0, V0
+
+
+def initial_state(smooth: GramSmooth, L: float, start=None) -> InnerState:
     """Fresh state with t_1 = 1 and the first extrapolation at the start.
 
-    ``smooth`` is a DesignSmooth or GramSmooth.  The default start is the
-    all-zero pair; a warm start supplies (U0, V0) without changing the
-    first-iteration rule (U~1, V~1) = (U0, V0).
+    The default start is the all-zero pair; a warm start supplies
+    (U0, V0) without changing the first-iteration rule
+    (U~1, V~1) = (U0, V0).
     """
-    shape = smooth.coef_shape
-    if start is None:
-        U0 = np.zeros(shape)
-        V0 = np.zeros(shape)
-    else:
-        U0 = np.array(start[0], dtype=float)
-        V0 = np.array(start[1], dtype=float)
-        if U0.shape != shape or V0.shape != shape:
-            raise ValueError("warm start shape does not match the design")
+    U0, V0 = _start_pair(smooth.b.shape, start)
     W0 = U0 + V0
     eta0 = smooth.predictor(W0)
     return InnerState(
@@ -277,7 +221,6 @@ def initial_state(smooth, L: float, start=None) -> InnerState:
         eta_tilde=eta0,
         t=1.0,
         L=float(L),
-        k=0,
         loss=smooth.loss(eta0, W0),
     )
 
@@ -321,65 +264,46 @@ def gradient(design, family: Family, working: WorkingCorrelation, U_tilde, V_til
     return g, g
 
 
-def has_exact_loss(family: Family, working: WorkingCorrelation) -> bool:
-    """Whether the monitored objective is an exact scalar loss."""
-    return family.kind == "gaussian" or working.is_identity
-
-
 def smooth_loss(design, family: Family, working: WorkingCorrelation, W) -> float:
-    """Monitored smooth part at W.
+    """Smooth part at W, where a scalar loss exists.
 
     Gaussian: 0.5 * phi * sum_i s^T R^{-1} s (exact for every structure).
     Bernoulli/Poisson with identity R: the deviance-based loss
     phi * sum(sat(y) - y*eta + b(eta)), whose gradient matches the
-    estimating function exactly.  Otherwise the generalized Pearson
-    statistic 0.5 * phi * sum_i g^T R^{-1} g with g the variance-scaled
-    residuals (reported, not minimized).
+    estimating function exactly.  Bernoulli/Poisson under any other R
+    have no scalar loss whose gradient is the estimating function, and
+    raise ``ValueError``.
     """
-    eta = linear_predictor(design, np.asarray(W, dtype=float))
-    return _smooth_from_eta(design, family, working, eta)
-
-
-def _smooth_from_eta(design, family, working, eta) -> float:
+    if family.kind != "gaussian" and not working.is_identity:
+        raise ValueError(f"no scalar loss for {family.kind} outcomes under a non-identity R")
     y = design.y
+    eta = linear_predictor(design, np.asarray(W, dtype=float))
     if family.kind == "gaussian":
         s = y - eta
         return float(0.5 * working.phi * np.sum((s @ working.R_inv) * s))
-    if working.is_identity:
-        unit = family.saturated_term(y) - y * eta + family.cumulant(eta)
-        return float(working.phi * np.sum(unit))
-    mu = family.mean(eta)
-    root = np.sqrt(family.variance(mu))
-    g = (y - mu) / root
-    return float(0.5 * working.phi * np.sum((g @ working.R_inv) * g))
+    unit = family.saturated_term(y) - y * eta + family.cumulant(eta)
+    return float(working.phi * np.sum(unit))
 
 
 def penalized_objective(design, family, working, U, V, lam1: float, lam2: float) -> float:
-    """Monitored smooth part plus both block penalties."""
+    """Smooth part plus both block penalties."""
     smooth = smooth_loss(design, family, working, np.asarray(U) + np.asarray(V))
     return smooth + lam1 * norm_12_rows(U) + lam2 * norm_12_cols(V)
 
 
-def lipschitz_upper(
-    design, family: Family, working: WorkingCorrelation, at=None, gram=None
-) -> float:
+def lipschitz_upper(design, family: Family, working: WorkingCorrelation, gram=None) -> float:
     """Joint (U, V) Lipschitz constant of the gradient, 2 * phi * lambda_max(H).
 
     H = sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i is the W-space
-    Gauss-Newton curvature, with A_i the variance-function diagonal at
-    ``at`` (default the reference W = 0, where A = a0 * I).  The U/V
-    parameterization has joint Hessian phi * [[H, H], [H, H]], whose top
-    eigenvalue is 2 * phi * lambda_max(H).  ``build_gram`` forms H with
-    the variance weighting; given ``gram``, the Gaussian Gram G of this
-    design and working correlation (A = I), G serves as H.  The top
-    eigenvalue comes from one LAPACK call on H.
+    Gauss-Newton curvature, built by ``build_gram`` with A_i the
+    variance-function diagonal at W = 0 (A = a0 * I) unless ``gram``
+    supplies it: the Gaussian Gram G, or a scoring model's H at its own
+    point.  The U/V parameterization has joint Hessian
+    phi * [[H, H], [H, H]], whose top eigenvalue is 2 * phi * lambda_max(H).
     """
     own = gram is None
     if own:
-        if at is None:
-            root_var = math.sqrt(float(family.variance(family.mean(np.zeros(1)))[0]))
-        else:
-            root_var = np.sqrt(family.variance(family.mean(linear_predictor(design, at))))
+        root_var = math.sqrt(float(family.variance(family.mean(np.zeros(1)))[0]))
         gram = build_gram(design, working, root_var).G
     if not np.any(gram):
         raise NumericalError("degenerate design")
@@ -390,30 +314,33 @@ def lipschitz_upper(
 
 
 def fista_step(
-    state: InnerState, grad, config: InnerConfig, smooth, backtrack: bool = False
+    state: InnerState, grad, config: InnerConfig, smooth: GramSmooth, backtrack: bool = False
 ) -> InnerState:
     """One accelerated step from the extrapolated point.
 
     Both prox slots step along the same W-gradient ``grad``, taken at the
     extrapolated point.  Each trial costs one ``smooth.predictor``
     product, at the candidate.  With ``backtrack`` the step constant
-    grows until ``smooth``'s majorization test holds; otherwise the step
-    is taken at ``state.L``.  The next extrapolated predictor follows by
-    linearity, without a product, and the new state carries the smooth
-    loss at its iterate (the value the test computed, when it did).
+    grows until the majorization test holds; otherwise the step is taken
+    at ``state.L``.  The test is exact in curvature form: for a quadratic,
+    f(x) - f(y) - <grad, x - y> = 0.5 * phi * <G d, d> with
+    d = x - y = dU + dV, and G d is the difference of the held
+    predictors, so it costs no product and no loss value.  The next
+    extrapolated predictor follows by linearity, and the new state
+    carries the smooth loss at its iterate.
     """
     L = state.L
-    test = smooth.step_test(state, grad) if backtrack else None
-    loss = None
     for _ in range(MAX_BACKTRACKS + 1):
         U = prox_row_groups(state.U_tilde - grad / L, config.lam1 / L)
         V = prox_col_groups(state.V_tilde - grad / L, config.lam2 / L)
         W = U + V
         eta = smooth.predictor(W)
-        if test is None:
+        if not backtrack:
             break
-        holds, loss = test(U - state.U_tilde, V - state.V_tilde, eta, L)
-        if holds:
+        dU = U - state.U_tilde
+        dV = V - state.V_tilde
+        curvature = smooth.phi * float(np.sum((eta - state.eta_tilde) * (dU + dV)))
+        if curvature <= L * float(np.sum(dU * dU) + np.sum(dV * dV)):
             break
         L *= GROWTH
     else:
@@ -429,13 +356,22 @@ def fista_step(
         eta_tilde=eta + shift * (eta - state.eta),
         t=t_next,
         L=L,
-        k=state.k + 1,
-        loss=smooth.loss(eta, W) if loss is None else loss,
+        loss=smooth.loss(eta, W),
     )
 
 
 @dataclass(frozen=True)
 class InnerSolveResult:
+    """One inner solve.  Both traces hold one entry per counted iteration.
+
+    ``objective_trace`` holds the penalized value after each iteration:
+    the objective itself for Gaussian solves, and for Bernoulli/Poisson
+    the penalized value of the quadratic model the iteration ran on, so
+    entries of different models do not compare.  ``converged`` means the
+    iterate-change rule held before ``max_iterations`` ran out;
+    ``lipschitz_bound`` is the step bound at the start.
+    """
+
     U: np.ndarray
     V: np.ndarray
     objective_trace: np.ndarray
@@ -443,6 +379,111 @@ class InnerSolveResult:
     iterations: int
     converged: bool
     lipschitz_bound: float
+
+
+def _relative_change(U, V, U_prev, V_prev) -> float:
+    """max(||U - U_prev||, ||V - V_prev||) / (1 + ||U|| + ||V||)."""
+    delta = max(float(np.linalg.norm(U - U_prev)), float(np.linalg.norm(V - V_prev)))
+    return delta / (1.0 + float(np.linalg.norm(U)) + float(np.linalg.norm(V)))
+
+
+def _model_solve(smooth: GramSmooth, L: float, start, config: InnerConfig, trace, floor=0.0):
+    """Accelerated iterations on one quadratic from ``start``; returns (U, V, converged).
+
+    The step starts at the bound ``L`` (over ``INIT_L_SHRINK`` when
+    backtracking).  Each iteration appends its penalized value and step
+    constant to ``trace``, a pair of lists, until the lists hold
+    ``max_iterations`` entries, the iterate-change rule holds, or, given a
+    positive ``floor``, the gradient mapping at the extrapolated point,
+    L * ||(U, V) - (U~, V~)||, drops below it.
+    """
+    backtracking = config.step_mode == "backtracking"
+    state = initial_state(smooth, L / INIT_L_SHRINK if backtracking else L, start)
+    objective_trace, step_trace = trace
+    while len(objective_trace) < config.max_iterations:
+        grad = smooth.gradient(state.eta_tilde)
+        previous = state
+        state = fista_step(state, grad, config, smooth, backtracking)
+        penalty = config.lam1 * norm_12_rows(state.U) + config.lam2 * norm_12_cols(state.V)
+        value = state.loss + penalty
+        if not np.isfinite(value):
+            raise NumericalError("objective diverged")
+        objective_trace.append(value)
+        step_trace.append(state.L)
+        if _relative_change(state.U, state.V, previous.U, previous.V) < config.tolerance:
+            return state.U, state.V, True
+        if floor > 0.0:
+            dU = state.U - previous.U_tilde
+            dV = state.V - previous.V_tilde
+            if state.L * math.sqrt(float(np.sum(dU * dU) + np.sum(dV * dV))) < floor:
+                break
+    return state.U, state.V, False
+
+
+def _mapping_norm(U, V, grad, config: InnerConfig, L: float) -> float:
+    """||L ((U, V) - prox((U, V) - grad / L))||, zero exactly at a KKT point."""
+    dU = U - prox_row_groups(U - grad / L, config.lam1 / L)
+    dV = V - prox_col_groups(V - grad / L, config.lam2 / L)
+    return L * math.sqrt(float(np.sum(dU * dU) + np.sum(dV * dV)))
+
+
+def _scoring_solve(design, family: Family, working: WorkingCorrelation, config, start, trace):
+    """Penalized Fisher scoring for Bernoulli/Poisson; returns (U, V, converged, L0)."""
+
+    def curvature(eta):
+        # the model's Gram and step bound at the point with predictor eta
+        H = build_gram(design, working, np.sqrt(family.variance(family.mean(eta)))).G
+        return H, lipschitz_upper(design, family, working, gram=H)
+
+    def at(U, V):
+        # predictor, gradient and gradient-mapping norm of a point
+        eta = linear_predictor(design, U + V)
+        grad = _gradient_from_eta(design, family, working, eta)
+        return eta, grad, _mapping_norm(U, V, grad, config, L0)
+
+    U, V = _start_pair(design.coef_shape, start)
+    eta = linear_predictor(design, U + V)
+    H, L = curvature(eta)
+    L0 = L
+    grad = _gradient_from_eta(design, family, working, eta)
+    norm = _mapping_norm(U, V, grad, config, L0)
+    fresh = True
+    while len(trace[0]) < config.max_iterations:
+        if H is None:
+            H, L = curvature(eta)
+            fresh = True
+        # the model matches the gradient at (U, V); passed unnamed, it is
+        # gone before H is rebuilt, so two H never coexist
+        b = (H @ np.ravel(U + V)).reshape(U.shape) - grad / working.phi
+        U_new, V_new, settled = _model_solve(
+            GramSmooth(G=H, b=b, c=0.0, phi=working.phi), L, (U, V), config, trace, EARLY_STOP * norm
+        )
+        eta_new, grad_new, norm_new = at(U_new, V_new)
+        if norm_new > norm:
+            if not fresh:
+                H = None
+                continue
+            if settled:
+                # the fresh model's steps fell below the tolerance: keep the better point
+                return U, V, True, L0
+            for _ in range(MAX_BACKTRACKS):
+                U_new = U + 0.5 * (U_new - U)
+                V_new = V + 0.5 * (V_new - V)
+                if _relative_change(U_new, V_new, U, V) < config.tolerance:
+                    # halved below the tolerance and the norm never fell
+                    return U, V, False, L0
+                eta_new, grad_new, norm_new = at(U_new, V_new)
+                if norm_new <= norm:
+                    break
+            else:
+                raise NumericalError("no valid step")
+        if norm_new > STALL * norm:
+            H = None
+        fresh = False
+        U, V, eta, grad, norm = U_new, V_new, eta_new, grad_new, norm_new
+        if settled:
+            return U, V, True, L0
+    return U, V, False, L0
 
 
 def inner_solve(
@@ -455,72 +496,27 @@ def inner_solve(
     """Run the accelerated solver, by default from the all-zero start.
 
     Gaussian solves run on the Gram form, built once here; the other
-    families run matrix-free on the design.  Stops once the relative
-    iterate change
+    families run penalized Fisher scoring on the curvature Gram.  A solve
+    stops once the relative iterate change
     max(||U_k - U_{k-1}||, ||V_k - V_{k-1}||) / (1 + ||U_k|| + ||V_k||)
-    drops below the tolerance, or at the iteration cap.  The trace holds
-    the monitored objective at every iterate.  ``start`` may supply a
-    warm-start pair (U0, V0).
+    of an iteration drops below the tolerance, or at the iteration cap.
+    ``start`` may supply a warm-start pair (U0, V0).
     """
     if working.n != design.n:
         raise ValueError("working correlation size does not match the design")
-    exact = has_exact_loss(family, working)
+    trace = ([], [])
     if family.kind == "gaussian":
         smooth = build_gram(design, working)
         L_bound = lipschitz_upper(design, family, working, gram=smooth.G)
+        U, V, converged = _model_solve(smooth, L_bound, start, config, trace)
     else:
-        smooth = DesignSmooth(design, family, working)
-        L_bound = lipschitz_upper(design, family, working)
-        if not exact and start is not None:
-            # no scalar loss means no backtracking: the step bound must
-            # cover the curvature where the solve actually runs, not just
-            # at W = 0
-            warm = np.asarray(start[0]) + np.asarray(start[1])
-            L_bound = max(L_bound, lipschitz_upper(design, family, working, at=warm))
-    backtracking = exact and (config.step_mode == "backtracking" or family.kind == "poisson")
-    origin = initial_state(smooth, L_bound / INIT_L_SHRINK if backtracking else L_bound, start)
-
-    def objective(state):
-        penalty = config.lam1 * norm_12_rows(state.U) + config.lam2 * norm_12_cols(state.V)
-        return state.loss + penalty
-
-    guard_cap = 100.0 * (1.0 + abs(objective(origin)))
-    guard_trips = 0
-    state = origin
-    objective_trace = []
-    step_trace = []
-    converged = False
-    for _ in range(config.max_iterations):
-        grad = smooth.gradient(state.eta_tilde)
-        previous = state
-        state = fista_step(state, grad, config, smooth, backtracking)
-        value = objective(state)
-        if not backtracking and (not np.isfinite(value) or value > guard_cap):
-            # the fixed step constant is too optimistic; grow it and
-            # restart the pass from the original start point
-            guard_trips += 1
-            if guard_trips > MAX_BACKTRACKS:
-                raise NumericalError("no valid step")
-            state = replace(origin, L=state.L * GROWTH)
-            continue
-        if not np.isfinite(value):
-            raise NumericalError("objective diverged")
-        objective_trace.append(value)
-        step_trace.append(state.L)
-        delta = max(
-            float(np.linalg.norm(state.U - previous.U)),
-            float(np.linalg.norm(state.V - previous.V)),
-        )
-        denom = 1.0 + float(np.linalg.norm(state.U)) + float(np.linalg.norm(state.V))
-        if delta / denom < config.tolerance:
-            converged = True
-            break
+        U, V, converged, L_bound = _scoring_solve(design, family, working, config, start, trace)
     return InnerSolveResult(
-        U=state.U,
-        V=state.V,
-        objective_trace=np.asarray(objective_trace),
-        step_trace=np.asarray(step_trace),
-        iterations=state.k,
+        U=U,
+        V=V,
+        objective_trace=np.asarray(trace[0]),
+        step_trace=np.asarray(trace[1]),
+        iterations=len(trace[0]),
         converged=converged,
         lipschitz_bound=L_bound,
     )

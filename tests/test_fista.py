@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from longlasso.dataset import LaggedDesign, LongitudinalDataset, SubjectSeries, 
 from longlasso.errors import NumericalError
 from longlasso.families import get_family
 from longlasso.fista import (
-    DesignSmooth,
     InnerConfig,
     build_gram,
     fista_step,
@@ -151,7 +151,7 @@ def test_fista_step_huge_penalty_kills_everything():
     working = make_working("independent", 0.0, 1.0, design.n)
     config = InnerConfig(lam1=1e9, lam2=1e9, step_mode="fixed")
     L = lipschitz_upper(design, GAUSS, working)
-    smooth = DesignSmooth(design, GAUSS, working)
+    smooth = build_gram(design, working)
     state = initial_state(smooth, L)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
     state = fista_step(state, g, config, smooth)
@@ -167,7 +167,7 @@ def test_fista_step_first_iteration_extrapolates_from_start():
     rng = np.random.default_rng(7)
     U0 = rng.normal(size=design.coef_shape)
     V0 = rng.normal(size=design.coef_shape)
-    smooth = DesignSmooth(design, GAUSS, working)
+    smooth = build_gram(design, working)
     state = initial_state(smooth, L, start=(U0, V0))
     assert np.array_equal(state.U_tilde, U0)
     assert np.array_equal(state.V_tilde, V0)
@@ -175,21 +175,21 @@ def test_fista_step_first_iteration_extrapolates_from_start():
     stepped = fista_step(state, g, config, smooth)
     assert np.allclose(stepped.U, prox_row_groups(U0 - g / L, config.lam1 / L))
     assert np.allclose(stepped.V, prox_col_groups(V0 - g / L, config.lam2 / L))
-    assert np.allclose(stepped.eta, fista.linear_predictor(design, stepped.U + stepped.V))
+    G, _, _ = _per_subject_gram(design, working)
+    assert np.allclose(stepped.eta, (G @ np.ravel(stepped.U + stepped.V)).reshape(design.coef_shape))
     assert stepped.t == pytest.approx(momentum_update(1.0))
-    assert stepped.k == 1
 
 
 def test_fista_step_extrapolated_predictor_matches_matvec():
     design = random_design(20)
     working = make_working("ar1", 0.3, 1.0, design.n)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="fixed")
-    smooth = DesignSmooth(design, GAUSS, working)
+    smooth = build_gram(design, working)
     state = initial_state(smooth, lipschitz_upper(design, GAUSS, working))
     for _ in range(5):
         g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
         state = fista_step(state, g, config, smooth)
-        direct = fista.linear_predictor(design, state.U_tilde + state.V_tilde)
+        direct = smooth.predictor(state.U_tilde + state.V_tilde)
         assert np.allclose(state.eta_tilde, direct, rtol=1e-12, atol=1e-12)
 
 
@@ -198,7 +198,7 @@ def test_fista_step_backtracking_grows_L():
     working = make_working("independent", 0.0, 1.0, design.n)
     L = lipschitz_upper(design, GAUSS, working)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking")
-    smooth = DesignSmooth(design, GAUSS, working)
+    smooth = build_gram(design, working)
     state = initial_state(smooth, L / 64.0)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
     stepped = fista_step(state, g, config, smooth, backtrack=True)
@@ -210,12 +210,9 @@ def test_fista_step_no_valid_step_error():
     working = make_working("independent", 0.0, 1.0, design.n)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking")
 
-    class Unbounded(DesignSmooth):
-        # zero loss at the all-zero extrapolated point, infinite at every candidate
-        def loss(self, eta, W=None):
-            return np.inf if np.any(eta) else 0.0
-
-    smooth = Unbounded(design, GAUSS, working)
+    # a curvature that no step constant within MAX_BACKTRACKS doublings covers
+    system = build_gram(design, working)
+    smooth = replace(system, G=system.G * 1e40)
     state = initial_state(smooth, 1.0)
     g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
     with pytest.raises(NumericalError, match="no valid step"):
@@ -321,18 +318,27 @@ def test_gradient_symmetry_exact():
 
 def test_inner_solve_bernoulli_nonidentity_runs_fixed_mode():
     design = random_design(18, family="bernoulli")
+    family = get_family("bernoulli")
     working = make_working("ar1", 0.4, 1.0, design.n)
-    result = inner_solve(design, get_family("bernoulli"), working, InnerConfig(lam1=0.2, lam2=0.2))
+    # no scalar loss exists for this combination; scoring needs none
+    with pytest.raises(ValueError, match="no scalar loss"):
+        smooth_loss(design, family, working, np.zeros(design.coef_shape))
+    config = InnerConfig(lam1=0.2, lam2=0.2, step_mode="fixed")
+    result = inner_solve(design, family, working, config)
+    assert result.converged
     assert np.all(np.isfinite(result.U))
     assert np.all(np.isfinite(result.objective_trace))
-    # fixed bound in use: no scalar loss exists for this combination
-    assert np.allclose(result.step_trace, result.lipschitz_bound)
+    # fixed mode steps at each model's bound: the first model's is the bound at the start
+    assert result.step_trace[0] == result.lipschitz_bound
+    assert result.lipschitz_bound == pytest.approx(
+        _dense_lipschitz(design, family, working, np.zeros(design.coef_shape)), rel=1e-10
+    )
 
 
 def test_inner_solve_poisson_identity_backtracks():
     design = random_design(19, family="poisson")
     working = make_working("independent", 0.0, 1.0, design.n)
-    config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="fixed")  # poisson forces backtracking
+    config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="fixed")
     result = inner_solve(design, get_family("poisson"), working, config)
     assert result.converged
     assert np.all(np.isfinite(result.U))
@@ -440,12 +446,18 @@ def test_lipschitz_matrix_free_matches_dense_curvature(family_name, structure, a
     design = random_design(36, m=6, d=3, T=9, tau=2, family=family_name)
     working = make_working(structure, alpha, 1.4, design.n)
     if warm:
+        # the scoring model's Gram at a warm point
         W = np.random.default_rng(37).normal(0, 0.3, design.coef_shape)
-        L = lipschitz_upper(design, family, working, at=W)
+        L = lipschitz_upper(design, family, working, gram=_curvature_gram(design, family, working, W))
     else:
         W = np.zeros(design.coef_shape)
         L = lipschitz_upper(design, family, working)
     assert L == pytest.approx(_dense_lipschitz(design, family, working, W), rel=1e-10)
+
+
+def _curvature_gram(design, family, working, W):
+    root = np.sqrt(family.variance(family.mean(fista.linear_predictor(design, W))))
+    return build_gram(design, working, root).G
 
 
 @pytest.mark.parametrize(
@@ -457,11 +469,13 @@ def test_inner_solve_fixed_step_covers_warm_start(family_name, structure, alpha)
     working = make_working(structure, alpha, 1.0, design.n)
     rng = np.random.default_rng(39)
     start = (rng.normal(0, 0.2, design.coef_shape), rng.normal(0, 0.2, design.coef_shape))
-    result = inner_solve(design, family, working, InnerConfig(lam1=0.2, lam2=0.2), start=start)
-    cold = lipschitz_upper(design, family, working)
-    warm = lipschitz_upper(design, family, working, at=start[0] + start[1])
-    assert result.lipschitz_bound == max(cold, warm)
-    assert np.allclose(result.step_trace, result.lipschitz_bound)
+    config = InnerConfig(lam1=0.2, lam2=0.2, step_mode="fixed")
+    result = inner_solve(design, family, working, config, start=start)
+    # the first model is built at the warm start and steps at its exact bound
+    warm = _dense_lipschitz(design, family, working, start[0] + start[1])
+    assert result.lipschitz_bound == pytest.approx(warm, rel=1e-10)
+    assert result.step_trace[0] == result.lipschitz_bound
+    assert result.converged
 
 
 def test_inner_solve_fixed_step_takes_warm_bound_above_cold():
@@ -488,37 +502,56 @@ def test_inner_solve_fixed_step_takes_warm_bound_above_cold():
     U0[0, 0] = 1e4
     start = (U0, np.zeros(design.coef_shape))
     cold = lipschitz_upper(design, family, working)
-    warm = lipschitz_upper(design, family, working, at=U0)
+    warm = lipschitz_upper(design, family, working, gram=_curvature_gram(design, family, working, U0))
     assert warm > 10.0 * cold
     assert warm == pytest.approx(_dense_lipschitz(design, family, working, U0), rel=1e-10)
-    result = inner_solve(design, family, working, InnerConfig(lam1=0.2, lam2=0.2), start=start)
-    assert result.lipschitz_bound == warm
-    assert np.allclose(result.step_trace, warm)
-    assert np.all(np.isfinite(result.U)) and np.all(np.isfinite(result.V))
+    for step_mode in ("fixed", "backtracking"):
+        config = InnerConfig(lam1=0.2, lam2=0.2, step_mode=step_mode)
+        result = inner_solve(design, family, working, config, start=start)
+        assert result.lipschitz_bound == warm
+        assert result.converged
+        assert np.all(np.isfinite(result.U)) and np.all(np.isfinite(result.V))
+        if step_mode == "fixed":
+            assert result.step_trace[0] == warm
 
 
-def test_inner_solve_fixed_step_guard_grows_too_small_bound(monkeypatch):
+def _rising_norm(monkeypatch):
+    """Make every gradient-mapping norm the solver takes larger than the one before.
+
+    The norms start high enough that each model solve stops early at its
+    first iteration.
+    """
+    values = iter(range(10**6, 10**6 + 10_000))
+    monkeypatch.setattr(fista, "_mapping_norm", lambda *args: float(next(values)))
+
+
+def test_inner_solve_scoring_raises_when_norm_never_falls(monkeypatch):
     family = get_family("bernoulli")
     design = random_design(40, m=6, d=3, T=9, tau=2, family="bernoulli")
     working = make_working("ar1", 0.5, 1.0, design.n)
-    config = InnerConfig(lam1=0.1, lam2=0.1)
-    small = lipschitz_upper(design, family, working) / 2**10
-    monkeypatch.setattr(fista, "lipschitz_upper", lambda *args, **kwargs: small)
-    result = inner_solve(design, family, working, config)
-    assert result.converged
-    assert np.all(np.isfinite(result.U)) and np.all(np.isfinite(result.V))
-    assert np.all(np.isfinite(result.objective_trace))
-    # each guard trip restarts from the start with the step constant grown
-    trips = np.round(np.log(result.step_trace / small) / math.log(fista.GROWTH))
-    assert np.array_equal(result.step_trace, small * fista.GROWTH**trips)
-    assert trips[0] >= 1
-    assert np.all(np.diff(result.step_trace) >= 0.0)
-
-    # GROWTH**MAX_BACKTRACKS is not enough to reach a usable step from here
-    hopeless = small / fista.GROWTH**70
-    monkeypatch.setattr(fista, "lipschitz_upper", lambda *args, **kwargs: hopeless)
+    _rising_norm(monkeypatch)
+    calls = []
+    real = fista._gradient_from_eta
+    monkeypatch.setattr(fista, "_gradient_from_eta", lambda *args: calls.append(1) or real(*args))
+    # a tolerance no halved step reaches, so only the halving cap ends the search
+    config = InnerConfig(lam1=0.1, lam2=0.1, tolerance=1e-30)
     with pytest.raises(NumericalError, match="no valid step"):
         inner_solve(design, family, working, config)
+    # the start, the model's step, then one per halving
+    assert len(calls) == 2 + fista.MAX_BACKTRACKS
+
+
+def test_inner_solve_scoring_stops_unconverged_when_halving_reaches_tolerance(monkeypatch):
+    family = get_family("poisson")
+    design = random_design(44, m=6, d=3, T=9, tau=2, family="poisson")
+    working = make_working("exchangeable", 0.3, 1.0, design.n)
+    rng = np.random.default_rng(45)
+    start = (rng.normal(0, 0.2, design.coef_shape), rng.normal(0, 0.2, design.coef_shape))
+    _rising_norm(monkeypatch)
+    result = inner_solve(design, family, working, InnerConfig(lam1=0.1, lam2=0.1), start=start)
+    assert not result.converged
+    assert np.array_equal(result.U, start[0]) and np.array_equal(result.V, start[1])
+    assert result.objective_trace.size == result.step_trace.size == result.iterations > 0
 
 
 def test_inner_solve_gaussian_makes_no_design_matvec(monkeypatch):
@@ -565,20 +598,58 @@ def test_inner_solve_gram_large_outcome_offset_matches_plain_proximal():
     assert abs(f(result.U, result.V) - f(U, V)) <= 1e-6
 
 
-def test_inner_solve_evaluates_each_candidate_loss_once(monkeypatch):
-    design = random_design(35, family="bernoulli")
-    working = make_working("independent", 0.0, 1.0, design.n)
-    calls = []
-    real = fista._smooth_from_eta
+def test_inner_solve_scoring_rebuilds_stale_model_before_halving(monkeypatch):
+    family = get_family("bernoulli")
+    design = random_design(48, m=6, d=3, T=9, tau=2, family="bernoulli")
+    working = make_working("ar1", 0.5, 1.0, design.n)
+    # norms at the start, after a step on the first model (more than
+    # halved, so the model is kept), after a failed step on that now stale
+    # model, and after a step on the model rebuilt at the same point
+    norms = [10e6, 4e6, 7e6, 3e6]
+    monkeypatch.setattr(fista, "_mapping_norm", lambda *args: norms.pop(0))
+    builds = []
+    real = fista.build_gram
+    monkeypatch.setattr(fista, "build_gram", lambda *args: builds.append(1) or real(*args))
+    config = InnerConfig(lam1=0.1, lam2=0.1, max_iterations=3, tolerance=1e-30)
+    result = inner_solve(design, family, working, config)
+    assert norms == []
+    assert len(builds) == 2
+    assert result.iterations == 3 and not result.converged
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
 
-    monkeypatch.setattr(fista, "_smooth_from_eta", counted)
-    result = inner_solve(design, get_family("bernoulli"), working, InnerConfig(lam1=0.05, lam2=0.05))
-    backtracks = np.log2(result.step_trace[-1] / (result.lipschitz_bound / fista.INIT_L_SHRINK))
-    assert backtracks == int(backtracks)
-    # one loss at the start, then per iteration one at the extrapolated
-    # point and one per trial candidate; the trace reuses the accepted one
-    assert len(calls) == 1 + 2 * result.iterations + int(backtracks)
+@pytest.mark.parametrize(
+    "family_name,structure,alpha,seed",
+    [("poisson", "tridiagonal", 0.4, 24), ("bernoulli", "exchangeable", 0.6, 21)],
+)
+def test_inner_solve_scoring_certificate(family_name, structure, alpha, seed):
+    family = get_family(family_name)
+    design = random_design(seed, family=family_name)
+    working = make_working(structure, alpha, 1.3, design.n)
+    lam = 0.05
+    config = InnerConfig(lam1=lam, lam2=lam, max_iterations=5000, tolerance=1e-12)
+    result = inner_solve(design, family, working, config)
+    assert result.converged
+    # gradient-mapping norm at L = 1, zero exactly at a KKT point
+    g = fista.gradient_matrix(design, family, working, result.U + result.V)
+    dU = result.U - prox_row_groups(result.U - g, lam)
+    dV = result.V - prox_col_groups(result.V - g, lam)
+    assert math.sqrt(np.sum(dU * dU) + np.sum(dV * dV)) <= 1e-8
+
+
+@pytest.mark.parametrize("family_name", ["gaussian", "bernoulli", "poisson"])
+@pytest.mark.parametrize("structure,alpha", [("independent", 0.0), ("ar1", 0.5)])
+@pytest.mark.parametrize("warm", [False, True])
+def test_inner_solve_traces_have_one_entry_per_iteration(family_name, structure, alpha, warm):
+    family = get_family(family_name)
+    design = random_design(46, m=6, d=3, T=9, tau=2, family=family_name)
+    working = make_working(structure, alpha, 1.1, design.n)
+    start = None
+    if warm:
+        rng = np.random.default_rng(47)
+        start = (rng.normal(0, 0.2, design.coef_shape), rng.normal(0, 0.2, design.coef_shape))
+    for cap in (3, 2000):
+        config = InnerConfig(lam1=0.1, lam2=0.1, max_iterations=cap)
+        result = inner_solve(design, family, working, config, start=start)
+        assert result.objective_trace.size == result.step_trace.size == result.iterations
+        assert 0 < result.iterations <= cap
+        assert np.all(np.isfinite(result.objective_trace))
