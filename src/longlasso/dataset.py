@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -377,6 +377,13 @@ class LaggedDesign:
     outcomes are included, one extra row holds y_{t-1}..y_{t-tau} in lag
     columns 1..tau and 0 in lag column 0 (the current outcome never leaks
     into the design).
+
+    ``_gram_cache`` is private to the solver, which fills it: it holds
+    the alpha-free Gaussian Gram terms of one correlation structure,
+    built on the first Gaussian solve on this design and freed with it.
+    They follow from ``X`` and ``y`` alone, and each solve keeps the terms
+    it read, so threads that share a design get the same results as one
+    thread; fits of different structures at once only rebuild them.
     """
 
     tau: int
@@ -387,6 +394,7 @@ class LaggedDesign:
     subject_starts: tuple[int, ...]
     X: np.ndarray
     y: np.ndarray
+    _gram_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "X", _frozen(self.X))

@@ -12,30 +12,40 @@ diagonal at the current iterate.
 
 Every family runs one accelerated loop on one backend, ``GramSmooth``:
 the quadratic 0.5 * phi * (w^T G w - 2 b^T w + c) over a p x p Gram G
-(p = d_eff * (tau+1)).  ``build_gram`` forms G a few whitened subjects at
-a time with a rank-k update, so it holds one p x p array plus a small
-buffer.  Iterates carry G w, so an iteration costs one p x p matvec, and
-backtracking uses the exact curvature form of the majorization test
-(comparing loss values would subtract numbers of the size of c).
+(p = d_eff * (tau+1)).  Iterates carry G w, so an iteration costs one
+p x p matvec, and backtracking uses the exact curvature form of the
+majorization test (comparing loss values would subtract numbers of the
+size of c).
 
 - Gaussian: the quadratic is the smooth part itself, with
   G = X^T (I_m kron R^{-1}) X, b = X^T (I_m kron R^{-1}) y and
-  c = y^T (I_m kron R^{-1}) y: one solve on one Gram.
+  c = y^T (I_m kron R^{-1}) y: one solve on one Gram.  For the
+  independent, exchangeable and AR(1) structures R^{-1}(alpha) is a fixed
+  combination of alpha-free matrices, so ``gaussian_gram`` combines G, b
+  and c from a ``GramBasis`` built in one pass over the design rows on the
+  first Gaussian solve on a design and kept on it (``_gram_cache``): two
+  p x p arrays that live as long as the design.  Every later outer round,
+  and every CV cell on the same fold design, then costs one p x p scale
+  and axpy, for AR(1) a rank-2m update by the subjects' first and last
+  example rows, and no pass over the design.  Tridiagonal R^{-1} is dense
+  and not affine in alpha, so each tridiagonal solve runs ``build_gram``.
 - Bernoulli/Poisson: penalized Fisher scoring, since under a non-identity
   R the estimating function is the gradient of no scalar loss.  Each
   outer step solves the model at the current point w with G = H, the
   curvature Gram sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i (GEE's Fisher
-  information over phi), b = H w - grad / phi and c = 0, stopping early
-  once the model's own gradient mapping is below ``EARLY_STOP`` times the
-  outer one.  The step is accepted when the gradient-mapping norm
-  ||L0 (x - prox(x - grad / L0))||, L0 fixed per solve, does not rise.
-  Otherwise H is rebuilt at the current point, and a step that fails on
-  a fresh H is halved toward it.  H is also rebuilt after an accepted
-  step that left the norm above ``STALL`` times its value.
+  information over phi) from ``build_gram``, b = H w - grad / phi and
+  c = 0, stopping early once the model's own gradient mapping is below
+  ``EARLY_STOP`` times the outer one.  The step is accepted when the
+  gradient-mapping norm ||L0 (x - prox(x - grad / L0))||, L0 fixed per
+  solve, does not rise.  Otherwise H is rebuilt at the current point, and
+  a step that fails on a fresh H is halved toward it.  H is also rebuilt
+  after an accepted step that left the norm above ``STALL`` times its
+  value.
 
 Every step bound L = 2 * phi * lambda_max(H) is exact, from one LAPACK
-call on the curvature Gram (G itself for Gaussian solves).  Convergence
-is declared on iterate change between consecutive iterates.
+``dsyevr`` on the curvature Gram (G itself for Gaussian solves), run in
+place on the Gram with no p x p copy.  Convergence is declared on iterate
+change between consecutive iterates.
 """
 from __future__ import annotations
 
@@ -43,7 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, eigh
+from scipy.linalg import blas, lapack
 
 from .correlation import WorkingCorrelation, spd_cholesky
 from .dataset import LaggedDesign
@@ -64,8 +74,12 @@ MAX_BACKTRACKS = 60
 # EARLY_STOP times the outer one
 STALL = 0.5
 EARLY_STOP = 0.1
-# size of the whitening buffer build_gram fills a few subjects at a time
+# size of the row buffers build_gram and the Gram basis fill a few subjects
+# at a time
 GRAM_CHUNK_BYTES = 1 << 20
+# structures whose R^{-1}(alpha) is a fixed combination of alpha-free
+# matrices: their Gaussian Grams are combined from a per-design basis
+BASIS_STRUCTURES = ("independent", "exchangeable", "ar1")
 
 
 @dataclass(frozen=True)
@@ -148,11 +162,17 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     A chunk of subjects at a time is whitened by C^T, where R^{-1} = C C^T
     is the Cholesky factorization, into one reusable buffer of about
     ``GRAM_CHUNK_BYTES``, and G is accumulated from it with a rank-k
-    update.  ``root_var``, the square root of a variance diagonal (a
+    update: one pass over the design, holding one p x p array plus the
+    buffer.  ``root_var``, the square root of a variance diagonal (a
     scalar, or one entry per example in an (m, n) array), weights each
     subject's examples as X_i -> A_i^{1/2} X_i; G is then the curvature
     Gram H of ``lipschitz_upper`` and of the scoring model, and only G is
     meaningful.
+
+    Solves call it once per model where no basis applies: for every
+    Bernoulli/Poisson curvature Gram, which is weighted at the current
+    point, and for every tridiagonal Gaussian solve.  Gaussian solves
+    under the other structures run ``gaussian_gram`` instead.
     """
     m, n, p = design.m, design.n, design.n_params
     chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
@@ -180,6 +200,145 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     del buffer, rows
     _mirror_upper(G)
     return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
+
+
+@dataclass(frozen=True)
+class GramBasis:
+    """Alpha-free terms of the Gaussian Gram of one structure on one design.
+
+    ``G0`` is sum_i X_i^T X_i and ``pairs`` the Gram of the rows that
+    R^{-1} couples: each subject's column sum 1^T X_i (exchangeable) or
+    its adjacent-row sums x_t + x_{t+1} (AR(1)); independent structures
+    and n = 1 have none.  Both are read-only and hold their upper triangle
+    only.  Row k of ``b`` and entry k of ``c`` are the matching X^T y and
+    y^T y terms.  For AR(1) with n > 2 a third row and entry cover each
+    subject's first and last examples, whose Gram F is applied per call
+    and not held.
+    """
+
+    G0: np.ndarray
+    pairs: np.ndarray | None
+    b: np.ndarray
+    c: np.ndarray
+
+
+def _basis_weights(structure: str, R_inv: np.ndarray) -> np.ndarray:
+    """Weights of G0, the pair Gram and F that make up X^T R^{-1} X.
+
+    Read from R^{-1} itself.  Exchangeable: R^{-1} = (r00 - r01) I +
+    r01 11^T.  AR(1): R^{-1} = r11 I - (r11 - r00) E + r01 S, with E the
+    two corner entries of the diagonal and S the sub- and superdiagonal;
+    the pair Gram is 2 G0 - F + sum_t (x_t x_{t+1}^T + x_{t+1} x_t^T), so
+    G = (r11 - 2 r01) G0 + r01 pairs + (r00 - r11 + r01) F.  With n = 2
+    there is no interior diagonal and the one adjacent sum is the column
+    sum, so AR(1) takes the exchangeable form.
+    """
+    n = R_inv.shape[0]
+    if structure == "independent" or n == 1:
+        return np.array([R_inv[0, 0], 0.0, 0.0])
+    r00, r01 = R_inv[0, 0], R_inv[0, 1]
+    if structure == "exchangeable" or n == 2:
+        return np.array([r00 - r01, r01, 0.0])
+    r11 = R_inv[1, 1]
+    return np.array([r11 - 2.0 * r01, r01, r00 - r11 + r01])
+
+
+def _build_basis(design: LaggedDesign, structure: str) -> GramBasis:
+    """The structure's ``GramBasis``: one pass over the design rows.
+
+    A chunk of subjects at a time feeds G0 straight from the design and
+    the pair Gram from one reusable buffer of about ``GRAM_CHUNK_BYTES``,
+    each with a rank-k update, as in ``build_gram``.
+    """
+    m, n, p = design.m, design.n, design.n_params
+    paired = structure != "independent" and n > 1
+    edges = structure == "ar1" and n > 2
+    terms = 1 + paired + edges
+    chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
+    flat = design.flat_design()
+    G0 = np.zeros((p, p), order="F")
+    pairs = np.zeros((p, p), order="F") if paired else None
+    b = np.zeros((terms, p))
+    c = np.zeros(terms)
+    buffer = np.empty((chunk * max(n - 1, 1), p)) if paired else None
+    for first in range(0, m, chunk):
+        k = min(chunk, m - first)
+        X = flat[first : first + k]
+        y = design.y[first : first + k]
+        rows = X.reshape(k * n, p)
+        # rows.T is a Fortran-ordered view, so dsyrk reads the design in place
+        G0 = blas.dsyrk(1.0, rows.T, beta=1.0, c=G0, overwrite_c=1)
+        b[0] += rows.T @ y.ravel()
+        c[0] += float(y.ravel() @ y.ravel())
+        if paired:
+            if structure == "exchangeable":
+                rows = np.sum(X, axis=1, out=buffer[:k])
+                y_pairs = y.sum(axis=1)
+            else:
+                rows = buffer[: k * (n - 1)]
+                np.add(X[:, :-1], X[:, 1:], out=rows.reshape(k, n - 1, p))
+                y_pairs = (y[:, :-1] + y[:, 1:]).ravel()
+            pairs = blas.dsyrk(1.0, rows.T, beta=1.0, c=pairs, overwrite_c=1)
+            b[1] += rows.T @ y_pairs
+            c[1] += float(y_pairs @ y_pairs)
+        if edges:
+            b[2] += X[:, 0].T @ y[:, 0] + X[:, -1].T @ y[:, -1]
+            c[2] += float(y[:, 0] @ y[:, 0] + y[:, -1] @ y[:, -1])
+    for array in (G0, pairs, b, c):
+        if array is not None:
+            array.setflags(write=False)
+    return GramBasis(G0=G0, pairs=pairs, b=b, c=c)
+
+
+def _add_edge_gram(G: np.ndarray, design: LaggedDesign, weight: float) -> np.ndarray:
+    """G + weight * F in the upper triangle, F the Gram of the subjects' edge rows.
+
+    F = sum_i (x_i0 x_i0^T + x_i,n-1 x_i,n-1^T): a chunk of subjects'
+    first and last example rows at a time is copied into a small buffer
+    and applied with a rank-k update, so F is never held as a p x p array.
+    """
+    m, n, p = design.m, design.n, design.n_params
+    chunk = min(max(1, GRAM_CHUNK_BYTES // (16 * p)), m)
+    flat = design.flat_design()
+    buffer = np.empty((chunk, 2, p))
+    for first in range(0, m, chunk):
+        k = min(chunk, m - first)
+        edge = buffer[:k]
+        edge[:, 0] = flat[first : first + k, 0]
+        edge[:, 1] = flat[first : first + k, n - 1]
+        G = blas.dsyrk(weight, edge.reshape(2 * k, p).T, beta=1.0, c=G, overwrite_c=1)
+    return G
+
+
+def gaussian_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmooth:
+    """The Gaussian quadratic of ``build_gram``, from the design's basis where one applies.
+
+    For ``BASIS_STRUCTURES`` the structure's ``GramBasis`` is built on the
+    first call and kept on the design, which holds one basis at a time;
+    each call then combines G = w0 G0 + w1 pairs + w2 F, and b and c alike,
+    with the weights of ``_basis_weights``.  G is a new Fortran-ordered
+    array, so the basis is never written.  Tridiagonal structures run
+    ``build_gram``.
+    """
+    if working.structure not in BASIS_STRUCTURES:
+        return build_gram(design, working)
+    cache = design._gram_cache
+    basis = cache.get(working.structure)
+    if basis is None:
+        basis = _build_basis(design, working.structure)
+        cache.clear()
+        cache[working.structure] = basis
+    weights = _basis_weights(working.structure, working.R_inv)
+    G = basis.G0 * weights[0]
+    if weights[1] != 0.0:
+        # in place on G's memory: no p x p temporary
+        blas.daxpy(basis.pairs.reshape(-1, order="F"), G.reshape(-1, order="F"), a=weights[1])
+    if basis.c.size == 3 and weights[2] != 0.0:
+        G = _add_edge_gram(G, design, weights[2])
+    _mirror_upper(G)
+    weights = weights[: basis.c.size]
+    b = (weights @ basis.b).reshape(design.coef_shape)
+    return GramSmooth(G=G, b=b, c=float(weights @ basis.c), phi=working.phi)
 
 
 def _mirror_upper(G: np.ndarray, block: int = 128) -> None:
@@ -300,17 +459,48 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation, gram=No
     supplies it: the Gaussian Gram G, or a scoring model's H at its own
     point.  The U/V parameterization has joint Hessian
     phi * [[H, H], [H, H]], whose top eigenvalue is 2 * phi * lambda_max(H).
+    A writable Fortran-ordered ``gram`` is used in place and left as it
+    was (see ``_top_eigenvalue``).
     """
-    own = gram is None
-    if own:
+    if gram is None:
         root_var = math.sqrt(float(family.variance(family.mean(np.zeros(1)))[0]))
         gram = build_gram(design, working, root_var).G
     if not np.any(gram):
         raise NumericalError("degenerate design")
-    p = gram.shape[0]
-    # LAPACK may work in place on a Gram built here, not on the caller's
-    top = eigh(gram, eigvals_only=True, subset_by_index=[p - 1, p - 1], overwrite_a=own)[0]
-    return max(2.0 * working.phi * float(top), L_FLOOR)
+    return max(2.0 * working.phi * _top_eigenvalue(gram), L_FLOOR)
+
+
+def _top_eigenvalue(G: np.ndarray) -> float:
+    """lambda_max of the symmetric G, from LAPACK dsyevr on its lower triangle.
+
+    A writable Fortran-ordered G is worked on in place, with no p x p
+    copy: dsyevr overwrites the diagonal and the lower triangle, and both
+    are restored afterwards from a saved diagonal and the strict upper
+    triangle, which it leaves alone.  The workspace is LAPACK's optimal
+    size, as ``scipy.linalg.eigh`` queries it, so the two agree bit for
+    bit.  Any other G is copied first.  G must be a Gram (positive
+    semidefinite), as every curvature Gram here is.
+    """
+    p = G.shape[0]
+    diag = np.diagonal(G).copy()
+    # a Gram's off-diagonal entries are bounded by its diagonal ones
+    if not np.all(np.isfinite(diag)):
+        raise NumericalError("non-finite curvature Gram")
+    in_place = G.flags.f_contiguous and G.flags.writeable
+    a = G if in_place else np.array(G, order="F")
+    work, iwork, _ = lapack.dsyevr_lwork(p, lower=1)
+    try:
+        top, _, _, _, info = lapack.dsyevr(
+            a, compute_v=0, range="I", il=p, iu=p, lower=1,
+            lwork=int(work), liwork=int(iwork), overwrite_a=1,
+        )
+    finally:
+        if in_place:
+            np.fill_diagonal(G, diag)
+            _mirror_upper(G)
+    if info != 0 or not math.isfinite(top[0]):
+        raise NumericalError("no top eigenvalue of the curvature Gram")
+    return float(top[0])
 
 
 def fista_step(
@@ -495,9 +685,9 @@ def inner_solve(
 ) -> InnerSolveResult:
     """Run the accelerated solver, by default from the all-zero start.
 
-    Gaussian solves run on the Gram form, built once here; the other
-    families run penalized Fisher scoring on the curvature Gram.  A solve
-    stops once the relative iterate change
+    Gaussian solves run on the Gram form from ``gaussian_gram``, one
+    Gram per solve; the other families run penalized Fisher scoring on
+    the curvature Gram.  A solve stops once the relative iterate change
     max(||U_k - U_{k-1}||, ||V_k - V_{k-1}||) / (1 + ||U_k|| + ||V_k||)
     of an iteration drops below the tolerance, or at the iteration cap.
     ``start`` may supply a warm-start pair (U0, V0).
@@ -506,7 +696,7 @@ def inner_solve(
         raise ValueError("working correlation size does not match the design")
     trace = ([], [])
     if family.kind == "gaussian":
-        smooth = build_gram(design, working)
+        smooth = gaussian_gram(design, working)
         L_bound = lipschitz_upper(design, family, working, gram=smooth.G)
         U, V, converged = _model_solve(smooth, L_bound, start, config, trace)
     else:

@@ -1,11 +1,18 @@
 import math
+import sys
+import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
 
+import longlasso as ll
 from longlasso import fista
-from longlasso.correlation import make_working
+from longlasso.correlation import WorkingCorrelation, alpha_bounds, make_working
 from longlasso.dataset import LaggedDesign, LongitudinalDataset, SubjectSeries, build_lagged
 from longlasso.errors import NumericalError
 from longlasso.families import get_family
@@ -38,11 +45,15 @@ def single_example_design(x=2.0, y=1.0):
     )
 
 
-def random_design(seed, m=4, d=3, T=8, tau=1, family="gaussian", include_lagged_outcome=False):
+def random_panel(seed, m=4, d=3, T=8, family="gaussian", constant=False):
     rng = np.random.default_rng(seed)
     subjects = []
     for i in range(m):
         X = rng.normal(0, 1, (d, T))
+        if constant:
+            # rows constant in time: the exchangeable R^{-1} near alpha = 1
+            # cancels them almost exactly
+            X = np.repeat(X[:, :1], T, axis=1)
         if family == "bernoulli":
             y = (rng.uniform(size=T) < 0.5).astype(float)
         elif family == "poisson":
@@ -50,8 +61,11 @@ def random_design(seed, m=4, d=3, T=8, tau=1, family="gaussian", include_lagged_
         else:
             y = rng.normal(0, 1, T)
         subjects.append(SubjectSeries(id=f"s{i}", features=X, outcomes=y))
-    ds = LongitudinalDataset(tuple(subjects), tuple(f"f{j}" for j in range(d)))
-    return build_lagged(ds, tau, include_lagged_outcome)
+    return LongitudinalDataset(tuple(subjects), tuple(f"f{j}" for j in range(d)))
+
+
+def random_design(seed, m=4, d=3, T=8, tau=1, family="gaussian", include_lagged_outcome=False):
+    return build_lagged(random_panel(seed, m, d, T, family), tau, include_lagged_outcome)
 
 
 def test_gradient_zero_at_perfect_fit():
@@ -428,6 +442,232 @@ def test_gram_lipschitz_matches_top_eigenvalue(structure, alpha):
     system = build_gram(design, working)
     exact = 2.0 * 1.7 * np.linalg.eigvalsh(system.G)[-1]
     assert lipschitz_upper(design, GAUSS, working, gram=system.G) == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 64])
+def test_top_eigenvalue_in_place_matches_eigh_and_restores_gram(p):
+    rng = np.random.default_rng(p)
+    A = rng.normal(size=(2 * p + 1, p))
+    G = np.asfortranarray(A.T @ A)
+    before = G.copy()
+    top = fista._top_eigenvalue(G)
+    assert np.array_equal(G, before)
+    assert top == eigh(before, eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
+    # a C-ordered or read-only Gram is copied, and left as it was too
+    frozen = before.copy()
+    frozen.setflags(write=False)
+    for other in (np.ascontiguousarray(before), frozen):
+        assert fista._top_eigenvalue(other) == top
+        assert np.array_equal(other, before)
+
+
+def test_lipschitz_keeps_a_gaussian_gram_intact():
+    design = random_design(34, m=6, d=3, T=9, tau=2)
+    working = make_working("ar1", 0.6, 1.7, design.n)
+    system = fista.gaussian_gram(design, working)
+    before = system.G.copy()
+    L = lipschitz_upper(design, GAUSS, working, gram=system.G)
+    assert np.array_equal(system.G, before)
+    p = design.n_params
+    assert L == 2.0 * 1.7 * eigh(before, eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
+
+
+def test_top_eigenvalue_rejects_non_finite_gram():
+    with pytest.raises(NumericalError, match="non-finite"):
+        fista._top_eigenvalue(np.asfortranarray([[np.inf, 1.0], [1.0, 2.0]]))
+
+
+def _structured(working):
+    """R^{-1} in its structure's pattern, from the entries the basis reads.
+
+    Independent: r00 I.  Exchangeable (and every structure at n = 2):
+    r00 on the diagonal, r01 elsewhere.  AR(1): r00 at both corners, r11
+    on the rest of the diagonal and r01 on the first off-diagonals.
+    """
+    R_inv = working.R_inv
+    n = R_inv.shape[0]
+    if working.structure == "independent" or n == 1:
+        return R_inv[0, 0] * np.eye(n)
+    r00, r01 = R_inv[0, 0], R_inv[0, 1]
+    if working.structure == "exchangeable" or n == 2:
+        S = np.full((n, n), r01)
+        np.fill_diagonal(S, r00)
+        return S
+    S = R_inv[1, 1] * np.eye(n) + r01 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    S[0, 0] = S[-1, -1] = r00
+    return S
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    structure=st.sampled_from(["independent", "exchangeable", "ar1"]),
+    n=st.sampled_from([1, 2, 3, 7]),
+    m=st.integers(1, 5),
+    d=st.integers(1, 3),
+    tau=st.integers(0, 2),
+    lagged=st.booleans(),
+    constant=st.booleans(),
+    position=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    chunk_rows=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+@example(structure="exchangeable", n=7, m=1, d=2, tau=1, lagged=True, constant=True,
+         position=1.0, chunk_rows=3, seed=0)
+@example(structure="ar1", n=7, m=5, d=3, tau=2, lagged=True, constant=False,
+         position=0.0, chunk_rows=6, seed=1)
+@example(structure="ar1", n=3, m=5, d=2, tau=1, lagged=False, constant=False,
+         position=0.9, chunk_rows=9, seed=2)
+def test_basis_gram_matches_build_gram(
+    structure, n, m, d, tau, lagged, constant, position, chunk_rows, seed
+):
+    """Basis G, b and c against ``build_gram``, to 1e-12 of the rounding scale.
+
+    Errors of either form scale with ||R^{-1}|| times the squared column
+    norms, not with G itself: under exchangeable alpha near 1, rows that
+    are constant in time leave G orders of magnitude smaller than its
+    terms.  ``position`` places alpha in the clipping range, both ends
+    included.  The reference Gram is built on R^{-1} in its exact
+    structure, which ``make_working`` meets up to its inversion error,
+    about eps * cond(R) (3e-11 at n = 7 and exchangeable alpha = 1 - 1e-6).
+    """
+    tau = max(tau, 2 - n)
+    design = build_lagged(random_panel(seed, m, d, n + tau, constant=constant), tau, lagged)
+    lo, hi = alpha_bounds(structure, n)
+    alpha = hi if position == 1.0 else lo + position * (hi - lo)
+    working = make_working(structure, alpha, 1.3, n)
+    exact = _structured(working)
+    cond = np.linalg.cond(working.R)
+    assert np.abs(working.R_inv - exact).max() <= 64 * n * 2.2e-16 * cond * np.abs(exact).max()
+    reference = WorkingCorrelation(structure, working.alpha, working.phi, working.R, exact)
+    p = design.n_params
+    # chunk_rows rows per buffer: partial chunks for both the basis pass
+    # (chunk_rows // n subjects) and the edge rows (chunk_rows // 2)
+    with mock.patch.object(fista, "GRAM_CHUNK_BYTES", chunk_rows * 8 * p):
+        system = fista.gaussian_gram(design, working)
+        ref = build_gram(design, reference)
+    assert system.G.flags.f_contiguous and np.array_equal(system.G, system.G.T)
+    norm = np.linalg.norm(exact, 2)
+    flat = design.flat_design()
+    columns = float(np.max(np.sum(flat * flat, axis=(0, 1))))
+    outcomes = float(np.sum(design.y * design.y))
+    assert np.abs(system.G - ref.G).max() <= 1e-12 * norm * columns
+    assert np.abs(system.b - ref.b).max() <= 1e-12 * norm * math.sqrt(columns * outcomes)
+    assert abs(system.c - ref.c) <= 1e-12 * norm * outcomes
+    assert system.phi == 1.3
+
+
+@pytest.mark.parametrize("structure,alpha", [("independent", 0.0), ("exchangeable", 0.6), ("ar1", 0.7)])
+def test_inner_solve_on_basis_matches_build_gram(structure, alpha, monkeypatch):
+    # a tight tolerance that some of these solves meet within the cap and
+    # some do not: the two Grams must agree either way
+    design = random_design(50, m=20, d=3, T=9, tau=1)
+    working = make_working(structure, alpha, 1.2, design.n)
+    config = InnerConfig(lam1=0.1, lam2=0.1, max_iterations=3000, tolerance=1e-12)
+    on_basis = inner_solve(design, GAUSS, working, config)
+    monkeypatch.setattr(fista, "gaussian_gram", build_gram)
+    rebuilt = inner_solve(design, GAUSS, working, config)
+    assert on_basis.converged == rebuilt.converged
+    assert np.abs(on_basis.U - rebuilt.U).max() <= 1e-10
+    assert np.abs(on_basis.V - rebuilt.V).max() <= 1e-10
+
+
+def test_gaussian_gram_at_zero_alpha_is_build_gram_bit_for_bit():
+    # round 0 of every fit runs at R = I
+    design = random_design(51, m=5, d=3, T=9, tau=2, include_lagged_outcome=True)
+    for structure in ("independent", "exchangeable", "ar1"):
+        working = make_working(structure, 0.0, 1.0, design.n)
+        system = fista.gaussian_gram(design, working)
+        ref = build_gram(design, working)
+        assert np.array_equal(system.G, ref.G) and np.array_equal(system.b, ref.b)
+        assert system.c == ref.c
+
+
+def _count(monkeypatch, name):
+    """Calls of the fista function ``name`` from here on, by design."""
+    calls = []
+    real = getattr(fista, name)
+
+    def counted(design, *args, **kwargs):
+        calls.append(design)
+        return real(design, *args, **kwargs)
+
+    monkeypatch.setattr(fista, name, counted)
+    return calls
+
+
+def test_ar1_fit_reads_the_design_for_its_gram_once(monkeypatch):
+    builds = _count(monkeypatch, "_build_basis")
+    rebuilds = _count(monkeypatch, "build_gram")
+    design = random_design(52, m=8, d=3, T=12, tau=2)
+    result = ll.fit(design, "gaussian", "ar1", 0.05, 0.05)
+    assert result.outer_iterations >= 3
+    assert len(builds) == 1 and rebuilds == []
+    # later fits on the same design reuse it; another structure replaces it
+    ll.fit(design, "gaussian", "ar1", 0.2, 0.2)
+    assert len(builds) == 1
+    ll.fit(design, "gaussian", "exchangeable", 0.05, 0.05)
+    assert len(builds) == 2 and list(design._gram_cache) == ["exchangeable"]
+
+
+@pytest.mark.parametrize("folds", [2, 3])
+@pytest.mark.parametrize("grid", [(1, 1), (2, 3)])
+def test_grid_cv_builds_one_basis_per_fold(folds, grid, monkeypatch):
+    builds = _count(monkeypatch, "_build_basis")
+    rebuilds = _count(monkeypatch, "build_gram")
+    train = random_panel(53, m=9, d=3, T=10)
+    spec = ll.CvSpec(
+        lam1_grid=tuple(np.geomspace(0.05, 1.0, grid[0])),
+        lam2_grid=tuple(np.geomspace(0.05, 1.0, grid[1])),
+        folds=folds,
+    )
+    result = ll.grid_cv(train, 2, "gaussian", "ar1", spec)
+    assert result.failures == {}
+    assert len(builds) == folds and len({id(design) for design in builds}) == folds
+    assert rebuilds == []
+
+
+def test_concurrent_fits_share_one_design():
+    # threads that fit different structures on one design replace each
+    # other's basis; each solve keeps the basis it read, so only work is lost
+    design = random_design(55, m=8, d=3, T=12, tau=2)
+    structures = ["ar1", "exchangeable", "independent", "ar1", "exchangeable", "ar1"]
+    serial = {s: ll.fit(random_design(55, m=8, d=3, T=12, tau=2), "gaussian", s, 0.05, 0.05).W
+              for s in set(structures)}
+    results = {}
+
+    def work(i, structure):
+        results[i] = ll.fit(design, "gaussian", structure, 0.05, 0.05).W
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=item) for item in enumerate(structures)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == list(range(len(structures)))
+    for i, structure in enumerate(structures):
+        assert np.allclose(results[i], serial[structure], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family_name,structure", [("gaussian", "tridiagonal"), ("bernoulli", "ar1"), ("poisson", "exchangeable")]
+)
+def test_unbased_solves_build_their_own_grams(family_name, structure, monkeypatch):
+    builds = _count(monkeypatch, "_build_basis")
+    rebuilds = _count(monkeypatch, "build_gram")
+    design = random_design(54, m=8, d=3, T=12, tau=2, family=family_name)
+    result = ll.fit(design, family_name, structure, 0.05, 0.05)
+    assert builds == []
+    if family_name == "gaussian":
+        assert len(rebuilds) == result.outer_iterations
+    else:
+        # one per scoring model, at least one per inner solve
+        assert len(rebuilds) >= result.outer_iterations
 
 
 def _dense_lipschitz(design, family, working, W):
