@@ -23,7 +23,7 @@ import tempfile
 
 from . import __version__, alternation, evaluation, simulate
 from .correlation import STRUCTURES
-from .dataset import build_lagged, load_csv, split_temporal, write_csv
+from .dataset import CsvSchema, build_lagged, load_csv, split_temporal, write_csv
 from .errors import DataError, NumericalError
 from .families import FAMILIES
 
@@ -117,9 +117,9 @@ def _invocation(args: argparse.Namespace) -> dict:
     return out
 
 
-def _load_dataset(path: str):
+def _load_dataset(path: str, schema: CsvSchema = CsvSchema()):
     try:
-        return load_csv(path)
+        return load_csv(path, schema)
     except FileNotFoundError:
         raise DataError(f"input file not found: {path}") from None
 
@@ -273,7 +273,8 @@ def _read_predictions(path: str):
 
 def _cmd_evaluate(args) -> None:
     rows = _read_predictions(args.predictions)
-    ds = _load_dataset(args.input)
+    # only the outcomes are looked up: the feature columns are not parsed
+    ds = _load_dataset(args.input, CsvSchema(feature_cols=()))
     actual_by_key = {}
     for s in ds.subjects:
         for t in range(ds.T):

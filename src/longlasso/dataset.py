@@ -55,7 +55,12 @@ class SubjectSeries:
 
 @dataclass(frozen=True)
 class LongitudinalDataset:
-    """Per-subject series with a common length and feature set."""
+    """Per-subject series with a common length and feature set.
+
+    The feature set may be empty (d = 0): ``load_csv`` with
+    ``CsvSchema(feature_cols=())`` reads keys and outcomes only.  A lagged
+    design still needs at least one feature row.
+    """
 
     subjects: tuple[SubjectSeries, ...]
     feature_names: tuple[str, ...]
@@ -66,8 +71,6 @@ class LongitudinalDataset:
         if not subjects:
             raise DataError("dataset needs at least one subject")
         d, T = subjects[0].features.shape
-        if d < 1:
-            raise DataError("dataset needs at least one feature")
         if T < 2:
             raise DataError("dataset needs at least two time points")
         if len(names) != d:
@@ -114,7 +117,8 @@ class CsvSchema:
     subject_col: str = "subject_id"
     time_col: str = "time"
     outcome_col: str = "y"
-    feature_cols: tuple[str, ...] | None = None  # None: every other column
+    # None: every other column, at least one; () reads keys and outcomes only
+    feature_cols: tuple[str, ...] | None = None
 
 
 _TIME = re.compile(r"[+-]?[0-9]+")
@@ -231,7 +235,10 @@ def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
     ordered files load to bit-equal datasets.  Repeated header names,
     ragged subjects, duplicate (subject, time) pairs, gaps in the time
     range, and missing or non-finite cells are all rejected; a per-row
-    error names the first bad row or cell in file order.
+    error names the first bad row or cell in file order.  The default
+    schema reads every other column as a feature and needs one;
+    ``CsvSchema(feature_cols=())`` reads only the keys and the outcome,
+    checking every row's width but leaving the feature cells unparsed.
     """
     lines = _read_lines(source)
     header = [h.strip() for h in _csv_cells(lines[0], 1)]
@@ -242,14 +249,14 @@ def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
     if schema.feature_cols is None:
         reserved = {schema.subject_col, schema.time_col, schema.outcome_col}
         feature_cols = tuple(h for h in header if h not in reserved)
+        if not feature_cols:
+            raise DataError("no feature columns found")
     else:
         feature_cols = tuple(schema.feature_cols)
         for col in feature_cols:
             if col not in header:
                 raise DataError(f"missing feature column {col!r}")
         _reject_repeats(feature_cols)
-    if not feature_cols:
-        raise DataError("no feature columns found")
     width = len(header)
     subject_pos = header.index(schema.subject_col)
     time_pos = header.index(schema.time_col)
@@ -455,6 +462,8 @@ def build_lagged(ds: LongitudinalDataset, tau: int, include_lagged_outcome: bool
         raise DataError("lag exhausts series")
     n = ds.T - tau
     d_eff = ds.d + (1 if include_lagged_outcome else 0)
+    if d_eff < 1:
+        raise DataError("design needs at least one feature")
     X = np.zeros((ds.m, n, d_eff, tau + 1))
     y = np.zeros((ds.m, n))
     for i, s in enumerate(ds.subjects):

@@ -44,8 +44,17 @@ size of c).
 
 Every step bound L = 2 * phi * lambda_max(H) is exact, from one LAPACK
 ``dsyevr`` on the curvature Gram (G itself for Gaussian solves), run in
-place on the Gram with no p x p copy.  Convergence is declared on iterate
-change between consecutive iterates.
+place on the Gram with no p x p copy.  At R = I a Gaussian G is the
+basis's G0, whose lambda_max the basis keeps, so the CV cells of one fold
+share one ``dsyevr`` for their alpha = 0 rounds.  Convergence is declared
+on iterate change between consecutive iterates.
+
+Each model solve allocates its buffers once: ``InnerState`` stacks U, V
+and G (U + V) in one (3, d_eff, tau+1) array per point (iterate, previous
+iterate, extrapolation point), beside a few scratch arrays of the same
+size, O(p) in all.  ``fista_step`` writes every result into them, so an
+iteration costs the p x p matvec plus about thirty NumPy calls on
+p-element arrays and allocates no array.
 """
 from __future__ import annotations
 
@@ -59,7 +68,7 @@ from .correlation import WorkingCorrelation, spd_cholesky
 from .dataset import LaggedDesign
 from .errors import NumericalError
 from .families import Family
-from .penalty import norm_12_cols, norm_12_rows, prox_col_groups, prox_row_groups
+from .penalty import group_scales, norm_12_cols, norm_12_rows, prox_col_groups, prox_row_groups
 
 L_FLOOR = 1e-8
 # Step policy: backtracking starts from the Lipschitz bound over INIT_L_SHRINK;
@@ -111,24 +120,67 @@ class InnerConfig:
             raise ValueError("step_mode must be 'backtracking' or 'fixed'")
 
 
-@dataclass(frozen=True)
 class InnerState:
-    """Iterate, extrapolation point, momentum scalar and step constant.
+    """One model solve's points, momentum scalar and step constant, in buffers allocated once.
 
-    Both points carry their predictor G w, so the extrapolated predictor
-    follows from the iterates' by linearity.  ``loss`` is the quadratic's
-    value at the iterate.
+    Each point is one (3, d_eff, tau+1) array stacking U, V and the
+    predictor G (U + V): ``Z`` the iterate, ``Z_prev`` the one before it and
+    ``Z_tilde`` the extrapolation point.  ``initial_state`` allocates them
+    together with scratch arrays of the same size, O(p) in all, and
+    ``fista_step`` advances the state in place, writing each candidate into
+    the point it no longer needs, so a solve allocates no array per
+    iteration.  After a step, ``loss`` and ``penalty`` are the quadratic
+    and the block penalty at the iterate, ``change`` is the relative
+    iterate change max(||dU||, ||dV||) / (1 + ||U|| + ||V||) and ``mapping``
+    the gradient mapping L * ||(U, V) - (U~, V~)|| at the extrapolation
+    point the step left.
     """
 
-    U: np.ndarray
-    V: np.ndarray
-    eta: np.ndarray
-    U_tilde: np.ndarray
-    V_tilde: np.ndarray
-    eta_tilde: np.ndarray
-    t: float
-    L: float
-    loss: float
+    __slots__ = (
+        "Z", "Z_prev", "Z_tilde", "t", "L", "loss", "penalty", "change", "mapping",
+        "_diff", "_squares", "_step", "_W", "_norms", "_scales", "_weights", "_thetas", "_floors",
+        "_shrink_key",
+    )
+
+    def __init__(self, smooth: "GramSmooth", L: float, U0: np.ndarray, V0: np.ndarray):
+        d, k = U0.shape
+        Z = np.empty((3, d, k))
+        Z[0] = U0
+        Z[1] = V0
+        W = np.ravel(U0 + V0)
+        Z[2] = smooth.predictor(W)
+        self.Z, self.Z_prev, self.Z_tilde = Z, Z.copy(), Z.copy()
+        self.t = 1.0
+        self.L = float(L)
+        self.loss = smooth.loss(Z[2], W)
+        self.penalty = self.change = self.mapping = math.nan
+        self._diff = np.empty_like(Z)
+        self._squares = np.empty((2, d, k))
+        self._step = np.empty((d, k))
+        self._W = W
+        # one entry per group: the d rows of U, then the tau+1 columns of V
+        self._norms, self._scales, self._weights, self._thetas, self._floors = np.empty((5, d + k))
+        self._shrink_key = None
+
+    U = property(lambda self: self.Z[0])
+    V = property(lambda self: self.Z[1])
+    eta = property(lambda self: self.Z[2])
+    U_tilde = property(lambda self: self.Z_tilde[0])
+    V_tilde = property(lambda self: self.Z_tilde[1])
+    eta_tilde = property(lambda self: self.Z_tilde[2])
+
+    def _thresholds(self, config: InnerConfig, L: float) -> None:
+        """Penalty weights, thresholds lam / L and their floors, once per step constant."""
+        key = (config.lam1, config.lam2, L)
+        if key == self._shrink_key:
+            return
+        d = self.Z.shape[1]
+        self._weights[:d] = config.lam1
+        self._weights[d:] = config.lam2
+        np.divide(self._weights, L, out=self._thetas)
+        np.copyto(self._floors, self._thetas)
+        self._floors[self._thetas == 0.0] = 1.0
+        self._shrink_key = key
 
 
 @dataclass(frozen=True)
@@ -147,11 +199,12 @@ class GramSmooth:
     def predictor(self, W) -> np.ndarray:
         return (self.G @ np.ravel(W)).reshape(self.b.shape)
 
-    def gradient(self, Gw) -> np.ndarray:
-        return self.phi * (Gw - self.b)
+    def gradient(self, Gw, out=None) -> np.ndarray:
+        out = np.subtract(Gw, self.b, out=out)
+        return np.multiply(self.phi, out, out=out)
 
     def loss(self, Gw, W) -> float:
-        return float(0.5 * self.phi * (self.c - 2.0 * np.sum(self.b * W) + np.sum(W * Gw)))
+        return float(0.5 * self.phi * (self.c - 2.0 * np.vdot(self.b, W) + np.vdot(W, Gw)))
 
 
 def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None) -> GramSmooth:
@@ -202,7 +255,7 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class GramBasis:
     """Alpha-free terms of the Gaussian Gram of one structure on one design.
 
@@ -213,13 +266,15 @@ class GramBasis:
     only.  Row k of ``b`` and entry k of ``c`` are the matching X^T y and
     y^T y terms.  For AR(1) with n > 2 a third row and entry cover each
     subject's first and last examples, whose Gram F is applied per call
-    and not held.
+    and not held.  ``G0_top`` is lambda_max(G0), kept by the first solve
+    at R = I (see ``_gaussian_bound``).
     """
 
     G0: np.ndarray
     pairs: np.ndarray | None
     b: np.ndarray
     c: np.ndarray
+    G0_top: float | None = None
 
 
 def _basis_weights(structure: str, R_inv: np.ndarray) -> np.ndarray:
@@ -368,20 +423,7 @@ def initial_state(smooth: GramSmooth, L: float, start=None) -> InnerState:
     (U0, V0) without changing the first-iteration rule
     (U~1, V~1) = (U0, V0).
     """
-    U0, V0 = _start_pair(smooth.b.shape, start)
-    W0 = U0 + V0
-    eta0 = smooth.predictor(W0)
-    return InnerState(
-        U=U0,
-        V=V0,
-        eta=eta0,
-        U_tilde=U0,
-        V_tilde=V0,
-        eta_tilde=eta0,
-        t=1.0,
-        L=float(L),
-        loss=smooth.loss(eta0, W0),
-    )
+    return InnerState(smooth, L, *_start_pair(smooth.b.shape, start))
 
 
 def momentum_update(t: float) -> float:
@@ -465,9 +507,25 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation, gram=No
     if gram is None:
         root_var = math.sqrt(float(family.variance(family.mean(np.zeros(1)))[0]))
         gram = build_gram(design, working, root_var).G
-    if not np.any(gram):
-        raise NumericalError("degenerate design")
     return max(2.0 * working.phi * _top_eigenvalue(gram), L_FLOOR)
+
+
+def _gaussian_bound(design, family: Family, working: WorkingCorrelation, G: np.ndarray) -> float:
+    """``lipschitz_upper`` on the Gaussian Gram G, reusing lambda_max(G0) where R = I.
+
+    At R = I (round 0 of every fit, and every independent round) the basis
+    weights are (1, 0, 0), so G is G0 bit for bit and so is its top
+    eigenvalue: the design's basis keeps it from the first such solve, and
+    the CV cells of one fold run one ``dsyevr`` for their alpha = 0 rounds
+    instead of one each.  Threads that share a design may both compute it;
+    they store the same value.
+    """
+    basis = design._gram_cache.get(working.structure)
+    if basis is None or list(_basis_weights(working.structure, working.R_inv)) != [1.0, 0.0, 0.0]:
+        return lipschitz_upper(design, family, working, gram=G)
+    if basis.G0_top is None:
+        basis.G0_top = _top_eigenvalue(G)
+    return max(2.0 * working.phi * basis.G0_top, L_FLOOR)
 
 
 def _top_eigenvalue(G: np.ndarray) -> float:
@@ -479,13 +537,17 @@ def _top_eigenvalue(G: np.ndarray) -> float:
     triangle, which it leaves alone.  The workspace is LAPACK's optimal
     size, as ``scipy.linalg.eigh`` queries it, so the two agree bit for
     bit.  Any other G is copied first.  G must be a Gram (positive
-    semidefinite), as every curvature Gram here is.
+    semidefinite), as every curvature Gram here is; an all-zero one (a
+    degenerate design) or a non-finite diagonal raises ``NumericalError``.
     """
     p = G.shape[0]
     diag = np.diagonal(G).copy()
-    # a Gram's off-diagonal entries are bounded by its diagonal ones
+    # a Gram's off-diagonal entries are bounded by its diagonal ones, so
+    # the diagonal alone shows a non-finite or an all-zero Gram
     if not np.all(np.isfinite(diag)):
         raise NumericalError("non-finite curvature Gram")
+    if not np.any(diag):
+        raise NumericalError("degenerate design")
     in_place = G.flags.f_contiguous and G.flags.writeable
     a = G if in_place else np.array(G, order="F")
     work, iwork, _ = lapack.dsyevr_lwork(p, lower=1)
@@ -506,48 +568,60 @@ def _top_eigenvalue(G: np.ndarray) -> float:
 def fista_step(
     state: InnerState, grad, config: InnerConfig, smooth: GramSmooth, backtrack: bool = False
 ) -> InnerState:
-    """One accelerated step from the extrapolated point.
+    """One accelerated step from the extrapolated point, in place; returns ``state``.
 
     Both prox slots step along the same W-gradient ``grad``, taken at the
-    extrapolated point.  Each trial costs one ``smooth.predictor``
-    product, at the candidate.  With ``backtrack`` the step constant
-    grows until the majorization test holds; otherwise the step is taken
-    at ``state.L``.  The test is exact in curvature form: for a quadratic,
-    f(x) - f(y) - <grad, x - y> = 0.5 * phi * <G d, d> with
-    d = x - y = dU + dV, and G d is the difference of the held
-    predictors, so it costs no product and no loss value.  The next
-    extrapolated predictor follows by linearity, and the new state
-    carries the smooth loss at its iterate.
+    extrapolated point: one op forms Z~ - grad / L for U and V together,
+    and the row norms of U's and the column norms of V's step come from one
+    array of squares.  Each trial costs one ``smooth.predictor`` product,
+    at the candidate, written into the point before last.  With
+    ``backtrack`` the step constant grows until the majorization test
+    holds; otherwise the step is taken at ``state.L``.  The test is exact
+    in curvature form: for a quadratic, f(x) - f(y) - <grad, x - y> =
+    0.5 * phi * <G d, d> with d = x - y = dU + dV, and G d is the
+    difference of the held predictors, so it costs no product and no loss
+    value.  The next extrapolated point, predictor included, follows by
+    linearity from one stacked difference.
     """
+    Zt, Zn, D = state.Z_tilde, state.Z_prev, state._diff
+    norms, scales, step, W = state._norms, state._scales, state._step, state._W
+    d = Zn.shape[1]
     L = state.L
     for _ in range(MAX_BACKTRACKS + 1):
-        U = prox_row_groups(state.U_tilde - grad / L, config.lam1 / L)
-        V = prox_col_groups(state.V_tilde - grad / L, config.lam2 / L)
-        W = U + V
-        eta = smooth.predictor(W)
+        state._thresholds(config, L)
+        np.divide(grad, L, out=step)
+        np.subtract(Zt[:2], step, out=Zn[:2])
+        squares = np.multiply(Zn[:2], Zn[:2], out=state._squares)
+        np.add.reduce(squares[0], axis=1, out=norms[:d])
+        np.add.reduce(squares[1], axis=0, out=norms[d:])
+        np.sqrt(norms, out=norms)
+        group_scales(norms, state._thetas, state._floors, out=scales)
+        np.multiply(Zn[0], scales[:d, None], out=Zn[0])
+        np.multiply(Zn[1], scales[d:], out=Zn[1])
+        np.add(Zn[0], Zn[1], out=W.reshape(d, -1))
+        np.matmul(smooth.G, W, out=Zn[2].reshape(-1))
+        np.subtract(Zn, Zt, out=D)
+        step_squared = np.vdot(D[:2], D[:2])
         if not backtrack:
             break
-        dU = U - state.U_tilde
-        dV = V - state.V_tilde
-        curvature = smooth.phi * float(np.sum((eta - state.eta_tilde) * (dU + dV)))
-        if curvature <= L * float(np.sum(dU * dU) + np.sum(dV * dV)):
+        dW = np.add(D[0], D[1], out=step)
+        if smooth.phi * np.vdot(D[2], dW) <= L * step_squared:
             break
         L *= GROWTH
     else:
         raise NumericalError("no valid step")
     t_next = momentum_update(state.t)
     shift = (state.t - 1.0) / t_next
-    return InnerState(
-        U=U,
-        V=V,
-        eta=eta,
-        U_tilde=U + shift * (U - state.U),
-        V_tilde=V + shift * (V - state.V),
-        eta_tilde=eta + shift * (eta - state.eta),
-        t=t_next,
-        L=L,
-        loss=smooth.loss(eta, W),
-    )
+    state.Z_prev, state.Z = state.Z, Zn
+    state.t, state.L = t_next, L
+    state.loss = smooth.loss(Zn[2], W)
+    state.penalty = float(np.vdot(state._weights, np.multiply(norms, scales, out=norms)))
+    state.mapping = L * math.sqrt(step_squared)
+    np.subtract(Zn, state.Z_prev, out=D)
+    state.change = _relative_change(D[0], D[1], Zn[0], Zn[1])
+    np.multiply(D, shift, out=D)
+    np.add(Zn, D, out=Zt)
+    return state
 
 
 @dataclass(frozen=True)
@@ -571,10 +645,10 @@ class InnerSolveResult:
     lipschitz_bound: float
 
 
-def _relative_change(U, V, U_prev, V_prev) -> float:
-    """max(||U - U_prev||, ||V - V_prev||) / (1 + ||U|| + ||V||)."""
-    delta = max(float(np.linalg.norm(U - U_prev)), float(np.linalg.norm(V - V_prev)))
-    return delta / (1.0 + float(np.linalg.norm(U)) + float(np.linalg.norm(V)))
+def _relative_change(dU, dV, U, V) -> float:
+    """max(||dU||, ||dV||) / (1 + ||U|| + ||V||) for the step (dU, dV) that reached (U, V)."""
+    delta = max(math.sqrt(np.vdot(dU, dU)), math.sqrt(np.vdot(dV, dV)))
+    return delta / (1.0 + math.sqrt(np.vdot(U, U)) + math.sqrt(np.vdot(V, V)))
 
 
 def _model_solve(smooth: GramSmooth, L: float, start, config: InnerConfig, trace, floor=0.0):
@@ -585,28 +659,25 @@ def _model_solve(smooth: GramSmooth, L: float, start, config: InnerConfig, trace
     constant to ``trace``, a pair of lists, until the lists hold
     ``max_iterations`` entries, the iterate-change rule holds, or, given a
     positive ``floor``, the gradient mapping at the extrapolated point,
-    L * ||(U, V) - (U~, V~)||, drops below it.
+    L * ||(U, V) - (U~, V~)||, drops below it.  The state and the gradient
+    buffer are allocated once per call.
     """
     backtracking = config.step_mode == "backtracking"
     state = initial_state(smooth, L / INIT_L_SHRINK if backtracking else L, start)
+    grad = np.empty(smooth.b.shape)
     objective_trace, step_trace = trace
     while len(objective_trace) < config.max_iterations:
-        grad = smooth.gradient(state.eta_tilde)
-        previous = state
+        smooth.gradient(state.eta_tilde, out=grad)
         state = fista_step(state, grad, config, smooth, backtracking)
-        penalty = config.lam1 * norm_12_rows(state.U) + config.lam2 * norm_12_cols(state.V)
-        value = state.loss + penalty
-        if not np.isfinite(value):
+        value = state.loss + state.penalty
+        if not math.isfinite(value):
             raise NumericalError("objective diverged")
         objective_trace.append(value)
         step_trace.append(state.L)
-        if _relative_change(state.U, state.V, previous.U, previous.V) < config.tolerance:
+        if state.change < config.tolerance:
             return state.U, state.V, True
-        if floor > 0.0:
-            dU = state.U - previous.U_tilde
-            dV = state.V - previous.V_tilde
-            if state.L * math.sqrt(float(np.sum(dU * dU) + np.sum(dV * dV))) < floor:
-                break
+        if state.mapping < floor:
+            break
     return state.U, state.V, False
 
 
@@ -659,7 +730,7 @@ def _scoring_solve(design, family: Family, working: WorkingCorrelation, config, 
             for _ in range(MAX_BACKTRACKS):
                 U_new = U + 0.5 * (U_new - U)
                 V_new = V + 0.5 * (V_new - V)
-                if _relative_change(U_new, V_new, U, V) < config.tolerance:
+                if _relative_change(U_new - U, V_new - V, U_new, V_new) < config.tolerance:
                     # halved below the tolerance and the norm never fell
                     return U, V, False, L0
                 eta_new, grad_new, norm_new = at(U_new, V_new)
@@ -697,7 +768,7 @@ def inner_solve(
     trace = ([], [])
     if family.kind == "gaussian":
         smooth = gaussian_gram(design, working)
-        L_bound = lipschitz_upper(design, family, working, gram=smooth.G)
+        L_bound = _gaussian_bound(design, family, working, smooth.G)
         U, V, converged = _model_solve(smooth, L_bound, start, config, trace)
     else:
         U, V, converged, L_bound = _scoring_solve(design, family, working, config, start, trace)

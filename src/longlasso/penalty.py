@@ -26,20 +26,34 @@ def norm_12_cols(M) -> float:
     return norm_12_rows(np.asarray(M).T)
 
 
+def group_scales(norms, theta, floor, out) -> np.ndarray:
+    """Scales ``max(0, 1 - theta/norm)`` of the groups with these norms, into ``out``.
+
+    ``theta`` and ``floor`` are scalars or one entry per group, with
+    ``floor`` equal to ``theta`` where it is positive and to 1 where it is
+    0.  Each norm is raised to its floor before the division, so a group
+    at or below a positive threshold gets exactly 0, a group above it
+    ``1 - theta/norm`` itself, and at theta = 0 every group, an all-zero
+    one too, gets 1: there is no 0/0 to guard.
+    """
+    np.maximum(norms, floor, out=out)
+    np.divide(theta, out, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
 def prox_row_groups(P, theta: float) -> np.ndarray:
     """Row-wise shrink-or-kill map.
 
     Exact minimizer of ``0.5*||M - P||_F^2 + theta*||M||_{1,2}``: each row
-    is scaled by ``max(0, 1 - theta/||p_row||)``.  Rows at or below the
-    threshold become exactly zero (the 0/0 scale for zero rows is 0), so
-    support extraction downstream needs no epsilon.
+    is scaled by ``max(0, 1 - theta/||p_row||)`` (``group_scales``).  Rows
+    at or below a positive threshold become exactly zero, so support
+    extraction downstream needs no epsilon.
     """
     if theta < 0.0:
         raise ValueError("threshold must be nonnegative")
     P = np.asarray(P, dtype=float)
     norms = row_norms(P)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norms > theta, 1.0 - theta / norms, 0.0)
+    scale = group_scales(norms, theta, theta if theta > 0.0 else 1.0, out=norms)
     return scale[:, None] * P
 
 

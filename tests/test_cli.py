@@ -249,6 +249,22 @@ def test_evaluate_auc_on_classification(tmp_path):
     assert 0.5 <= value <= 1.0
 
 
+@pytest.mark.parametrize("key", [("s0", 99), ("nobody", 1)])
+def test_evaluate_rejects_unobserved_predictions(tmp_path, capsys, key):
+    # evaluate reads only the key and outcome columns, and still checks
+    # every prediction against an observed (subject, time)
+    data = simulate(tmp_path)
+    preds = tmp_path / "preds.csv"
+    preds.write_text(f"subject_id,time,prediction\ns0,1,0.5\n{key[0]},{key[1]},0.5\n")
+    code = cli.run([
+        "evaluate", "--predictions", str(preds), "--input", str(data),
+        "--output", str(tmp_path / "metrics.json"),
+    ])
+    assert code == 2
+    assert f"no observed outcome for ({key[0]},{key[1]})" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def test_lagged_outcome_flag_round_trips_through_model(tmp_path):
     data = simulate(tmp_path)
     model = tmp_path / "model.json"

@@ -96,6 +96,24 @@ def test_load_csv_header_and_schema_errors():
         _ds("")
 
 
+def test_load_csv_outcome_only_schema():
+    # feature_cols=() reads keys and outcomes only: feature cells are not
+    # parsed, but every row's width is still checked
+    outcomes = _ds(WELL_FORMED.replace("a,2,0.6,2.0", "a,2,0.6,abc"), CsvSchema(feature_cols=()))
+    full = _ds(WELL_FORMED)
+    assert (outcomes.m, outcomes.d, outcomes.T) == (2, 0, 3)
+    for a, b in zip(outcomes.subjects, full.subjects):
+        assert a.id == b.id and a.time_start == b.time_start
+        assert np.array_equal(a.outcomes, b.outcomes)
+    with pytest.raises(DataError, match="^row 3 has 5 cells, expected 4$"):
+        _ds(WELL_FORMED.replace("a,2,0.6,2.0", "a,2,0.6,2.0,7"), CsvSchema(feature_cols=()))
+    with pytest.raises(DataError, match="design needs at least one feature"):
+        build_lagged(outcomes, 1)
+    # only an explicit empty feature set is allowed
+    with pytest.raises(DataError, match="no feature columns found"):
+        _ds("subject_id,time,y\na,1,0.5\na,2,0.6\n")
+
+
 def test_load_csv_custom_schema_mapping():
     text = (
         "person,week,drinks,stress,mood\n"

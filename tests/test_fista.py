@@ -233,6 +233,119 @@ def test_fista_step_no_valid_step_error():
         fista_step(state, g, config, smooth, backtrack=True)
 
 
+def _reference_model_solve(smooth, L, start, config, floor=0.0):
+    """``_model_solve`` with one fresh array per operation, as a plain loop.
+
+    Its per-step arithmetic is the solver's before the stacked workspace:
+    the shrink by ``np.where`` under ``errstate``, the majorization test,
+    the loss and the stopping rules by ``np.sum`` and ``np.linalg.norm``.
+    """
+
+    def shrink_rows(P, theta):
+        norms = np.sqrt(np.sum(P**2, axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(norms > theta, 1.0 - theta / norms, 0.0)
+        return scale[:, None] * P
+
+    G, b, c, phi = smooth.G, smooth.b, smooth.c, smooth.phi
+    backtracking = config.step_mode == "backtracking"
+    if backtracking:
+        L = L / fista.INIT_L_SHRINK
+    U, V = (np.zeros(b.shape), np.zeros(b.shape)) if start is None else (start[0].copy(), start[1].copy())
+    eta = (G @ np.ravel(U + V)).reshape(b.shape)
+    U_t, V_t, eta_t, t = U, V, eta, 1.0
+    objective, steps = [], []
+    while len(objective) < config.max_iterations:
+        grad = phi * (eta_t - b)
+        for _ in range(fista.MAX_BACKTRACKS + 1):
+            U_n = shrink_rows(U_t - grad / L, config.lam1 / L)
+            V_n = shrink_rows((V_t - grad / L).T, config.lam2 / L).T
+            W_n = U_n + V_n
+            eta_n = (G @ np.ravel(W_n)).reshape(b.shape)
+            if not backtracking:
+                break
+            dU, dV = U_n - U_t, V_n - V_t
+            curvature = phi * float(np.sum((eta_n - eta_t) * (dU + dV)))
+            if curvature <= L * float(np.sum(dU * dU) + np.sum(dV * dV)):
+                break
+            L *= fista.GROWTH
+        loss = 0.5 * phi * (c - 2.0 * np.sum(b * W_n) + np.sum(W_n * eta_n))
+        objective.append(loss + config.lam1 * norm_12_rows(U_n) + config.lam2 * norm_12_cols(V_n))
+        steps.append(L)
+        change = max(np.linalg.norm(U_n - U), np.linalg.norm(V_n - V)) / (
+            1.0 + np.linalg.norm(U_n) + np.linalg.norm(V_n)
+        )
+        dU, dV = U_n - U_t, V_n - V_t
+        mapping = L * math.sqrt(float(np.sum(dU * dU) + np.sum(dV * dV)))
+        t_next = momentum_update(t)
+        shift = (t - 1.0) / t_next
+        U_t, V_t, eta_t = U_n + shift * (U_n - U), V_n + shift * (V_n - V), eta_n + shift * (eta_n - eta)
+        U, V, eta, t = U_n, V_n, eta_n, t_next
+        if change < config.tolerance:
+            return U, V, objective, steps, True
+        if floor > 0.0 and mapping < floor:
+            break
+    return U, V, objective, steps, False
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    d=st.integers(1, 4),
+    lags=st.integers(1, 3),
+    lam=st.sampled_from([0.0, 0.05, 0.5, 1e9]),
+    step_mode=st.sampled_from(["backtracking", "fixed"]),
+    warm=st.booleans(),
+    floor=st.sampled_from([0.0, 1e-3, 0.5]),
+)
+@example(seed=1, d=1, lags=3, lam=0.05, step_mode="backtracking", warm=True, floor=0.0)
+@example(seed=2, d=4, lags=1, lam=0.05, step_mode="fixed", warm=False, floor=1e-3)
+def test_model_solve_matches_plain_reference_loop(seed, d, lags, lam, step_mode, warm, floor):
+    # the stacked, in-place iteration keeps the U/V arithmetic bit for bit;
+    # only the objective's sums run in another order
+    rng = np.random.default_rng(seed)
+    p = d * lags
+    A = rng.normal(size=(p + 12, p))
+    y = rng.normal(size=p + 12) + A @ rng.normal(size=p)
+    phi = float(rng.uniform(0.5, 2.0))
+    smooth = fista.GramSmooth(
+        G=np.asfortranarray(A.T @ A), b=(A.T @ y).reshape(d, lags), c=float(y @ y), phi=phi
+    )
+    L = 2.0 * phi * fista._top_eigenvalue(smooth.G)
+    start = (rng.normal(size=(d, lags)), rng.normal(size=(d, lags))) if warm else None
+    config = InnerConfig(lam1=lam, lam2=2.0 * lam, max_iterations=300, tolerance=1e-9, step_mode=step_mode)
+    trace = ([], [])
+    U, V, converged = fista._model_solve(smooth, L, start, config, trace, floor)
+    U_ref, V_ref, objective, steps, converged_ref = _reference_model_solve(smooth, L, start, config, floor)
+    assert np.array_equal(U, U_ref) and np.array_equal(V, V_ref)
+    assert trace[1] == steps
+    assert len(trace[0]) == len(objective) and converged == converged_ref
+    assert np.allclose(trace[0], objective, rtol=1e-12, atol=0.0)
+
+
+def _identity_step(lam1, lam2, grad):
+    """One fixed step at L = 1 from the origin on an identity Gram: (U, V) = prox(-grad)."""
+    smooth = fista.GramSmooth(G=np.eye(grad.size, order="F"), b=np.zeros(grad.shape), c=0.0, phi=1.0)
+    state = initial_state(smooth, 1.0)
+    return fista_step(state, grad, InnerConfig(lam1=lam1, lam2=lam2, step_mode="fixed"), smooth)
+
+
+def test_fista_step_shrink_keeps_zero_groups_at_zero_threshold():
+    grad = np.array([[0.0, 0.0], [3.0, 4.0]])
+    state = _identity_step(0.0, 0.0, grad)
+    assert np.array_equal(state.U, -grad) and np.array_equal(state.V, -grad)
+    assert state.penalty == 0.0 and np.isfinite(state.loss)
+
+
+def test_fista_step_shrink_kills_groups_at_the_threshold():
+    # row 1 has norm 5 = lam1; column 0 norm 3 = lam2, column 1 norm 4 > lam2
+    grad = np.array([[0.0, 0.0], [3.0, 4.0]])
+    state = _identity_step(5.0, 3.0, grad)
+    assert np.array_equal(state.U, np.zeros((2, 2)))
+    assert np.array_equal(state.V, [[0.0, 0.0], [0.0, -1.0]])
+    assert state.penalty == pytest.approx(3.0 * 1.0)
+
+
 def test_inner_solve_zero_outcome_fixed_point():
     design = random_design(10)
     zeroed = LaggedDesign(
@@ -624,6 +737,27 @@ def test_grid_cv_builds_one_basis_per_fold(folds, grid, monkeypatch):
     assert result.failures == {}
     assert len(builds) == folds and len({id(design) for design in builds}) == folds
     assert rebuilds == []
+
+
+@pytest.mark.parametrize("folds", [2, 3])
+def test_grid_cv_runs_one_eigensolve_per_fold_at_zero_alpha(folds, monkeypatch):
+    # round 0 of every cell runs at R = I, where G is the fold's G0: its
+    # lambda_max is found once per fold and kept on the fold's basis
+    tops = _count(monkeypatch, "_top_eigenvalue")
+    alphas = []
+    solve = fista.inner_solve
+
+    def recorded(design, family, working, *args, **kwargs):
+        alphas.append(working.alpha)
+        return solve(design, family, working, *args, **kwargs)
+
+    monkeypatch.setattr(fista, "inner_solve", recorded)
+    spec = ll.CvSpec(lam1_grid=(0.05, 0.2, 1.0), lam2_grid=(0.05, 0.5), folds=folds)
+    result = ll.grid_cv(random_panel(53, m=9, d=3, T=10), 2, "gaussian", "ar1", spec)
+    assert result.failures == {}
+    at_zero = alphas.count(0.0)
+    assert at_zero == 6 * folds
+    assert len(tops) == folds + len(alphas) - at_zero
 
 
 def test_concurrent_fits_share_one_design():

@@ -36,6 +36,8 @@ def test_prox_zero_rows_stay_zero():
     P = np.array([[0.0, 0.0], [1.0, 1.0]])
     out = prox_row_groups(P, 0.5)
     assert np.array_equal(out[0], [0.0, 0.0])
+    # at theta = 0 the map is the identity, with no 0/0 on the zero row
+    assert np.array_equal(prox_row_groups(P, 0.0), P)
 
 
 def test_prox_threshold_tie_maps_to_zero():
