@@ -23,7 +23,7 @@ from .correlation import (
     pearson_residuals,
 )
 from .dataset import LaggedDesign
-from .errors import DataError
+from .errors import DataError, check_finite
 from .families import Family, get_family
 from .penalty import CoefficientPair, row_norms
 
@@ -43,8 +43,10 @@ class FitConfig:
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if self.alpha_tolerance <= 0.0 or self.coef_tolerance <= 0.0:
-            raise ValueError("convergence tolerances must be positive")
+        if self.inner_max_iterations < 1:
+            raise ValueError("inner_max_iterations must be at least 1")
+        for name in ("alpha_tolerance", "coef_tolerance", "inner_tolerance"):
+            check_finite(name, getattr(self, name), positive=True)
 
     def inner(self, lam1: float, lam2: float) -> fista.InnerConfig:
         return fista.InnerConfig(
@@ -141,9 +143,7 @@ def fit(
         start = None if outer == 0 else (U, V)
         result = fista.inner_solve(design, family, working, inner_cfg, start=start)
         rounds += 1
-        coef_change = max(
-            float(np.linalg.norm(result.U - U)), float(np.linalg.norm(result.V - V))
-        ) / (1.0 + float(np.linalg.norm(result.U)) + float(np.linalg.norm(result.V)))
+        coef_change = fista._relative_change(result.U - U, result.V - V, result.U, result.V)
         U, V = result.U, result.V
         trace.append(float(result.objective_trace[-1]) if result.objective_trace.size else 0.0)
         inner_traces.append(result.objective_trace)

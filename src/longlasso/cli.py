@@ -106,7 +106,7 @@ def _apply_config_file(args: argparse.Namespace, parser_dests: set[str]) -> None
 
 
 def _invocation(args: argparse.Namespace) -> dict:
-    skip = {"handler", "dests", "config"}
+    skip = {"handler", "config"}
     out = {}
     for key, value in sorted(vars(args).items()):
         if key in skip:
@@ -168,6 +168,9 @@ def _fit_config(args) -> alternation.FitConfig:
 
 
 def _cmd_fit(args) -> None:
+    config = _fit_config(args)
+    # the penalties are checked, with the tolerances, before the data is read
+    config.inner(args.lambda1, args.lambda2)
     ds = _load_dataset(args.input)
     if args.holdout:
         ds, _ = split_temporal(ds, args.holdout, args.tau)
@@ -178,7 +181,7 @@ def _cmd_fit(args) -> None:
         structure=args.structure,
         lam1=args.lambda1,
         lam2=args.lambda2,
-        config=_fit_config(args),
+        config=config,
         seed=args.seed,
     )
     payload = alternation.to_json_dict(result)
@@ -305,9 +308,7 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_cv(args) -> None:
-    ds = _load_dataset(args.input)
-    if args.holdout:
-        ds, _ = split_temporal(ds, args.holdout, args.tau)
+    # the grid and the solver settings are checked before the data is read
     lam1_grid, lam2_grid = _parse_grid(args.grid)
     spec = evaluation.CvSpec(
         lam1_grid=lam1_grid,
@@ -316,6 +317,10 @@ def _cmd_cv(args) -> None:
         metric=args.metric,
         seed=args.seed,
     )
+    config = _fit_config(args)
+    ds = _load_dataset(args.input)
+    if args.holdout:
+        ds, _ = split_temporal(ds, args.holdout, args.tau)
     cv = evaluation.grid_cv(
         ds,
         args.tau,
@@ -346,7 +351,7 @@ def _cmd_cv(args) -> None:
         structure=args.structure,
         lam1=cv.best_lam1,
         lam2=cv.best_lam2,
-        config=_fit_config(args),
+        config=config,
         seed=args.seed,
     )
     payload = alternation.to_json_dict(result)

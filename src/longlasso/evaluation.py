@@ -14,11 +14,15 @@ import numpy as np
 from . import alternation, fista
 from .correlation import make_working, spd_cholesky
 from .dataset import LongitudinalDataset, build_lagged
-from .errors import NumericalError
+from .errors import NumericalError, check_finite
 from .families import get_family
 from .penalty import row_norms
 
 METRICS = ("nmse", "auc")
+# the default grids: GRID_POINTS log-spaced values per penalty, from
+# GRID_SPAN * lambda_max up to lambda_max
+GRID_POINTS = 5
+GRID_SPAN = 1e-3
 
 
 def nmse(predictions, actuals) -> float:
@@ -137,14 +141,10 @@ def support_lambdas(
     )
 
 
-def default_grids(design, family, n_points: int = 5, span: float = 1e-3):
-    """Log-spaced grids from span*lambda_max up to lambda_max."""
-    if n_points < 1:
-        raise ValueError("n_points must be positive")
-    if not 0.0 < span <= 1.0:
-        raise ValueError("span must lie in (0, 1]")
+def default_grids(design, family):
+    """``GRID_POINTS`` log-spaced values from ``GRID_SPAN`` * lambda_max up to lambda_max, per penalty."""
     lam1_top, lam2_top = lambda_max(design, family)
-    fractions = np.logspace(np.log10(span), 0.0, n_points)
+    fractions = np.logspace(np.log10(GRID_SPAN), 0.0, GRID_POINTS)
     return (
         tuple(float(f * lam1_top) for f in fractions),
         tuple(float(f * lam2_top) for f in fractions),
@@ -177,10 +177,12 @@ class CvSpec:
             raise ValueError("folds must be at least 2")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        if self.lam1_grid is not None and len(self.lam1_grid) == 0:
-            raise ValueError("lam1_grid must be nonempty")
-        if self.lam2_grid is not None and len(self.lam2_grid) == 0:
-            raise ValueError("lam2_grid must be nonempty")
+        for name in ("lam1_grid", "lam2_grid"):
+            grid = getattr(self, name)
+            if grid is not None and len(grid) == 0:
+                raise ValueError(f"{name} must be nonempty")
+            for value in grid or ():
+                check_finite(f"{name} entry", value)
 
 
 @dataclass(frozen=True)

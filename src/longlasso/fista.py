@@ -17,23 +17,32 @@ p x p matvec, and backtracking uses the exact curvature form of the
 majorization test (comparing loss values would subtract numbers of the
 size of c).
 
+Every Gram has the form sum_i X_i^T A_i^{1/2} C C^T A_i^{1/2} X_i for an
+n x r factor C and a variance diagonal A, and one accumulator,
+``_accumulate``, builds them all: a chunk of subjects at a time is
+whitened into one 1 MB buffer and added with one rank-k ``dsyrk``.
+
 - Gaussian: the quadratic is the smooth part itself, with
   G = X^T (I_m kron R^{-1}) X, b = X^T (I_m kron R^{-1}) y and
   c = y^T (I_m kron R^{-1}) y: one solve on one Gram.  For the
   independent, exchangeable and AR(1) structures R^{-1}(alpha) is a fixed
-  combination of alpha-free matrices, so ``gaussian_gram`` combines G, b
-  and c from a ``GramBasis`` built in one pass over the design rows on the
-  first Gaussian solve on a design and kept on it (``_gram_cache``): two
-  p x p arrays that live as long as the design.  Every later outer round,
-  and every CV cell on the same fold design, then costs one p x p scale
-  and axpy, for AR(1) a rank-2m update by the subjects' first and last
-  example rows, and no pass over the design.  Tridiagonal R^{-1} is dense
-  and not affine in alpha, so each tridiagonal solve runs ``build_gram``.
+  combination sum_k w_k C_k C_k^T of alpha-free factors (``_basis_terms``:
+  the identity, the ones column or the adjacent-sum factor, and AR(1)'s
+  two edge columns), so ``gaussian_gram`` combines G, b and c from a
+  ``GramBasis`` built, one accumulator pass per held factor, on the first
+  Gaussian solve on a design and kept on it (``_gram_cache``): two p x p
+  arrays that live as long as the design.  Every later outer round, and
+  every CV cell on the same fold design, then costs one p x p scale and
+  axpy, for AR(1) one accumulator call over the subjects' first and last
+  example rows (a rank-2m update with a negative weight), and no pass
+  over the rest of the design.  Tridiagonal R^{-1} is dense and not affine
+  in alpha, so each tridiagonal solve runs ``build_gram``, whitening by
+  the Cholesky factor of R^{-1}.
 - Bernoulli/Poisson: penalized Fisher scoring, since under a non-identity
   R the estimating function is the gradient of no scalar loss.  Each
   outer step solves the model at the current point w with G = H, the
   curvature Gram sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i (GEE's Fisher
-  information over phi) from ``build_gram``, b = H w - grad / phi and
+  information over phi) from ``curvature_gram``, b = H w - grad / phi and
   c = 0, stopping early once the model's own gradient mapping is below
   ``EARLY_STOP`` times the outer one.  The step is accepted when the
   gradient-mapping norm ||L0 (x - prox(x - grad / L0))||, L0 fixed per
@@ -66,7 +75,7 @@ from scipy.linalg import blas, lapack
 
 from .correlation import WorkingCorrelation, spd_cholesky
 from .dataset import LaggedDesign
-from .errors import NumericalError
+from .errors import NumericalError, check_finite
 from .families import Family
 from .penalty import group_scales, norm_12_cols, norm_12_rows, prox_col_groups, prox_row_groups
 
@@ -83,9 +92,11 @@ MAX_BACKTRACKS = 60
 # EARLY_STOP times the outer one
 STALL = 0.5
 EARLY_STOP = 0.1
-# size of the row buffers build_gram and the Gram basis fill a few subjects
+# size of the whitened rows the Gram accumulator fills a chunk of subjects
 # at a time
 GRAM_CHUNK_BYTES = 1 << 20
+# the strict lower triangle of one diagonal block of _mirror_upper
+_BLOCK_LOWER = np.tri(64, k=-1, dtype=bool)
 # structures whose R^{-1}(alpha) is a fixed combination of alpha-free
 # matrices: their Gaussian Grams are combined from a per-design basis
 BASIS_STRUCTURES = ("independent", "exchangeable", "ar1")
@@ -110,12 +121,11 @@ class InnerConfig:
     step_mode: str = "backtracking"
 
     def __post_init__(self):
-        if self.lam1 < 0.0 or self.lam2 < 0.0:
-            raise ValueError("penalty weights must be nonnegative")
+        check_finite("lam1", self.lam1)
+        check_finite("lam2", self.lam2)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        check_finite("tolerance", self.tolerance, positive=True)
         if self.step_mode not in ("backtracking", "fixed"):
             raise ValueError("step_mode must be 'backtracking' or 'fixed'")
 
@@ -207,162 +217,153 @@ class GramSmooth:
         return float(0.5 * self.phi * (self.c - 2.0 * np.vdot(self.b, W) + np.vdot(W, Gw)))
 
 
-def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None) -> GramSmooth:
-    """Gram form of the Gaussian smooth part at this working correlation.
+def _accumulate(design: LaggedDesign, factor=None, root_var=None, weight: float = 1.0, G=None):
+    """G += weight * sum_i (C^T A_i^{1/2} X_i)^T (C^T A_i^{1/2} X_i) in the upper triangle.
 
-    G = sum_i X_i^T R^{-1} X_i, b = sum_i X_i^T R^{-1} y_i and
-    c = sum_i y_i^T R^{-1} y_i, with X_i subject i's n x p example matrix.
-    A chunk of subjects at a time is whitened by C^T, where R^{-1} = C C^T
-    is the Cholesky factorization, into one reusable buffer of about
-    ``GRAM_CHUNK_BYTES``, and G is accumulated from it with a rank-k
-    update: one pass over the design, holding one p x p array plus the
-    buffer.  ``root_var``, the square root of a variance diagonal (a
-    scalar, or one entry per example in an (m, n) array), weights each
-    subject's examples as X_i -> A_i^{1/2} X_i; G is then the curvature
-    Gram H of ``lipschitz_upper`` and of the scoring model, and only G is
-    meaningful.
+    Returns (G, b, c) with the matching b = weight * sum_i (C^T A_i^{1/2}
+    X_i)^T C^T A_i^{1/2} y_i and c = weight * sum_i ||C^T A_i^{1/2} y_i||^2,
+    where X_i is subject i's n x p example matrix, ``factor`` the n x r C
+    (None for the identity) and ``root_var`` the square root of a variance
+    diagonal A, a scalar or one entry per example in an (m, n) array (None
+    for A = I).  G defaults to a new zero Fortran-ordered p x p array.
 
-    Solves call it once per model where no basis applies: for every
-    Bernoulli/Poisson curvature Gram, which is weighted at the current
-    point, and for every tridiagonal Gaussian solve.  Gaussian solves
-    under the other structures run ``gaussian_gram`` instead.
+    A chunk of subjects at a time, as many as fit ``GRAM_CHUNK_BYTES`` of
+    whitened rows (r per subject), is whitened into one reusable buffer and
+    added with one rank-k update, so a call holds one p x p array plus the
+    buffer.  Only the examples that C reads are read: each subject's rows
+    from the first to the last of them, at the largest stride that meets
+    them all (the first and last rows alone for AR(1)'s edge factor).
+    Where C on those rows is the identity and A = I, the rows are the
+    whitened rows themselves: read in place when contiguous (the identity
+    C), copied into the buffer otherwise (the edges).
     """
     m, n, p = design.m, design.n, design.n_params
-    chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
+    C = np.eye(n) if factor is None else factor
+    # the example of each nonzero of C, in order
+    used = np.nonzero(C)[0]
+    examples = slice(used[0], used[-1] + 1, max(1, int(np.gcd.reduce(np.diff(used)))))
+    C = C[examples]
+    r = C.shape[1]
+    plain = root_var is None and np.array_equal(C, np.eye(*C.shape))
+    chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * r * p)), m)
+    scale = None if root_var is None else np.broadcast_to(root_var, (m, n))[:, examples]
     flat = design.flat_design()
-    root = spd_cholesky(working.R_inv, "inverse working correlation")
-    scale = None if root_var is None else np.broadcast_to(root_var, (m, n))
-    G = np.zeros((p, p), order="F")
+    if G is None:
+        G = np.zeros((p, p), order="F")
     b = np.zeros(p)
     c = 0.0
-    buffer = np.empty((chunk, n, p))
+    buffer = np.empty((chunk, r, p))
     for first in range(0, m, chunk):
         k = min(chunk, m - first)
         block = slice(first, first + k)
-        y = design.y[block]
-        whiten = root.T
-        if scale is not None:
-            # C^T A_i^{1/2}, one n x n factor per subject
-            whiten = root.T * scale[block, None, :]
-        rows = np.matmul(whiten, flat[block], out=buffer[:k]).reshape(k * n, p)
-        white_y = (y @ root).ravel()
-        # rows.T is a Fortran-ordered view, so dsyrk reads the buffer in place
-        G = blas.dsyrk(1.0, rows.T, beta=1.0, c=G, overwrite_c=1)
+        X, y = flat[block, examples], design.y[block, examples]
+        if not plain:
+            whiten = C.T
+            if scale is not None:
+                # C^T A_i^{1/2}, one r x n factor per subject
+                whiten = C.T * scale[block, None, :]
+                y = y * scale[block]
+            X = np.matmul(whiten, X, out=buffer[:k])
+            y = y @ C
+        elif not X.flags.c_contiguous:
+            np.copyto(buffer[:k], X)
+            X = buffer[:k]
+        rows = X.reshape(k * r, p)
+        white_y = y.ravel()
         b += rows.T @ white_y
         c += float(white_y @ white_y)
-    del buffer, rows
+        # rows.T is a Fortran-ordered view, so dsyrk reads the rows in place
+        G = blas.dsyrk(weight, rows.T, beta=1.0, c=G, overwrite_c=1)
+    return G, weight * b, weight * c
+
+
+def build_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmooth:
+    """Gram form of the Gaussian smooth part at this working correlation.
+
+    G = sum_i X_i^T R^{-1} X_i, b = sum_i X_i^T R^{-1} y_i and
+    c = sum_i y_i^T R^{-1} y_i, with X_i subject i's n x p example matrix:
+    one ``_accumulate`` pass with C the Cholesky factor of R^{-1} = C C^T.
+    Every tridiagonal Gaussian solve runs it, as R^{-1} is dense there;
+    Gaussian solves under the other structures run ``gaussian_gram``.
+    """
+    G, b, c = _accumulate(design, spd_cholesky(working.R_inv, "inverse working correlation"))
     _mirror_upper(G)
     return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
 
 
+def curvature_gram(design: LaggedDesign, working: WorkingCorrelation, root_var) -> np.ndarray:
+    """H = sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i, p x p and Fortran-ordered.
+
+    ``root_var`` is A^{1/2}, the square root of the variance-function
+    diagonal: a scalar, or one entry per example in an (m, n) array.  One
+    ``_accumulate`` pass with C the Cholesky factor of R^{-1}; H is the
+    curvature Gram of ``lipschitz_upper`` and of each scoring model.
+    """
+    H, _, _ = _accumulate(design, spd_cholesky(working.R_inv, "inverse working correlation"), root_var)
+    _mirror_upper(H)
+    return H
+
+
+def _basis_terms(structure: str, R_inv: np.ndarray) -> tuple[list, list]:
+    """Factors C_k and weights w_k with R^{-1} = sum_k w_k C_k C_k^T, as (held, applied).
+
+    The weights are read from R^{-1} itself, and X^T R^{-1} X, X^T R^{-1} y
+    and y^T R^{-1} y are then the same combinations of alpha-free
+    ``_accumulate`` sums, one per factor.  Each list holds (C_k, w_k)
+    pairs; the basis holds the sums of the ``held`` factors, and the
+    ``applied`` ones (the AR(1) edges, of rank 2m) are applied per call.
+    In order:
+
+    - the identity (None), for every structure;
+    - where R^{-1} couples examples, the ones column (exchangeable:
+      R^{-1} = (r00 - r01) I + r01 11^T) or the n x (n-1) adjacent-sum
+      factor S, column t holding ones in rows t and t+1 (AR(1));
+    - for AR(1) with n > 2, the two edge columns e_0 and e_{n-1}.  AR(1)'s
+      R^{-1} = r11 I - (r11 - r00) E + r01 Z, with E = e_0 e_0^T +
+      e_{n-1} e_{n-1}^T and Z the sub- and superdiagonal, and S S^T =
+      2 I - E + Z, so its weights are (r11 - 2 r01, r01, r00 - r11 + r01).
+
+    With n = 2 there is no interior diagonal and the one adjacent sum is
+    the column sum, so AR(1) takes the exchangeable form.
+    """
+    n = R_inv.shape[0]
+    if structure == "independent" or n == 1:
+        return [(None, R_inv[0, 0])], []
+    r00, r01 = R_inv[0, 0], R_inv[0, 1]
+    if structure == "exchangeable" or n == 2:
+        return [(None, r00 - r01), (np.ones((n, 1)), r01)], []
+    r11 = R_inv[1, 1]
+    adjacent = np.eye(n, n - 1) + np.eye(n, n - 1, k=-1)
+    edges = np.zeros((n, 2))
+    edges[0, 0] = edges[-1, 1] = 1.0
+    return [(None, r11 - 2.0 * r01), (adjacent, r01)], [(edges, r00 - r11 + r01)]
+
+
 @dataclass(eq=False)
 class GramBasis:
-    """Alpha-free terms of the Gaussian Gram of one structure on one design.
+    """The held alpha-free terms of one structure's Gaussian Gram on one design.
 
-    ``G0`` is sum_i X_i^T X_i and ``pairs`` the Gram of the rows that
-    R^{-1} couples: each subject's column sum 1^T X_i (exchangeable) or
-    its adjacent-row sums x_t + x_{t+1} (AR(1)); independent structures
-    and n = 1 have none.  Both are read-only and hold their upper triangle
-    only.  Row k of ``b`` and entry k of ``c`` are the matching X^T y and
-    y^T y terms.  For AR(1) with n > 2 a third row and entry cover each
-    subject's first and last examples, whose Gram F is applied per call
-    and not held.  ``G0_top`` is lambda_max(G0), kept by the first solve
-    at R = I (see ``_gaussian_bound``).
+    Entry k of ``G``, ``b`` and ``c`` is the ``_accumulate`` sum of factor
+    C_k of ``_basis_terms``: G_k = sum_i X_i^T C_k C_k^T X_i and the
+    matching X^T y and y^T y terms.  ``G[0]`` is G0 = sum_i X_i^T X_i.  All
+    are read-only, and each G_k holds its upper triangle only.
+    ``G0_top`` is lambda_max(G0), kept by the first solve at R = I (see
+    ``_gaussian_bound``).
     """
 
-    G0: np.ndarray
-    pairs: np.ndarray | None
+    G: tuple
     b: np.ndarray
     c: np.ndarray
     G0_top: float | None = None
 
 
-def _basis_weights(structure: str, R_inv: np.ndarray) -> np.ndarray:
-    """Weights of G0, the pair Gram and F that make up X^T R^{-1} X.
-
-    Read from R^{-1} itself.  Exchangeable: R^{-1} = (r00 - r01) I +
-    r01 11^T.  AR(1): R^{-1} = r11 I - (r11 - r00) E + r01 S, with E the
-    two corner entries of the diagonal and S the sub- and superdiagonal;
-    the pair Gram is 2 G0 - F + sum_t (x_t x_{t+1}^T + x_{t+1} x_t^T), so
-    G = (r11 - 2 r01) G0 + r01 pairs + (r00 - r11 + r01) F.  With n = 2
-    there is no interior diagonal and the one adjacent sum is the column
-    sum, so AR(1) takes the exchangeable form.
-    """
-    n = R_inv.shape[0]
-    if structure == "independent" or n == 1:
-        return np.array([R_inv[0, 0], 0.0, 0.0])
-    r00, r01 = R_inv[0, 0], R_inv[0, 1]
-    if structure == "exchangeable" or n == 2:
-        return np.array([r00 - r01, r01, 0.0])
-    r11 = R_inv[1, 1]
-    return np.array([r11 - 2.0 * r01, r01, r00 - r11 + r01])
-
-
-def _build_basis(design: LaggedDesign, structure: str) -> GramBasis:
-    """The structure's ``GramBasis``: one pass over the design rows.
-
-    A chunk of subjects at a time feeds G0 straight from the design and
-    the pair Gram from one reusable buffer of about ``GRAM_CHUNK_BYTES``,
-    each with a rank-k update, as in ``build_gram``.
-    """
-    m, n, p = design.m, design.n, design.n_params
-    paired = structure != "independent" and n > 1
-    edges = structure == "ar1" and n > 2
-    terms = 1 + paired + edges
-    chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
-    flat = design.flat_design()
-    G0 = np.zeros((p, p), order="F")
-    pairs = np.zeros((p, p), order="F") if paired else None
-    b = np.zeros((terms, p))
-    c = np.zeros(terms)
-    buffer = np.empty((chunk * max(n - 1, 1), p)) if paired else None
-    for first in range(0, m, chunk):
-        k = min(chunk, m - first)
-        X = flat[first : first + k]
-        y = design.y[first : first + k]
-        rows = X.reshape(k * n, p)
-        # rows.T is a Fortran-ordered view, so dsyrk reads the design in place
-        G0 = blas.dsyrk(1.0, rows.T, beta=1.0, c=G0, overwrite_c=1)
-        b[0] += rows.T @ y.ravel()
-        c[0] += float(y.ravel() @ y.ravel())
-        if paired:
-            if structure == "exchangeable":
-                rows = np.sum(X, axis=1, out=buffer[:k])
-                y_pairs = y.sum(axis=1)
-            else:
-                rows = buffer[: k * (n - 1)]
-                np.add(X[:, :-1], X[:, 1:], out=rows.reshape(k, n - 1, p))
-                y_pairs = (y[:, :-1] + y[:, 1:]).ravel()
-            pairs = blas.dsyrk(1.0, rows.T, beta=1.0, c=pairs, overwrite_c=1)
-            b[1] += rows.T @ y_pairs
-            c[1] += float(y_pairs @ y_pairs)
-        if edges:
-            b[2] += X[:, 0].T @ y[:, 0] + X[:, -1].T @ y[:, -1]
-            c[2] += float(y[:, 0] @ y[:, 0] + y[:, -1] @ y[:, -1])
-    for array in (G0, pairs, b, c):
-        if array is not None:
-            array.setflags(write=False)
-    return GramBasis(G0=G0, pairs=pairs, b=b, c=c)
-
-
-def _add_edge_gram(G: np.ndarray, design: LaggedDesign, weight: float) -> np.ndarray:
-    """G + weight * F in the upper triangle, F the Gram of the subjects' edge rows.
-
-    F = sum_i (x_i0 x_i0^T + x_i,n-1 x_i,n-1^T): a chunk of subjects'
-    first and last example rows at a time is copied into a small buffer
-    and applied with a rank-k update, so F is never held as a p x p array.
-    """
-    m, n, p = design.m, design.n, design.n_params
-    chunk = min(max(1, GRAM_CHUNK_BYTES // (16 * p)), m)
-    flat = design.flat_design()
-    buffer = np.empty((chunk, 2, p))
-    for first in range(0, m, chunk):
-        k = min(chunk, m - first)
-        edge = buffer[:k]
-        edge[:, 0] = flat[first : first + k, 0]
-        edge[:, 1] = flat[first : first + k, n - 1]
-        G = blas.dsyrk(weight, edge.reshape(2 * k, p).T, beta=1.0, c=G, overwrite_c=1)
-    return G
+def _build_basis(design: LaggedDesign, factors) -> GramBasis:
+    """The ``GramBasis`` of ``factors``: one ``_accumulate`` pass per factor."""
+    G, b, c = zip(*(_accumulate(design, factor) for factor in factors))
+    b, c = np.array(b), np.array(c)
+    for array in (*G, b, c):
+        array.setflags(write=False)
+    return GramBasis(G=G, b=b, c=c)
 
 
 def gaussian_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmooth:
@@ -370,40 +371,50 @@ def gaussian_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmoo
 
     For ``BASIS_STRUCTURES`` the structure's ``GramBasis`` is built on the
     first call and kept on the design, which holds one basis at a time;
-    each call then combines G = w0 G0 + w1 pairs + w2 F, and b and c alike,
-    with the weights of ``_basis_weights``.  G is a new Fortran-ordered
-    array, so the basis is never written.  Tridiagonal structures run
-    ``build_gram``.
+    each call then combines G, b and c from it with the weights of
+    ``_basis_terms`` (one p x p scale and axpy), and adds the AR(1) edge
+    term through ``_accumulate`` on G itself, with its weight (negative for
+    alpha > 0).  G is a new Fortran-ordered array, so the basis is never
+    written.  Tridiagonal structures run ``build_gram``.
     """
     if working.structure not in BASIS_STRUCTURES:
         return build_gram(design, working)
+    held, applied = _basis_terms(working.structure, working.R_inv)
     cache = design._gram_cache
     basis = cache.get(working.structure)
     if basis is None:
-        basis = _build_basis(design, working.structure)
+        basis = _build_basis(design, [factor for factor, _ in held])
         cache.clear()
         cache[working.structure] = basis
-    weights = _basis_weights(working.structure, working.R_inv)
-    G = basis.G0 * weights[0]
-    if weights[1] != 0.0:
-        # in place on G's memory: no p x p temporary
-        blas.daxpy(basis.pairs.reshape(-1, order="F"), G.reshape(-1, order="F"), a=weights[1])
-    if basis.c.size == 3 and weights[2] != 0.0:
-        G = _add_edge_gram(G, design, weights[2])
+    weights = np.array([weight for _, weight in held])
+    G = basis.G[0] * weights[0]
+    for term, weight in zip(basis.G[1:], weights[1:]):
+        if weight != 0.0:
+            # in place on G's memory: no p x p temporary
+            blas.daxpy(term.reshape(-1, order="F"), G.reshape(-1, order="F"), a=weight)
+    b = weights @ basis.b
+    c = float(weights @ basis.c)
+    for factor, weight in applied:
+        if weight != 0.0:
+            G, b_term, c_term = _accumulate(design, factor, weight=weight, G=G)
+            b += b_term
+            c += c_term
     _mirror_upper(G)
-    weights = weights[: basis.c.size]
-    b = (weights @ basis.b).reshape(design.coef_shape)
-    return GramSmooth(G=G, b=b, c=float(weights @ basis.c), phi=working.phi)
+    return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
 
 
-def _mirror_upper(G: np.ndarray, block: int = 128) -> None:
-    """Copy the upper triangle into the lower one, a block of rows at a time."""
-    p = G.shape[0]
+def _mirror_upper(G: np.ndarray) -> None:
+    """Copy the upper triangle into the lower one, a block of rows at a time.
+
+    Within a diagonal block only the strict lower triangle is written, in
+    one masked copy.
+    """
+    p, block = G.shape[0], _BLOCK_LOWER.shape[0]
     for j in range(0, p, block):
         end = min(j + block, p)
         G[j:end, :j] = G[:j, j:end].T
         diag = G[j:end, j:end]
-        diag[...] = np.triu(diag) + np.triu(diag, 1).T
+        np.copyto(diag, diag.T, where=_BLOCK_LOWER[: end - j, : end - j])
 
 
 def _start_pair(shape, start) -> tuple[np.ndarray, np.ndarray]:
@@ -496,7 +507,7 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation, gram=No
     """Joint (U, V) Lipschitz constant of the gradient, 2 * phi * lambda_max(H).
 
     H = sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i is the W-space
-    Gauss-Newton curvature, built by ``build_gram`` with A_i the
+    Gauss-Newton curvature, built by ``curvature_gram`` with A_i the
     variance-function diagonal at W = 0 (A = a0 * I) unless ``gram``
     supplies it: the Gaussian Gram G, or a scoring model's H at its own
     point.  The U/V parameterization has joint Hessian
@@ -506,7 +517,7 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation, gram=No
     """
     if gram is None:
         root_var = math.sqrt(float(family.variance(family.mean(np.zeros(1)))[0]))
-        gram = build_gram(design, working, root_var).G
+        gram = curvature_gram(design, working, root_var)
     return max(2.0 * working.phi * _top_eigenvalue(gram), L_FLOOR)
 
 
@@ -514,14 +525,16 @@ def _gaussian_bound(design, family: Family, working: WorkingCorrelation, G: np.n
     """``lipschitz_upper`` on the Gaussian Gram G, reusing lambda_max(G0) where R = I.
 
     At R = I (round 0 of every fit, and every independent round) the basis
-    weights are (1, 0, 0), so G is G0 bit for bit and so is its top
-    eigenvalue: the design's basis keeps it from the first such solve, and
-    the CV cells of one fold run one ``dsyevr`` for their alpha = 0 rounds
-    instead of one each.  Threads that share a design may both compute it;
-    they store the same value.
+    weights are 1 for G0 and 0 for every other term, so G is G0 bit for bit
+    and so is its top eigenvalue: the design's basis keeps it from the
+    first such solve, and the CV cells of one fold run one ``dsyevr`` for
+    their alpha = 0 rounds instead of one each.  Threads that share a
+    design may both compute it; they store the same value.
     """
     basis = design._gram_cache.get(working.structure)
-    if basis is None or list(_basis_weights(working.structure, working.R_inv)) != [1.0, 0.0, 0.0]:
+    held, applied = _basis_terms(working.structure, working.R_inv)
+    weights = [weight for _, weight in held + applied]
+    if basis is None or weights[0] != 1.0 or any(weights[1:]):
         return lipschitz_upper(design, family, working, gram=G)
     if basis.G0_top is None:
         basis.G0_top = _top_eigenvalue(G)
@@ -693,7 +706,7 @@ def _scoring_solve(design, family: Family, working: WorkingCorrelation, config, 
 
     def curvature(eta):
         # the model's Gram and step bound at the point with predictor eta
-        H = build_gram(design, working, np.sqrt(family.variance(family.mean(eta)))).G
+        H = curvature_gram(design, working, np.sqrt(family.variance(family.mean(eta))))
         return H, lipschitz_upper(design, family, working, gram=H)
 
     def at(U, V):

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_finite
+
 
 def row_norms(M) -> np.ndarray:
     """Euclidean norm of each row."""
@@ -76,14 +78,11 @@ class CoefficientPair:
         V = np.asarray(self.V, dtype=float)
         if U.shape != V.shape:
             raise ValueError("U and V must have the same shape")
-        if self.lam1 < 0.0 or self.lam2 < 0.0:
-            raise ValueError("penalty weights must be nonnegative")
+        check_finite("lam1", self.lam1)
+        check_finite("lam2", self.lam2)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
 
     @property
     def W(self) -> np.ndarray:
         return self.U + self.V
-
-    def penalty_value(self) -> float:
-        return self.lam1 * norm_12_rows(self.U) + self.lam2 * norm_12_cols(self.V)

@@ -218,6 +218,24 @@ def test_grid_parsing_errors(tmp_path, capsys):
     assert "error[usage]" in capsys.readouterr().err
 
 
+def test_non_finite_settings_exit_2_before_the_data_is_read(tmp_path, capsys, monkeypatch):
+    def unread(*args):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "load_csv", unread)
+    paths = ["--input", str(tmp_path / "data.csv"), "--output", str(tmp_path / "m.json")]
+    for argv, field in [
+        (["fit", "--lambda1", "nan"], "lam1"),
+        (["fit", "--lambda2", "inf"], "lam2"),
+        (["fit", "--inner-tolerance", "nan"], "inner_tolerance"),
+        (["cv", "--grid", "nan,1;1"], "lam1_grid"),
+        (["cv", "--inner-tolerance", "inf"], "inner_tolerance"),
+    ]:
+        assert cli.run(argv + paths) == 2
+        assert capsys.readouterr().err.startswith(f"error[data]: {field} ")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_inputs_not_mutated_and_no_temp_litter(tmp_path):
     data = simulate(tmp_path)
     before = data.read_bytes()

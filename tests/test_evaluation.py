@@ -199,7 +199,8 @@ def test_lambda_max_kills_everything_at_first_step():
 def test_default_grids_span_and_size():
     ds, _ = _sim_train()
     design = build_lagged(ds, 1)
-    g1, g2 = ll.default_grids(design, "gaussian", n_points=5, span=1e-3)
+    g1, g2 = ll.default_grids(design, "gaussian")
+    assert evaluation.GRID_POINTS == 5 and evaluation.GRID_SPAN == 1e-3
     assert len(g1) == 5 and len(g2) == 5
     assert g1[0] == pytest.approx(1e-3 * g1[-1])
     assert g1[0] < g1[-1]

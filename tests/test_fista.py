@@ -472,12 +472,34 @@ def test_inner_solve_poisson_identity_backtracks():
 
 
 def test_inner_config_validation():
-    with pytest.raises(ValueError):
-        InnerConfig(lam1=-1.0, lam2=0.0)
-    with pytest.raises(ValueError):
-        InnerConfig(lam1=0.0, lam2=0.0, tolerance=0.0)
-    with pytest.raises(ValueError):
-        InnerConfig(lam1=0.0, lam2=0.0, step_mode="adaptive")
+    # penalties and grid entries must be finite and >= 0, tolerances finite
+    # and > 0; every settings object names the field it rejects
+    nan, inf = math.nan, math.inf
+    zeros = np.zeros((2, 2))
+    cases = [
+        (InnerConfig, dict(lam1=-1.0, lam2=0.0), "lam1"),
+        (InnerConfig, dict(lam1=nan, lam2=0.0), "lam1"),
+        (InnerConfig, dict(lam1=0.0, lam2=inf), "lam2"),
+        (InnerConfig, dict(lam1=0.0, lam2=0.0, tolerance=0.0), "tolerance"),
+        (InnerConfig, dict(lam1=0.0, lam2=0.0, tolerance=nan), "tolerance"),
+        (InnerConfig, dict(lam1=0.0, lam2=0.0, tolerance=inf), "tolerance"),
+        (InnerConfig, dict(lam1=0.0, lam2=0.0, step_mode="adaptive"), "step_mode"),
+        (ll.FitConfig, dict(inner_tolerance=nan), "inner_tolerance"),
+        (ll.FitConfig, dict(alpha_tolerance=inf), "alpha_tolerance"),
+        (ll.FitConfig, dict(coef_tolerance=-1e-4), "coef_tolerance"),
+        (ll.FitConfig, dict(inner_max_iterations=0), "inner_max_iterations"),
+        (ll.CoefficientPair, dict(U=zeros, V=zeros, lam1=nan), "lam1"),
+        (ll.CoefficientPair, dict(U=zeros, V=zeros, lam2=-inf), "lam2"),
+        (ll.CvSpec, dict(lam1_grid=(1.0, nan)), "lam1_grid"),
+        (ll.CvSpec, dict(lam2_grid=(inf,)), "lam2_grid"),
+        (ll.CvSpec, dict(lam1_grid=(-1.0,)), "lam1_grid"),
+    ]
+    for make, kwargs, name in cases:
+        with pytest.raises(ValueError, match=name):
+            make(**kwargs)
+    # zero penalties and zero grid entries are valid
+    ll.CvSpec(lam1_grid=(0.0, 1.0), lam2_grid=(0.0,))
+    ll.CoefficientPair(U=zeros, V=zeros, lam1=0.0, lam2=0.0)
 
 
 def _per_subject_gram(design, working):
@@ -502,6 +524,24 @@ def _weighted(design, weights):
     )
 
 
+def _per_subject_sums(design, C, root_var):
+    """G, b and c of the accumulator for the n x r factor C, one subject at a time."""
+    scale = np.broadcast_to(1.0 if root_var is None else root_var, design.y.shape)
+    flat = design.flat_design()
+    G, b, c = 0.0, 0.0, 0.0
+    for i in range(design.m):
+        rows = C.T @ (scale[i, :, None] * flat[i])
+        white_y = C.T @ (scale[i] * design.y[i])
+        G = G + rows.T @ rows
+        b = b + rows.T @ white_y
+        c = c + white_y @ white_y
+    return G, b, float(c)
+
+
+def _close(actual, expected, rel=1e-12):
+    return np.allclose(actual, expected, rtol=rel, atol=rel * np.abs(expected).max())
+
+
 STRUCTURES = [("independent", 0.0), ("exchangeable", 0.3), ("tridiagonal", 0.25), ("ar1", 0.5)]
 
 
@@ -510,17 +550,47 @@ STRUCTURES = [("independent", 0.0), ("exchangeable", 0.3), ("tridiagonal", 0.25)
 @pytest.mark.parametrize("m,chunk", [(7, 3), (1, 2), (5, None)])
 def test_build_gram_matches_per_subject_sums(structure, alpha, lagged, m, chunk, monkeypatch):
     design = random_design(30, m=m, d=3, T=8, tau=2, include_lagged_outcome=lagged)
+    n, p = design.n, design.n_params
     if chunk is not None:
         # a buffer of ``chunk`` subjects, so the last chunk is a partial one
-        monkeypatch.setattr(fista, "GRAM_CHUNK_BYTES", chunk * 8 * design.n * design.n_params)
+        monkeypatch.setattr(fista, "GRAM_CHUNK_BYTES", chunk * 8 * n * p)
     working = make_working(structure, alpha, 1.3, design.n)
     system = build_gram(design, working)
     G, b, c = _per_subject_gram(design, working)
     assert np.array_equal(system.G, system.G.T)
-    assert np.allclose(system.G, G, rtol=1e-12, atol=1e-12 * np.abs(G).max())
-    assert np.allclose(system.b, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+    assert _close(system.G, G) and _close(system.b, b)
     assert system.c == pytest.approx(c, rel=1e-12)
     assert system.phi == 1.3
+    # every factor the solver whitens by, under no, a scalar and a
+    # per-example variance weighting, into a new G and onto a given one
+    edges = np.zeros((n, 2))
+    edges[0, 0] = edges[-1, 1] = 1.0
+    factors = {
+        "identity": None,
+        "ones": np.ones((n, 1)),
+        "adjacent": np.eye(n, n - 1) + np.eye(n, n - 1, k=-1),
+        "edges": edges,
+        "cholesky": np.linalg.cholesky(working.R_inv),
+    }
+    rng = np.random.default_rng(31)
+    prior = rng.normal(size=(p, p))
+    for name, factor in factors.items():
+        C = np.eye(n) if factor is None else factor
+        if chunk is not None:
+            # room for ``chunk`` subjects of r whitened rows, short of one
+            # more: the last chunk of m = 7 is a partial one
+            monkeypatch.setattr(fista, "GRAM_CHUNK_BYTES", (chunk + 1) * 8 * C.shape[1] * p - 1)
+        for root_var in (None, 0.5, rng.uniform(0.2, 2.0, (design.m, n))):
+            G, b, c = _per_subject_sums(design, C, root_var)
+            acc_G, acc_b, acc_c = fista._accumulate(design, factor, root_var)
+            assert acc_G.flags.f_contiguous, name
+            assert _close(np.triu(acc_G), np.triu(G)) and _close(acc_b, b), name
+            assert acc_c == pytest.approx(c, rel=1e-12), name
+            onto = np.asfortranarray(prior)
+            acc_G, acc_b, acc_c = fista._accumulate(design, factor, root_var, weight=-0.7, G=onto)
+            assert acc_G is onto, name
+            assert _close(np.triu(acc_G), np.triu(prior - 0.7 * G)) and _close(acc_b, -0.7 * b), name
+            assert acc_c == pytest.approx(-0.7 * c, rel=1e-12), name
 
 
 @pytest.mark.parametrize("per_example", [False, True])
@@ -530,10 +600,10 @@ def test_build_gram_variance_weighting_matches_per_subject_sums(per_example, mon
     working = make_working("ar1", 0.5, 1.3, design.n)
     rng = np.random.default_rng(42)
     root_var = rng.uniform(0.2, 2.0, (design.m, design.n)) if per_example else 0.5
-    system = build_gram(design, working, root_var)
+    H = fista.curvature_gram(design, working, root_var)
     G, _, _ = _per_subject_gram(_weighted(design, np.broadcast_to(root_var, design.y.shape)), working)
-    assert np.array_equal(system.G, system.G.T)
-    assert np.allclose(system.G, G, rtol=1e-12, atol=1e-12 * np.abs(G).max())
+    assert H.flags.f_contiguous and np.array_equal(H, H.T)
+    assert _close(H, G)
 
 
 @pytest.mark.parametrize("structure,alpha", STRUCTURES)
@@ -557,7 +627,7 @@ def test_gram_lipschitz_matches_top_eigenvalue(structure, alpha):
     assert lipschitz_upper(design, GAUSS, working, gram=system.G) == pytest.approx(exact, rel=1e-10)
 
 
-@pytest.mark.parametrize("p", [1, 2, 7, 64])
+@pytest.mark.parametrize("p", [1, 2, 7, 64, 130])
 def test_top_eigenvalue_in_place_matches_eigh_and_restores_gram(p):
     rng = np.random.default_rng(p)
     A = rng.normal(size=(2 * p + 1, p))
@@ -652,9 +722,13 @@ def test_basis_gram_matches_build_gram(
     cond = np.linalg.cond(working.R)
     assert np.abs(working.R_inv - exact).max() <= 64 * n * 2.2e-16 * cond * np.abs(exact).max()
     reference = WorkingCorrelation(structure, working.alpha, working.phi, working.R, exact)
+    # the basis terms are R^{-1} itself: sum_k w_k C_k C_k^T
+    held, applied = fista._basis_terms(structure, exact)
+    combined = sum(w * (np.eye(n) if C is None else C @ C.T) for C, w in held + applied)
+    assert np.allclose(combined, exact, rtol=0.0, atol=1e-12 * np.abs(exact).max())
     p = design.n_params
-    # chunk_rows rows per buffer: partial chunks for both the basis pass
-    # (chunk_rows // n subjects) and the edge rows (chunk_rows // 2)
+    # chunk_rows whitened rows per buffer: partial chunks of
+    # chunk_rows // r subjects for each factor, r its column count
     with mock.patch.object(fista, "GRAM_CHUNK_BYTES", chunk_rows * 8 * p):
         system = fista.gaussian_gram(design, working)
         ref = build_gram(design, reference)
@@ -794,14 +868,15 @@ def test_concurrent_fits_share_one_design():
 def test_unbased_solves_build_their_own_grams(family_name, structure, monkeypatch):
     builds = _count(monkeypatch, "_build_basis")
     rebuilds = _count(monkeypatch, "build_gram")
+    curvatures = _count(monkeypatch, "curvature_gram")
     design = random_design(54, m=8, d=3, T=12, tau=2, family=family_name)
     result = ll.fit(design, family_name, structure, 0.05, 0.05)
     assert builds == []
     if family_name == "gaussian":
-        assert len(rebuilds) == result.outer_iterations
+        assert len(rebuilds) == result.outer_iterations and curvatures == []
     else:
         # one per scoring model, at least one per inner solve
-        assert len(rebuilds) >= result.outer_iterations
+        assert len(curvatures) >= result.outer_iterations and rebuilds == []
 
 
 def _dense_lipschitz(design, family, working, W):
@@ -831,7 +906,7 @@ def test_lipschitz_matrix_free_matches_dense_curvature(family_name, structure, a
 
 def _curvature_gram(design, family, working, W):
     root = np.sqrt(family.variance(family.mean(fista.linear_predictor(design, W))))
-    return build_gram(design, working, root).G
+    return fista.curvature_gram(design, working, root)
 
 
 @pytest.mark.parametrize(
@@ -982,8 +1057,8 @@ def test_inner_solve_scoring_rebuilds_stale_model_before_halving(monkeypatch):
     norms = [10e6, 4e6, 7e6, 3e6]
     monkeypatch.setattr(fista, "_mapping_norm", lambda *args: norms.pop(0))
     builds = []
-    real = fista.build_gram
-    monkeypatch.setattr(fista, "build_gram", lambda *args: builds.append(1) or real(*args))
+    real = fista.curvature_gram
+    monkeypatch.setattr(fista, "curvature_gram", lambda *args: builds.append(1) or real(*args))
     config = InnerConfig(lam1=0.1, lam2=0.1, max_iterations=3, tolerance=1e-30)
     result = inner_solve(design, family, working, config)
     assert norms == []

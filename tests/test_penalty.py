@@ -107,4 +107,3 @@ def test_coefficient_pair_validation_and_penalty():
         U=np.array([[3.0, 4.0]]), V=np.array([[0.0, 1.0]]), lam1=2.0, lam2=0.5
     )
     assert np.allclose(pair.W, [[3.0, 5.0]])
-    assert pair.penalty_value() == pytest.approx(2.0 * 5.0 + 0.5 * 1.0)
