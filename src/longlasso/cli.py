@@ -86,8 +86,37 @@ def _parse_grid(text: str):
     return lam1, lam2
 
 
-def _apply_config_file(args: argparse.Namespace, parser_dests: set[str]) -> None:
-    """Merge --config JSON over the parsed flags; unknown keys are rejected."""
+def _config_value(key: str, value, action: argparse.Action):
+    """A --config value checked the way its flag checks its argument.
+
+    On/off flags take only JSON true or false.  Any other flag takes a
+    string or a number, spelled as on the command line and passed through
+    the flag's ``type`` and ``choices``; null is kept only where the flag
+    defaults to None.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {key!r} takes true or false, not {value!r}")
+        return value
+    if value is None and action.default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config key {key!r} takes a string or a number, not {value!r}")
+    try:
+        value = action.type(str(value)) if action.type else str(value)
+    except ValueError:
+        raise UsageError(f"config key {key!r} has an invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise UsageError(f"config key {key!r} has an invalid choice {value!r} (choose from {choices})")
+    return value
+
+
+def _apply_config_file(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
+    """Merge --config JSON over the parsed flags, each value checked as its flag's.
+
+    Unknown keys and values their flag would reject raise ``UsageError``.
+    """
     if not getattr(args, "config", None):
         return
     try:
@@ -100,9 +129,9 @@ def _apply_config_file(args: argparse.Namespace, parser_dests: set[str]) -> None
     if not isinstance(payload, dict):
         raise DataError("config file must hold a JSON object")
     for key, value in payload.items():
-        if key not in parser_dests or key == "config":
+        if key not in actions or key in ("config", "help"):
             raise UsageError(f"unknown config key {key!r}")
-        setattr(args, key, value)
+        setattr(args, key, _config_value(key, value, actions[key]))
 
 
 def _invocation(args: argparse.Namespace) -> dict:
@@ -466,8 +495,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         subparser = _subparser_for(parser, args.command)
-        dests = {action.dest for action in subparser._actions}
-        _apply_config_file(args, dests)
+        _apply_config_file(args, {action.dest: action for action in subparser._actions})
         args.handler(args)
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)

@@ -43,7 +43,8 @@ def auc(scores, labels) -> float:
     """Area under the ROC curve in the Mann-Whitney form.
 
     P(score+ > score-) + 0.5 * P(tie), computed exactly via midranks.
-    Invariant under strictly increasing transforms of the scores.
+    Invariant under strictly increasing transforms of the scores.  NaN
+    scores rank above every number and tie with each other.
     """
     scores = np.asarray(scores, dtype=float).ravel()
     labels = np.asarray(labels, dtype=float).ravel()
@@ -56,17 +57,10 @@ def auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = float(np.sum(ranks[labels == 1.0]))
+    # a group of tied scores spans 1-based ranks end - count + 1 .. end
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    rank_sum = float(np.sum(midranks[group][labels == 1.0]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

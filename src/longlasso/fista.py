@@ -28,16 +28,14 @@ whitened into one 1 MB buffer and added with one rank-k ``dsyrk``.
   independent, exchangeable and AR(1) structures R^{-1}(alpha) is a fixed
   combination sum_k w_k C_k C_k^T of alpha-free factors (``_basis_terms``:
   the identity, the ones column or the adjacent-sum factor, and AR(1)'s
-  two edge columns), so ``gaussian_gram`` combines G, b and c from a
-  ``GramBasis`` built, one accumulator pass per held factor, on the first
-  Gaussian solve on a design and kept on it (``_gram_cache``): two p x p
-  arrays that live as long as the design.  Every later outer round, and
-  every CV cell on the same fold design, then costs one p x p scale and
-  axpy, for AR(1) one accumulator call over the subjects' first and last
-  example rows (a rank-2m update with a negative weight), and no pass
-  over the rest of the design.  Tridiagonal R^{-1} is dense and not affine
-  in alpha, so each tridiagonal solve runs ``build_gram``, whitening by
-  the Cholesky factor of R^{-1}.
+  edge factor), so ``gaussian_gram`` is the weighted sum sum_k w_k G_k of
+  a ``GramBasis`` built, one accumulator pass per factor, on the first
+  Gaussian solve on a design and kept on it (``_gram_cache``): up to three
+  p x p arrays that live as long as the design.  Every later outer round,
+  and every CV cell on the same fold design, then costs one p x p scale
+  and an axpy per further term, and reads no design row.  Tridiagonal
+  R^{-1} is dense and not affine in alpha, so each tridiagonal solve runs
+  ``build_gram``, whitening by the Cholesky factor of R^{-1}.
 - Bernoulli/Poisson: penalized Fisher scoring, since under a non-identity
   R the estimating function is the gradient of no scalar loss.  Each
   outer step solves the model at the current point w with G = H, the
@@ -217,46 +215,38 @@ class GramSmooth:
         return float(0.5 * self.phi * (self.c - 2.0 * np.vdot(self.b, W) + np.vdot(W, Gw)))
 
 
-def _accumulate(design: LaggedDesign, factor=None, root_var=None, weight: float = 1.0, G=None):
-    """G += weight * sum_i (C^T A_i^{1/2} X_i)^T (C^T A_i^{1/2} X_i) in the upper triangle.
+def _accumulate(design: LaggedDesign, factor=None, root_var=None):
+    """A fresh (G, b, c) of sum_i (C^T A_i^{1/2} X_i)^T (C^T A_i^{1/2} X_i) and its y terms.
 
-    Returns (G, b, c) with the matching b = weight * sum_i (C^T A_i^{1/2}
-    X_i)^T C^T A_i^{1/2} y_i and c = weight * sum_i ||C^T A_i^{1/2} y_i||^2,
-    where X_i is subject i's n x p example matrix, ``factor`` the n x r C
-    (None for the identity) and ``root_var`` the square root of a variance
-    diagonal A, a scalar or one entry per example in an (m, n) array (None
-    for A = I).  G defaults to a new zero Fortran-ordered p x p array.
+    That is G = sum_i X_i^T A_i^{1/2} C C^T A_i^{1/2} X_i in the upper
+    triangle of a new zero Fortran-ordered p x p array, b = sum_i
+    (C^T A_i^{1/2} X_i)^T C^T A_i^{1/2} y_i and c = sum_i ||C^T A_i^{1/2}
+    y_i||^2, where X_i is subject i's n x p example matrix, ``factor`` the
+    n x r C (None for the identity) and ``root_var`` the square root of a
+    variance diagonal A, a scalar or one entry per example in an (m, n)
+    array (None for A = I).
 
     A chunk of subjects at a time, as many as fit ``GRAM_CHUNK_BYTES`` of
     whitened rows (r per subject), is whitened into one reusable buffer and
     added with one rank-k update, so a call holds one p x p array plus the
-    buffer.  Only the examples that C reads are read: each subject's rows
-    from the first to the last of them, at the largest stride that meets
-    them all (the first and last rows alone for AR(1)'s edge factor).
-    Where C on those rows is the identity and A = I, the rows are the
-    whitened rows themselves: read in place when contiguous (the identity
-    C), copied into the buffer otherwise (the edges).
+    buffer.  Where C is the identity and A = I the rows are the whitened
+    rows themselves and are read in place.
     """
     m, n, p = design.m, design.n, design.n_params
     C = np.eye(n) if factor is None else factor
-    # the example of each nonzero of C, in order
-    used = np.nonzero(C)[0]
-    examples = slice(used[0], used[-1] + 1, max(1, int(np.gcd.reduce(np.diff(used)))))
-    C = C[examples]
     r = C.shape[1]
-    plain = root_var is None and np.array_equal(C, np.eye(*C.shape))
+    plain = root_var is None and np.array_equal(C, np.eye(n))
     chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * r * p)), m)
-    scale = None if root_var is None else np.broadcast_to(root_var, (m, n))[:, examples]
+    scale = None if root_var is None else np.broadcast_to(root_var, (m, n))
     flat = design.flat_design()
-    if G is None:
-        G = np.zeros((p, p), order="F")
+    G = np.zeros((p, p), order="F")
     b = np.zeros(p)
     c = 0.0
     buffer = np.empty((chunk, r, p))
     for first in range(0, m, chunk):
         k = min(chunk, m - first)
         block = slice(first, first + k)
-        X, y = flat[block, examples], design.y[block, examples]
+        X, y = flat[block], design.y[block]
         if not plain:
             whiten = C.T
             if scale is not None:
@@ -265,16 +255,13 @@ def _accumulate(design: LaggedDesign, factor=None, root_var=None, weight: float 
                 y = y * scale[block]
             X = np.matmul(whiten, X, out=buffer[:k])
             y = y @ C
-        elif not X.flags.c_contiguous:
-            np.copyto(buffer[:k], X)
-            X = buffer[:k]
         rows = X.reshape(k * r, p)
         white_y = y.ravel()
         b += rows.T @ white_y
         c += float(white_y @ white_y)
         # rows.T is a Fortran-ordered view, so dsyrk reads the rows in place
-        G = blas.dsyrk(weight, rows.T, beta=1.0, c=G, overwrite_c=1)
-    return G, weight * b, weight * c
+        G = blas.dsyrk(1.0, rows.T, beta=1.0, c=G, overwrite_c=1)
+    return G, b, c
 
 
 def build_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmooth:
@@ -304,51 +291,52 @@ def curvature_gram(design: LaggedDesign, working: WorkingCorrelation, root_var) 
     return H
 
 
-def _basis_terms(structure: str, R_inv: np.ndarray) -> tuple[list, list]:
-    """Factors C_k and weights w_k with R^{-1} = sum_k w_k C_k C_k^T, as (held, applied).
+def _basis_terms(structure: str, R_inv: np.ndarray) -> list:
+    """Factors C_k and weights w_k with R^{-1} = sum_k w_k C_k C_k^T, as (C_k, w_k) pairs.
 
     The weights are read from R^{-1} itself, and X^T R^{-1} X, X^T R^{-1} y
     and y^T R^{-1} y are then the same combinations of alpha-free
-    ``_accumulate`` sums, one per factor.  Each list holds (C_k, w_k)
-    pairs; the basis holds the sums of the ``held`` factors, and the
-    ``applied`` ones (the AR(1) edges, of rank 2m) are applied per call.
+    ``_accumulate`` sums, one per factor, which the ``GramBasis`` holds.
     In order:
 
     - the identity (None), for every structure;
     - where R^{-1} couples examples, the ones column (exchangeable:
       R^{-1} = (r00 - r01) I + r01 11^T) or the n x (n-1) adjacent-sum
       factor S, column t holding ones in rows t and t+1 (AR(1));
-    - for AR(1) with n > 2, the two edge columns e_0 and e_{n-1}.  AR(1)'s
-      R^{-1} = r11 I - (r11 - r00) E + r01 Z, with E = e_0 e_0^T +
-      e_{n-1} e_{n-1}^T and Z the sub- and superdiagonal, and S S^T =
-      2 I - E + Z, so its weights are (r11 - 2 r01, r01, r00 - r11 + r01).
+    - for AR(1) with n > 2, the n x 2 edge factor of columns e_0 and
+      e_{n-1}.  AR(1)'s R^{-1} = r11 I - (r11 - r00) E + r01 Z, with
+      E = e_0 e_0^T + e_{n-1} e_{n-1}^T and Z the sub- and superdiagonal,
+      and S S^T = 2 I - E + Z, so its weights are (r11 - 2 r01, r01,
+      r00 - r11 + r01).
 
     With n = 2 there is no interior diagonal and the one adjacent sum is
     the column sum, so AR(1) takes the exchangeable form.
     """
     n = R_inv.shape[0]
     if structure == "independent" or n == 1:
-        return [(None, R_inv[0, 0])], []
+        return [(None, R_inv[0, 0])]
     r00, r01 = R_inv[0, 0], R_inv[0, 1]
     if structure == "exchangeable" or n == 2:
-        return [(None, r00 - r01), (np.ones((n, 1)), r01)], []
+        return [(None, r00 - r01), (np.ones((n, 1)), r01)]
     r11 = R_inv[1, 1]
     adjacent = np.eye(n, n - 1) + np.eye(n, n - 1, k=-1)
     edges = np.zeros((n, 2))
     edges[0, 0] = edges[-1, 1] = 1.0
-    return [(None, r11 - 2.0 * r01), (adjacent, r01)], [(edges, r00 - r11 + r01)]
+    return [(None, r11 - 2.0 * r01), (adjacent, r01), (edges, r00 - r11 + r01)]
 
 
 @dataclass(eq=False)
 class GramBasis:
-    """The held alpha-free terms of one structure's Gaussian Gram on one design.
+    """The alpha-free terms of one structure's Gaussian Gram on one design.
 
     Entry k of ``G``, ``b`` and ``c`` is the ``_accumulate`` sum of factor
     C_k of ``_basis_terms``: G_k = sum_i X_i^T C_k C_k^T X_i and the
-    matching X^T y and y^T y terms.  ``G[0]`` is G0 = sum_i X_i^T X_i.  All
-    are read-only, and each G_k holds its upper triangle only.
-    ``G0_top`` is lambda_max(G0), kept by the first solve at R = I (see
-    ``_gaussian_bound``).
+    matching X^T y and y^T y terms.  ``G[0]`` is G0 = sum_i X_i^T X_i; the
+    others are the Grams of the per-subject column sums (exchangeable), or
+    of the adjacent-row sums and of each subject's first and last rows
+    (AR(1)).  All are read-only, and each G_k holds its upper triangle
+    only.  ``G0_top`` is lambda_max(G0), kept by the first solve at R = I
+    (see ``_gaussian_bound``).
     """
 
     G: tuple
@@ -371,35 +359,29 @@ def gaussian_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmoo
 
     For ``BASIS_STRUCTURES`` the structure's ``GramBasis`` is built on the
     first call and kept on the design, which holds one basis at a time;
-    each call then combines G, b and c from it with the weights of
-    ``_basis_terms`` (one p x p scale and axpy), and adds the AR(1) edge
-    term through ``_accumulate`` on G itself, with its weight (negative for
-    alpha > 0).  G is a new Fortran-ordered array, so the basis is never
-    written.  Tridiagonal structures run ``build_gram``.
+    each call then combines G, b and c as sum_k w_k G_k with the weights of
+    ``_basis_terms`` (one p x p scale and an axpy per further term), and
+    reads no design row.  G is a new Fortran-ordered array, so the basis is
+    never written.  Tridiagonal structures run ``build_gram``.
     """
     if working.structure not in BASIS_STRUCTURES:
         return build_gram(design, working)
-    held, applied = _basis_terms(working.structure, working.R_inv)
+    terms = _basis_terms(working.structure, working.R_inv)
     cache = design._gram_cache
     basis = cache.get(working.structure)
     if basis is None:
-        basis = _build_basis(design, [factor for factor, _ in held])
+        basis = _build_basis(design, [factor for factor, _ in terms])
         cache.clear()
         cache[working.structure] = basis
-    weights = np.array([weight for _, weight in held])
+    weights = np.array([weight for _, weight in terms])
     G = basis.G[0] * weights[0]
     for term, weight in zip(basis.G[1:], weights[1:]):
         if weight != 0.0:
             # in place on G's memory: no p x p temporary
             blas.daxpy(term.reshape(-1, order="F"), G.reshape(-1, order="F"), a=weight)
+    _mirror_upper(G)
     b = weights @ basis.b
     c = float(weights @ basis.c)
-    for factor, weight in applied:
-        if weight != 0.0:
-            G, b_term, c_term = _accumulate(design, factor, weight=weight, G=G)
-            b += b_term
-            c += c_term
-    _mirror_upper(G)
     return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
 
 
@@ -532,9 +514,7 @@ def _gaussian_bound(design, family: Family, working: WorkingCorrelation, G: np.n
     design may both compute it; they store the same value.
     """
     basis = design._gram_cache.get(working.structure)
-    held, applied = _basis_terms(working.structure, working.R_inv)
-    weights = [weight for _, weight in held + applied]
-    if basis is None or weights[0] != 1.0 or any(weights[1:]):
+    if basis is None or not working.is_identity:
         return lipschitz_upper(design, family, working, gram=G)
     if basis.G0_top is None:
         basis.G0_top = _top_eigenvalue(G)

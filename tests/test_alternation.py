@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import longlasso as ll
 from longlasso import alternation, fista
@@ -301,6 +303,43 @@ def test_fit_result_json_round_trip():
     assert back.working.phi == pytest.approx(res.working.phi)
     assert back.feature_names == res.feature_names
     assert np.allclose(ll.predict(back, design), ll.predict(res, design))
+
+
+def _panel(seed, family, m=6, d=2, T=8):
+    """A small random panel with outcomes of the family's kind."""
+    rng = np.random.default_rng(seed)
+    subjects = []
+    for i in range(m):
+        X = rng.normal(0, 1, (d, T))
+        if family == "bernoulli":
+            y = (rng.uniform(size=T) < 1.0 / (1.0 + np.exp(-X[0]))).astype(float)
+        elif family == "poisson":
+            y = rng.poisson(np.exp(0.3 * X[0])).astype(float)
+        else:
+            y = X[0] + rng.normal(size=T)
+        subjects.append(SubjectSeries(id=f"s{i}", features=X, outcomes=y))
+    return LongitudinalDataset(tuple(subjects), tuple(f"f{j}" for j in range(d)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    family=st.sampled_from(["gaussian", "bernoulli", "poisson"]),
+    structure=st.sampled_from(["independent", "exchangeable", "tridiagonal", "ar1"]),
+    lagged=st.booleans(),
+    seed=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+    panel=st.integers(0, 2**16),
+)
+def test_model_round_trip_is_exact(family, structure, lagged, seed, panel):
+    # dump, load and dump give the same text, and the loaded model predicts
+    # exactly what the fitted one does
+    design = build_lagged(_panel(panel, family), 1, lagged)
+    config = ll.FitConfig(max_outer=3, inner_max_iterations=300)
+    res = ll.fit(design, family, structure, 0.1, 0.1, config=config, seed=seed)
+    text = alternation.dumps(res)
+    back = alternation.from_json_dict(json.loads(text))
+    assert alternation.dumps(back) == text
+    assert back.seed == seed and back.include_lagged_outcome == lagged
+    assert np.array_equal(ll.predict(back, design), ll.predict(res, design))
 
 
 def test_from_json_dict_rejects_bad_schema():

@@ -140,6 +140,58 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("max_outer", 1.5),
+        ("tau", 1.5),
+        ("tau", "one"),
+        ("lambda1", "big"),
+        ("lambda2", [0.1]),
+        ("seed", True),
+        ("structure", "bogus"),
+        ("family", 3),
+        ("include_lagged_outcome", "yes"),
+        ("include_lagged_outcome", "false"),
+        ("include_lagged_outcome", 1),
+        ("include_lagged_outcome", None),
+        ("max_outer", None),
+    ],
+)
+def test_config_value_checked_as_its_flag_before_the_data_is_read(tmp_path, capsys, monkeypatch, key, value):
+    def unread(*args):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "load_csv", unread)
+    config = tmp_path / "override.json"
+    config.write_text(json.dumps({key: value}))
+    code = cli.run([
+        "fit", "--input", str(tmp_path / "data.csv"), "--output", str(tmp_path / "m.json"),
+        "--config", str(config),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error[usage]: config key '{key}' ") and err.count("\n") == 1
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_config_values_take_their_flags_spelling(tmp_path):
+    data = simulate(tmp_path)
+    config = tmp_path / "override.json"
+    config.write_text(json.dumps({
+        "max_outer": "3", "tau": 1, "lambda1": "0.5", "lambda2": 1, "structure": "ar1",
+        "include_lagged_outcome": False, "seed": None,
+    }))
+    model = tmp_path / "model.json"
+    run_ok(["fit", "--input", data, "--output", model, "--include-lagged-outcome", "--config", config])
+    payload = json.loads(model.read_text())
+    invocation = payload["invocation"]
+    assert invocation["max_outer"] == 3 and invocation["tau"] == 1
+    assert invocation["lambda1"] == 0.5 and invocation["lambda2"] == 1.0
+    assert invocation["structure"] == "ar1" and invocation["seed"] is None
+    assert payload["include_lagged_outcome"] is False
+
+
 def test_fit_trace_and_coefficient_outputs(tmp_path):
     data = simulate(tmp_path)
     model = tmp_path / "model.json"

@@ -37,6 +37,34 @@ def test_auc_ties_counted_half():
     assert ll.auc(np.array([0.3, 0.3, 0.1]), np.array([1, 0, 0])) == pytest.approx(0.75)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6, allow_nan=False)),
+            st.sampled_from([0.0, 1.0]),
+        ),
+        min_size=2,
+        max_size=60,
+    )
+)
+def test_auc_matches_pairwise_definition(pairs):
+    scores = np.array([s for s, _ in pairs])
+    labels = np.array([y for _, y in pairs])
+    if labels.min() == labels.max():
+        labels[0] = 1.0 - labels[0]
+    pos, neg = scores[labels == 1.0, None], scores[None, labels == 0.0]
+    pairwise = (np.sum(pos > neg) + 0.5 * np.sum(pos == neg)) / (pos.size * neg.size)
+    assert abs(ll.auc(scores, labels) - pairwise) <= 1e-12
+
+
+def test_auc_nan_scores_tie_above_every_number():
+    scores = np.array([np.nan, 0.2, np.nan, 0.9, 0.1])
+    labels = np.array([1, 0, 0, 1, 0])
+    # pairs (nan+, 0.2), (nan+, nan-), (nan+, 0.1), (0.9, 0.2), (0.9, nan-), (0.9, 0.1)
+    assert ll.auc(scores, labels) == (1 + 0.5 + 1 + 1 + 0 + 1) / 6
+
+
 def test_auc_errors():
     with pytest.raises(ValueError, match="both classes"):
         ll.auc(np.array([0.1, 0.2]), np.array([1, 1]))
