@@ -9,7 +9,6 @@ fixed-alpha convex program.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -272,8 +271,3 @@ def from_json_dict(payload: dict) -> FitResult:
         config=dict(payload["config"]),
         seed=payload.get("seed"),
     )
-
-
-def dumps(result: FitResult) -> str:
-    """Deterministic JSON text for a fit result."""
-    return json.dumps(to_json_dict(result), sort_keys=True, indent=2) + "\n"

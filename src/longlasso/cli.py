@@ -8,18 +8,20 @@ and a best-lambda model).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every failure prints a single machine-parsable line to stderr of the form
-``error[<kind>]: <reason>``.  Outputs are written atomically (temp file
-plus rename) and every JSON output embeds the resolved configuration.
+``error[<kind>]: <reason>``.  Every output is streamed as UTF-8 into a
+temp file beside its target, which is renamed over the target only when
+the output is complete, so a failed command leaves the old file as it
+was; outputs get the mode the umask gives a new file.  Every JSON output
+embeds the resolved configuration.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__, alternation, evaluation, simulate
 from .correlation import STRUCTURES
@@ -37,21 +39,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".longlasso-", dir=directory)
+@contextlib.contextmanager
+def _atomic_output(path: str):
+    """A UTF-8 text stream (``newline=""``) whose contents replace ``path``.
+
+    The stream writes a new ``.longlasso-*`` file in the target's
+    directory, created with mode 0o666 so that the umask applies as it
+    does to ``open``.  When the block completes the file is renamed over
+    ``path``; on any exception it is removed and ``path`` is left as it was.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".longlasso-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _write_csv_rows(path: str, header, rows) -> None:
+    with _atomic_output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with _atomic_output(path) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _parse_index_range(text: str, flag: str) -> tuple[int, ...]:
@@ -112,12 +131,13 @@ def _config_value(key: str, value, action: argparse.Action):
     return value
 
 
-def _apply_config_file(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
+def _apply_config_file(args: argparse.Namespace) -> None:
     """Merge --config JSON over the parsed flags, each value checked as its flag's.
 
-    Unknown keys and values their flag would reject raise ``UsageError``.
+    Unknown keys and values their subcommand's flag would reject raise
+    ``UsageError``.
     """
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -128,6 +148,7 @@ def _apply_config_file(args: argparse.Namespace, actions: dict[str, argparse.Act
         raise DataError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DataError("config file must hold a JSON object")
+    actions = {action.dest: action for action in args.parser._actions}
     for key, value in payload.items():
         if key not in actions or key in ("config", "help"):
             raise UsageError(f"unknown config key {key!r}")
@@ -135,15 +156,8 @@ def _apply_config_file(args: argparse.Namespace, actions: dict[str, argparse.Act
 
 
 def _invocation(args: argparse.Namespace) -> dict:
-    skip = {"handler", "config"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
+    skip = ("handler", "parser", "config")
+    return {key: value for key, value in vars(args).items() if key not in skip}
 
 
 def _load_dataset(path: str, schema: CsvSchema = CsvSchema()):
@@ -176,13 +190,11 @@ def _cmd_simulate(args) -> None:
         ds, U, V = simulate.generate_regression(cfg)
     else:
         ds, U, V = simulate.generate_classification(cfg)
-    buffer = io.StringIO()
-    write_csv(ds, buffer)
-    _atomic_write(args.output, buffer.getvalue())
+    with _atomic_output(args.output) as fh:
+        write_csv(ds, fh)
     truth = simulate.truth_metadata(cfg, U, V, args.family)
     truth["invocation"] = _invocation(args)
-    truth_path = args.truth_out or args.output + ".truth.json"
-    _atomic_write(truth_path, _dump_json(truth))
+    _write_json(args.truth_out or args.output + ".truth.json", truth)
 
 
 # --------------------------------------------------------------------- fit
@@ -196,64 +208,65 @@ def _fit_config(args) -> alternation.FitConfig:
     )
 
 
-def _cmd_fit(args) -> None:
-    config = _fit_config(args)
-    # the penalties are checked, with the tolerances, before the data is read
-    config.inner(args.lambda1, args.lambda2)
+def _training_panel(args):
     ds = _load_dataset(args.input)
     if args.holdout:
         ds, _ = split_temporal(ds, args.holdout, args.tau)
+    return ds
+
+
+def _fit_and_write(args, ds, lam1: float, lam2: float, config, extra: dict):
+    """Fit the lagged design of ``ds`` and write the model JSON to ``args.output``.
+
+    ``extra`` holds top-level keys added to the model JSON beside the
+    invocation.  Returns the fit result.
+    """
     design = build_lagged(ds, args.tau, args.include_lagged_outcome)
     result = alternation.fit(
         design,
         family=args.family,
         structure=args.structure,
-        lam1=args.lambda1,
-        lam2=args.lambda2,
+        lam1=lam1,
+        lam2=lam2,
         config=config,
         seed=args.seed,
     )
     payload = alternation.to_json_dict(result)
-    payload["invocation"] = _invocation(args)
-    _atomic_write(args.output, _dump_json(payload))
+    payload.update(extra, invocation=_invocation(args))
+    _write_json(args.output, payload)
+    return result
+
+
+def _cmd_fit(args) -> None:
+    config = _fit_config(args)
+    # the penalties are checked, with the tolerances, before the data is read
+    config.inner(args.lambda1, args.lambda2)
+    result = _fit_and_write(args, _training_panel(args), args.lambda1, args.lambda2, config, {})
     if args.trace_out:
-        _atomic_write(args.trace_out, _trace_csv(result))
+        _write_csv_rows(
+            args.trace_out,
+            ["round", "iteration", "objective", "step_L"],
+            (
+                [rnd, it, repr(float(obj)), repr(float(L))]
+                for rnd, (objectives, steps) in enumerate(
+                    zip(result.inner_traces, result.inner_step_traces), start=1
+                )
+                for it, (obj, L) in enumerate(zip(objectives, steps), start=1)
+            ),
+        )
     if args.coefficients_out:
-        _atomic_write(args.coefficients_out, _coefficients_csv(result))
-
-
-def _trace_csv(result) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["round", "iteration", "objective", "step_L"])
-    for rnd, (objectives, steps) in enumerate(
-        zip(result.inner_traces, result.inner_step_traces), start=1
-    ):
-        for it, (obj, L) in enumerate(zip(objectives, steps), start=1):
-            writer.writerow([rnd, it, repr(float(obj)), repr(float(L))])
-    return buffer.getvalue()
-
-
-def _coefficients_csv(result) -> str:
-    """Plot-ready long table: one row per (feature, lag) coefficient."""
-    U = result.coefficients.U
-    V = result.coefficients.V
-    W = U + V
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["feature", "lag", "abs_w", "abs_u", "abs_v"])
-    for r, name in enumerate(result.feature_names):
-        for lag in range(U.shape[1]):
-            writer.writerow(
-                [
-                    name,
-                    lag,
-                    repr(abs(float(W[r, lag]))),
-                    repr(abs(float(U[r, lag]))),
-                    repr(abs(float(V[r, lag]))),
-                ]
-            )
-    return buffer.getvalue()
+        # plot-ready long table: one row per (feature, lag) coefficient
+        U, V = result.coefficients.U, result.coefficients.V
+        tables = (U + V, U, V)
+        _write_csv_rows(
+            args.coefficients_out,
+            ["feature", "lag", "abs_w", "abs_u", "abs_v"],
+            (
+                [name, lag, *(repr(abs(float(M[r, lag]))) for M in tables)]
+                for r, name in enumerate(result.feature_names)
+                for lag in range(U.shape[1])
+            ),
+        )
 
 
 # ----------------------------------------------------------------- predict
@@ -268,13 +281,15 @@ def _cmd_predict(args) -> None:
     design = build_lagged(ds, result.tau, result.include_lagged_outcome)
     predictions = alternation.predict(result, design)
     times = design.example_times()
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["subject_id", "time", "prediction"])
-    for i, sid in enumerate(design.subject_ids):
-        for j in range(design.n):
-            writer.writerow([sid, int(times[i, j]), repr(float(predictions[i, j]))])
-    _atomic_write(args.output, buffer.getvalue())
+    _write_csv_rows(
+        args.output,
+        ["subject_id", "time", "prediction"],
+        (
+            [sid, int(times[i, j]), repr(float(predictions[i, j]))]
+            for i, sid in enumerate(design.subject_ids)
+            for j in range(design.n)
+        ),
+    )
 
 
 # ---------------------------------------------------------------- evaluate
@@ -307,30 +322,25 @@ def _cmd_evaluate(args) -> None:
     rows = _read_predictions(args.predictions)
     # only the outcomes are looked up: the feature columns are not parsed
     ds = _load_dataset(args.input, CsvSchema(feature_cols=()))
-    actual_by_key = {}
-    for s in ds.subjects:
-        for t in range(ds.T):
-            actual_by_key[(s.id, s.time_start + t)] = float(s.outcomes[t])
+    actual_by_key = {
+        (s.id, s.time_start + t): float(y) for s in ds.subjects for t, y in enumerate(s.outcomes)
+    }
     predictions = []
     actuals = []
     for sid, time, value in rows:
-        key = (sid, time)
-        if key not in actual_by_key:
+        if (sid, time) not in actual_by_key:
             raise DataError(f"no observed outcome for ({sid},{time})")
         predictions.append(value)
-        actuals.append(actual_by_key[key])
-    if args.metric == "nmse":
-        value = evaluation.nmse(predictions, actuals)
-    else:
-        value = evaluation.auc(predictions, actuals)
+        actuals.append(actual_by_key[sid, time])
+    score = evaluation.nmse if args.metric == "nmse" else evaluation.auc
     payload = {
         "schema": "longlasso.metrics.v1",
         "metric": args.metric,
-        "value": value,
+        "value": score(predictions, actuals),
         "n_examples": len(predictions),
         "invocation": _invocation(args),
     }
-    _atomic_write(args.output, _dump_json(payload))
+    _write_json(args.output, payload)
 
 
 # ---------------------------------------------------------------------- cv
@@ -347,9 +357,7 @@ def _cmd_cv(args) -> None:
         seed=args.seed,
     )
     config = _fit_config(args)
-    ds = _load_dataset(args.input)
-    if args.holdout:
-        ds, _ = split_temporal(ds, args.holdout, args.tau)
+    ds = _training_panel(args)
     cv = evaluation.grid_cv(
         ds,
         args.tau,
@@ -359,11 +367,10 @@ def _cmd_cv(args) -> None:
         include_lagged_outcome=args.include_lagged_outcome,
     )
     if args.report_out:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["lambda1", "lambda2", "fold", args.metric, "error"])
-        for lam1, lam2, fold, score in cv.table:
-            writer.writerow(
+        _write_csv_rows(
+            args.report_out,
+            ["lambda1", "lambda2", "fold", args.metric, "error"],
+            (
                 [
                     repr(lam1),
                     repr(lam2),
@@ -371,20 +378,10 @@ def _cmd_cv(args) -> None:
                     "" if score is None else repr(score),
                     cv.failures.get((lam1, lam2, fold), ""),
                 ]
-            )
-        _atomic_write(args.report_out, buffer.getvalue())
-    design = build_lagged(ds, args.tau, args.include_lagged_outcome)
-    result = alternation.fit(
-        design,
-        family=args.family,
-        structure=args.structure,
-        lam1=cv.best_lam1,
-        lam2=cv.best_lam2,
-        config=config,
-        seed=args.seed,
-    )
-    payload = alternation.to_json_dict(result)
-    payload["cv"] = {
+                for lam1, lam2, fold, score in cv.table
+            ),
+        )
+    summary = {
         "metric": args.metric,
         "folds": args.folds,
         "lambda1_grid": list(cv.lam1_grid),
@@ -392,14 +389,18 @@ def _cmd_cv(args) -> None:
         "best_lambda1": cv.best_lam1,
         "best_lambda2": cv.best_lam2,
     }
-    payload["invocation"] = _invocation(args)
-    _atomic_write(args.output, _dump_json(payload))
+    _fit_and_write(args, ds, cv.best_lam1, cv.best_lam2, config, {"cv": summary})
 
 
 # ------------------------------------------------------------------ parser
 
 
-def _add_solver_flags(p) -> None:
+def _add_model_flags(p) -> None:
+    p.add_argument("--input", required=True)
+    p.add_argument("--family", choices=FAMILIES, default="gaussian")
+    p.add_argument("--structure", choices=STRUCTURES, default="independent")
+    p.add_argument("--tau", type=int, default=0)
+    p.add_argument("--include-lagged-outcome", action="store_true")
     p.add_argument("--max-outer", type=int, default=25)
     p.add_argument("--inner-max-iterations", type=int, default=2000)
     p.add_argument("--inner-tolerance", type=float, default=1e-6)
@@ -427,24 +428,17 @@ def build_parser() -> _Parser:
     p.add_argument("--zero-lag-columns", default="1,4", help="0-based lag columns forced to zero")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coef-seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON file overriding flags")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a model from a long-format CSV")
-    p.add_argument("--input", required=True)
+    _add_model_flags(p)
     p.add_argument("--output", required=True, help="model JSON path")
-    p.add_argument("--family", choices=FAMILIES, default="gaussian")
-    p.add_argument("--structure", choices=STRUCTURES, default="independent")
-    p.add_argument("--tau", type=int, default=0)
     p.add_argument("--lambda1", type=float, default=0.0)
     p.add_argument("--lambda2", type=float, default=0.0)
     p.add_argument("--holdout", type=int, default=0, help="drop trailing time points before fitting")
-    p.add_argument("--include-lagged-outcome", action="store_true")
     p.add_argument("--trace-out", default=None, help="per-iteration objective CSV")
     p.add_argument("--coefficients-out", default=None, help="plot-ready |W|,|U|,|V| CSV")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON file overriding flags")
-    _add_solver_flags(p)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict with a fitted model JSON")
@@ -452,7 +446,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="predictions CSV path")
     p.add_argument("--holdout", type=int, default=0, help="predict only the trailing window")
-    p.add_argument("--config", default=None, help="JSON file overriding flags")
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against observed outcomes")
@@ -460,26 +453,28 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--metric", choices=evaluation.METRICS, default="nmse")
     p.add_argument("--output", required=True, help="metrics JSON path")
-    p.add_argument("--config", default=None, help="JSON file overriding flags")
     p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("cv", help="cross-validate the penalty grid, then fit the best cell")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser(
+        "cv",
+        help="cross-validate the penalty grid, then fit the best cell",
+        description="--max-outer, --inner-max-iterations and --inner-tolerance set only the "
+        "final refit of the best cell; each CV cell runs the lighter solver settings of "
+        "evaluation.CvSpec.",
+    )
+    _add_model_flags(p)
     p.add_argument("--output", required=True, help="best-cell model JSON path")
     p.add_argument("--report-out", default=None, help="per-cell CV report CSV")
-    p.add_argument("--family", choices=FAMILIES, default="gaussian")
-    p.add_argument("--structure", choices=STRUCTURES, default="independent")
-    p.add_argument("--tau", type=int, default=0)
     p.add_argument("--grid", default="auto", help="'auto' or '<l1 list>;<l2 list>'")
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--metric", choices=evaluation.METRICS, default="nmse")
     p.add_argument("--holdout", type=int, default=0, help="drop trailing time points before CV")
-    p.add_argument("--include-lagged-outcome", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="JSON file overriding flags")
-    _add_solver_flags(p)
     p.set_defaults(handler=_cmd_cv)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None, help="JSON file overriding flags")
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -488,35 +483,20 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error[usage]: {exc}", file=sys.stderr)
-        return 1
+        _apply_config_file(args)
+        args.handler(args)
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (0, None) else 1
-    try:
-        subparser = _subparser_for(parser, args.command)
-        _apply_config_file(args, {action.dest: action for action in subparser._actions})
-        args.handler(args)
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except ValueError as exc:  # DataError is a ValueError
         print(f"error[data]: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error[data]: {exc}", file=sys.stderr)
-        return 2
     return 0
-
-
-def _subparser_for(parser: _Parser, command: str):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise RuntimeError("subcommand registry missing")
 
 
 def main() -> None:

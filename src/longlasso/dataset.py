@@ -345,10 +345,12 @@ def write_csv(ds: LongitudinalDataset, target) -> None:
     ``subject_id, time, y, features...``, with each value written as its
     ``repr`` (the shortest string that reads back to the same float) and
     ``\\r\\n`` line ends, byte for byte as earlier versions wrote it.
-    ``load_csv`` reads it back bit-equal.  Before anything is written, a
-    DataError names any subject id or feature name that would not load
-    back as itself: one holding a line break or with whitespace at either
-    end, or a feature named like a key column or like another feature.
+    ``target`` is a path, opened as UTF-8 whatever the locale, or a text
+    stream opened with ``newline=""``.  ``load_csv`` reads it back
+    bit-equal.  Before anything is written, a DataError names any subject
+    id or feature name that would not load back as itself: one holding a
+    line break or with whitespace at either end, or a feature named like a
+    key column or like another feature.
     """
     for s in ds.subjects:
         if _changes_on_load(s.id):
@@ -358,7 +360,7 @@ def write_csv(ds: LongitudinalDataset, target) -> None:
         if _changes_on_load(name) or header.count(name) > 1:
             raise DataError(f"feature name {name!r} would not load back from CSV")
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", newline="") if own else target
+    fh = open(target, "w", encoding="utf-8", newline="") if own else target
     try:
         csv.writer(fh).writerow(header)
         for s in ds.subjects:

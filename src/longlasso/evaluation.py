@@ -118,15 +118,13 @@ def support_lambdas(
     eta = fista.linear_predictor(design, pilot.W)
     root = np.sqrt(family.variance(family.mean(eta)))
     chol = spd_cholesky(working.R, "working correlation")
-    flat = design.flat_design().reshape(design.n_examples, design.n_params)
     rng = np.random.default_rng(seed)
     row_pulls = np.empty(draws)
     col_pulls = np.empty(draws)
     for b in range(draws):
         z = rng.standard_normal((design.m, design.n))
         noise = (root * (z @ chol.T)) / np.sqrt(working.phi)
-        c = working.phi * root * ((noise / root) @ working.R_inv)
-        g = (flat.T @ c.ravel()).reshape(design.coef_shape)
+        g = fista.estimating_function(design, working, noise, root)
         row_pulls[b] = row_norms(g).max()
         col_pulls[b] = row_norms(g.T).max()
     return (

@@ -430,19 +430,27 @@ def linear_predictor(design: LaggedDesign, W: np.ndarray) -> np.ndarray:
     return (flat @ np.ravel(W)).reshape(design.m, design.n)
 
 
+def estimating_function(design, working: WorkingCorrelation, s, root=None):
+    """X^T (phi A^{1/2} R^{-1} A^{-1/2} s) for residuals s, shaped like W.
+
+    ``root`` holds the per-example standard deviations A^{1/2}; None
+    stands for all ones (Gaussian outcomes).
+    """
+    if root is None:
+        c = working.phi * (s @ working.R_inv)
+    else:
+        c = working.phi * root * ((s / root) @ working.R_inv)
+    flat = design.flat_design().reshape(design.n_examples, design.n_params)
+    return (flat.T @ c.ravel()).reshape(design.coef_shape)
+
+
 def _gradient_from_eta(design, family: Family, working: WorkingCorrelation, eta):
     """Descent gradient -X^T (A Sigma^{-1} s) at the linear predictor eta."""
     mu = family.mean(eta)
     if not np.all(np.isfinite(mu)):
         raise NumericalError("non-finite mean in gradient evaluation")
-    s = design.y - mu
-    if family.kind == "gaussian":
-        c = working.phi * (s @ working.R_inv)
-    else:
-        root = np.sqrt(family.variance(mu))
-        c = working.phi * root * ((s / root) @ working.R_inv)
-    flat = design.flat_design().reshape(design.n_examples, design.n_params)
-    return -(flat.T @ c.ravel()).reshape(design.coef_shape)
+    root = None if family.kind == "gaussian" else np.sqrt(family.variance(mu))
+    return -estimating_function(design, working, design.y - mu, root)
 
 
 def gradient_matrix(design, family: Family, working: WorkingCorrelation, W) -> np.ndarray:

@@ -1,6 +1,11 @@
 import csv
 import json
 import os
+import stat
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +301,113 @@ def test_inputs_not_mutated_and_no_temp_litter(tmp_path):
     assert data.read_bytes() == before
     stray = [p for p in os.listdir(tmp_path) if p.startswith(".longlasso-")]
     assert stray == []
+
+
+def test_interrupted_output_leaves_the_old_file_and_no_temp(tmp_path, monkeypatch):
+    data = simulate(tmp_path)
+    model = tmp_path / "model.json"
+    preds = tmp_path / "preds.csv"
+    run_ok(["fit", "--input", data, "--output", model, "--tau", "1"])
+    argv = ["predict", "--model", model, "--input", data, "--output", preds]
+    run_ok(argv)
+    before = preds.read_bytes()
+    real = cli.alternation.predict
+    seen = []
+
+    class Halfway:
+        """The predictions, with every read past the first half raising."""
+
+        def __init__(self, values):
+            self.values = values
+            self.reads = 0
+
+        def __getitem__(self, key):
+            self.reads += 1
+            if self.reads > self.values.size // 2:
+                seen.extend(p for p in os.listdir(tmp_path) if p.startswith(".longlasso-"))
+                raise ValueError("interrupted")
+            return self.values[key]
+
+    monkeypatch.setattr(cli.alternation, "predict", lambda *args: Halfway(real(*args)))
+    assert cli.run([str(a) for a in argv]) == 2
+    # the rows were streaming into a temp file when the generator raised
+    assert len(seen) == 1
+    assert preds.read_bytes() == before
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".longlasso-")] == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_get_the_umask_mode(tmp_path, umask):
+    data = tmp_path / "data.csv"
+    model = tmp_path / "model.json"
+    preds = tmp_path / "preds.csv"
+    old = os.umask(umask)
+    try:
+        run_ok(SIM_ARGS + ["--output", data])
+        run_ok([
+            "fit", "--input", data, "--output", model, "--tau", "1", "--holdout", "3",
+            "--trace-out", tmp_path / "trace.csv", "--coefficients-out", tmp_path / "coefs.csv",
+        ])
+        run_ok(["predict", "--model", model, "--input", data, "--output", preds, "--holdout", "3"])
+        run_ok(["evaluate", "--predictions", preds, "--input", data, "--output", tmp_path / "m.json"])
+        run_ok([
+            "cv", "--input", data, "--output", tmp_path / "cv.json", "--tau", "1",
+            "--grid", "0.5;0.5", "--folds", "2", "--report-out", tmp_path / "cv.csv",
+        ])
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert len(modes) == 9
+    assert set(modes.values()) == {0o666 & ~umask}
+
+
+# the script spells its non-ASCII text as escapes: under the C locale the
+# interpreter cannot decode non-ASCII bytes in its command line
+_ASCII_LOCALE_PIPELINE = textwrap.dedent(
+    r"""
+    import codecs, locale
+    import numpy as np
+    import longlasso as ll
+    from longlasso import cli
+
+    rng = np.random.default_rng(0)
+    ds = ll.LongitudinalDataset(
+        tuple(
+            ll.SubjectSeries(id=f"s\u00fc{i}", features=rng.normal(size=(2, 10)), outcomes=rng.normal(size=10))
+            for i in range(6)
+        ),
+        ("gr\u00f6\u00dfe", "x1"),
+    )
+    ll.write_csv(ds, "data.csv")
+    back = ll.load_csv("data.csv")
+    assert [s.id for s in back.subjects] == [s.id for s in ds.subjects]
+    assert back.feature_names == ds.feature_names
+    assert all(np.array_equal(a.features, b.features) for a, b in zip(back.subjects, ds.subjects))
+    for argv in (
+        ["fit", "--input", "data.csv", "--output", "model.json", "--tau", "1",
+         "--holdout", "3", "--coefficients-out", "coefs.csv"],
+        ["predict", "--model", "model.json", "--input", "data.csv", "--output", "preds.csv",
+         "--holdout", "3"],
+        ["evaluate", "--predictions", "preds.csv", "--input", "data.csv", "--output", "m.json"],
+    ):
+        assert cli.run(argv) == 0, argv
+    print(codecs.lookup(locale.getpreferredencoding(False)).name)
+    """
+)
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _ASCII_LOCALE_PIPELINE],
+        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert done.returncode == 0, done.stderr
+    if done.stdout.strip() == "utf-8":
+        pytest.skip("the C locale is UTF-8 on this platform")
+    assert "sü0" in (tmp_path / "preds.csv").read_text(encoding="utf-8")
+    assert "größe" in (tmp_path / "coefs.csv").read_text(encoding="utf-8")
 
 
 def test_evaluate_auc_on_classification(tmp_path):
