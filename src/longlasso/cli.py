@@ -7,6 +7,8 @@ CSVs), ``predict`` (model + CSV to a predictions CSV), ``evaluate``
 and a best-lambda model).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+A file that cannot be read or written (missing, a directory, in a
+directory that does not exist, ...) is a data error naming that file.
 Every failure prints a single machine-parsable line to stderr of the form
 ``error[<kind>]: <reason>``.  Every output is streamed as UTF-8 into a
 temp file beside its target, which is renamed over the target only when
@@ -20,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 
@@ -47,16 +50,22 @@ def _atomic_output(path: str):
     directory, created with mode 0o666 so that the umask applies as it
     does to ``open``.  When the block completes the file is renamed over
     ``path``; on any exception it is removed and ``path`` is left as it was.
+    An ``OSError`` names ``path``, never the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".longlasso-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -142,8 +151,6 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {args.config}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -158,13 +165,6 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 def _invocation(args: argparse.Namespace) -> dict:
     skip = ("handler", "parser", "config")
     return {key: value for key, value in vars(args).items() if key not in skip}
-
-
-def _load_dataset(path: str, schema: CsvSchema = CsvSchema()):
-    try:
-        return load_csv(path, schema)
-    except FileNotFoundError:
-        raise DataError(f"input file not found: {path}") from None
 
 
 # ---------------------------------------------------------------- simulate
@@ -209,7 +209,7 @@ def _fit_config(args) -> alternation.FitConfig:
 
 
 def _training_panel(args):
-    ds = _load_dataset(args.input)
+    ds = load_csv(args.input)
     if args.holdout:
         ds, _ = split_temporal(ds, args.holdout, args.tau)
     return ds
@@ -275,7 +275,7 @@ def _cmd_fit(args) -> None:
 def _cmd_predict(args) -> None:
     with open(args.model, "r", encoding="utf-8") as fh:
         result = alternation.from_json_dict(json.load(fh))
-    ds = _load_dataset(args.input)
+    ds = load_csv(args.input)
     if args.holdout:
         _, ds = split_temporal(ds, args.holdout, result.tau)
     design = build_lagged(ds, result.tau, result.include_lagged_outcome)
@@ -295,24 +295,24 @@ def _cmd_predict(args) -> None:
 # ---------------------------------------------------------------- evaluate
 
 
-def _read_predictions(path: str):
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise DataError(f"predictions file not found: {path}") from None
-    with fh:
+def _read_predictions(path: str) -> dict:
+    """Predictions keyed by (subject id, time), in file order."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"subject_id", "time", "prediction"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise DataError("predictions CSV needs columns subject_id,time,prediction")
-        rows = []
+        rows = {}
         for row in reader:
             try:
-                rows.append(
-                    (row["subject_id"], int(row["time"]), float(row["prediction"]))
-                )
+                sid, time, value = row["subject_id"], int(row["time"]), float(row["prediction"])
             except (TypeError, ValueError):
                 raise DataError("malformed predictions row") from None
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value at ({sid},{time},prediction)")
+            if (sid, time) in rows:
+                raise DataError(f"duplicate (subject,time) pair ({sid},{time})")
+            rows[sid, time] = value
     if not rows:
         raise DataError("predictions CSV is empty")
     return rows
@@ -321,13 +321,13 @@ def _read_predictions(path: str):
 def _cmd_evaluate(args) -> None:
     rows = _read_predictions(args.predictions)
     # only the outcomes are looked up: the feature columns are not parsed
-    ds = _load_dataset(args.input, CsvSchema(feature_cols=()))
+    ds = load_csv(args.input, CsvSchema(feature_cols=()))
     actual_by_key = {
         (s.id, s.time_start + t): float(y) for s in ds.subjects for t, y in enumerate(s.outcomes)
     }
     predictions = []
     actuals = []
-    for sid, time, value in rows:
+    for (sid, time), value in rows.items():
         if (sid, time) not in actual_by_key:
             raise DataError(f"no observed outcome for ({sid},{time})")
         predictions.append(value)
@@ -490,7 +490,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # DataError is a ValueError
+    except (ValueError, OSError) as exc:  # DataError is a ValueError
         print(f"error[data]: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

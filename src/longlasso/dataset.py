@@ -488,6 +488,15 @@ def build_lagged(ds: LongitudinalDataset, tau: int, include_lagged_outcome: bool
     )
 
 
+def _window(ds: LongitudinalDataset, start: int, stop: int) -> LongitudinalDataset:
+    """Every subject's times ``start:stop``, keeping the absolute time labels."""
+    subjects = tuple(
+        SubjectSeries(s.id, s.features[:, start:stop], s.outcomes[start:stop], s.time_start + start)
+        for s in ds.subjects
+    )
+    return LongitudinalDataset(subjects, ds.feature_names)
+
+
 def split_temporal(ds: LongitudinalDataset, holdout: int, tau: int):
     """Split off the trailing ``holdout`` time points of every subject.
 
@@ -501,26 +510,4 @@ def split_temporal(ds: LongitudinalDataset, holdout: int, tau: int):
     cut = ds.T - holdout
     if cut < 2 or holdout + tau < 2:
         raise ValueError("holdout out of range: each side needs at least two time points")
-    train_subjects = []
-    test_subjects = []
-    for s in ds.subjects:
-        train_subjects.append(
-            SubjectSeries(
-                id=s.id,
-                features=s.features[:, :cut],
-                outcomes=s.outcomes[:cut],
-                time_start=s.time_start,
-            )
-        )
-        test_subjects.append(
-            SubjectSeries(
-                id=s.id,
-                features=s.features[:, cut - tau :],
-                outcomes=s.outcomes[cut - tau :],
-                time_start=s.time_start + cut - tau,
-            )
-        )
-    return (
-        LongitudinalDataset(tuple(train_subjects), ds.feature_names),
-        LongitudinalDataset(tuple(test_subjects), ds.feature_names),
-    )
+    return _window(ds, 0, cut), _window(ds, cut - tau, ds.T)

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the check of numeric settings.
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
-(and any other ``ValueError``) exit 2, numerical failures exit 3.
+(and any other ``ValueError``, and a file that cannot be read or written)
+exit 2, numerical failures exit 3.
 """
 import math
 

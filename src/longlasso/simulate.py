@@ -8,19 +8,23 @@ tau columns so even the earliest outcomes have a full lag context.
 
 Randomness uses numpy's PCG64 through a documented splitting rule: the
 root seed sequence spawns one child stream per subject plus one leading
-stream for the coefficient matrices.  Per subject, draws happen in a
-fixed order (features, residual innovations, then label uniforms for
-classification), so datasets are reproducible regardless of execution
-order.
+stream for the coefficient matrices.  Each subject's stream is drawn in
+one fixed order: its d x (T + tau) features, then T standard-normal
+residual innovations, then (classification only) T label uniforms.  So
+datasets are reproducible regardless of execution order, and a
+classification panel shares its features with the regression panel of
+the same config.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .correlation import build_R, spd_cholesky
 from .dataset import LongitudinalDataset, SubjectSeries
+from .errors import check_finite
 from .families import get_family
 
 
@@ -30,7 +34,8 @@ class SimConfig:
 
     Defaults reproduce the d=200, T=30, m=400, tau=4 benchmark: features
     N(0, 16), coefficients N(0, 49), U rows 0..149 and V columns {1, 4}
-    masked to zero, AR(1) residual correlation with alpha = 0.64.  All
+    masked to zero, AR(1) residual correlation with alpha = 0.64
+    (alpha is ignored under the independent structure).  All
     indices are 0-based; lag k lives in column k.  ``coef_seed`` pins the
     true coefficients independently of the data seed so consistency
     experiments can vary the data while holding the truth fixed.
@@ -57,10 +62,10 @@ class SimConfig:
             raise ValueError("T must be at least 2")
         if not 0 <= self.tau < self.T:
             raise ValueError("tau must satisfy 0 <= tau < T")
-        if self.feature_sd <= 0 or self.coef_sd <= 0:
-            raise ValueError("feature_sd and coef_sd must be positive")
-        if self.residual_sd <= 0:
-            raise ValueError("residual_sd must be positive")
+        for name in ("feature_sd", "coef_sd", "residual_sd"):
+            check_finite(name, getattr(self, name), positive=True)
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         rows = tuple(int(r) for r in self.zero_feature_rows)
         cols = tuple(int(c) for c in self.zero_lag_columns)
         if any(not 0 <= r < self.d for r in rows):
@@ -71,21 +76,7 @@ class SimConfig:
         object.__setattr__(self, "zero_lag_columns", cols)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "T": self.T,
-            "m": self.m,
-            "tau": self.tau,
-            "feature_sd": self.feature_sd,
-            "coef_sd": self.coef_sd,
-            "zero_feature_rows": list(self.zero_feature_rows),
-            "zero_lag_columns": list(self.zero_lag_columns),
-            "structure": self.structure,
-            "alpha": self.alpha,
-            "residual_sd": self.residual_sd,
-            "seed": self.seed,
-            "coef_seed": self.coef_seed,
-        }
+        return asdict(self)
 
 
 def _streams(cfg: SimConfig):
@@ -111,61 +102,42 @@ def true_coefficients(cfg: SimConfig):
     return U, V
 
 
-def _residual_factor(cfg: SimConfig) -> np.ndarray:
-    R = build_R(cfg.structure, cfg.alpha if cfg.structure != "independent" else 0.0, cfg.T)
-    if cfg.structure == "independent":
-        return np.eye(cfg.T)
-    return spd_cholesky(R, "residual correlation")
+def _generate(cfg: SimConfig, labels: bool):
+    """The panel, U and V: one pass over the subject streams.
 
-
-def _subject_panel(cfg: SimConfig, rng, W, chol) -> tuple[np.ndarray, np.ndarray]:
-    """Features (d, T) and linear outcomes (T,) for one subject."""
-    ext = rng.normal(0.0, cfg.feature_sd, size=(cfg.d, cfg.T + cfg.tau))
-    eta = np.zeros(cfg.T)
-    for k in range(cfg.tau + 1):
-        eta += W[:, k] @ ext[:, cfg.tau - k : cfg.tau - k + cfg.T]
-    innov = rng.normal(0.0, 1.0, size=cfg.T)
-    y = eta + cfg.residual_sd * (chol @ innov)
-    return ext[:, cfg.tau :], y
-
-
-def _id_width(m: int) -> int:
-    return len(str(m - 1)) if m > 1 else 1
+    Each subject's outcome is its linear predictor plus correlated noise;
+    with ``labels`` it is replaced by Bernoulli draws at its logistic mean.
+    """
+    U, V = true_coefficients(cfg)
+    W = U + V
+    _, subject_streams = _streams(cfg)
+    chol = spd_cholesky(build_R(cfg.structure, cfg.alpha, cfg.T), "residual correlation")
+    logistic = get_family("bernoulli").mean
+    width = len(str(cfg.m - 1))
+    subjects = []
+    for i, rng in enumerate(subject_streams):
+        ext = rng.normal(0.0, cfg.feature_sd, size=(cfg.d, cfg.T + cfg.tau))
+        eta = np.zeros(cfg.T)
+        for k in range(cfg.tau + 1):
+            eta += W[:, k] @ ext[:, cfg.tau - k : cfg.tau - k + cfg.T]
+        y = eta + cfg.residual_sd * (chol @ rng.normal(0.0, 1.0, size=cfg.T))
+        if labels:
+            y = (rng.uniform(size=cfg.T) < logistic(y)).astype(float)
+        subjects.append(SubjectSeries(id=f"s{i:0{width}d}", features=ext[:, cfg.tau :], outcomes=y))
+    names = tuple(f"x{j + 1}" for j in range(cfg.d))
+    return LongitudinalDataset(tuple(subjects), names), U, V
 
 
 def generate_regression(cfg: SimConfig):
     """Gaussian-outcome dataset plus the true U and V."""
-    U, V = true_coefficients(cfg)
-    W = U + V
-    _, subject_streams = _streams(cfg)
-    chol = _residual_factor(cfg)
-    width = _id_width(cfg.m)
-    subjects = []
-    for i, rng in enumerate(subject_streams):
-        features, y = _subject_panel(cfg, rng, W, chol)
-        subjects.append(SubjectSeries(id=f"s{i:0{width}d}", features=features, outcomes=y))
-    names = tuple(f"x{j + 1}" for j in range(cfg.d))
-    return LongitudinalDataset(tuple(subjects), names), U, V
+    return _generate(cfg, labels=False)
 
 
 def generate_classification(cfg: SimConfig):
     """Bernoulli-outcome dataset: labels drawn from the logistic mean of
     the noisy regression outcome (noise included, so attainable accuracy
     depends on residual_sd)."""
-    U, V = true_coefficients(cfg)
-    W = U + V
-    _, subject_streams = _streams(cfg)
-    chol = _residual_factor(cfg)
-    bernoulli = get_family("bernoulli")
-    width = _id_width(cfg.m)
-    subjects = []
-    for i, rng in enumerate(subject_streams):
-        features, y_reg = _subject_panel(cfg, rng, W, chol)
-        mu = bernoulli.mean(y_reg)
-        labels = (rng.uniform(size=cfg.T) < mu).astype(float)
-        subjects.append(SubjectSeries(id=f"s{i:0{width}d}", features=features, outcomes=labels))
-    names = tuple(f"x{j + 1}" for j in range(cfg.d))
-    return LongitudinalDataset(tuple(subjects), names), U, V
+    return _generate(cfg, labels=True)
 
 
 def truth_metadata(cfg: SimConfig, U: np.ndarray, V: np.ndarray, family: str) -> dict:

@@ -491,3 +491,72 @@ def test_infeasible_residual_correlation_is_numeric_error(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
+
+
+def test_io_failures_exit_2_naming_the_path(tmp_path, capsys):
+    data = str(simulate(tmp_path))
+    (tmp_path / "taken").mkdir()
+    missing_model = str(tmp_path / "nope.json")
+    missing_dir = str(tmp_path / "no" / "such" / "m.json")
+    taken = str(tmp_path / "taken")
+    fit = ["fit", "--input", data, "--tau", "1", "--output"]
+    for argv, path in [
+        (["predict", "--model", missing_model, "--input", data, "--output", str(tmp_path / "p.csv")],
+         missing_model),
+        (fit + [missing_dir], missing_dir),
+        (fit + [taken], taken),
+    ]:
+        before = sorted(os.listdir(tmp_path))
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and err.endswith(f": {path!r}\n")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(taken) == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "nan"), ("--residual-sd", "nan"), ("--feature-sd", "nan"), ("--coef-sd", "inf"),
+])
+def test_simulate_rejects_non_finite_settings_before_writing(tmp_path, capsys, flag, value):
+    code = cli.run(SIM_ARGS + ["--output", str(tmp_path / "x.csv"), flag, value])
+    assert code == 2
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"error[data]: {field} must be finite")
+    assert os.listdir(tmp_path) == []
+
+
+def _predictions(tmp_path):
+    data = simulate(tmp_path)
+    model = tmp_path / "model.json"
+    preds = tmp_path / "preds.csv"
+    run_ok(["fit", "--input", data, "--output", model, "--tau", "1", "--holdout", "3"])
+    run_ok(["predict", "--model", model, "--input", data, "--output", preds, "--holdout", "3"])
+    return data, preds.read_text().splitlines(keepends=True)
+
+
+def _evaluate(tmp_path, data, lines):
+    preds = tmp_path / "edited.csv"
+    preds.write_text("".join(lines))
+    return cli.run([
+        "evaluate", "--predictions", str(preds), "--input", str(data),
+        "--output", str(tmp_path / "metrics.json"),
+    ])
+
+
+def test_evaluate_rejects_a_repeated_prediction_row(tmp_path, capsys):
+    data, lines = _predictions(tmp_path)
+    sid, time, _ = lines[1].strip().split(",")
+    assert _evaluate(tmp_path, data, lines + [lines[1]]) == 2
+    assert capsys.readouterr().err == f"error[data]: duplicate (subject,time) pair ({sid},{time})\n"
+    assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_evaluate_rejects_a_non_finite_prediction(tmp_path, capsys, value):
+    data, lines = _predictions(tmp_path)
+    sid, time, _ = lines[2].strip().split(",")
+    lines[2] = f"{sid},{time},{value}\r\n"
+    assert _evaluate(tmp_path, data, lines) == 2
+    assert capsys.readouterr().err == f"error[data]: non-finite value at ({sid},{time},prediction)\n"
+    assert not (tmp_path / "metrics.json").exists()

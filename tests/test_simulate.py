@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ def test_config_validation():
         small_cfg(zero_lag_columns=(3,))
     with pytest.raises(ValueError):
         small_cfg(residual_sd=0.0)
+
+
+@pytest.mark.parametrize("field", ["feature_sd", "coef_sd", "residual_sd", "alpha"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_settings(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        small_cfg(**{field: value})
 
 
 def test_masked_entries_exactly_zero():
@@ -135,3 +144,43 @@ def test_features_shared_between_regression_and_classification():
     cls, *_ = generate_classification(cfg)
     for sr, sc in zip(reg.subjects, cls.subjects):
         assert np.array_equal(sr.features, sc.features)
+
+
+@pytest.mark.parametrize("generate", [generate_regression, generate_classification])
+def test_independent_structure_ignores_alpha(generate):
+    def panel(**overrides):
+        ds, *_ = generate(small_cfg(**overrides))
+        return [(s.features.tobytes(), s.outcomes.tobytes()) for s in ds.subjects]
+
+    reference = panel(structure="independent", alpha=0.0)
+    for alpha in (0.5, -0.9, 7.0):
+        assert panel(structure="independent", alpha=alpha) == reference
+    # at alpha = 0 every structure's R is the identity
+    for structure in ("exchangeable", "ar1", "tridiagonal"):
+        assert panel(structure=structure, alpha=0.0) == reference
+
+
+@pytest.mark.parametrize("labels", [False, True])
+def test_subject_stream_draw_order(labels):
+    # per subject: features, then residual innovations, then label uniforms
+    cfg = small_cfg(structure="independent", residual_sd=0.5, seed=4)
+    ds, U, V = (generate_classification if labels else generate_regression)(cfg)
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.m + 1)[1:]
+    W = U + V
+    for s, stream in zip(ds.subjects, streams):
+        rng = np.random.default_rng(stream)
+        ext = rng.normal(0.0, cfg.feature_sd, size=(cfg.d, cfg.T + cfg.tau))
+        eta = sum(W[:, k] @ ext[:, cfg.tau - k : cfg.tau - k + cfg.T] for k in range(cfg.tau + 1))
+        y = eta + cfg.residual_sd * rng.normal(0.0, 1.0, size=cfg.T)
+        if labels:
+            y = (rng.uniform(size=cfg.T) < 1.0 / (1.0 + np.exp(-y))).astype(float)
+        assert np.array_equal(s.features, ext[:, cfg.tau :])
+        np.testing.assert_allclose(s.outcomes, y, rtol=1e-12, atol=1e-12)
+
+
+def test_truth_config_rebuilds_the_config():
+    cfg = small_cfg(coef_seed=5, structure="exchangeable", alpha=-0.1)
+    ds, U, V = generate_regression(cfg)
+    truth = json.loads(json.dumps(ll.simulate.truth_metadata(cfg, U, V, "gaussian")))
+    assert SimConfig(**truth["config"]) == cfg
+    assert truth["config"]["zero_feature_rows"] == [0]
