@@ -296,7 +296,11 @@ def _cmd_predict(args) -> None:
 
 
 def _read_predictions(path: str) -> dict:
-    """Predictions keyed by (subject id, time), in file order."""
+    """Predictions keyed by (subject id, time), in file order.
+
+    The subject id is stripped, as ``load_csv`` strips every cell, so it
+    names the same subject as the dataset's row.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"subject_id", "time", "prediction"}
@@ -305,8 +309,8 @@ def _read_predictions(path: str) -> dict:
         rows = {}
         for row in reader:
             try:
-                sid, time, value = row["subject_id"], int(row["time"]), float(row["prediction"])
-            except (TypeError, ValueError):
+                sid, time, value = row["subject_id"].strip(), int(row["time"]), float(row["prediction"])
+            except (AttributeError, TypeError, ValueError):
                 raise DataError("malformed predictions row") from None
             if not math.isfinite(value):
                 raise DataError(f"non-finite value at ({sid},{time},prediction)")

@@ -62,6 +62,24 @@ iterate, extrapolation point), beside a few scratch arrays of the same
 size, O(p) in all.  ``fista_step`` writes every result into them, so an
 iteration costs the p x p matvec plus about thirty NumPy calls on
 p-element arrays and allocates no array.
+
+Which BLAS runs what: every product large enough for OpenBLAS to thread
+runs on ``scipy.linalg.blas``, the library that already runs ``dsyrk``,
+``daxpy`` and ``dsyevr`` here, and never on NumPy's ``matmul``.  That is
+the iteration's G w (``fista_step``, ``GramSmooth.predictor``), a scoring
+model's H w, the design products X w (``linear_predictor``) and X^T c
+(``estimating_function``), and the accumulator's whitening and X^T y
+term.  The NumPy and SciPy wheels each bundle their own OpenBLAS, and each
+keeps a thread pool that busy-waits for a while after a call, so a fit
+that alternates between the two libraries has one pool spinning on the
+CPUs the other one needs: in a paper-scale fit on 2 CPUs each eigensolve
+took 0.09-0.19 s, against 0.05 s on an idle pool.  Each product is
+``dgemv`` or ``dgemm`` on the Fortran-ordered view of the same memory and
+with the same transposition that NumPy's ``matmul`` hands its BLAS,
+writing in place where NumPy wrote through ``out=``, so for designs of at
+least two parameters the results are NumPy's bit for bit.  The products
+left to NumPy are n x n correlation products and O(p) dot products; at
+the paper's sizes they stay below OpenBLAS's threading thresholds.
 """
 from __future__ import annotations
 
@@ -196,7 +214,9 @@ class GramSmooth:
     """Quadratic smooth part 0.5 * phi * (w^T G w - 2 b^T w + c); the predictor is G w.
 
     ``b`` has the coefficient shape; ``G`` is p x p over the row-major
-    flattened coefficients.
+    flattened coefficients.  G is held Fortran-ordered, as every Gram here
+    is built, so each ``dgemv`` reads it in place: any other G is copied
+    into Fortran order once, when the quadratic is made.
     """
 
     G: np.ndarray
@@ -204,8 +224,11 @@ class GramSmooth:
     c: float
     phi: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "G", np.asfortranarray(self.G, dtype=float))
+
     def predictor(self, W) -> np.ndarray:
-        return (self.G @ np.ravel(W)).reshape(self.b.shape)
+        return blas.dgemv(1.0, self.G, np.ravel(W)).reshape(self.b.shape)
 
     def gradient(self, Gw, out=None) -> np.ndarray:
         out = np.subtract(Gw, self.b, out=out)
@@ -230,7 +253,9 @@ def _accumulate(design: LaggedDesign, factor=None, root_var=None):
     whitened rows (r per subject), is whitened into one reusable buffer and
     added with one rank-k update, so a call holds one p x p array plus the
     buffer.  Where C is the identity and A = I the rows are the whitened
-    rows themselves and are read in place.
+    rows themselves and are read in place.  Each subject's C^T A_i^{1/2} X_i
+    is one ``dgemm`` into the buffer (one ``dgemv`` for a one-column C, as
+    NumPy's ``matmul`` would run it).
     """
     m, n, p = design.m, design.n, design.n_params
     C = np.eye(n) if factor is None else factor
@@ -253,15 +278,37 @@ def _accumulate(design: LaggedDesign, factor=None, root_var=None):
                 # C^T A_i^{1/2}, one r x n factor per subject
                 whiten = C.T * scale[block, None, :]
                 y = y * scale[block]
-            X = np.matmul(whiten, X, out=buffer[:k])
+            X = _whiten(whiten, X, buffer[:k])
             y = y @ C
         rows = X.reshape(k * r, p)
         white_y = y.ravel()
-        b += rows.T @ white_y
+        # added afterwards: beta = 1 would sum the product into b in another order
+        b += blas.dgemv(1.0, rows.T, white_y)
         c += float(white_y @ white_y)
         # rows.T is a Fortran-ordered view, so dsyrk reads the rows in place
         G = blas.dsyrk(1.0, rows.T, beta=1.0, c=G, overwrite_c=1)
     return G, b, c
+
+
+def _whiten(whiten: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.matmul(whiten, X, out=out)`` on SciPy's BLAS, one subject at a time.
+
+    ``whiten`` is one r x n matrix or one per subject, ``X`` the (k, n, p)
+    example matrices and ``out`` a C-ordered (k, r, p) buffer.  Subject i's
+    product is computed transposed, X_i^T whiten_i^T into the
+    Fortran-ordered view of out[i]; whiten_i is read in place, transposed
+    by the BLAS where it is Fortran-ordered.  One-row factors run
+    ``dgemv``, as they do under ``matmul``.
+    """
+    for i in range(X.shape[0]):
+        w = whiten if whiten.ndim == 2 else whiten[i]
+        if w.shape[0] == 1:
+            blas.dgemv(1.0, X[i].T, w[0], y=out[i, 0], overwrite_y=1)
+        elif w.flags.f_contiguous:
+            blas.dgemm(1.0, X[i].T, w, trans_b=1, c=out[i].T, overwrite_c=1)
+        else:
+            blas.dgemm(1.0, X[i].T, w.T, c=out[i].T, overwrite_c=1)
+    return out
 
 
 def build_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmooth:
@@ -424,10 +471,15 @@ def momentum_update(t: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
 
+def _design_columns(design: LaggedDesign) -> np.ndarray:
+    """The p x N transposed design, a Fortran-ordered view of the example rows."""
+    return design.flat_design().reshape(design.n_examples, design.n_params).T
+
+
 def linear_predictor(design: LaggedDesign, W: np.ndarray) -> np.ndarray:
     """(m, n) matrix of trace inner products <X_(i;t), W>."""
-    flat = design.flat_design().reshape(design.n_examples, design.n_params)
-    return (flat @ np.ravel(W)).reshape(design.m, design.n)
+    eta = blas.dgemv(1.0, _design_columns(design), np.ravel(W), trans=1)
+    return eta.reshape(design.m, design.n)
 
 
 def estimating_function(design, working: WorkingCorrelation, s, root=None):
@@ -440,8 +492,7 @@ def estimating_function(design, working: WorkingCorrelation, s, root=None):
         c = working.phi * (s @ working.R_inv)
     else:
         c = working.phi * root * ((s / root) @ working.R_inv)
-    flat = design.flat_design().reshape(design.n_examples, design.n_params)
-    return (flat.T @ c.ravel()).reshape(design.coef_shape)
+    return blas.dgemv(1.0, _design_columns(design), c.ravel()).reshape(design.coef_shape)
 
 
 def _gradient_from_eta(design, family: Family, working: WorkingCorrelation, eta):
@@ -600,7 +651,7 @@ def fista_step(
         np.multiply(Zn[0], scales[:d, None], out=Zn[0])
         np.multiply(Zn[1], scales[d:], out=Zn[1])
         np.add(Zn[0], Zn[1], out=W.reshape(d, -1))
-        np.matmul(smooth.G, W, out=Zn[2].reshape(-1))
+        blas.dgemv(1.0, smooth.G, W, y=Zn[2].reshape(-1), overwrite_y=1)
         np.subtract(Zn, Zt, out=D)
         step_squared = np.vdot(D[:2], D[:2])
         if not backtrack:
@@ -716,7 +767,7 @@ def _scoring_solve(design, family: Family, working: WorkingCorrelation, config, 
             fresh = True
         # the model matches the gradient at (U, V); passed unnamed, it is
         # gone before H is rebuilt, so two H never coexist
-        b = (H @ np.ravel(U + V)).reshape(U.shape) - grad / working.phi
+        b = blas.dgemv(1.0, H, np.ravel(U + V)).reshape(U.shape) - grad / working.phi
         U_new, V_new, settled = _model_solve(
             GramSmooth(G=H, b=b, c=0.0, phi=working.phi), L, (U, V), config, trace, EARLY_STOP * norm
         )

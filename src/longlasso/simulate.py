@@ -93,6 +93,11 @@ def _streams(cfg: SimConfig):
 def true_coefficients(cfg: SimConfig):
     """Draw and mask the true U and V matrices."""
     rng, _ = _streams(cfg)
+    return _masked_coefficients(cfg, rng)
+
+
+def _masked_coefficients(cfg: SimConfig, rng):
+    """U and V drawn from the coefficient stream ``rng``, then masked."""
     U = rng.normal(0.0, cfg.coef_sd, size=(cfg.d, cfg.tau + 1))
     V = rng.normal(0.0, cfg.coef_sd, size=(cfg.d, cfg.tau + 1))
     if cfg.zero_feature_rows:
@@ -108,9 +113,9 @@ def _generate(cfg: SimConfig, labels: bool):
     Each subject's outcome is its linear predictor plus correlated noise;
     with ``labels`` it is replaced by Bernoulli draws at its logistic mean.
     """
-    U, V = true_coefficients(cfg)
+    coef_stream, subject_streams = _streams(cfg)
+    U, V = _masked_coefficients(cfg, coef_stream)
     W = U + V
-    _, subject_streams = _streams(cfg)
     chol = spd_cholesky(build_R(cfg.structure, cfg.alpha, cfg.T), "residual correlation")
     logistic = get_family("bernoulli").mean
     width = len(str(cfg.m - 1))

@@ -552,6 +552,18 @@ def test_evaluate_rejects_a_repeated_prediction_row(tmp_path, capsys):
     assert not (tmp_path / "metrics.json").exists()
 
 
+def test_evaluate_strips_the_subject_id_of_a_prediction(tmp_path):
+    # load_csv strips every cell of the dataset, so a padded id in the
+    # predictions still names its subject and scores the same
+    data, lines = _predictions(tmp_path)
+    assert _evaluate(tmp_path, data, lines) == 0
+    plain = json.loads((tmp_path / "metrics.json").read_text())
+    padded = [lines[0]] + [f" {line[:line.index(',')]}\t{line[line.index(','):]}" for line in lines[1:]]
+    assert padded[1].startswith(" s") and "\t," in padded[1]
+    assert _evaluate(tmp_path, data, padded) == 0
+    assert json.loads((tmp_path / "metrics.json").read_text()) == plain
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_evaluate_rejects_a_non_finite_prediction(tmp_path, capsys, value):
     data, lines = _predictions(tmp_path)

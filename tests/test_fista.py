@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import blas, eigh
 
 import longlasso as ll
 from longlasso import fista
@@ -652,6 +652,130 @@ def test_lipschitz_keeps_a_gaussian_gram_intact():
 def test_top_eigenvalue_rejects_non_finite_gram():
     with pytest.raises(NumericalError, match="non-finite"):
         fista._top_eigenvalue(np.asfortranarray([[np.inf, 1.0], [1.0, 2.0]]))
+
+
+# designs small and large enough for OpenBLAS to thread the products
+BLAS_DESIGNS = [dict(m=7, d=3, T=8, tau=2), dict(m=40, d=24, T=14, tau=4)]
+
+
+@pytest.mark.parametrize("shape", BLAS_DESIGNS)
+def test_design_products_match_numpy_bit_for_bit(shape):
+    design = random_design(50, include_lagged_outcome=True, **shape)
+    flat = design.flat_design().reshape(design.n_examples, design.n_params)
+    rng = np.random.default_rng(51)
+    W = rng.normal(size=design.coef_shape)
+    eta = fista.linear_predictor(design, W)
+    assert np.array_equal(eta, (flat @ W.ravel()).reshape(design.m, design.n))
+    s = rng.normal(size=design.y.shape)
+    root = rng.uniform(0.2, 2.0, design.y.shape)
+    for structure, alpha in STRUCTURES:
+        working = make_working(structure, alpha, 1.3, design.n)
+        for r in (None, root):
+            c = working.phi * (s @ working.R_inv) if r is None else working.phi * r * ((s / r) @ working.R_inv)
+            expected = (flat.T @ c.ravel()).reshape(design.coef_shape)
+            assert np.array_equal(fista.estimating_function(design, working, s, r), expected), structure
+
+
+def _numpy_accumulate(design, factor, root_var):
+    """``fista._accumulate`` with NumPy's ``matmul`` for its whitening and X^T y products."""
+    m, n, p = design.m, design.n, design.n_params
+    C = np.eye(n) if factor is None else factor
+    r = C.shape[1]
+    plain = root_var is None and np.array_equal(C, np.eye(n))
+    chunk = min(max(1, fista.GRAM_CHUNK_BYTES // (8 * r * p)), m)
+    scale = None if root_var is None else np.broadcast_to(root_var, (m, n))
+    flat = design.flat_design()
+    G, b, c = np.zeros((p, p), order="F"), np.zeros(p), 0.0
+    for first in range(0, m, chunk):
+        block = slice(first, min(first + chunk, m))
+        X, y = flat[block], design.y[block]
+        if not plain:
+            whiten = C.T if scale is None else C.T * scale[block, None, :]
+            if scale is not None:
+                y = y * scale[block]
+            X = np.matmul(whiten, X)
+            y = y @ C
+        rows = X.reshape(-1, p)
+        white_y = y.ravel()
+        b += rows.T @ white_y
+        c += float(white_y @ white_y)
+        G = blas.dsyrk(1.0, rows.T, beta=1.0, c=G, overwrite_c=1)
+    return G, b, c
+
+
+@pytest.mark.parametrize("shape", BLAS_DESIGNS)
+@pytest.mark.parametrize("chunk", [3, None])
+def test_accumulate_matches_numpy_products_bit_for_bit(shape, chunk, monkeypatch):
+    design = random_design(52, include_lagged_outcome=True, **shape)
+    n, p = design.n, design.n_params
+    if chunk is not None:
+        # ``chunk`` subjects of n rows, so the last chunk is a partial one
+        monkeypatch.setattr(fista, "GRAM_CHUNK_BYTES", chunk * 8 * n * p)
+    edges = np.zeros((n, 2))
+    edges[0, 0] = edges[-1, 1] = 1.0
+    factors = {
+        "identity": None,
+        "ones": np.ones((n, 1)),
+        "adjacent": np.eye(n, n - 1) + np.eye(n, n - 1, k=-1),
+        "edges": edges,
+        "cholesky": np.linalg.cholesky(make_working("ar1", 0.5, 1.0, n).R_inv),
+    }
+    rng = np.random.default_rng(53)
+    for name, factor in factors.items():
+        for root_var in (None, 0.5, rng.uniform(0.2, 2.0, (design.m, n))):
+            G, b, c = fista._accumulate(design, factor, root_var)
+            G_ref, b_ref, c_ref = _numpy_accumulate(design, factor, root_var)
+            assert np.array_equal(G, G_ref) and np.array_equal(b, b_ref) and c == c_ref, name
+
+
+@pytest.mark.parametrize("shape", BLAS_DESIGNS)
+@pytest.mark.parametrize("step_mode", ["fixed", "backtracking"])
+def test_fista_step_predictors_match_numpy_products(shape, step_mode):
+    # the iteration's product is written in place into the point's
+    # predictor: a copied target would leave a stale predictor behind
+    design = random_design(54, **shape)
+    working = make_working("ar1", 0.4, 1.2, design.n)
+    smooth = fista.gaussian_gram(design, working)
+    G = smooth.G
+    config = InnerConfig(lam1=0.05, lam2=0.05, step_mode=step_mode)
+    rng = np.random.default_rng(55)
+    start = (rng.normal(size=design.coef_shape), rng.normal(size=design.coef_shape))
+    L = lipschitz_upper(design, GAUSS, working, gram=G)
+    state = initial_state(smooth, L / 8.0 if step_mode == "backtracking" else L, start)
+
+    def product(U, V):
+        return (G @ np.ravel(U + V)).reshape(design.coef_shape)
+
+    assert np.array_equal(state.eta, product(*start))
+    assert np.array_equal(state.eta_tilde, state.eta)
+    grad = np.empty(design.coef_shape)
+    for _ in range(6):
+        eta_before, t_before = product(state.U, state.V), state.t
+        smooth.gradient(state.eta_tilde, out=grad)
+        state = fista_step(state, grad, config, smooth, backtrack=step_mode == "backtracking")
+        eta = product(state.U, state.V)
+        assert np.array_equal(state.eta, eta)
+        # the extrapolated predictor follows by linearity from two products
+        shift = (t_before - 1.0) / state.t
+        assert np.array_equal(state.eta_tilde, eta + (eta - eta_before) * shift)
+        assert np.allclose(state.eta_tilde, product(state.U_tilde, state.V_tilde), rtol=1e-12, atol=1e-12)
+
+
+def test_gram_smooth_holds_its_gram_in_fortran_order():
+    # a C-ordered Gram is copied into Fortran order once, when the quadratic
+    # is made; a Fortran-ordered one is held as given
+    rng = np.random.default_rng(56)
+    A = rng.normal(size=(20, 6))
+    G_c = np.ascontiguousarray(A.T @ A)
+    W = rng.normal(size=(3, 2))
+    smooth = fista.GramSmooth(G=G_c, b=np.zeros((3, 2)), c=0.0, phi=1.0)
+    assert smooth.G.flags.f_contiguous and not np.shares_memory(smooth.G, G_c)
+    assert np.array_equal(smooth.G, G_c)
+    G_f = np.asfortranarray(G_c)
+    assert np.array_equal(smooth.predictor(W), (G_f @ W.ravel()).reshape(3, 2))
+    held = fista.GramSmooth(G=G_f, b=np.zeros((3, 2)), c=0.0, phi=1.0)
+    assert held.G is G_f
+    assert replace(held, G=G_c).G.flags.f_contiguous
 
 
 def _structured(working):
