@@ -28,7 +28,7 @@ import sys
 
 from . import __version__, alternation, evaluation, simulate
 from .correlation import STRUCTURES
-from .dataset import CsvSchema, build_lagged, load_csv, split_temporal, write_csv
+from .dataset import CsvSchema, _parse_float, _parse_time, build_lagged, load_csv, split_temporal, write_csv
 from .errors import DataError, NumericalError
 from .families import FAMILIES
 
@@ -275,7 +275,13 @@ def _cmd_fit(args) -> None:
 def _cmd_predict(args) -> None:
     with open(args.model, "r", encoding="utf-8") as fh:
         result = alternation.from_json_dict(json.load(fh))
-    ds = load_csv(args.input)
+    # the model's features are read by name, whatever their column order
+    features = result.feature_names[:-1] if result.include_lagged_outcome else result.feature_names
+    # Only the test window and the time before it (two at tau = 0) are
+    # parsed: on those, split_temporal's range check answers as it does on
+    # the whole series.
+    window = args.holdout + max(result.tau + 1, 2) if args.holdout > 0 else None
+    ds = load_csv(args.input, CsvSchema(feature_cols=features), window)
     if args.holdout:
         _, ds = split_temporal(ds, args.holdout, result.tau)
     design = build_lagged(ds, result.tau, result.include_lagged_outcome)
@@ -298,8 +304,9 @@ def _cmd_predict(args) -> None:
 def _read_predictions(path: str) -> dict:
     """Predictions keyed by (subject id, time), in file order.
 
-    The subject id is stripped, as ``load_csv`` strips every cell, so it
-    names the same subject as the dataset's row.
+    The subject id is stripped, and the time and the prediction are parsed
+    by ``load_csv``'s rules for a time and a value cell, so a key names the
+    same row as in the dataset and ``1_0`` or ``١١`` is rejected in both.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -309,8 +316,10 @@ def _read_predictions(path: str) -> dict:
         rows = {}
         for row in reader:
             try:
-                sid, time, value = row["subject_id"].strip(), int(row["time"]), float(row["prediction"])
-            except (AttributeError, TypeError, ValueError):
+                sid = row["subject_id"].strip()
+                time = _parse_time(row["time"], sid)
+                value = _parse_float(row["prediction"], sid, time, "prediction")
+            except AttributeError:  # a short row
                 raise DataError("malformed predictions row") from None
             if not math.isfinite(value):
                 raise DataError(f"non-finite value at ({sid},{time},prediction)")

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as spl
 
+from ._lazy import LazyModule
 from .errors import NumericalError
+
+spl = LazyModule("scipy.linalg")
 
 STRUCTURES = ("independent", "exchangeable", "tridiagonal", "ar1")
 

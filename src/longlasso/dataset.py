@@ -125,16 +125,21 @@ _TIME = re.compile(r"[+-]?[0-9]+")
 _INT64_LIMIT = 2**63
 
 
-def _parse_cell(raw: str, subject: str, time: str, column: str) -> float:
+def _parse_float(raw: str, subject, time, column: str) -> float:
+    """A value cell by the CSV's float grammar; NaN and infinities pass."""
     raw = raw.strip()
     if raw == "":
         raise DataError(f"missing value at ({subject},{time},{column})")
     if not raw.isascii() or "_" in raw:
         raise DataError(f"invalid value at ({subject},{time},{column}): {raw!r}")
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise DataError(f"invalid value at ({subject},{time},{column}): {raw!r}") from None
+
+
+def _parse_cell(raw: str, subject: str, time: str, column: str) -> float:
+    value = _parse_float(raw, subject, time, column)
     if math.isnan(value):
         raise DataError(f"missing value at ({subject},{time},{column})")
     if math.isinf(value):
@@ -220,7 +225,7 @@ def _raise_first_row_error(rows, width, subject_pos, time_pos, value_cols):
     raise DataError("CSV rows could not be parsed")
 
 
-def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
+def load_csv(source, schema: CsvSchema = CsvSchema(), last_times: int | None = None) -> LongitudinalDataset:
     """Load a long-format CSV (one row per subject and time point).
 
     ``source`` may be a path, a text stream, or a byte stream; content is
@@ -235,11 +240,23 @@ def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
     ordered files load to bit-equal datasets.  Repeated header names,
     ragged subjects, duplicate (subject, time) pairs, gaps in the time
     range, and missing or non-finite cells are all rejected; a per-row
-    error names the first bad row or cell in file order.  The default
-    schema reads every other column as a feature and needs one;
+    error names the first bad row or cell in file order, and unequal
+    series lengths or a gap are reported before any bad value cell.  The
+    default schema reads every other column as a feature and needs one;
     ``CsvSchema(feature_cols=())`` reads only the keys and the outcome,
     checking every row's width but leaving the feature cells unparsed.
+
+    ``last_times=k`` returns only each subject's last k times (all of
+    them when k >= T), with their absolute time labels, bit-equal to the
+    trailing window of a full load.  Value cells are parsed only in that
+    window: every row's width and keys are still checked, and so are
+    duplicate pairs, equal series lengths and consecutive times, but a
+    bad value cell in an earlier time is not reported.  Such a load
+    reports a bad width, time or duplicate pair before any bad value
+    cell.  ``k < 1`` raises ``ValueError``.
     """
+    if last_times is not None and last_times < 1:
+        raise ValueError("last_times must be at least 1")
     lines = _read_lines(source)
     header = [h.strip() for h in _csv_cells(lines[0], 1)]
     _reject_repeats(header)
@@ -262,6 +279,9 @@ def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
     time_pos = header.index(schema.time_col)
     value_cols = [(c, header.index(c)) for c in (schema.outcome_col, *feature_cols)]
     layout = (width, subject_pos, time_pos, value_cols)
+    # a row error found from the keys names the first bad row; with a
+    # window it checks no value cell, since most lie outside the window
+    key_layout = layout if last_times is None else (width, subject_pos, time_pos, [])
     key_split = max(subject_pos, time_pos) + 1
 
     # One pass over the lines: drop blanks, check widths, pull out the keys.
@@ -279,32 +299,22 @@ def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
             n_cells = line.count(",") + 1
         rows.append((lineno, line))
         if n_cells != width:
-            _raise_first_row_error(rows, *layout)
+            _raise_first_row_error(rows, *key_layout)
         subject = cells[subject_pos].strip()
         try:
             times.append(_parse_time(cells[time_pos], subject))
         except DataError:
-            _raise_first_row_error(rows, *layout)
+            _raise_first_row_error(rows, *key_layout)
         subjects.append(subject)
     if not rows:
         raise DataError("CSV contains no data rows")
-
-    try:
-        values = np.loadtxt(
-            [line for _, line in rows], delimiter=",", quotechar='"', comments=None,
-            usecols=[pos for _, pos in value_cols], ndmin=2,
-        )
-    except ValueError:
-        _raise_first_row_error(rows, *layout)
-    if not np.isfinite(values).all():
-        _raise_first_row_error(rows, *layout)
 
     ids, subject_of = np.unique(np.array(subjects, dtype=object), return_inverse=True)
     times = np.array(times, dtype=np.int64)
     order = np.lexsort((times, subject_of))
     subject_of, times = subject_of[order], times[order]
     if np.any((subject_of[1:] == subject_of[:-1]) & (times[1:] == times[:-1])):
-        _raise_first_row_error(rows, *layout)
+        _raise_first_row_error(rows, *key_layout)
     counts = np.bincount(subject_of)
     if counts.min() != counts.max():
         raise DataError("unequal series length")
@@ -314,14 +324,27 @@ def load_csv(source, schema: CsvSchema = CsvSchema()) -> LongitudinalDataset:
     gaps = np.flatnonzero(sorted_times[:, -1] - sorted_times[:, 0] != T - 1)
     if gaps.size:
         raise DataError(f"times for subject {ids[gaps[0]]!r} are not consecutive")
-    # (m, 1+d, T): each subject's outcomes and features are contiguous slices.
-    cube = np.ascontiguousarray(values[order].reshape(m, T, -1).transpose(0, 2, 1))
+
+    # Parse the window's rows only, already in (subject, time) order.
+    k = T if last_times is None else min(last_times, T)
+    picked = order.reshape(m, T)[:, T - k:].ravel()
+    try:
+        values = np.loadtxt(
+            [rows[i][1] for i in picked.tolist()], delimiter=",", quotechar='"', comments=None,
+            usecols=[pos for _, pos in value_cols], ndmin=2,
+        )
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        _raise_first_row_error([rows[i] for i in np.sort(picked).tolist()], *layout)
+    # (m, 1+d, k): each subject's outcomes and features are contiguous slices.
+    cube = np.ascontiguousarray(values.reshape(m, k, -1).transpose(0, 2, 1))
     subjects = tuple(
         SubjectSeries(
-            id=subject, features=cube[k, 1:], outcomes=cube[k, 0],
-            time_start=int(sorted_times[k, 0]),
+            id=subject, features=cube[i, 1:], outcomes=cube[i, 0],
+            time_start=int(sorted_times[i, T - k]),
         )
-        for k, subject in enumerate(ids.tolist())
+        for i, subject in enumerate(ids.tolist())
     )
     return LongitudinalDataset(subjects, feature_cols)
 

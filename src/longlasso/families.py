@@ -11,7 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
+
+from ._lazy import LazyModule
+
+special = LazyModule("scipy.special")
 
 ETA_CLAMP = 30.0
 
@@ -31,7 +34,7 @@ class Family:
             return eta.copy()
         clamped = np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
         if self.kind == "bernoulli":
-            return expit(clamped)
+            return special.expit(clamped)
         return np.exp(clamped)
 
     def variance(self, mu):
@@ -68,10 +71,10 @@ class Family:
         if self.kind == "bernoulli":
             if np.any(y < 0.0) or np.any(y > 1.0):
                 raise ValueError("bernoulli outcomes must lie in [0, 1]")
-            return xlogy(y, y) + xlogy(1.0 - y, 1.0 - y)
+            return special.xlogy(y, y) + special.xlogy(1.0 - y, 1.0 - y)
         if np.any(y < 0.0):
             raise ValueError("poisson outcomes must be nonnegative")
-        return xlogy(y, y) - y
+        return special.xlogy(y, y) - y
 
 
 def get_family(name: str) -> Family:

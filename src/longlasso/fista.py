@@ -80,6 +80,12 @@ writing in place where NumPy wrote through ``out=``, so for designs of at
 least two parameters the results are NumPy's bit for bit.  The products
 left to NumPy are n x n correlation products and O(p) dot products; at
 the paper's sizes they stay below OpenBLAS's threading thresholds.
+SciPy is imported on the first of these calls, not with this module
+(``_lazy.LazyModule``; ``families`` and ``correlation`` load
+``scipy.special`` and ``scipy.linalg`` the same way), so ``import
+longlasso`` loads no SciPy module and a CLI command pays for it only when
+it calls it: ``simulate``, ``fit``, ``cv`` and ``predict`` do, and
+``evaluate`` never does.
 """
 from __future__ import annotations
 
@@ -87,13 +93,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
+from ._lazy import LazyModule
 from .correlation import WorkingCorrelation, spd_cholesky
 from .dataset import LaggedDesign
 from .errors import NumericalError, check_finite
 from .families import Family
 from .penalty import group_scales, norm_12_cols, norm_12_rows, prox_col_groups, prox_row_groups
+
+blas = LazyModule("scipy.linalg.blas")
+lapack = LazyModule("scipy.linalg.lapack")
 
 L_FLOOR = 1e-8
 # Step policy: backtracking starts from the Lipschitz bound over INIT_L_SHRINK;

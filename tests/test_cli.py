@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from longlasso import cli
+from longlasso import alternation, cli
+from longlasso.dataset import build_lagged, load_csv, split_temporal
 
 SIM_ARGS = [
     "simulate",
@@ -571,4 +572,113 @@ def test_evaluate_rejects_a_non_finite_prediction(tmp_path, capsys, value):
     lines[2] = f"{sid},{time},{value}\r\n"
     assert _evaluate(tmp_path, data, lines) == 2
     assert capsys.readouterr().err == f"error[data]: non-finite value at ({sid},{time},prediction)\n"
+    assert not (tmp_path / "metrics.json").exists()
+
+
+def _rewrite_columns(src, dst, edit):
+    """Copy a dataset CSV, passing its header list to ``edit``, which returns the new order."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    order = edit(list(header))
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows([[row[header.index(name)] for name in order] for row in rows])
+
+
+@pytest.mark.parametrize("holdout, lagged", [(3, False), (0, True)])
+def test_predict_reads_the_model_features_by_name(tmp_path, holdout, lagged):
+    data = simulate(tmp_path)
+    model = tmp_path / "model.json"
+    run_ok(["fit", "--input", data, "--output", model, "--tau", "1", "--lambda1", "0.2",
+            "--holdout", "3", *(["--include-lagged-outcome"] if lagged else [])])
+    swapped = tmp_path / "swapped.csv"
+    _rewrite_columns(data, swapped, lambda h: h[:3] + [h[4], h[3], h[6], h[5]])
+    outputs = []
+    for source in (data, swapped):
+        preds = tmp_path / f"preds-{source.stem}.csv"
+        run_ok(["predict", "--model", model, "--input", source, "--output", preds,
+                "--holdout", holdout])
+        outputs.append(preds.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_predict_rejects_a_dataset_without_a_model_feature(tmp_path, capsys):
+    data = simulate(tmp_path)
+    model = tmp_path / "model.json"
+    run_ok(["fit", "--input", data, "--output", model, "--tau", "1"])
+    renamed = tmp_path / "renamed.csv"
+    _rewrite_columns(data, renamed, lambda h: h)
+    renamed.write_text(renamed.read_text().replace("x3", "e", 1))
+    code = cli.run(["predict", "--model", str(model), "--input", str(renamed),
+                    "--output", str(tmp_path / "preds.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error[data]: missing feature column 'x3'\n"
+    assert not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+def test_predict_holdout_answers_as_a_split_of_the_whole_panel(tmp_path, capsys, tau):
+    # predict parses only the trailing window, yet every --holdout gives the
+    # predictions, or the range error, of a split of the whole panel
+    data = simulate(tmp_path)
+    model = tmp_path / "model.json"
+    run_ok(["fit", "--input", data, "--output", model, "--tau", tau, "--holdout", "3"])
+    result = alternation.from_json_dict(json.loads(model.read_text()))
+    full = load_csv(data)
+    preds = tmp_path / "preds.csv"
+    for holdout in range(-1, full.T + 2):
+        code = cli.run(["predict", "--model", str(model), "--input", str(data),
+                        "--output", str(preds), "--holdout", str(holdout)])
+        err = capsys.readouterr().err
+        try:
+            test = split_temporal(full, holdout, tau)[1] if holdout else full
+        except ValueError as exc:
+            assert (code, err) == (2, f"error[data]: {exc}\n"), holdout
+            continue
+        assert code == 0, err
+        design = build_lagged(test, tau)
+        expected = alternation.predict(result, design)
+        times = design.example_times()
+        with open(preds, newline="") as fh:
+            rows = [(r["subject_id"], int(r["time"]), float(r["prediction"])) for r in csv.DictReader(fh)]
+        assert rows == [
+            (sid, int(times[i, j]), float(expected[i, j]))
+            for i, sid in enumerate(design.subject_ids) for j in range(design.n)
+        ]
+
+
+def test_evaluate_loads_no_scipy(tmp_path):
+    data, lines = _predictions(tmp_path)
+    preds = tmp_path / "preds.csv"
+    argv = ["evaluate", "--predictions", str(preds), "--input", str(data),
+            "--output", str(tmp_path / "metrics.json")]
+    code = (
+        "import sys\nfrom longlasso import cli\n"
+        f"code = cli.run({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 []\n"
+    assert json.loads((tmp_path / "metrics.json").read_text())["n_examples"] == 30
+
+
+@pytest.mark.parametrize("row, column, cell, message", [
+    (1, 1, "1_0", "non-integer time '1_0' for subject 's0'"),
+    (2, 1, "١١", "non-integer time '١١' for subject 's0'"),
+    (1, 2, "1_0", "invalid value at (s0,10,prediction): '1_0'"),
+    (1, 2, "١", "invalid value at (s0,10,prediction): '١'"),
+])
+def test_evaluate_reads_predictions_by_the_dataset_grammar(tmp_path, capsys, row, column, cell, message):
+    # int() and float() read each of these cells as the number it spells
+    # (rows 1 and 2 hold times 10 and 11); load_csv rejects them
+    data, lines = _predictions(tmp_path)
+    cells = lines[row].strip().split(",")
+    assert cells[1] == str(9 + row)
+    cells[column] = cell
+    lines[row] = ",".join(cells) + "\r\n"
+    assert _evaluate(tmp_path, data, lines) == 2
+    assert capsys.readouterr().err == f"error[data]: {message}\n"
     assert not (tmp_path / "metrics.json").exists()

@@ -27,8 +27,8 @@ b,3,1.7,6.0
 """
 
 
-def _ds(text: str, schema=CsvSchema()):
-    return load_csv(io.BytesIO(text.encode("utf-8")), schema)
+def _ds(text: str, schema=CsvSchema(), last_times=None):
+    return load_csv(io.BytesIO(text.encode("utf-8")), schema, last_times)
 
 
 def test_load_csv_well_formed():
@@ -268,6 +268,71 @@ def test_load_csv_reports_first_bad_row_in_file_order():
     rows[_deep_index(90, 5)][3] = "1.0"
     with pytest.raises(DataError, match=rf"^row {_deep_index(95, 5) + 2} has 4 cells"):
         _ds(_deep_text(rows))
+
+
+def _assert_same_panel(a: LongitudinalDataset, b: LongitudinalDataset):
+    assert a.subject_ids == b.subject_ids and a.feature_names == b.feature_names
+    for sa, sb in zip(a.subjects, b.subjects):
+        assert sa.time_start == sb.time_start
+        assert sa.features.tobytes() == sb.features.tobytes()
+        assert sa.outcomes.tobytes() == sb.outcomes.tobytes()
+
+
+@pytest.mark.parametrize("holdout, tau", [(5, 4), (1, 1), (3, 0), (25, 4)])
+def test_load_csv_window_is_the_split_test_window(holdout, tau):
+    rows = _deep_rows()
+    np.random.default_rng(1).shuffle(rows)
+    text = _deep_text(rows)
+    _, test = split_temporal(_ds(text), holdout, tau)
+    window = _ds(text, last_times=holdout + tau)
+    assert window.T == holdout + tau
+    _assert_same_panel(window, test)
+
+
+def _set_at(time, col, value):
+    def mutate(rows):
+        rows[_deep_index(93, time)][col] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_drop_last_cell, rf"row {DEEP + 2} has 4 cells, expected 5"),
+        (_set(1, "14.5"), r"non-integer time '14.5' for subject 's093'"),
+        (_set(1, "13"), r"duplicate \(subject,time\) pair \(s093,13\)"),
+        (_drop_row, r"unequal series length"),
+        (_set_at(1, 1, "0"), r"times for subject 's093' are not consecutive"),
+        (_set_at(DEEP_T - 1, 2, "abc"), rf"invalid value at \(s093,{DEEP_T - 1},y\): 'abc'"),
+        (_set_at(DEEP_T, 4, "nan"), rf"missing value at \(s093,{DEEP_T},x2\)"),
+    ],
+)
+def test_load_csv_window_still_checks_keys_of_every_row(mutate, message):
+    # only the value cells of the window (the last 5 times) are parsed
+    rows = _deep_rows()
+    mutate(rows)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        _ds(_deep_text(rows), last_times=5)
+
+
+@pytest.mark.parametrize("col, value", [(2, "abc"), (3, " "), (4, "nan"), (4, "-inf"), (3, "1_0")])
+def test_load_csv_window_leaves_earlier_value_cells_unparsed(col, value):
+    clean = _deep_text(_deep_rows())
+    rows = _deep_rows()
+    rows[DEEP][col] = value  # time 14, outside the last 5 times
+    window = _ds(_deep_text(rows), last_times=5)
+    _assert_same_panel(window, _ds(clean, last_times=5))
+    with pytest.raises(DataError):
+        _ds(_deep_text(rows))
+
+
+def test_load_csv_window_bounds():
+    full = _ds(WELL_FORMED)
+    for k in (3, 4, 100):
+        _assert_same_panel(_ds(WELL_FORMED, last_times=k), full)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^last_times must be at least 1$"):
+            _ds(WELL_FORMED, last_times=k)
 
 
 def _reference_csv(ds: LongitudinalDataset) -> str:
