@@ -20,7 +20,6 @@ from .correlation import (
     pearson_residuals,
 )
 from .dataset import (
-    CsvSchema,
     LaggedDesign,
     LongitudinalDataset,
     SubjectSeries,
@@ -52,7 +51,6 @@ from .simulate import SimConfig, generate_classification, generate_regression
 
 __all__ = [
     "CoefficientPair",
-    "CsvSchema",
     "CvSpec",
     "DataError",
     "Family",

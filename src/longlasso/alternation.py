@@ -243,12 +243,34 @@ def to_json_dict(result: FitResult) -> dict:
     }
 
 
+# the JSON type of every key that from_json_dict reads
+_MODEL_KEYS = {
+    "U": list, "V": list, "shape": list, "n": int, "structure": str, "alpha": (int, float),
+    "phi": (int, float), "lambda1": (int, float), "lambda2": (int, float), "family": str,
+    "tau": int, "include_lagged_outcome": bool, "feature_names": list, "outer_iterations": int,
+    "trace": list, "converged": bool, "max_outer_reached": bool, "config": dict,
+}
+
+
 def from_json_dict(payload: dict) -> FitResult:
-    """Rebuild a FitResult from its JSON form (correlation re-realized at n)."""
+    """Rebuild a FitResult from its JSON form (correlation re-realized at n).
+
+    A payload that is not an object, or a missing or ill-typed key,
+    raises ``DataError`` naming it.
+    """
+    if not isinstance(payload, dict):
+        raise DataError(f"model JSON must hold an object, not {type(payload).__name__}")
     if payload.get("schema") != FIT_RESULT_SCHEMA:
         raise DataError(f"unexpected model schema {payload.get('schema')!r}")
+    for key, kind in _MODEL_KEYS.items():
+        if key not in payload:
+            raise DataError(f"model JSON has no key {key!r}")
+        if not isinstance(payload[key], kind):
+            raise DataError(f"model JSON key {key!r} has an invalid value")
     U = np.asarray(payload["U"], dtype=float)
     V = np.asarray(payload["V"], dtype=float)
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+        raise DataError("model JSON coefficients must be finite numbers")
     if list(U.shape) != list(payload["shape"]) or list(V.shape) != list(payload["shape"]):
         raise DataError("coefficient arrays disagree with the recorded shape")
     working = make_working(payload["structure"], payload["alpha"], payload["phi"], int(payload["n"]))

@@ -28,9 +28,13 @@ import sys
 
 from . import __version__, alternation, evaluation, simulate
 from .correlation import STRUCTURES
-from .dataset import CsvSchema, _parse_float, _parse_time, build_lagged, load_csv, split_temporal, write_csv
+from .dataset import KEY_COLUMNS, _parse_float, _parse_time, build_lagged, load_csv, split_temporal, write_csv
 from .errors import DataError, NumericalError
 from .families import FAMILIES
+
+
+# a predictions CSV: the dataset's subject and time keys, then the prediction
+_PREDICTION_COLUMNS = (*KEY_COLUMNS[:2], "prediction")
 
 
 class UsageError(Exception):
@@ -215,13 +219,12 @@ def _training_panel(args):
     return ds
 
 
-def _fit_and_write(args, ds, lam1: float, lam2: float, config, extra: dict):
-    """Fit the lagged design of ``ds`` and write the model JSON to ``args.output``.
+def _fit_and_write(args, design, lam1: float, lam2: float, config, extra: dict):
+    """Fit ``design`` and write the model JSON to ``args.output``.
 
     ``extra`` holds top-level keys added to the model JSON beside the
     invocation.  Returns the fit result.
     """
-    design = build_lagged(ds, args.tau, args.include_lagged_outcome)
     result = alternation.fit(
         design,
         family=args.family,
@@ -241,7 +244,9 @@ def _cmd_fit(args) -> None:
     config = _fit_config(args)
     # the penalties are checked, with the tolerances, before the data is read
     config.inner(args.lambda1, args.lambda2)
-    result = _fit_and_write(args, _training_panel(args), args.lambda1, args.lambda2, config, {})
+    # the panel is freed once its design is built, before the solve
+    design = build_lagged(_training_panel(args), args.tau, args.include_lagged_outcome)
+    result = _fit_and_write(args, design, args.lambda1, args.lambda2, config, {})
     if args.trace_out:
         _write_csv_rows(
             args.trace_out,
@@ -281,7 +286,7 @@ def _cmd_predict(args) -> None:
     # parsed: on those, split_temporal's range check answers as it does on
     # the whole series.
     window = args.holdout + max(result.tau + 1, 2) if args.holdout > 0 else None
-    ds = load_csv(args.input, CsvSchema(feature_cols=features), window)
+    ds = load_csv(args.input, features, window)
     if args.holdout:
         _, ds = split_temporal(ds, args.holdout, result.tau)
     design = build_lagged(ds, result.tau, result.include_lagged_outcome)
@@ -289,7 +294,7 @@ def _cmd_predict(args) -> None:
     times = design.example_times()
     _write_csv_rows(
         args.output,
-        ["subject_id", "time", "prediction"],
+        _PREDICTION_COLUMNS,
         (
             [sid, int(times[i, j]), repr(float(predictions[i, j]))]
             for i, sid in enumerate(design.subject_ids)
@@ -307,22 +312,23 @@ def _read_predictions(path: str) -> dict:
     The subject id is stripped, and the time and the prediction are parsed
     by ``load_csv``'s rules for a time and a value cell, so a key names the
     same row as in the dataset and ``1_0`` or ``١١`` is rejected in both.
+    One leading byte-order mark is skipped, as ``load_csv`` skips it.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    subject_col, time_col, value_col = _PREDICTION_COLUMNS
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"subject_id", "time", "prediction"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise DataError("predictions CSV needs columns subject_id,time,prediction")
+        if reader.fieldnames is None or not set(_PREDICTION_COLUMNS) <= set(reader.fieldnames):
+            raise DataError(f"predictions CSV needs columns {','.join(_PREDICTION_COLUMNS)}")
         rows = {}
         for row in reader:
             try:
-                sid = row["subject_id"].strip()
-                time = _parse_time(row["time"], sid)
-                value = _parse_float(row["prediction"], sid, time, "prediction")
+                sid = row[subject_col].strip()
+                time = _parse_time(row[time_col], sid)
+                value = _parse_float(row[value_col], sid, time, value_col)
             except AttributeError:  # a short row
                 raise DataError("malformed predictions row") from None
             if not math.isfinite(value):
-                raise DataError(f"non-finite value at ({sid},{time},prediction)")
+                raise DataError(f"non-finite value at ({sid},{time},{value_col})")
             if (sid, time) in rows:
                 raise DataError(f"duplicate (subject,time) pair ({sid},{time})")
             rows[sid, time] = value
@@ -334,7 +340,7 @@ def _read_predictions(path: str) -> dict:
 def _cmd_evaluate(args) -> None:
     rows = _read_predictions(args.predictions)
     # only the outcomes are looked up: the feature columns are not parsed
-    ds = load_csv(args.input, CsvSchema(feature_cols=()))
+    ds = load_csv(args.input, features=())
     actual_by_key = {
         (s.id, s.time_start + t): float(y) for s in ds.subjects for t, y in enumerate(s.outcomes)
     }
@@ -402,7 +408,9 @@ def _cmd_cv(args) -> None:
         "best_lambda1": cv.best_lam1,
         "best_lambda2": cv.best_lam2,
     }
-    _fit_and_write(args, ds, cv.best_lam1, cv.best_lam2, config, {"cv": summary})
+    design = build_lagged(ds, args.tau, args.include_lagged_outcome)
+    del ds  # the panel is not needed past its design
+    _fit_and_write(args, design, cv.best_lam1, cv.best_lam2, config, {"cv": summary})
 
 
 # ------------------------------------------------------------------ parser
@@ -473,7 +481,7 @@ def build_parser() -> _Parser:
         help="cross-validate the penalty grid, then fit the best cell",
         description="--max-outer, --inner-max-iterations and --inner-tolerance set only the "
         "final refit of the best cell; each CV cell runs the lighter solver settings of "
-        "evaluation.CvSpec.",
+        "evaluation.CV_CELL_CONFIG (6 outer rounds, 800 inner iterations, inner tolerance 1e-5).",
     )
     _add_model_flags(p)
     p.add_argument("--output", required=True, help="best-cell model JSON path")

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DataError
 
 LAGGED_OUTCOME_NAME = "lagged_outcome"
+# the key columns of the long-format CSV: subject id, time and outcome
+KEY_COLUMNS = ("subject_id", "time", "y")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -57,9 +59,9 @@ class SubjectSeries:
 class LongitudinalDataset:
     """Per-subject series with a common length and feature set.
 
-    The feature set may be empty (d = 0): ``load_csv`` with
-    ``CsvSchema(feature_cols=())`` reads keys and outcomes only.  A lagged
-    design still needs at least one feature row.
+    The feature set may be empty (d = 0): ``load_csv(source, features=())``
+    reads keys and outcomes only.  A lagged design still needs at least one
+    feature row.
     """
 
     subjects: tuple[SubjectSeries, ...]
@@ -110,17 +112,6 @@ class LongitudinalDataset:
         return LongitudinalDataset(kept, self.feature_names)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for the long-format CSV layout."""
-
-    subject_col: str = "subject_id"
-    time_col: str = "time"
-    outcome_col: str = "y"
-    # None: every other column, at least one; () reads keys and outcomes only
-    feature_cols: tuple[str, ...] | None = None
-
-
 _TIME = re.compile(r"[+-]?[0-9]+")
 _INT64_LIMIT = 2**63
 
@@ -166,6 +157,7 @@ def _read_lines(source) -> list[str]:
         payload = source.read()
     if isinstance(payload, bytes):
         payload = payload.decode("utf-8")
+    payload = payload.removeprefix("\ufeff")  # one byte-order mark, from bytes or text
     if not payload:
         raise DataError("empty CSV")
     lines = payload.split("\n")
@@ -225,11 +217,15 @@ def _raise_first_row_error(rows, width, subject_pos, time_pos, value_cols):
     raise DataError("CSV rows could not be parsed")
 
 
-def load_csv(source, schema: CsvSchema = CsvSchema(), last_times: int | None = None) -> LongitudinalDataset:
+def load_csv(
+    source, features: tuple[str, ...] | None = None, last_times: int | None = None
+) -> LongitudinalDataset:
     """Load a long-format CSV (one row per subject and time point).
 
     ``source`` may be a path, a text stream, or a byte stream; content is
-    UTF-8 with a header row ``subject_id,time,y,<feature names...>``.
+    UTF-8 with a header row ``subject_id,time,y,<feature names...>``.  The
+    key columns ``KEY_COLUMNS`` are fixed: rename other headers before
+    loading.  One leading UTF-8 byte-order mark is skipped.
     Lines end in ``\\n`` or ``\\r\\n``; blank and all-separator lines are
     skipped.  Fields follow the csv module's default dialect, and a quoted
     field may not span lines.  Cells are stripped of whitespace; a time is
@@ -241,10 +237,11 @@ def load_csv(source, schema: CsvSchema = CsvSchema(), last_times: int | None = N
     ragged subjects, duplicate (subject, time) pairs, gaps in the time
     range, and missing or non-finite cells are all rejected; a per-row
     error names the first bad row or cell in file order, and unequal
-    series lengths or a gap are reported before any bad value cell.  The
-    default schema reads every other column as a feature and needs one;
-    ``CsvSchema(feature_cols=())`` reads only the keys and the outcome,
-    checking every row's width but leaving the feature cells unparsed.
+    series lengths or a gap are reported before any bad value cell.
+    ``features=None`` reads every other column as a feature and needs one;
+    a tuple of names reads those columns, in that order, as the features;
+    ``features=()`` reads only the keys and the outcome, checking every
+    row's width but leaving the feature cells unparsed.
 
     ``last_times=k`` returns only each subject's last k times (all of
     them when k >= T), with their absolute time labels, bit-equal to the
@@ -260,24 +257,22 @@ def load_csv(source, schema: CsvSchema = CsvSchema(), last_times: int | None = N
     lines = _read_lines(source)
     header = [h.strip() for h in _csv_cells(lines[0], 1)]
     _reject_repeats(header)
-    for col in (schema.subject_col, schema.time_col, schema.outcome_col):
+    for col in KEY_COLUMNS:
         if col not in header:
             raise DataError(f"missing required column {col!r}")
-    if schema.feature_cols is None:
-        reserved = {schema.subject_col, schema.time_col, schema.outcome_col}
-        feature_cols = tuple(h for h in header if h not in reserved)
-        if not feature_cols:
+    if features is None:
+        features = tuple(h for h in header if h not in KEY_COLUMNS)
+        if not features:
             raise DataError("no feature columns found")
     else:
-        feature_cols = tuple(schema.feature_cols)
-        for col in feature_cols:
+        features = tuple(features)
+        for col in features:
             if col not in header:
                 raise DataError(f"missing feature column {col!r}")
-        _reject_repeats(feature_cols)
+        _reject_repeats(features)
     width = len(header)
-    subject_pos = header.index(schema.subject_col)
-    time_pos = header.index(schema.time_col)
-    value_cols = [(c, header.index(c)) for c in (schema.outcome_col, *feature_cols)]
+    subject_pos, time_pos = header.index(KEY_COLUMNS[0]), header.index(KEY_COLUMNS[1])
+    value_cols = [(c, header.index(c)) for c in (KEY_COLUMNS[2], *features)]
     layout = (width, subject_pos, time_pos, value_cols)
     # a row error found from the keys names the first bad row; with a
     # window it checks no value cell, since most lie outside the window
@@ -346,7 +341,7 @@ def load_csv(source, schema: CsvSchema = CsvSchema(), last_times: int | None = N
         )
         for i, subject in enumerate(ids.tolist())
     )
-    return LongitudinalDataset(subjects, feature_cols)
+    return LongitudinalDataset(subjects, features)
 
 
 def _changes_on_load(text: str) -> bool:
@@ -378,7 +373,7 @@ def write_csv(ds: LongitudinalDataset, target) -> None:
     for s in ds.subjects:
         if _changes_on_load(s.id):
             raise DataError(f"subject id {s.id!r} would not load back from CSV")
-    header = ["subject_id", "time", "y", *ds.feature_names]
+    header = [*KEY_COLUMNS, *ds.feature_names]
     for name in ds.feature_names:
         if _changes_on_load(name) or header.count(name) > 1:
             raise DataError(f"feature name {name!r} would not load back from CSV")

@@ -23,6 +23,14 @@ METRICS = ("nmse", "auc")
 # GRID_SPAN * lambda_max up to lambda_max
 GRID_POINTS = 5
 GRID_SPAN = 1e-3
+# support_lambdas: each penalty is the SUPPORT_QUANTILE of its block's largest
+# group pulls over SUPPORT_DRAWS noise draws, times the block's inflation
+SUPPORT_DRAWS = 40
+SUPPORT_QUANTILE = 0.9
+SUPPORT_ROW_INFLATION = 1.5
+SUPPORT_COL_INFLATION = 2.2
+# every CV cell's fit: lighter than a final fit, as cells only need ranking
+CV_CELL_CONFIG = alternation.FitConfig(max_outer=6, inner_max_iterations=800, inner_tolerance=1e-5)
 
 
 def nmse(predictions, actuals) -> float:
@@ -79,57 +87,40 @@ def lambda_max(design, family) -> tuple[float, float]:
     return max(lam1, 1e-12), max(lam2, 1e-12)
 
 
-def support_lambdas(
-    design,
-    family,
-    structure: str,
-    draws: int = 40,
-    quantile: float = 0.9,
-    row_inflation: float = 1.5,
-    col_inflation: float = 2.2,
-    seed: int = 0,
-    pilot: alternation.FitResult | None = None,
-):
+def support_lambdas(design, family, structure: str, seed: int = 0):
     """Noise-calibrated penalties targeting support recovery.
 
     Prediction error cannot identify the U/V split (the loss depends on
     W = U + V only), so penalties chosen by prediction CV systematically
-    under-regularize the decomposition.  This calibrator simulates pure
-    noise from a pilot fit's working covariance, measures the largest
+    under-regularize the decomposition.  This calibrator fits an
+    unpenalized pilot, simulates ``SUPPORT_DRAWS`` pure-noise panels from
+    its working covariance (drawn from ``seed``), measures the largest
     row and column group norms of the resulting gradient pulls, and
-    returns high quantiles inflated to withstand penalty cross-talk
-    (each block's penalty must also absorb the pull induced by the other
-    block's active groups).  Returns (lambda1, lambda2).
+    returns their ``SUPPORT_QUANTILE`` quantiles inflated by
+    ``SUPPORT_ROW_INFLATION`` and ``SUPPORT_COL_INFLATION`` to withstand
+    penalty cross-talk (each block's penalty must also absorb the pull
+    induced by the other block's active groups).  Returns (lambda1, lambda2).
     """
     if isinstance(family, str):
         family = get_family(family)
-    if pilot is None:
-        pilot = alternation.fit(
-            design,
-            family,
-            structure,
-            0.0,
-            0.0,
-            config=alternation.FitConfig(
-                max_outer=4, inner_max_iterations=600, inner_tolerance=1e-5
-            ),
-        )
+    pilot_config = alternation.FitConfig(max_outer=4, inner_max_iterations=600, inner_tolerance=1e-5)
+    pilot = alternation.fit(design, family, structure, 0.0, 0.0, config=pilot_config)
     working = pilot.working
     eta = fista.linear_predictor(design, pilot.W)
     root = np.sqrt(family.variance(family.mean(eta)))
     chol = spd_cholesky(working.R, "working correlation")
     rng = np.random.default_rng(seed)
-    row_pulls = np.empty(draws)
-    col_pulls = np.empty(draws)
-    for b in range(draws):
+    row_pulls = np.empty(SUPPORT_DRAWS)
+    col_pulls = np.empty(SUPPORT_DRAWS)
+    for b in range(SUPPORT_DRAWS):
         z = rng.standard_normal((design.m, design.n))
         noise = (root * (z @ chol.T)) / np.sqrt(working.phi)
         g = fista.estimating_function(design, working, noise, root)
         row_pulls[b] = row_norms(g).max()
         col_pulls[b] = row_norms(g.T).max()
     return (
-        row_inflation * float(np.quantile(row_pulls, quantile)),
-        col_inflation * float(np.quantile(col_pulls, quantile)),
+        SUPPORT_ROW_INFLATION * float(np.quantile(row_pulls, SUPPORT_QUANTILE)),
+        SUPPORT_COL_INFLATION * float(np.quantile(col_pulls, SUPPORT_QUANTILE)),
     )
 
 
@@ -148,9 +139,8 @@ class CvSpec:
     """Cross-validation plan.
 
     ``lam1_grid``/``lam2_grid`` default to the data-driven log grids of
-    ``default_grids``.
-    The per-cell fit runs a lighter solver configuration than a final
-    fit: cells only need ranking, not full precision.
+    ``default_grids``.  Every cell fits with the solver settings of
+    ``CV_CELL_CONFIG``.
     """
 
     lam1_grid: tuple[float, ...] | None = None
@@ -158,11 +148,6 @@ class CvSpec:
     folds: int = 3
     metric: str = "nmse"
     seed: int = 0
-    fit_config: alternation.FitConfig = field(
-        default_factory=lambda: alternation.FitConfig(
-            max_outer=6, inner_max_iterations=800, inner_tolerance=1e-5
-        )
-    )
 
     def __post_init__(self):
         if self.folds < 2:
@@ -206,7 +191,7 @@ def fold_assignments(subject_ids, folds: int, seed: int) -> dict:
 
 def _score_cell(design, test_design, family, structure, lam1, lam2, spec):
     """Held-out score of one cell on one fold."""
-    result = alternation.fit(design, family, structure, lam1, lam2, config=spec.fit_config)
+    result = alternation.fit(design, family, structure, lam1, lam2, config=CV_CELL_CONFIG)
     predictions = alternation.predict(result, test_design)
     if spec.metric == "nmse":
         return nmse(predictions.ravel(), test_design.y.ravel())
@@ -230,14 +215,11 @@ def grid_cv(
     ``failures``; if every cell is invalid an error is raised.
     """
     spec = spec or CvSpec()
-    if spec.lam1_grid is None or spec.lam2_grid is None:
-        full_design = build_lagged(train, tau, include_lagged_outcome)
-        auto1, auto2 = default_grids(full_design, family)
-        lam1_grid = spec.lam1_grid or auto1
-        lam2_grid = spec.lam2_grid or auto2
-    else:
-        lam1_grid = tuple(spec.lam1_grid)
-        lam2_grid = tuple(spec.lam2_grid)
+    lam1_grid, lam2_grid = spec.lam1_grid, spec.lam2_grid
+    if lam1_grid is None or lam2_grid is None:
+        # the whole panel's design serves only the grids: freed before fold 0
+        auto1, auto2 = default_grids(build_lagged(train, tau, include_lagged_outcome), family)
+        lam1_grid, lam2_grid = lam1_grid or auto1, lam2_grid or auto2
 
     cells = [(lam1, lam2) for lam1 in lam1_grid for lam2 in lam2_grid]
     assignment = fold_assignments(train.subject_ids, spec.folds, spec.seed)

@@ -90,12 +90,6 @@ def _streams(cfg: SimConfig):
     return coef_stream, subject_streams
 
 
-def true_coefficients(cfg: SimConfig):
-    """Draw and mask the true U and V matrices."""
-    rng, _ = _streams(cfg)
-    return _masked_coefficients(cfg, rng)
-
-
 def _masked_coefficients(cfg: SimConfig, rng):
     """U and V drawn from the coefficient stream ``rng``, then masked."""
     U = rng.normal(0.0, cfg.coef_sd, size=(cfg.d, cfg.tau + 1))

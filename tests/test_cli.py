@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -682,3 +683,70 @@ def test_evaluate_reads_predictions_by_the_dataset_grammar(tmp_path, capsys, row
     assert _evaluate(tmp_path, data, lines) == 2
     assert capsys.readouterr().err == f"error[data]: {message}\n"
     assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"schema": alternation.FIT_RESULT_SCHEMA}, "model JSON has no key 'U'"),
+    ([1, 2], "model JSON must hold an object, not list"),
+    ("model", "model JSON must hold an object, not str"),
+])
+def test_predict_rejects_a_malformed_model(tmp_path, capsys, payload, message):
+    data = simulate(tmp_path)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    code = cli.run(["predict", "--model", str(model), "--input", str(data),
+                    "--output", str(tmp_path / "preds.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error[data]: {message}\n"
+    assert not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    *((key, value, f"model JSON key {key!r} has an invalid value") for key, value in [
+        ("shape", 3), ("structure", ["ar1"]), ("family", None), ("alpha", "0.5"),
+        ("n", "many"), ("feature_names", 4), ("trace", 1.0), ("config", [1]), ("U", {}),
+    ]),
+    ("V", [[None] * 2] * 4, "model JSON coefficients must be finite numbers"),
+])
+def test_predict_names_an_ill_typed_model_key(tmp_path, capsys, key, value, message):
+    # one error line naming the key, never a traceback or NaN predictions
+    data = simulate(tmp_path)
+    model = tmp_path / "model.json"
+    run_ok(["fit", "--input", data, "--output", model, "--tau", "1"])
+    payload = json.loads(model.read_text())
+    payload[key] = value
+    model.write_text(json.dumps(payload))
+    code = cli.run(["predict", "--model", str(model), "--input", str(data),
+                    "--output", str(tmp_path / "preds.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error[data]: {message}\n"
+    assert not (tmp_path / "preds.csv").exists()
+
+
+def test_fit_frees_the_training_panel_before_the_solve(tmp_path, monkeypatch):
+    data = simulate(tmp_path)
+    panels, alive = [], []
+    build, fit = cli.build_lagged, alternation.fit
+
+    def build_and_watch(ds, *args):
+        panels.append(weakref.ref(ds))
+        return build(ds, *args)
+
+    def fit_and_check(*args, **kwargs):
+        alive.append([ref() is not None for ref in panels])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_lagged", build_and_watch)
+    monkeypatch.setattr(alternation, "fit", fit_and_check)
+    run_ok(["fit", "--input", data, "--output", tmp_path / "model.json", "--tau", "1",
+            "--holdout", "3"])
+    assert alive == [[False]]
+
+
+def test_evaluate_skips_a_byte_order_mark(tmp_path):
+    data, lines = _predictions(tmp_path)
+    assert _evaluate(tmp_path, data, lines) == 0
+    plain = (tmp_path / "metrics.json").read_text()
+    assert _evaluate(tmp_path, data, ["\ufeff" + lines[0], *lines[1:]]) == 0
+    assert (tmp_path / "edited.csv").read_bytes().startswith(b"\xef\xbb\xbfsubject_id,")
+    assert (tmp_path / "metrics.json").read_text() == plain

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longlasso.dataset import (
-    CsvSchema,
+    KEY_COLUMNS,
     LongitudinalDataset,
     SubjectSeries,
     build_lagged,
@@ -27,8 +27,8 @@ b,3,1.7,6.0
 """
 
 
-def _ds(text: str, schema=CsvSchema(), last_times=None):
-    return load_csv(io.BytesIO(text.encode("utf-8")), schema, last_times)
+def _ds(text: str, features=None, last_times=None):
+    return load_csv(io.BytesIO(text.encode("utf-8")), features, last_times)
 
 
 def test_load_csv_well_formed():
@@ -91,22 +91,22 @@ def test_load_csv_header_and_schema_errors():
     with pytest.raises(DataError, match="missing required column"):
         _ds("id,time,y,x1\na,1,1,1\n")
     with pytest.raises(DataError, match="missing feature column"):
-        _ds(WELL_FORMED, CsvSchema(feature_cols=("x9",)))
+        _ds(WELL_FORMED, ("x9",))
     with pytest.raises(DataError, match="empty CSV"):
         _ds("")
 
 
 def test_load_csv_outcome_only_schema():
-    # feature_cols=() reads keys and outcomes only: feature cells are not
+    # features=() reads keys and outcomes only: feature cells are not
     # parsed, but every row's width is still checked
-    outcomes = _ds(WELL_FORMED.replace("a,2,0.6,2.0", "a,2,0.6,abc"), CsvSchema(feature_cols=()))
+    outcomes = _ds(WELL_FORMED.replace("a,2,0.6,2.0", "a,2,0.6,abc"), ())
     full = _ds(WELL_FORMED)
     assert (outcomes.m, outcomes.d, outcomes.T) == (2, 0, 3)
     for a, b in zip(outcomes.subjects, full.subjects):
         assert a.id == b.id and a.time_start == b.time_start
         assert np.array_equal(a.outcomes, b.outcomes)
     with pytest.raises(DataError, match="^row 3 has 5 cells, expected 4$"):
-        _ds(WELL_FORMED.replace("a,2,0.6,2.0", "a,2,0.6,2.0,7"), CsvSchema(feature_cols=()))
+        _ds(WELL_FORMED.replace("a,2,0.6,2.0", "a,2,0.6,2.0,7"), ())
     with pytest.raises(DataError, match="design needs at least one feature"):
         build_lagged(outcomes, 1)
     # only an explicit empty feature set is allowed
@@ -115,20 +115,46 @@ def test_load_csv_outcome_only_schema():
 
 
 def test_load_csv_custom_schema_mapping():
+    # the key columns are fixed; the features are read by name, in the
+    # order asked for
     text = (
-        "person,week,drinks,stress,mood\n"
+        "subject_id,time,y,stress,mood\n"
         "p2,4,1.0,0.1,0.2\n"
         "p2,5,2.0,0.3,0.4\n"
         "p1,4,3.0,0.5,0.6\n"
         "p1,5,4.0,0.7,0.8\n"
     )
-    schema = CsvSchema(subject_col="person", time_col="week", outcome_col="drinks",
-                       feature_cols=("mood", "stress"))
-    ds = _ds(text, schema)
+    ds = _ds(text, ("mood", "stress"))
     assert ds.subject_ids == ("p1", "p2")
-    assert ds.feature_names == ("mood", "stress")  # schema order, not file order
+    assert ds.feature_names == ("mood", "stress")  # asked order, not file order
     assert np.allclose(ds.subjects[0].features, [[0.6, 0.8], [0.5, 0.7]])
     assert ds.subjects[0].time_start == 4
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "text"])
+def test_load_csv_skips_one_byte_order_mark(tmp_path, kind):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + WELL_FORMED.encode("utf-8"))
+    source = {
+        "path": path,
+        "bytes": io.BytesIO(path.read_bytes()),
+        "text": io.StringIO("\ufeff" + WELL_FORMED),
+    }[kind]
+    _assert_bit_equal(_ds(WELL_FORMED), load_csv(source))
+    # only one: a second mark belongs to the first header name
+    with pytest.raises(DataError, match="^missing required column 'subject_id'$"):
+        _ds("\ufeff\ufeff" + WELL_FORMED)
+    with pytest.raises(DataError, match="^empty CSV$"):
+        _ds("\ufeff")
+
+
+def test_key_columns_are_fixed(tmp_path):
+    assert KEY_COLUMNS == ("subject_id", "time", "y")
+    path = tmp_path / "keys.csv"
+    write_csv(_ds(WELL_FORMED), path)
+    assert path.read_text().splitlines()[0] == ",".join((*KEY_COLUMNS, "x1"))
+    with pytest.raises(DataError, match="^missing required column 'subject_id'$"):
+        _ds(WELL_FORMED.replace("subject_id", "person"))
 
 
 def test_write_then_load_round_trip(tmp_path):
@@ -146,7 +172,7 @@ def test_load_csv_duplicate_column():
     with pytest.raises(DataError, match=r"^duplicate column 'x1'$"):
         _ds(text)
     with pytest.raises(DataError, match=r"^duplicate column 'x1'$"):
-        _ds(WELL_FORMED, CsvSchema(feature_cols=("x1", "x1")))
+        _ds(WELL_FORMED, ("x1", "x1"))
 
 
 @pytest.mark.parametrize("time", ["1_0", "١", "2.0", "0x2", "2e0"])

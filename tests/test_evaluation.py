@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ import longlasso as ll
 from longlasso import alternation, evaluation
 from longlasso.dataset import build_lagged
 from longlasso.errors import NumericalError
+from longlasso.evaluation import CV_CELL_CONFIG
 
 
 def test_nmse_examples():
@@ -158,7 +161,7 @@ def test_grid_cv_selected_cell_close_to_best_on_holdout():
     holdout_scores = {}
     for lam1 in grid1:
         for lam2 in grid2:
-            res = ll.fit(design, "gaussian", "independent", lam1, lam2, config=spec.fit_config)
+            res = ll.fit(design, "gaussian", "independent", lam1, lam2, config=CV_CELL_CONFIG)
             pred = ll.predict(res, test_design)
             holdout_scores[(lam1, lam2)] = ll.nmse(pred.ravel(), test_design.y.ravel())
     best_holdout = min(holdout_scores.values())
@@ -213,6 +216,42 @@ def test_grid_cv_partial_failure_marks_cell_invalid(monkeypatch):
     assert [row[3] is None for row in cv.table] == [True, True, False, False]
 
 
+def test_grid_cv_frees_the_default_grid_design_before_fold_0(monkeypatch):
+    # the whole panel's design serves only the default grids
+    ds, _ = _sim_train()
+    designs, alive = [], []
+    build = evaluation.build_lagged
+
+    def build_and_watch(*args):
+        alive.append([ref() is not None for ref in designs])
+        design = build(*args)
+        designs.append(weakref.ref(design))
+        return design
+
+    monkeypatch.setattr(evaluation, "build_lagged", build_and_watch)
+    spec = ll.CvSpec(lam2_grid=(0.5,), folds=2, seed=0)
+    cv = ll.grid_cv(ds, 1, "gaussian", "independent", spec)
+    assert len(cv.lam1_grid) == evaluation.GRID_POINTS
+    # the grid design, then each fold's train and test designs
+    assert len(alive) == 5 and alive[1] == [False]
+
+
+def test_grid_cv_fits_every_cell_with_the_cell_config(monkeypatch):
+    ds, _ = _sim_train()
+    configs = []
+    real_fit = alternation.fit
+
+    def recording(*args, config=None, **kwargs):
+        configs.append(config)
+        return real_fit(*args, config=config, **kwargs)
+
+    monkeypatch.setattr(alternation, "fit", recording)
+    spec = ll.CvSpec(lam1_grid=(0.1, 0.5), lam2_grid=(0.5,), folds=2, seed=0)
+    ll.grid_cv(ds, 1, "gaussian", "independent", spec)
+    assert len(configs) == 4 and all(config is CV_CELL_CONFIG for config in configs)
+    assert CV_CELL_CONFIG == ll.FitConfig(max_outer=6, inner_max_iterations=800, inner_tolerance=1e-5)
+
+
 def test_lambda_max_kills_everything_at_first_step():
     ds, _ = _sim_train()
     design = build_lagged(ds, 1)
@@ -244,6 +283,8 @@ def test_support_lambdas_deterministic_and_positive():
     b = ll.support_lambdas(design, "gaussian", "independent", seed=7)
     assert a == b
     assert a[0] > 0 and a[1] > 0
+    assert (evaluation.SUPPORT_DRAWS, evaluation.SUPPORT_QUANTILE) == (40, 0.9)
+    assert (evaluation.SUPPORT_ROW_INFLATION, evaluation.SUPPORT_COL_INFLATION) == (1.5, 2.2)
 
 
 def test_cv_spec_validation():

@@ -6,7 +6,7 @@ import pytest
 import longlasso as ll
 from longlasso import fista
 from longlasso.dataset import build_lagged
-from longlasso.simulate import SimConfig, generate_classification, generate_regression, true_coefficients
+from longlasso.simulate import SimConfig, generate_classification, generate_regression
 
 
 def small_cfg(**overrides):
@@ -37,7 +37,7 @@ def test_config_rejects_non_finite_settings(field, value):
 
 
 def test_masked_entries_exactly_zero():
-    U, V = true_coefficients(small_cfg())
+    _, U, V = generate_regression(small_cfg())
     assert np.array_equal(U[0], np.zeros(3))
     assert np.array_equal(V[:, 1], np.zeros(4))
     assert np.any(U[1:] != 0)
