@@ -21,12 +21,15 @@ from .correlation import (
     make_working,
     pearson_residuals,
 )
-from .dataset import LaggedDesign
+from .dataset import LAGGED_OUTCOME_NAME, LaggedDesign
 from .errors import DataError, check_finite
 from .families import Family, get_family
 from .penalty import CoefficientPair, row_norms
 
 FIT_RESULT_SCHEMA = "longlasso.fit_result.v2"
+# a fit settles once a round's alpha change and relative coefficient change are below both
+ALPHA_TOLERANCE = 1e-4
+COEF_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,6 @@ class FitConfig:
     """Settings for the alternating fit."""
 
     max_outer: int = 25
-    alpha_tolerance: float = 1e-4
-    coef_tolerance: float = 1e-4
     inner_max_iterations: int = 2000
     inner_tolerance: float = 1e-6
 
@@ -44,8 +45,7 @@ class FitConfig:
             raise ValueError("max_outer must be at least 1")
         if self.inner_max_iterations < 1:
             raise ValueError("inner_max_iterations must be at least 1")
-        for name in ("alpha_tolerance", "coef_tolerance", "inner_tolerance"):
-            check_finite(name, getattr(self, name), positive=True)
+        check_finite("inner_tolerance", self.inner_tolerance, positive=True)
 
     def inner(self, lam1: float, lam2: float) -> fista.InnerConfig:
         return fista.InnerConfig(
@@ -135,16 +135,16 @@ def fit(
         # phi estimate (a fixed penalty against a phi-scaled loss feeds
         # back on itself and can collapse the coefficients).
         inner_cfg = config.inner(lam1 * working.phi, lam2 * working.phi)
-        # Warm-start later rounds at the previous iterate: the inner
-        # problem changes only through alpha, so restarting from zero
-        # wastes iterations and an underconverged refit would bias the
-        # next moment update.
-        start = None if outer == 0 else (U, V)
-        result = fista.inner_solve(design, family, working, inner_cfg, start=start)
+        # Warm-start later rounds at the previous iterate (round 0 at the
+        # zero pair): the inner problem changes only through alpha, so
+        # restarting from zero wastes iterations and an underconverged
+        # refit would bias the next moment update.
+        result = fista.inner_solve(design, family, working, inner_cfg, start=(U, V))
         rounds += 1
         coef_change = fista._relative_change(result.U - U, result.V - V, result.U, result.V)
         U, V = result.U, result.V
-        trace.append(float(result.objective_trace[-1]) if result.objective_trace.size else 0.0)
+        # every inner solve records at least one iteration
+        trace.append(float(result.objective_trace[-1]))
         inner_traces.append(result.objective_trace)
         inner_step_traces.append(result.step_trace)
 
@@ -155,7 +155,7 @@ def fit(
         phi, alpha = _moment_update(design, family, structure, U + V)
         alpha_change = abs(alpha - working.alpha)
         working = make_working(structure, alpha, phi, design.n)
-        if outer > 0 and alpha_change < config.alpha_tolerance and coef_change < config.coef_tolerance:
+        if outer > 0 and alpha_change < ALPHA_TOLERANCE and coef_change < COEF_TOLERANCE:
             settled = True
             break
 
@@ -255,8 +255,11 @@ _MODEL_KEYS = {
 def from_json_dict(payload: dict) -> FitResult:
     """Rebuild a FitResult from its JSON form (correlation re-realized at n).
 
-    A payload that is not an object, or a missing or ill-typed key,
-    raises ``DataError`` naming it.
+    A payload that is not an object, a missing or ill-typed key, or keys
+    that disagree raise ``DataError`` naming them: ``feature_names`` must
+    hold one name per row of ``shape``, ``shape`` one column per lag
+    0..``tau``, and with ``include_lagged_outcome`` the last name must be
+    ``dataset.LAGGED_OUTCOME_NAME``.
     """
     if not isinstance(payload, dict):
         raise DataError(f"model JSON must hold an object, not {type(payload).__name__}")
@@ -273,6 +276,18 @@ def from_json_dict(payload: dict) -> FitResult:
         raise DataError("model JSON coefficients must be finite numbers")
     if list(U.shape) != list(payload["shape"]) or list(V.shape) != list(payload["shape"]):
         raise DataError("coefficient arrays disagree with the recorded shape")
+    shape, names, tau = payload["shape"], payload["feature_names"], payload["tau"]
+    if len(shape) != 2:
+        raise DataError("model JSON key 'shape' must hold two dimensions")
+    if len(names) != shape[0]:
+        raise DataError(f"model JSON keys 'feature_names' and 'shape' disagree: "
+                        f"{len(names)} names for {shape[0]} rows")
+    if shape[1] != tau + 1:
+        raise DataError(f"model JSON keys 'shape' and 'tau' disagree: {shape[1]} lag columns for tau {tau}")
+    # one direction only: a dataset may have a feature of its own by that name
+    if payload["include_lagged_outcome"] and names[-1:] != [LAGGED_OUTCOME_NAME]:
+        raise DataError("model JSON keys 'include_lagged_outcome' and 'feature_names' disagree: "
+                        f"the last name is not {LAGGED_OUTCOME_NAME!r}")
     working = make_working(payload["structure"], payload["alpha"], payload["phi"], int(payload["n"]))
     return FitResult(
         coefficients=CoefficientPair(

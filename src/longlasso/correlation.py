@@ -1,8 +1,10 @@
 """Working correlation structures and their moment estimators.
 
-Covers the realized correlation matrix R(alpha) with its guarded inverse,
+Covers the realized correlation matrix R(alpha) with its inverse,
 Pearson residuals, and the moment estimators for the scale phi and the
-correlation parameter alpha.
+correlation parameter alpha.  Every factorization here is one Cholesky
+attempt: a matrix that is not positive definite raises ``NumericalError``
+at once, with no diagonal jitter.
 
 The scale convention follows var(y_t) = var(mu_t) / phi, so phi is the
 inverse of the usual GLM dispersion.
@@ -21,10 +23,6 @@ spl = LazyModule("scipy.linalg")
 STRUCTURES = ("independent", "exchangeable", "tridiagonal", "ar1")
 
 PHI_FLOOR = 1e-8
-
-# Jitter escalation for positive-definiteness guards: 1e-8*I, then x10 up
-# to 1e-4, then fail.
-_JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 
 def _check_structure(structure: str) -> None:
@@ -57,8 +55,7 @@ def build_R(structure: str, alpha: float, n: int) -> np.ndarray:
     """Realize the n x n working correlation matrix for a structure.
 
     Requires |alpha| < 1 (exchangeable additionally alpha > -1/(n-1)).
-    The matrix itself is not jittered here; positive definiteness is
-    enforced where a factorization is taken.
+    Positive definiteness is checked where a factorization is taken.
     """
     _check_structure(structure)
     if n < 1:
@@ -84,14 +81,11 @@ def build_R(structure: str, alpha: float, n: int) -> np.ndarray:
 
 
 def _factor_spd(M: np.ndarray, what: str):
-    """Cholesky factor of M, escalating diagonal jitter before failing."""
-    scale = float(np.mean(np.diag(M))) or 1.0
-    for jitter in _JITTERS:
-        try:
-            return spl.cho_factor(M + jitter * scale * np.eye(M.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(f"{what} is not positive definite (jitter exhausted)")
+    """Cholesky factor of M, from one attempt; ``what`` names M in the error."""
+    try:
+        return spl.cho_factor(M, lower=True)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"{what} is not positive definite") from None
 
 
 def spd_inverse(M: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -102,7 +96,7 @@ def spd_inverse(M: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def spd_cholesky(M: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor with the same jitter guard as the inverse."""
+    """Lower Cholesky factor of a symmetric positive definite matrix."""
     factor, _ = _factor_spd(M, what)
     return np.tril(factor)
 
@@ -127,7 +121,7 @@ class WorkingCorrelation:
 
 
 def make_working(structure: str, alpha: float, phi: float, n: int) -> WorkingCorrelation:
-    """Build a :class:`WorkingCorrelation` with a guarded inverse."""
+    """Build a :class:`WorkingCorrelation`; an R that is not positive definite raises."""
     if phi <= 0.0:
         raise ValueError("phi must be positive")
     R = build_R(structure, alpha, n)

@@ -18,9 +18,9 @@ majorization test (comparing loss values would subtract numbers of the
 size of c).
 
 Every Gram has the form sum_i X_i^T A_i^{1/2} C C^T A_i^{1/2} X_i for an
-n x r factor C and a variance diagonal A, and one accumulator,
-``_accumulate``, builds them all: a chunk of subjects at a time is
-whitened into one 1 MB buffer and added with one rank-k ``dsyrk``.
+n x r factor C and a variance diagonal A; ``build_gram`` makes them all,
+reading the design in one accumulator, ``_accumulate``: a chunk of subjects
+at a time is whitened into one 1 MB buffer and added with one ``dsyrk``.
 
 - Gaussian: the quadratic is the smooth part itself, with
   G = X^T (I_m kron R^{-1}) X, b = X^T (I_m kron R^{-1}) y and
@@ -28,19 +28,19 @@ whitened into one 1 MB buffer and added with one rank-k ``dsyrk``.
   independent, exchangeable and AR(1) structures R^{-1}(alpha) is a fixed
   combination sum_k w_k C_k C_k^T of alpha-free factors (``_basis_terms``:
   the identity, the ones column or the adjacent-sum factor, and AR(1)'s
-  edge factor), so ``gaussian_gram`` is the weighted sum sum_k w_k G_k of
-  a ``GramBasis`` built, one accumulator pass per factor, on the first
+  edge factor), so the Gram is the weighted sum sum_k w_k G_k of a frozen
+  ``GramBasis`` built, one accumulator pass per factor, on the first
   Gaussian solve on a design and kept on it (``_gram_cache``): up to three
   p x p arrays that live as long as the design.  Every later outer round,
   and every CV cell on the same fold design, then costs one p x p scale
   and an axpy per further term, and reads no design row.  Tridiagonal
-  R^{-1} is dense and not affine in alpha, so each tridiagonal solve runs
-  ``build_gram``, whitening by the Cholesky factor of R^{-1}.
+  R^{-1} is dense and not affine in alpha, so each tridiagonal solve makes
+  one accumulator pass, whitening by the Cholesky factor of R^{-1}.
 - Bernoulli/Poisson: penalized Fisher scoring, since under a non-identity
   R the estimating function is the gradient of no scalar loss.  Each
   outer step solves the model at the current point w with G = H, the
   curvature Gram sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i (GEE's Fisher
-  information over phi) from ``curvature_gram``, b = H w - grad / phi and
+  information over phi) from ``build_gram`` given A^{1/2}, b = H w - grad / phi and
   c = 0, stopping early once the model's own gradient mapping is below
   ``EARLY_STOP`` times the outer one.  The step is accepted when the
   gradient-mapping norm ||L0 (x - prox(x - grad / L0))||, L0 fixed per
@@ -52,9 +52,9 @@ whitened into one 1 MB buffer and added with one rank-k ``dsyrk``.
 Every step bound L = 2 * phi * lambda_max(H) is exact, from one LAPACK
 ``dsyevr`` on the curvature Gram (G itself for Gaussian solves), run in
 place on the Gram with no p x p copy.  At R = I a Gaussian G is the
-basis's G0, whose lambda_max the basis keeps, so the CV cells of one fold
-share one ``dsyevr`` for their alpha = 0 rounds.  Convergence is declared
-on iterate change between consecutive iterates.
+basis's G0, whose lambda_max the basis finds once, when it is built, so
+the CV cells of one fold share one ``dsyevr`` for their alpha = 0 rounds.
+Convergence is declared on iterate change between consecutive iterates.
 
 Each model solve allocates its buffers once: ``InnerState`` stacks U, V
 and G (U + V) in one (3, d_eff, tau+1) array per point (iterate, previous
@@ -199,9 +199,6 @@ class InnerState:
 
     U = property(lambda self: self.Z[0])
     V = property(lambda self: self.Z[1])
-    eta = property(lambda self: self.Z[2])
-    U_tilde = property(lambda self: self.Z_tilde[0])
-    V_tilde = property(lambda self: self.Z_tilde[1])
     eta_tilde = property(lambda self: self.Z_tilde[2])
 
     def _thresholds(self, config: InnerConfig, L: float) -> None:
@@ -320,33 +317,6 @@ def _whiten(whiten: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmooth:
-    """Gram form of the Gaussian smooth part at this working correlation.
-
-    G = sum_i X_i^T R^{-1} X_i, b = sum_i X_i^T R^{-1} y_i and
-    c = sum_i y_i^T R^{-1} y_i, with X_i subject i's n x p example matrix:
-    one ``_accumulate`` pass with C the Cholesky factor of R^{-1} = C C^T.
-    Every tridiagonal Gaussian solve runs it, as R^{-1} is dense there;
-    Gaussian solves under the other structures run ``gaussian_gram``.
-    """
-    G, b, c = _accumulate(design, spd_cholesky(working.R_inv, "inverse working correlation"))
-    _mirror_upper(G)
-    return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
-
-
-def curvature_gram(design: LaggedDesign, working: WorkingCorrelation, root_var) -> np.ndarray:
-    """H = sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i, p x p and Fortran-ordered.
-
-    ``root_var`` is A^{1/2}, the square root of the variance-function
-    diagonal: a scalar, or one entry per example in an (m, n) array.  One
-    ``_accumulate`` pass with C the Cholesky factor of R^{-1}; H is the
-    curvature Gram of ``lipschitz_upper`` and of each scoring model.
-    """
-    H, _, _ = _accumulate(design, spd_cholesky(working.R_inv, "inverse working correlation"), root_var)
-    _mirror_upper(H)
-    return H
-
-
 def _basis_terms(structure: str, R_inv: np.ndarray) -> list:
     """Factors C_k and weights w_k with R^{-1} = sum_k w_k C_k C_k^T, as (C_k, w_k) pairs.
 
@@ -381,63 +351,70 @@ def _basis_terms(structure: str, R_inv: np.ndarray) -> list:
     return [(None, r11 - 2.0 * r01), (adjacent, r01), (edges, r00 - r11 + r01)]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GramBasis:
     """The alpha-free terms of one structure's Gaussian Gram on one design.
 
     Entry k of ``G``, ``b`` and ``c`` is the ``_accumulate`` sum of factor
     C_k of ``_basis_terms``: G_k = sum_i X_i^T C_k C_k^T X_i and the
-    matching X^T y and y^T y terms.  ``G[0]`` is G0 = sum_i X_i^T X_i; the
-    others are the Grams of the per-subject column sums (exchangeable), or
-    of the adjacent-row sums and of each subject's first and last rows
-    (AR(1)).  All are read-only, and each G_k holds its upper triangle
-    only.  ``G0_top`` is lambda_max(G0), kept by the first solve at R = I
-    (see ``_gaussian_bound``).
+    matching X^T y and y^T y terms.  ``G[0]`` is G0 = sum_i X_i^T X_i, held
+    whole; the others, the Grams of the per-subject column sums
+    (exchangeable), or of the adjacent-row sums and of each subject's first
+    and last rows (AR(1)), hold their upper triangle only.  ``top0`` is
+    lambda_max(G0), the step bound's eigenvalue at R = I.  The basis and
+    its arrays are read-only, so the fits that share a design share it.
     """
 
     G: tuple
     b: np.ndarray
     c: np.ndarray
-    G0_top: float | None = None
+    top0: float
 
 
 def _build_basis(design: LaggedDesign, factors) -> GramBasis:
-    """The ``GramBasis`` of ``factors``: one ``_accumulate`` pass per factor."""
+    """The ``GramBasis`` of ``factors``: one ``_accumulate`` pass each, lambda_max(G0) in place."""
     G, b, c = zip(*(_accumulate(design, factor) for factor in factors))
+    _mirror_upper(G[0])
+    top0 = _top_eigenvalue(G[0])
     b, c = np.array(b), np.array(c)
     for array in (*G, b, c):
         array.setflags(write=False)
-    return GramBasis(G=G, b=b, c=c)
+    return GramBasis(G=G, b=b, c=c, top0=top0)
 
 
-def gaussian_gram(design: LaggedDesign, working: WorkingCorrelation) -> GramSmooth:
-    """The Gaussian quadratic of ``build_gram``, from the design's basis where one applies.
+def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None) -> GramSmooth:
+    """The quadratic over G = sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i, with the matching b and c.
 
-    For ``BASIS_STRUCTURES`` the structure's ``GramBasis`` is built on the
-    first call and kept on the design, which holds one basis at a time;
-    each call then combines G, b and c as sum_k w_k G_k with the weights of
-    ``_basis_terms`` (one p x p scale and an axpy per further term), and
-    reads no design row.  G is a new Fortran-ordered array, so the basis is
-    never written.  Tridiagonal structures run ``build_gram``.
+    X_i is subject i's n x p example matrix and ``root_var`` A^{1/2}: a
+    scalar, one entry per example in an (m, n) array, or None for A = I,
+    the Gaussian smooth part.  With A = I and a structure in
+    ``BASIS_STRUCTURES``, G, b and c are sum_k w_k G_k over the design's
+    ``GramBasis`` (built on the first call and kept, one at a time) with
+    the weights of ``_basis_terms``: one p x p scale and an axpy per
+    further term into a new G, and no design row read.  Otherwise (every
+    tridiagonal solve, and the curvature Gram H of ``lipschitz_upper`` and
+    of each scoring model, which read G alone) it is one ``_accumulate``
+    pass with C the Cholesky factor of R^{-1} = C C^T.
     """
-    if working.structure not in BASIS_STRUCTURES:
-        return build_gram(design, working)
-    terms = _basis_terms(working.structure, working.R_inv)
-    cache = design._gram_cache
-    basis = cache.get(working.structure)
-    if basis is None:
-        basis = _build_basis(design, [factor for factor, _ in terms])
-        cache.clear()
-        cache[working.structure] = basis
-    weights = np.array([weight for _, weight in terms])
-    G = basis.G[0] * weights[0]
-    for term, weight in zip(basis.G[1:], weights[1:]):
-        if weight != 0.0:
-            # in place on G's memory: no p x p temporary
-            blas.daxpy(term.reshape(-1, order="F"), G.reshape(-1, order="F"), a=weight)
+    if root_var is None and working.structure in BASIS_STRUCTURES:
+        terms = _basis_terms(working.structure, working.R_inv)
+        cache = design._gram_cache
+        basis = cache.get(working.structure)
+        if basis is None:
+            basis = _build_basis(design, [factor for factor, _ in terms])
+            cache.clear()
+            cache[working.structure] = basis
+        weights = np.array([weight for _, weight in terms])
+        G = basis.G[0] * weights[0]
+        for term, weight in zip(basis.G[1:], weights[1:]):
+            if weight != 0.0:
+                # in place on G's memory: no p x p temporary
+                blas.daxpy(term.reshape(-1, order="F"), G.reshape(-1, order="F"), a=weight)
+        b = weights @ basis.b
+        c = float(weights @ basis.c)
+    else:
+        G, b, c = _accumulate(design, spd_cholesky(working.R_inv, "inverse working correlation"), root_var)
     _mirror_upper(G)
-    b = weights @ basis.b
-    c = float(weights @ basis.c)
     return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
 
 
@@ -557,7 +534,7 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation, gram=No
     """Joint (U, V) Lipschitz constant of the gradient, 2 * phi * lambda_max(H).
 
     H = sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i is the W-space
-    Gauss-Newton curvature, built by ``curvature_gram`` with A_i the
+    Gauss-Newton curvature, built by ``build_gram`` with A_i the
     variance-function diagonal at W = 0 (A = a0 * I) unless ``gram``
     supplies it: the Gaussian Gram G, or a scoring model's H at its own
     point.  The U/V parameterization has joint Hessian
@@ -567,7 +544,7 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation, gram=No
     """
     if gram is None:
         root_var = math.sqrt(float(family.variance(family.mean(np.zeros(1)))[0]))
-        gram = curvature_gram(design, working, root_var)
+        gram = build_gram(design, working, root_var).G
     return max(2.0 * working.phi * _top_eigenvalue(gram), L_FLOOR)
 
 
@@ -576,17 +553,14 @@ def _gaussian_bound(design, family: Family, working: WorkingCorrelation, G: np.n
 
     At R = I (round 0 of every fit, and every independent round) the basis
     weights are 1 for G0 and 0 for every other term, so G is G0 bit for bit
-    and so is its top eigenvalue: the design's basis keeps it from the
-    first such solve, and the CV cells of one fold run one ``dsyevr`` for
-    their alpha = 0 rounds instead of one each.  Threads that share a
-    design may both compute it; they store the same value.
+    and so is its top eigenvalue, which the design's basis holds from its
+    build: the CV cells of one fold run one ``dsyevr`` for their alpha = 0
+    rounds instead of one each.
     """
     basis = design._gram_cache.get(working.structure)
     if basis is None or not working.is_identity:
         return lipschitz_upper(design, family, working, gram=G)
-    if basis.G0_top is None:
-        basis.G0_top = _top_eigenvalue(G)
-    return max(2.0 * working.phi * basis.G0_top, L_FLOOR)
+    return max(2.0 * working.phi * basis.top0, L_FLOOR)
 
 
 def _top_eigenvalue(G: np.ndarray) -> float:
@@ -754,7 +728,7 @@ def _scoring_solve(design, family: Family, working: WorkingCorrelation, config, 
 
     def curvature(eta):
         # the model's Gram and step bound at the point with predictor eta
-        H = curvature_gram(design, working, np.sqrt(family.variance(family.mean(eta))))
+        H = build_gram(design, working, np.sqrt(family.variance(family.mean(eta)))).G
         return H, lipschitz_upper(design, family, working, gram=H)
 
     def at(U, V):
@@ -817,7 +791,7 @@ def inner_solve(
 ) -> InnerSolveResult:
     """Run the accelerated solver, by default from the all-zero start.
 
-    Gaussian solves run on the Gram form from ``gaussian_gram``, one
+    Gaussian solves run on the Gram form from ``build_gram``, one
     Gram per solve; the other families run penalized Fisher scoring on
     the curvature Gram.  A solve stops once the relative iterate change
     max(||U_k - U_{k-1}||, ||V_k - V_{k-1}||) / (1 + ||U_k|| + ||V_k||)
@@ -828,7 +802,7 @@ def inner_solve(
         raise ValueError("working correlation size does not match the design")
     trace = ([], [])
     if family.kind == "gaussian":
-        smooth = gaussian_gram(design, working)
+        smooth = build_gram(design, working)
         L_bound = _gaussian_bound(design, family, working, smooth.G)
         U, V, converged = _model_solve(smooth, L_bound, start, config, trace)
     else:

@@ -723,6 +723,31 @@ def test_predict_names_an_ill_typed_model_key(tmp_path, capsys, key, value, mess
     assert not (tmp_path / "preds.csv").exists()
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"include_lagged_outcome": True}, "model JSON keys 'include_lagged_outcome' and 'feature_names' "
+                                       "disagree: the last name is not 'lagged_outcome'"),
+    ({"tau": 3}, "model JSON keys 'shape' and 'tau' disagree: 2 lag columns for tau 3"),
+    ({"feature_names": ["x1", "x2", "x3"]},
+     "model JSON keys 'feature_names' and 'shape' disagree: 3 names for 4 rows"),
+    ({"U": [0.0] * 4, "V": [0.0] * 4, "shape": [4]}, "model JSON key 'shape' must hold two dimensions"),
+])
+def test_predict_rejects_model_keys_that_disagree(tmp_path, capsys, changes, message):
+    # an edited model whose keys disagree would read the wrong feature
+    # columns, or use a coefficient row as the lagged-outcome row
+    data = simulate(tmp_path)
+    model = tmp_path / "model.json"
+    run_ok(["fit", "--input", data, "--output", model, "--tau", "1", "--holdout", "3"])
+    payload = json.loads(model.read_text())
+    assert payload["feature_names"] == ["x1", "x2", "x3", "x4"] and payload["shape"] == [4, 2]
+    payload.update(changes)
+    model.write_text(json.dumps(payload))
+    code = cli.run(["predict", "--model", str(model), "--input", str(data),
+                    "--output", str(tmp_path / "preds.csv"), "--holdout", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error[data]: {message}\n"
+    assert not (tmp_path / "preds.csv").exists()
+
+
 def test_fit_frees_the_training_panel_before_the_solve(tmp_path, monkeypatch):
     data = simulate(tmp_path)
     panels, alive = [], []

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from longlasso import correlation
 from longlasso.correlation import (
+    STRUCTURES,
     alpha_bounds,
     build_R,
     estimate_alpha,
     estimate_phi,
     make_working,
     pearson_residuals,
+    spd_cholesky,
 )
 from longlasso.errors import NumericalError
 
@@ -31,10 +34,31 @@ def test_build_R_domain_errors():
         build_R("markov", 0.1, 3)
 
 
-def test_tridiagonal_indefinite_fails_after_jitter():
+def test_tridiagonal_indefinite_fails_after_one_cholesky(monkeypatch):
     # eigenvalues 1 + 2*alpha*cos(k*pi/4): alpha = 0.8 > 1/sqrt(2) is indefinite
-    with pytest.raises(NumericalError):
+    calls = []
+    real = correlation.spl.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(correlation.spl, "cho_factor", counted)
+    with pytest.raises(NumericalError, match="^working correlation is not positive definite$"):
         make_working("tridiagonal", 0.8, 1.0, 3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_every_structure_factors_at_both_alpha_bounds(structure):
+    # no factorization is retried, so R and R^{-1} at the clipping range's
+    # ends must be positive definite as they are
+    for n in range(2, 61):
+        for alpha in alpha_bounds(structure, n):
+            working = make_working(structure, alpha, 1.0, n)
+            for M in (working.R, working.R_inv):
+                C = spd_cholesky(M)
+                assert np.allclose(C @ C.T, M, rtol=0.0, atol=1e-8 * np.abs(M).max()), (n, alpha)
 
 
 def test_working_correlation_inverse():

@@ -1,7 +1,7 @@
 import math
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +12,7 @@ from scipy.linalg import blas, eigh
 
 import longlasso as ll
 from longlasso import fista
-from longlasso.correlation import WorkingCorrelation, alpha_bounds, make_working
+from longlasso.correlation import WorkingCorrelation, alpha_bounds, make_working, spd_cholesky
 from longlasso.dataset import LaggedDesign, LongitudinalDataset, SubjectSeries, build_lagged
 from longlasso.errors import NumericalError
 from longlasso.families import get_family
@@ -167,7 +167,7 @@ def test_fista_step_huge_penalty_kills_everything():
     L = lipschitz_upper(design, GAUSS, working)
     smooth = build_gram(design, working)
     state = initial_state(smooth, L)
-    g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
+    g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
     state = fista_step(state, g, config, smooth)
     assert np.array_equal(state.U, np.zeros(design.coef_shape))
     assert np.array_equal(state.V, np.zeros(design.coef_shape))
@@ -183,14 +183,14 @@ def test_fista_step_first_iteration_extrapolates_from_start():
     V0 = rng.normal(size=design.coef_shape)
     smooth = build_gram(design, working)
     state = initial_state(smooth, L, start=(U0, V0))
-    assert np.array_equal(state.U_tilde, U0)
-    assert np.array_equal(state.V_tilde, V0)
-    g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
+    assert np.array_equal(state.Z_tilde[0], U0)
+    assert np.array_equal(state.Z_tilde[1], V0)
+    g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
     stepped = fista_step(state, g, config, smooth)
     assert np.allclose(stepped.U, prox_row_groups(U0 - g / L, config.lam1 / L))
     assert np.allclose(stepped.V, prox_col_groups(V0 - g / L, config.lam2 / L))
     G, _, _ = _per_subject_gram(design, working)
-    assert np.allclose(stepped.eta, (G @ np.ravel(stepped.U + stepped.V)).reshape(design.coef_shape))
+    assert np.allclose(stepped.Z[2], (G @ np.ravel(stepped.U + stepped.V)).reshape(design.coef_shape))
     assert stepped.t == pytest.approx(momentum_update(1.0))
 
 
@@ -201,9 +201,9 @@ def test_fista_step_extrapolated_predictor_matches_matvec():
     smooth = build_gram(design, working)
     state = initial_state(smooth, lipschitz_upper(design, GAUSS, working))
     for _ in range(5):
-        g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
+        g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
         state = fista_step(state, g, config, smooth)
-        direct = smooth.predictor(state.U_tilde + state.V_tilde)
+        direct = smooth.predictor(state.Z_tilde[0] + state.Z_tilde[1])
         assert np.allclose(state.eta_tilde, direct, rtol=1e-12, atol=1e-12)
 
 
@@ -214,7 +214,7 @@ def test_fista_step_backtracking_grows_L():
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking")
     smooth = build_gram(design, working)
     state = initial_state(smooth, L / 64.0)
-    g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
+    g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
     stepped = fista_step(state, g, config, smooth, backtrack=True)
     assert stepped.L > L / 64.0
 
@@ -228,7 +228,7 @@ def test_fista_step_no_valid_step_error():
     system = build_gram(design, working)
     smooth = replace(system, G=system.G * 1e40)
     state = initial_state(smooth, 1.0)
-    g, _ = gradient(design, GAUSS, working, state.U_tilde, state.V_tilde)
+    g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
     with pytest.raises(NumericalError, match="no valid step"):
         fista_step(state, g, config, smooth, backtrack=True)
 
@@ -485,8 +485,6 @@ def test_inner_config_validation():
         (InnerConfig, dict(lam1=0.0, lam2=0.0, tolerance=inf), "tolerance"),
         (InnerConfig, dict(lam1=0.0, lam2=0.0, step_mode="adaptive"), "step_mode"),
         (ll.FitConfig, dict(inner_tolerance=nan), "inner_tolerance"),
-        (ll.FitConfig, dict(alpha_tolerance=inf), "alpha_tolerance"),
-        (ll.FitConfig, dict(coef_tolerance=-1e-4), "coef_tolerance"),
         (ll.FitConfig, dict(inner_max_iterations=0), "inner_max_iterations"),
         (ll.CoefficientPair, dict(U=zeros, V=zeros, lam1=nan), "lam1"),
         (ll.CoefficientPair, dict(U=zeros, V=zeros, lam2=-inf), "lam2"),
@@ -594,7 +592,7 @@ def test_build_gram_variance_weighting_matches_per_subject_sums(per_example, mon
     working = make_working("ar1", 0.5, 1.3, design.n)
     rng = np.random.default_rng(42)
     root_var = rng.uniform(0.2, 2.0, (design.m, design.n)) if per_example else 0.5
-    H = fista.curvature_gram(design, working, root_var)
+    H = build_gram(design, working, root_var).G
     G, _, _ = _per_subject_gram(_weighted(design, np.broadcast_to(root_var, design.y.shape)), working)
     assert H.flags.f_contiguous and np.array_equal(H, H.T)
     assert _close(H, G)
@@ -641,7 +639,7 @@ def test_top_eigenvalue_in_place_matches_eigh_and_restores_gram(p):
 def test_lipschitz_keeps_a_gaussian_gram_intact():
     design = random_design(34, m=6, d=3, T=9, tau=2)
     working = make_working("ar1", 0.6, 1.7, design.n)
-    system = fista.gaussian_gram(design, working)
+    system = build_gram(design, working)
     before = system.G.copy()
     L = lipschitz_upper(design, GAUSS, working, gram=system.G)
     assert np.array_equal(system.G, before)
@@ -735,7 +733,7 @@ def test_fista_step_predictors_match_numpy_products(shape, step_mode):
     # predictor: a copied target would leave a stale predictor behind
     design = random_design(54, **shape)
     working = make_working("ar1", 0.4, 1.2, design.n)
-    smooth = fista.gaussian_gram(design, working)
+    smooth = build_gram(design, working)
     G = smooth.G
     config = InnerConfig(lam1=0.05, lam2=0.05, step_mode=step_mode)
     rng = np.random.default_rng(55)
@@ -746,19 +744,19 @@ def test_fista_step_predictors_match_numpy_products(shape, step_mode):
     def product(U, V):
         return (G @ np.ravel(U + V)).reshape(design.coef_shape)
 
-    assert np.array_equal(state.eta, product(*start))
-    assert np.array_equal(state.eta_tilde, state.eta)
+    assert np.array_equal(state.Z[2], product(*start))
+    assert np.array_equal(state.eta_tilde, state.Z[2])
     grad = np.empty(design.coef_shape)
     for _ in range(6):
         eta_before, t_before = product(state.U, state.V), state.t
         smooth.gradient(state.eta_tilde, out=grad)
         state = fista_step(state, grad, config, smooth, backtrack=step_mode == "backtracking")
         eta = product(state.U, state.V)
-        assert np.array_equal(state.eta, eta)
+        assert np.array_equal(state.Z[2], eta)
         # the extrapolated predictor follows by linearity from two products
         shift = (t_before - 1.0) / state.t
         assert np.array_equal(state.eta_tilde, eta + (eta - eta_before) * shift)
-        assert np.allclose(state.eta_tilde, product(state.U_tilde, state.V_tilde), rtol=1e-12, atol=1e-12)
+        assert np.allclose(state.eta_tilde, product(*state.Z_tilde[:2]), rtol=1e-12, atol=1e-12)
 
 
 def test_gram_smooth_holds_its_gram_in_fortran_order():
@@ -776,6 +774,16 @@ def test_gram_smooth_holds_its_gram_in_fortran_order():
     held = fista.GramSmooth(G=G_f, b=np.zeros((3, 2)), c=0.0, phi=1.0)
     assert held.G is G_f
     assert replace(held, G=G_c).G.flags.f_contiguous
+
+
+def _cholesky_gram(design, working):
+    """The quadratic of ``build_gram`` from one pass whitened by the Cholesky factor of R^{-1}.
+
+    That is the pass ``build_gram`` makes for a structure without a basis.
+    """
+    G, b, c = fista._accumulate(design, spd_cholesky(working.R_inv))
+    fista._mirror_upper(G)
+    return fista.GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
 
 
 def _structured(working):
@@ -821,7 +829,7 @@ def _structured(working):
 def test_basis_gram_matches_build_gram(
     structure, n, m, d, tau, lagged, constant, position, chunk_rows, seed
 ):
-    """Basis G, b and c against ``build_gram``, to 1e-12 of the rounding scale.
+    """Basis G, b and c against the Cholesky-factor Gram, to 1e-12 of the rounding scale.
 
     Errors of either form scale with ||R^{-1}|| times the squared column
     norms, not with G itself: under exchangeable alpha near 1, rows that
@@ -848,8 +856,8 @@ def test_basis_gram_matches_build_gram(
     # chunk_rows whitened rows per buffer: partial chunks of
     # chunk_rows // r subjects for each factor, r its column count
     with mock.patch.object(fista, "GRAM_CHUNK_BYTES", chunk_rows * 8 * p):
-        system = fista.gaussian_gram(design, working)
-        ref = build_gram(design, reference)
+        system = build_gram(design, working)
+        ref = _cholesky_gram(design, reference)
     assert system.G.flags.f_contiguous and np.array_equal(system.G, system.G.T)
     norm = np.linalg.norm(exact, 2)
     flat = design.flat_design()
@@ -869,7 +877,7 @@ def test_inner_solve_on_basis_matches_build_gram(structure, alpha, monkeypatch):
     working = make_working(structure, alpha, 1.2, design.n)
     config = InnerConfig(lam1=0.1, lam2=0.1, max_iterations=3000, tolerance=1e-12)
     on_basis = inner_solve(design, GAUSS, working, config)
-    monkeypatch.setattr(fista, "gaussian_gram", build_gram)
+    monkeypatch.setattr(fista, "build_gram", _cholesky_gram)
     rebuilt = inner_solve(design, GAUSS, working, config)
     assert on_basis.converged == rebuilt.converged
     assert np.abs(on_basis.U - rebuilt.U).max() <= 1e-10
@@ -877,14 +885,20 @@ def test_inner_solve_on_basis_matches_build_gram(structure, alpha, monkeypatch):
 
 
 def test_gaussian_gram_at_zero_alpha_is_build_gram_bit_for_bit():
-    # round 0 of every fit runs at R = I
+    # round 0 of every fit runs at R = I, where the basis Gram is G0 and the
+    # step bound comes from the basis's lambda_max(G0)
     design = random_design(51, m=5, d=3, T=9, tau=2, include_lagged_outcome=True)
     for structure in ("independent", "exchangeable", "ar1"):
         working = make_working(structure, 0.0, 1.0, design.n)
-        system = fista.gaussian_gram(design, working)
-        ref = build_gram(design, working)
+        system = build_gram(design, working)
+        ref = _cholesky_gram(design, working)
         assert np.array_equal(system.G, ref.G) and np.array_equal(system.b, ref.b)
         assert system.c == ref.c
+        basis = design._gram_cache[structure]
+        assert basis.top0 == fista._top_eigenvalue(ref.G)
+        assert not any(G.flags.writeable for G in basis.G)
+        with pytest.raises(FrozenInstanceError):
+            basis.top0 = 0.0
 
 
 def _count(monkeypatch, name):
@@ -902,12 +916,12 @@ def _count(monkeypatch, name):
 
 def test_ar1_fit_reads_the_design_for_its_gram_once(monkeypatch):
     builds = _count(monkeypatch, "_build_basis")
-    rebuilds = _count(monkeypatch, "build_gram")
+    grams = _count(monkeypatch, "build_gram")
     passes = _count(monkeypatch, "_accumulate")
     design = random_design(52, m=8, d=3, T=12, tau=2)
     result = ll.fit(design, "gaussian", "ar1", 0.05, 0.05)
     assert result.outer_iterations >= 3 and result.working.alpha != 0.0
-    assert len(builds) == 1 and rebuilds == []
+    assert len(builds) == 1 and len(grams) == result.outer_iterations
     # one pass per basis factor (identity, adjacent sums, edges), and no
     # round at alpha != 0 reads the design again
     assert len(passes) == 3
@@ -922,7 +936,7 @@ def test_ar1_fit_reads_the_design_for_its_gram_once(monkeypatch):
 @pytest.mark.parametrize("grid", [(1, 1), (2, 3)])
 def test_grid_cv_builds_one_basis_per_fold(folds, grid, monkeypatch):
     builds = _count(monkeypatch, "_build_basis")
-    rebuilds = _count(monkeypatch, "build_gram")
+    passes = _count(monkeypatch, "_accumulate")
     train = random_panel(53, m=9, d=3, T=10)
     spec = ll.CvSpec(
         lam1_grid=tuple(np.geomspace(0.05, 1.0, grid[0])),
@@ -932,7 +946,8 @@ def test_grid_cv_builds_one_basis_per_fold(folds, grid, monkeypatch):
     result = ll.grid_cv(train, 2, "gaussian", "ar1", spec)
     assert result.failures == {}
     assert len(builds) == folds and len({id(design) for design in builds}) == folds
-    assert rebuilds == []
+    # one pass per basis factor of each fold, and no other read of a design
+    assert len(passes) == 3 * folds
 
 
 @pytest.mark.parametrize("folds", [2, 3])
@@ -989,16 +1004,24 @@ def test_concurrent_fits_share_one_design():
 )
 def test_unbased_solves_build_their_own_grams(family_name, structure, monkeypatch):
     builds = _count(monkeypatch, "_build_basis")
-    rebuilds = _count(monkeypatch, "build_gram")
-    curvatures = _count(monkeypatch, "curvature_gram")
+    passes = _count(monkeypatch, "_accumulate")
+    weighted = []
+    real = fista.build_gram
+
+    def recorded(design, working, root_var=None):
+        weighted.append(root_var is not None)
+        return real(design, working, root_var)
+
+    monkeypatch.setattr(fista, "build_gram", recorded)
     design = random_design(54, m=8, d=3, T=12, tau=2, family=family_name)
     result = ll.fit(design, family_name, structure, 0.05, 0.05)
-    assert builds == []
+    # every Gram is one pass of its own over the design
+    assert builds == [] and len(passes) == len(weighted)
     if family_name == "gaussian":
-        assert len(rebuilds) == result.outer_iterations and curvatures == []
+        assert len(weighted) == result.outer_iterations and not any(weighted)
     else:
-        # one per scoring model, at least one per inner solve
-        assert len(curvatures) >= result.outer_iterations and rebuilds == []
+        # one curvature Gram per scoring model, at least one per inner solve
+        assert len(weighted) >= result.outer_iterations and all(weighted)
 
 
 def _dense_lipschitz(design, family, working, W):
@@ -1028,7 +1051,7 @@ def test_lipschitz_matrix_free_matches_dense_curvature(family_name, structure, a
 
 def _curvature_gram(design, family, working, W):
     root = np.sqrt(family.variance(family.mean(fista.linear_predictor(design, W))))
-    return fista.curvature_gram(design, working, root)
+    return build_gram(design, working, root).G
 
 
 @pytest.mark.parametrize(
@@ -1179,8 +1202,8 @@ def test_inner_solve_scoring_rebuilds_stale_model_before_halving(monkeypatch):
     norms = [10e6, 4e6, 7e6, 3e6]
     monkeypatch.setattr(fista, "_mapping_norm", lambda *args: norms.pop(0))
     builds = []
-    real = fista.curvature_gram
-    monkeypatch.setattr(fista, "curvature_gram", lambda *args: builds.append(1) or real(*args))
+    real = fista.build_gram
+    monkeypatch.setattr(fista, "build_gram", lambda *args: builds.append(1) or real(*args))
     config = InnerConfig(lam1=0.1, lam2=0.1, max_iterations=3, tolerance=1e-30)
     result = inner_solve(design, family, working, config)
     assert norms == []
