@@ -22,8 +22,8 @@ from .correlation import (
     pearson_residuals,
 )
 from .dataset import LAGGED_OUTCOME_NAME, LaggedDesign
-from .errors import DataError, check_finite
-from .families import Family, get_family
+from .errors import DataError, NumericalError, check_finite
+from .families import FAMILIES, Family, get_family
 from .penalty import CoefficientPair, row_norms
 
 FIT_RESULT_SCHEMA = "longlasso.fit_result.v2"
@@ -115,6 +115,7 @@ def fit(
     """
     if isinstance(family, str):
         family = get_family(family)
+    family.check_outcomes(design.y)
     config = config or FitConfig()
     if design.n_examples <= design.n_params:
         raise DataError("not enough examples to estimate the scale parameter")
@@ -255,11 +256,13 @@ _MODEL_KEYS = {
 def from_json_dict(payload: dict) -> FitResult:
     """Rebuild a FitResult from its JSON form (correlation re-realized at n).
 
-    A payload that is not an object, a missing or ill-typed key, or keys
-    that disagree raise ``DataError`` naming them: ``feature_names`` must
-    hold one name per row of ``shape``, ``shape`` one column per lag
-    0..``tau``, and with ``include_lagged_outcome`` the last name must be
-    ``dataset.LAGGED_OUTCOME_NAME``.
+    A payload that is not an object, a missing or ill-typed key, an unknown
+    family, coefficients other than finite JSON numbers, or keys that
+    disagree raise ``DataError`` naming them: ``feature_names`` must hold
+    one name per row of ``shape``, ``shape`` one column per lag 0..``tau``,
+    with ``include_lagged_outcome`` the last name must be
+    ``dataset.LAGGED_OUTCOME_NAME``, and ``structure``, ``alpha`` and ``n``
+    must give a positive definite R.
     """
     if not isinstance(payload, dict):
         raise DataError(f"model JSON must hold an object, not {type(payload).__name__}")
@@ -270,10 +273,13 @@ def from_json_dict(payload: dict) -> FitResult:
             raise DataError(f"model JSON has no key {key!r}")
         if not isinstance(payload[key], kind):
             raise DataError(f"model JSON key {key!r} has an invalid value")
-    U = np.asarray(payload["U"], dtype=float)
-    V = np.asarray(payload["V"], dtype=float)
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+    if payload["family"] not in FAMILIES:
+        raise DataError("model JSON key 'family' has an invalid value")
+    U, V = np.asarray(payload["U"]), np.asarray(payload["V"])
+    # JSON numbers only: a null, string, boolean or object entry is no coefficient
+    if not all(A.dtype.kind in "iuf" and np.all(np.isfinite(A)) for A in (U, V)):
         raise DataError("model JSON coefficients must be finite numbers")
+    U, V = U.astype(float), V.astype(float)
     if list(U.shape) != list(payload["shape"]) or list(V.shape) != list(payload["shape"]):
         raise DataError("coefficient arrays disagree with the recorded shape")
     shape, names, tau = payload["shape"], payload["feature_names"], payload["tau"]
@@ -288,7 +294,10 @@ def from_json_dict(payload: dict) -> FitResult:
     if payload["include_lagged_outcome"] and names[-1:] != [LAGGED_OUTCOME_NAME]:
         raise DataError("model JSON keys 'include_lagged_outcome' and 'feature_names' disagree: "
                         f"the last name is not {LAGGED_OUTCOME_NAME!r}")
-    working = make_working(payload["structure"], payload["alpha"], payload["phi"], int(payload["n"]))
+    try:
+        working = make_working(payload["structure"], payload["alpha"], payload["phi"], int(payload["n"]))
+    except NumericalError as exc:
+        raise DataError(f"model JSON keys 'structure', 'alpha' and 'n' disagree: {exc}") from None
     return FitResult(
         coefficients=CoefficientPair(
             U=U, V=V, lam1=payload["lambda1"], lam2=payload["lambda2"]

@@ -422,9 +422,9 @@ def _add_model_flags(p) -> None:
     p.add_argument("--structure", choices=STRUCTURES, default="independent")
     p.add_argument("--tau", type=int, default=0)
     p.add_argument("--include-lagged-outcome", action="store_true")
-    p.add_argument("--max-outer", type=int, default=25)
-    p.add_argument("--inner-max-iterations", type=int, default=2000)
-    p.add_argument("--inner-tolerance", type=float, default=1e-6)
+    p.add_argument("--max-outer", type=int, default=alternation.FitConfig.max_outer)
+    p.add_argument("--inner-max-iterations", type=int, default=alternation.FitConfig.inner_max_iterations)
+    p.add_argument("--inner-tolerance", type=float, default=alternation.FitConfig.inner_tolerance)
 
 
 def build_parser() -> _Parser:

@@ -212,9 +212,13 @@ def grid_cv(
     cell optimizes the mean metric (min nMSE or max AUC) with ties broken
     toward larger lambda1 + lambda2, i.e. sparser models.  Cells whose fit
     fails on any fold are marked invalid, and the reason is kept in
-    ``failures``; if every cell is invalid an error is raised.
+    ``failures``; if every cell is invalid an error is raised.  Outcomes
+    outside the family's support raise ``DataError`` before any cell runs,
+    since they would fail every cell alike.
     """
     spec = spec or CvSpec()
+    # the cells fit and score every subject's outcomes from time tau on
+    get_family(family).check_outcomes(np.concatenate([s.outcomes[tau:] for s in train.subjects]))
     lam1_grid, lam2_grid = spec.lam1_grid, spec.lam2_grid
     if lam1_grid is None or lam2_grid is None:
         # the whole panel's design serves only the grids: freed before fold 0

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lazy import LazyModule
+from .errors import DataError
 
 special = LazyModule("scipy.special")
 
@@ -66,15 +67,24 @@ class Family:
         Bernoulli and Poisson use the 0*log(0) = 0 convention.
         """
         y = np.asarray(y, dtype=float)
+        self.check_outcomes(y)
         if self.kind == "gaussian":
             return 0.5 * y**2
         if self.kind == "bernoulli":
-            if np.any(y < 0.0) or np.any(y > 1.0):
-                raise ValueError("bernoulli outcomes must lie in [0, 1]")
             return special.xlogy(y, y) + special.xlogy(1.0 - y, 1.0 - y)
-        if np.any(y < 0.0):
-            raise ValueError("poisson outcomes must be nonnegative")
         return special.xlogy(y, y) - y
+
+    def check_outcomes(self, y) -> None:
+        """Raise ``DataError`` unless every outcome lies in the family's support.
+
+        Bernoulli outcomes lie in [0, 1] and Poisson outcomes are
+        nonnegative; Gaussian outcomes may be any real number.
+        """
+        y = np.asarray(y, dtype=float)
+        if self.kind == "bernoulli" and (np.any(y < 0.0) or np.any(y > 1.0)):
+            raise DataError(f"bernoulli outcomes must lie in [0, 1], got {y.min():g} to {y.max():g}")
+        if self.kind == "poisson" and np.any(y < 0.0):
+            raise DataError(f"poisson outcomes must be nonnegative, got {y.min():g}")
 
 
 def get_family(name: str) -> Family:

@@ -56,12 +56,15 @@ basis's G0, whose lambda_max the basis finds once, when it is built, so
 the CV cells of one fold share one ``dsyevr`` for their alpha = 0 rounds.
 Convergence is declared on iterate change between consecutive iterates.
 
-Each model solve allocates its buffers once: ``InnerState`` stacks U, V
+Each model solve is one ``InnerState``, made once with its buffers: U, V
 and G (U + V) in one (3, d_eff, tau+1) array per point (iterate, previous
-iterate, extrapolation point), beside a few scratch arrays of the same
-size, O(p) in all.  ``fista_step`` writes every result into them, so an
-iteration costs the p x p matvec plus about thirty NumPy calls on
-p-element arrays and allocates no array.
+iterate, extrapolation point), the solve's one gradient buffer and a few
+scratch arrays of the same size, O(p) in all.  The state also fixes the
+quadratic, the penalty weights and the step policy, so ``fista_step``
+reads the state alone: it forms the gradient at the extrapolated
+predictor and writes every result into the buffers, so an iteration
+costs the p x p matvec plus about thirty NumPy calls on p-element arrays
+and allocates no array.
 
 Which BLAS runs what: every product large enough for OpenBLAS to thread
 runs on ``scipy.linalg.blas``, the library that already runs ``dsyrk``,
@@ -156,28 +159,34 @@ class InnerConfig:
 
 
 class InnerState:
-    """One model solve's points, momentum scalar and step constant, in buffers allocated once.
+    """One model solve: its quadratic, points, momentum scalar, step constant and buffers.
 
     Each point is one (3, d_eff, tau+1) array stacking U, V and the
     predictor G (U + V): ``Z`` the iterate, ``Z_prev`` the one before it and
-    ``Z_tilde`` the extrapolation point.  ``initial_state`` allocates them
-    together with scratch arrays of the same size, O(p) in all, and
-    ``fista_step`` advances the state in place, writing each candidate into
-    the point it no longer needs, so a solve allocates no array per
-    iteration.  After a step, ``loss`` and ``penalty`` are the quadratic
-    and the block penalty at the iterate, ``change`` is the relative
-    iterate change max(||dU||, ||dV||) / (1 + ||U|| + ||V||) and ``mapping``
-    the gradient mapping L * ||(U, V) - (U~, V~)|| at the extrapolation
-    point the step left.
+    ``Z_tilde`` the extrapolation point.  A new state has t_1 = 1 and all
+    three points at the start: the all-zero pair, or a checked copy of the
+    warm start ``start`` = (U0, V0).  It fixes once what every step of the
+    solve reads: the quadratic ``smooth``, the per-group penalty weights of
+    ``config`` and its step policy.  Backtracking starts from the bound
+    ``L`` over ``INIT_L_SHRINK``; "fixed" steps at ``L`` itself.  The state
+    owns the solve's one gradient buffer beside scratch arrays of a point's
+    size, O(p) in all, and ``fista_step`` advances it in place, writing each
+    candidate into the point it no longer needs, so a solve allocates no
+    array per iteration.  After a step, ``loss`` and ``penalty`` are the
+    quadratic and the block penalty at the iterate, ``change`` is the
+    relative iterate change max(||dU||, ||dV||) / (1 + ||U|| + ||V||) and
+    ``mapping`` the gradient mapping L * ||(U, V) - (U~, V~)|| at the
+    extrapolation point the step left.
     """
 
     __slots__ = (
         "Z", "Z_prev", "Z_tilde", "t", "L", "loss", "penalty", "change", "mapping",
-        "_diff", "_squares", "_step", "_W", "_norms", "_scales", "_weights", "_thetas", "_floors",
-        "_shrink_key",
+        "_smooth", "_backtrack", "_grad", "_diff", "_work", "_W", "_norms", "_scales", "_weights",
+        "_thetas", "_floors",
     )
 
-    def __init__(self, smooth: "GramSmooth", L: float, U0: np.ndarray, V0: np.ndarray):
+    def __init__(self, smooth: "GramSmooth", config: InnerConfig, L: float, start=None):
+        U0, V0 = _start_pair(smooth.b.shape, start)
         d, k = U0.shape
         Z = np.empty((3, d, k))
         Z[0] = U0
@@ -186,33 +195,28 @@ class InnerState:
         Z[2] = smooth.predictor(W)
         self.Z, self.Z_prev, self.Z_tilde = Z, Z.copy(), Z.copy()
         self.t = 1.0
-        self.L = float(L)
-        self.loss = smooth.loss(Z[2], W)
-        self.penalty = self.change = self.mapping = math.nan
+        self.loss = self.penalty = self.change = self.mapping = math.nan
+        self._smooth = smooth
+        self._backtrack = config.step_mode == "backtracking"
+        self._grad = np.empty((d, k))
         self._diff = np.empty_like(Z)
-        self._squares = np.empty((2, d, k))
-        self._step = np.empty((d, k))
+        self._work = np.empty((2, d, k))
         self._W = W
         # one entry per group: the d rows of U, then the tau+1 columns of V
         self._norms, self._scales, self._weights, self._thetas, self._floors = np.empty((5, d + k))
-        self._shrink_key = None
+        self._weights[:d] = config.lam1
+        self._weights[d:] = config.lam2
+        self._set_step(float(L) / INIT_L_SHRINK if self._backtrack else float(L))
 
     U = property(lambda self: self.Z[0])
     V = property(lambda self: self.Z[1])
-    eta_tilde = property(lambda self: self.Z_tilde[2])
 
-    def _thresholds(self, config: InnerConfig, L: float) -> None:
-        """Penalty weights, thresholds lam / L and their floors, once per step constant."""
-        key = (config.lam1, config.lam2, L)
-        if key == self._shrink_key:
-            return
-        d = self.Z.shape[1]
-        self._weights[:d] = config.lam1
-        self._weights[d:] = config.lam2
+    def _set_step(self, L: float) -> None:
+        """Step constant L, with the thresholds lam / L and their floors."""
+        self.L = L
         np.divide(self._weights, L, out=self._thetas)
         np.copyto(self._floors, self._thetas)
         self._floors[self._thetas == 0.0] = 1.0
-        self._shrink_key = key
 
 
 @dataclass(frozen=True)
@@ -442,16 +446,6 @@ def _start_pair(shape, start) -> tuple[np.ndarray, np.ndarray]:
     return U0, V0
 
 
-def initial_state(smooth: GramSmooth, L: float, start=None) -> InnerState:
-    """Fresh state with t_1 = 1 and the first extrapolation at the start.
-
-    The default start is the all-zero pair; a warm start supplies
-    (U0, V0) without changing the first-iteration rule
-    (U~1, V~1) = (U0, V0).
-    """
-    return InnerState(smooth, L, *_start_pair(smooth.b.shape, start))
-
-
 def momentum_update(t: float) -> float:
     """t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2; guarantees t_k >= (k+1)/2."""
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -600,35 +594,36 @@ def _top_eigenvalue(G: np.ndarray) -> float:
     return float(top[0])
 
 
-def fista_step(
-    state: InnerState, grad, config: InnerConfig, smooth: GramSmooth, backtrack: bool = False
-) -> InnerState:
+def fista_step(state: InnerState) -> InnerState:
     """One accelerated step from the extrapolated point, in place; returns ``state``.
 
-    Both prox slots step along the same W-gradient ``grad``, taken at the
-    extrapolated point: one op forms Z~ - grad / L for U and V together,
-    and the row norms of U's and the column norms of V's step come from one
-    array of squares.  Each trial costs one ``smooth.predictor`` product,
-    at the candidate, written into the point before last.  With
-    ``backtrack`` the step constant grows until the majorization test
-    holds; otherwise the step is taken at ``state.L``.  The test is exact
-    in curvature form: for a quadratic, f(x) - f(y) - <grad, x - y> =
-    0.5 * phi * <G d, d> with d = x - y = dU + dV, and G d is the
-    difference of the held predictors, so it costs no product and no loss
-    value.  The next extrapolated point, predictor included, follows by
-    linearity from one stacked difference.
+    The step forms the quadratic's gradient at the extrapolated predictor
+    into the state's buffer, and both prox slots step along it: one op
+    forms Z~ - grad / L for U and V together, and the row norms of U's and
+    the column norms of V's step come from one array of squares.  Each
+    trial costs one predictor product, at the candidate, written into the
+    point before last.  A backtracking state grows the step constant, and
+    the thresholds lam / L with it, until the majorization test holds; a
+    fixed one steps at ``state.L``.  The test is exact in curvature form:
+    for a quadratic, f(x) - f(y) - <grad, x - y> = 0.5 * phi * <G d, d>
+    with d = x - y = dU + dV, and G d is the difference of the held
+    predictors, so it costs no product and no loss value.  The next
+    extrapolated point, predictor included, follows by linearity from one
+    stacked difference.
     """
-    Zt, Zn, D = state.Z_tilde, state.Z_prev, state._diff
-    norms, scales, step, W = state._norms, state._scales, state._step, state._W
+    smooth = state._smooth
+    Zt, Zn, D, work = state.Z_tilde, state.Z_prev, state._diff, state._work
+    norms, scales, W = state._norms, state._scales, state._W
     d = Zn.shape[1]
-    L = state.L
+    grad = smooth.gradient(Zt[2], out=state._grad)
     for _ in range(MAX_BACKTRACKS + 1):
-        state._thresholds(config, L)
-        np.divide(grad, L, out=step)
-        np.subtract(Zt[:2], step, out=Zn[:2])
-        squares = np.multiply(Zn[:2], Zn[:2], out=state._squares)
-        np.add.reduce(squares[0], axis=1, out=norms[:d])
-        np.add.reduce(squares[1], axis=0, out=norms[d:])
+        L = state.L
+        # work holds the step grad / L, then the candidate's squares, then dU + dV
+        np.divide(grad, L, out=work[0])
+        np.subtract(Zt[:2], work[0], out=Zn[:2])
+        np.multiply(Zn[:2], Zn[:2], out=work)
+        np.add.reduce(work[0], axis=1, out=norms[:d])
+        np.add.reduce(work[1], axis=0, out=norms[d:])
         np.sqrt(norms, out=norms)
         group_scales(norms, state._thetas, state._floors, out=scales)
         np.multiply(Zn[0], scales[:d, None], out=Zn[0])
@@ -637,18 +632,18 @@ def fista_step(
         blas.dgemv(1.0, smooth.G, W, y=Zn[2].reshape(-1), overwrite_y=1)
         np.subtract(Zn, Zt, out=D)
         step_squared = np.vdot(D[:2], D[:2])
-        if not backtrack:
+        if not state._backtrack:
             break
-        dW = np.add(D[0], D[1], out=step)
+        dW = np.add(D[0], D[1], out=work[0])
         if smooth.phi * np.vdot(D[2], dW) <= L * step_squared:
             break
-        L *= GROWTH
+        state._set_step(L * GROWTH)
     else:
         raise NumericalError("no valid step")
     t_next = momentum_update(state.t)
     shift = (state.t - 1.0) / t_next
     state.Z_prev, state.Z = state.Z, Zn
-    state.t, state.L = t_next, L
+    state.t = t_next
     state.loss = smooth.loss(Zn[2], W)
     state.penalty = float(np.vdot(state._weights, np.multiply(norms, scales, out=norms)))
     state.mapping = L * math.sqrt(step_squared)
@@ -694,16 +689,13 @@ def _model_solve(smooth: GramSmooth, L: float, start, config: InnerConfig, trace
     constant to ``trace``, a pair of lists, until the lists hold
     ``max_iterations`` entries, the iterate-change rule holds, or, given a
     positive ``floor``, the gradient mapping at the extrapolated point,
-    L * ||(U, V) - (U~, V~)||, drops below it.  The state and the gradient
-    buffer are allocated once per call.
+    L * ||(U, V) - (U~, V~)||, drops below it.  The state, with every
+    buffer, is allocated once per call.
     """
-    backtracking = config.step_mode == "backtracking"
-    state = initial_state(smooth, L / INIT_L_SHRINK if backtracking else L, start)
-    grad = np.empty(smooth.b.shape)
+    state = InnerState(smooth, config, L, start)
     objective_trace, step_trace = trace
     while len(objective_trace) < config.max_iterations:
-        smooth.gradient(state.eta_tilde, out=grad)
-        state = fista_step(state, grad, config, smooth, backtracking)
+        fista_step(state)
         value = state.loss + state.penalty
         if not math.isfinite(value):
             raise NumericalError("objective diverged")
@@ -718,8 +710,9 @@ def _model_solve(smooth: GramSmooth, L: float, start, config: InnerConfig, trace
 
 def _mapping_norm(U, V, grad, config: InnerConfig, L: float) -> float:
     """||L ((U, V) - prox((U, V) - grad / L))||, zero exactly at a KKT point."""
-    dU = U - prox_row_groups(U - grad / L, config.lam1 / L)
-    dV = V - prox_col_groups(V - grad / L, config.lam2 / L)
+    step = grad / L
+    dU = U - prox_row_groups(U - step, config.lam1 / L)
+    dV = V - prox_col_groups(V - step, config.lam2 / L)
     return L * math.sqrt(float(np.sum(dU * dU) + np.sum(dV * dV)))
 
 

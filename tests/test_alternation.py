@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 import longlasso as ll
 from longlasso import alternation, fista
-from longlasso.correlation import make_working
+from longlasso.correlation import STRUCTURES, make_working
 from longlasso.dataset import LaggedDesign, LongitudinalDataset, SubjectSeries, build_lagged
-from longlasso.families import get_family
+from longlasso.families import FAMILIES, get_family
 
 
 def gaussian_dataset(seed, m=8, d=3, T=12, noise=1.0):
@@ -64,6 +65,21 @@ def test_fit_requires_enough_examples():
     small = build_lagged(ds, 5)  # 3 examples, 18 parameters
     with pytest.raises(ll.DataError):
         ll.fit(small, "gaussian", "independent", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+def test_fit_rejects_outcomes_outside_the_family_support(monkeypatch, family):
+    # Gaussian outcomes, some negative: a Bernoulli or Poisson fit used to
+    # run away silently and report convergence
+    design = build_lagged(gaussian_dataset(3)[0], 1)
+    assert design.y.min() < 0.0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(fista, "inner_solve", unreachable)
+    with pytest.raises(ll.DataError, match=f"^{family} outcomes must "):
+        ll.fit(design, family, "independent", 0.1, 0.1)
 
 
 def test_max_outer_reached_flag():
@@ -340,6 +356,57 @@ def test_model_round_trip_is_exact(family, structure, lagged, seed, panel):
     assert json.dumps(alternation.to_json_dict(back), sort_keys=True, indent=2) == text
     assert back.seed == seed and back.include_lagged_outcome == lagged
     assert np.array_equal(ll.predict(back, design), ll.predict(res, design))
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_model(structure):
+    """A small fitted model's design and its model JSON text."""
+    design = build_lagged(_panel(7, "gaussian", T=10), 1)
+    config = ll.FitConfig(max_outer=3, inner_max_iterations=300)
+    res = ll.fit(design, "gaussian", structure, 0.1, 0.1, config=config)
+    return design, json.dumps(alternation.to_json_dict(res))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def _model_value(key, shape):
+    """JSON values for one model key, with values of the key's own domain mixed in."""
+    if key == "n":
+        # from_json_dict realizes and inverts an n x n R that predict never
+        # reads: a large n would ask for gigabytes
+        return st.integers(1, 60)
+    if key in ("U", "V"):
+        row = st.lists(st.floats(-5, 5) | _JSON_VALUES, min_size=shape[1], max_size=shape[1])
+        return _JSON_VALUES | st.lists(row, min_size=shape[0], max_size=shape[0])
+    domains = {"family": st.sampled_from(FAMILIES) | st.text(max_size=8),
+               "structure": st.sampled_from(STRUCTURES), "alpha": st.floats(-1.0, 1.0)}
+    return domains[key] | _JSON_VALUES if key in domains else _JSON_VALUES
+
+
+@pytest.mark.parametrize("key", [*alternation._MODEL_KEYS, "schema", "seed", "extra"])
+@settings(max_examples=40, deadline=None)
+@given(structure=st.sampled_from(STRUCTURES), data=st.data())
+def test_model_key_mutations_are_refused_or_predict_from_the_payload(key, structure, data):
+    # a model JSON with one key deleted or replaced either loads as a data
+    # error (exit 2) or predicts the family's mean of X (U + V) from its own keys
+    design, text = _saved_model(structure)
+    payload = json.loads(text)
+    if key in payload and data.draw(st.booleans(), label="delete"):
+        del payload[key]
+    else:
+        payload[key] = data.draw(_model_value(key, design.coef_shape), label="value")
+    try:
+        result = alternation.from_json_dict(payload)
+    except ValueError:
+        return
+    W = np.asarray(payload["U"], dtype=float) + np.asarray(payload["V"], dtype=float)
+    expected = get_family(payload["family"]).mean(fista.linear_predictor(design, W))
+    assert np.array_equal(ll.predict(result, design), expected)
 
 
 def test_from_json_dict_rejects_bad_schema():

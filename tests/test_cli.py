@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from longlasso import alternation, cli
+from longlasso import alternation, cli, fista
 from longlasso.dataset import build_lagged, load_csv, split_temporal
 
 SIM_ARGS = [
@@ -197,6 +197,12 @@ def test_config_values_take_their_flags_spelling(tmp_path):
     assert invocation["lambda1"] == 0.5 and invocation["lambda2"] == 1.0
     assert invocation["structure"] == "ar1" and invocation["seed"] is None
     assert payload["include_lagged_outcome"] is False
+
+
+@pytest.mark.parametrize("command", ["fit", "cv"])
+def test_solver_flags_default_to_the_fit_config_defaults(command):
+    args = cli.build_parser().parse_args([command, "--input", "d.csv", "--output", "m.json"])
+    assert cli._fit_config(args) == alternation.FitConfig()
 
 
 def test_fit_trace_and_coefficient_outputs(tmp_path):
@@ -707,6 +713,8 @@ def test_predict_rejects_a_malformed_model(tmp_path, capsys, payload, message):
         ("n", "many"), ("feature_names", 4), ("trace", 1.0), ("config", [1]), ("U", {}),
     ]),
     ("V", [[None] * 2] * 4, "model JSON coefficients must be finite numbers"),
+    ("family", "gamma", "model JSON key 'family' has an invalid value"),
+    ("U", [[{}, 0.0]] * 4, "model JSON coefficients must be finite numbers"),
 ])
 def test_predict_names_an_ill_typed_model_key(tmp_path, capsys, key, value, message):
     # one error line naming the key, never a traceback or NaN predictions
@@ -730,6 +738,8 @@ def test_predict_names_an_ill_typed_model_key(tmp_path, capsys, key, value, mess
     ({"feature_names": ["x1", "x2", "x3"]},
      "model JSON keys 'feature_names' and 'shape' disagree: 3 names for 4 rows"),
     ({"U": [0.0] * 4, "V": [0.0] * 4, "shape": [4]}, "model JSON key 'shape' must hold two dimensions"),
+    ({"structure": "tridiagonal", "alpha": 0.9}, "model JSON keys 'structure', 'alpha' and 'n' disagree: "
+                                                 "working correlation is not positive definite"),
 ])
 def test_predict_rejects_model_keys_that_disagree(tmp_path, capsys, changes, message):
     # an edited model whose keys disagree would read the wrong feature
@@ -746,6 +756,27 @@ def test_predict_rejects_model_keys_that_disagree(tmp_path, capsys, changes, mes
     assert code == 2
     assert capsys.readouterr().err == f"error[data]: {message}\n"
     assert not (tmp_path / "preds.csv").exists()
+
+
+@pytest.mark.parametrize("command, family", [
+    ("fit", "bernoulli"), ("fit", "poisson"), ("cv", "bernoulli"), ("cv", "poisson"),
+])
+def test_outcomes_outside_the_family_support_exit_2(tmp_path, capsys, monkeypatch, command, family):
+    # a Gaussian panel fit as Bernoulli or Poisson used to exit 0 with a
+    # runaway fit, and cv ran every cell on it
+    data = simulate(tmp_path)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(fista, "inner_solve", unreachable)
+    model = tmp_path / "model.json"
+    grid = ["--grid", "0.5;0.5", "--folds", "2"] if command == "cv" else []
+    code = cli.run([command, "--input", str(data), "--output", str(model), "--family", family,
+                    "--tau", "1", *grid])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error[data]: {family} outcomes must ")
+    assert not model.exists()
 
 
 def test_fit_frees_the_training_panel_before_the_solve(tmp_path, monkeypatch):

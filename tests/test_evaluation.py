@@ -195,6 +195,20 @@ def test_grid_cv_all_cells_failing_raises(monkeypatch):
         ll.grid_cv(ds, 1, "gaussian", "independent", spec)
 
 
+@pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+def test_grid_cv_rejects_outcomes_outside_the_family_support_before_any_cell(monkeypatch, family):
+    # Gaussian outcomes would fail, or run away in, every cell alike
+    ds, _ = _sim_train()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(alternation, "fit", unreachable)
+    spec = ll.CvSpec(lam1_grid=(0.5,), lam2_grid=(0.5,), folds=2, seed=0)
+    with pytest.raises(ll.DataError, match=f"^{family} outcomes must "):
+        ll.grid_cv(ds, 1, family, "independent", spec)
+
+
 def test_grid_cv_partial_failure_marks_cell_invalid(monkeypatch):
     ds, _ = _sim_train()
     real_fit = alternation.fit

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longlasso.errors import DataError
 from longlasso.families import ETA_CLAMP, get_family
 
 FAMILIES = ("gaussian", "bernoulli", "poisson")
@@ -65,6 +66,22 @@ def test_deviance_gaussian_reduces_to_scaled_sse():
     y = np.array([0.5, 2.0, -1.0])
     eta = np.array([0.0, 1.0, -2.0])
     assert np.sum(unit_deviance(gauss, y, eta)) == pytest.approx(0.5 * np.sum((y - eta) ** 2))
+
+
+@pytest.mark.parametrize("kind, y, message", [
+    ("bernoulli", [0.0, 1.5], r"bernoulli outcomes must lie in \[0, 1\], got 0 to 1.5$"),
+    ("bernoulli", [-0.5, 1.0], r"bernoulli outcomes must lie in \[0, 1\], got -0.5 to 1$"),
+    ("poisson", [2.0, -1.0], r"poisson outcomes must be nonnegative, got -1$"),
+])
+def test_check_outcomes_raises_data_error_outside_the_support(kind, y, message):
+    with pytest.raises(DataError, match=message):
+        get_family(kind).check_outcomes(np.array(y))
+
+
+def test_check_outcomes_accepts_the_support():
+    get_family("bernoulli").check_outcomes(np.array([0.0, 0.25, 1.0]))
+    get_family("poisson").check_outcomes(np.array([0.0, 3.5]))
+    get_family("gaussian").check_outcomes(np.array([-210.0, 304.0]))
 
 
 def test_deviance_validates_inputs():

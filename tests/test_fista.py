@@ -18,10 +18,10 @@ from longlasso.errors import NumericalError
 from longlasso.families import get_family
 from longlasso.fista import (
     InnerConfig,
+    InnerState,
     build_gram,
     fista_step,
     gradient,
-    initial_state,
     inner_solve,
     lipschitz_upper,
     momentum_update,
@@ -166,9 +166,7 @@ def test_fista_step_huge_penalty_kills_everything():
     config = InnerConfig(lam1=1e9, lam2=1e9, step_mode="fixed")
     L = lipschitz_upper(design, GAUSS, working)
     smooth = build_gram(design, working)
-    state = initial_state(smooth, L)
-    g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
-    state = fista_step(state, g, config, smooth)
+    state = fista_step(InnerState(smooth, config, L))
     assert np.array_equal(state.U, np.zeros(design.coef_shape))
     assert np.array_equal(state.V, np.zeros(design.coef_shape))
 
@@ -182,11 +180,11 @@ def test_fista_step_first_iteration_extrapolates_from_start():
     U0 = rng.normal(size=design.coef_shape)
     V0 = rng.normal(size=design.coef_shape)
     smooth = build_gram(design, working)
-    state = initial_state(smooth, L, start=(U0, V0))
+    state = InnerState(smooth, config, L, start=(U0, V0))
     assert np.array_equal(state.Z_tilde[0], U0)
     assert np.array_equal(state.Z_tilde[1], V0)
     g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
-    stepped = fista_step(state, g, config, smooth)
+    stepped = fista_step(state)
     assert np.allclose(stepped.U, prox_row_groups(U0 - g / L, config.lam1 / L))
     assert np.allclose(stepped.V, prox_col_groups(V0 - g / L, config.lam2 / L))
     G, _, _ = _per_subject_gram(design, working)
@@ -199,12 +197,11 @@ def test_fista_step_extrapolated_predictor_matches_matvec():
     working = make_working("ar1", 0.3, 1.0, design.n)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="fixed")
     smooth = build_gram(design, working)
-    state = initial_state(smooth, lipschitz_upper(design, GAUSS, working))
+    state = InnerState(smooth, config, lipschitz_upper(design, GAUSS, working))
     for _ in range(5):
-        g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
-        state = fista_step(state, g, config, smooth)
+        state = fista_step(state)
         direct = smooth.predictor(state.Z_tilde[0] + state.Z_tilde[1])
-        assert np.allclose(state.eta_tilde, direct, rtol=1e-12, atol=1e-12)
+        assert np.allclose(state.Z_tilde[2], direct, rtol=1e-12, atol=1e-12)
 
 
 def test_fista_step_backtracking_grows_L():
@@ -213,9 +210,10 @@ def test_fista_step_backtracking_grows_L():
     L = lipschitz_upper(design, GAUSS, working)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking")
     smooth = build_gram(design, working)
-    state = initial_state(smooth, L / 64.0)
-    g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
-    stepped = fista_step(state, g, config, smooth, backtrack=True)
+    # backtracking starts from the bound it is given over INIT_L_SHRINK = 8
+    state = InnerState(smooth, config, L / 8.0)
+    assert state.L == L / 64.0
+    stepped = fista_step(state)
     assert stepped.L > L / 64.0
 
 
@@ -227,10 +225,9 @@ def test_fista_step_no_valid_step_error():
     # a curvature that no step constant within MAX_BACKTRACKS doublings covers
     system = build_gram(design, working)
     smooth = replace(system, G=system.G * 1e40)
-    state = initial_state(smooth, 1.0)
-    g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
+    state = InnerState(smooth, config, 1.0)
     with pytest.raises(NumericalError, match="no valid step"):
-        fista_step(state, g, config, smooth, backtrack=True)
+        fista_step(state)
 
 
 def _reference_model_solve(smooth, L, start, config, floor=0.0):
@@ -324,10 +321,12 @@ def test_model_solve_matches_plain_reference_loop(seed, d, lags, lam, step_mode,
 
 
 def _identity_step(lam1, lam2, grad):
-    """One fixed step at L = 1 from the origin on an identity Gram: (U, V) = prox(-grad)."""
-    smooth = fista.GramSmooth(G=np.eye(grad.size, order="F"), b=np.zeros(grad.shape), c=0.0, phi=1.0)
-    state = initial_state(smooth, 1.0)
-    return fista_step(state, grad, InnerConfig(lam1=lam1, lam2=lam2, step_mode="fixed"), smooth)
+    """One fixed step at L = 1 from the origin on an identity Gram: (U, V) = prox(-grad).
+
+    With b = -grad the quadratic's gradient at the origin is ``grad`` itself.
+    """
+    smooth = fista.GramSmooth(G=np.eye(grad.size, order="F"), b=-grad, c=0.0, phi=1.0)
+    return fista_step(InnerState(smooth, InnerConfig(lam1=lam1, lam2=lam2, step_mode="fixed"), 1.0))
 
 
 def test_fista_step_shrink_keeps_zero_groups_at_zero_threshold():
@@ -739,24 +738,22 @@ def test_fista_step_predictors_match_numpy_products(shape, step_mode):
     rng = np.random.default_rng(55)
     start = (rng.normal(size=design.coef_shape), rng.normal(size=design.coef_shape))
     L = lipschitz_upper(design, GAUSS, working, gram=G)
-    state = initial_state(smooth, L / 8.0 if step_mode == "backtracking" else L, start)
+    state = InnerState(smooth, config, L, start)
 
     def product(U, V):
         return (G @ np.ravel(U + V)).reshape(design.coef_shape)
 
     assert np.array_equal(state.Z[2], product(*start))
-    assert np.array_equal(state.eta_tilde, state.Z[2])
-    grad = np.empty(design.coef_shape)
+    assert np.array_equal(state.Z_tilde[2], state.Z[2])
     for _ in range(6):
         eta_before, t_before = product(state.U, state.V), state.t
-        smooth.gradient(state.eta_tilde, out=grad)
-        state = fista_step(state, grad, config, smooth, backtrack=step_mode == "backtracking")
+        state = fista_step(state)
         eta = product(state.U, state.V)
         assert np.array_equal(state.Z[2], eta)
         # the extrapolated predictor follows by linearity from two products
         shift = (t_before - 1.0) / state.t
-        assert np.array_equal(state.eta_tilde, eta + (eta - eta_before) * shift)
-        assert np.allclose(state.eta_tilde, product(*state.Z_tilde[:2]), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(state.Z_tilde[2], eta + (eta - eta_before) * shift)
+        assert np.allclose(state.Z_tilde[2], product(*state.Z_tilde[:2]), rtol=1e-12, atol=1e-12)
 
 
 def test_gram_smooth_holds_its_gram_in_fortran_order():
