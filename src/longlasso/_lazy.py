@@ -20,7 +20,7 @@ class LazyModule:
 
     An attribute read once is stored on the instance, so every later read
     is a plain instance lookup that runs no import statement: the solver
-    reads ``blas.dgemv`` on every iteration.  Safe when several threads
+    reads ``blas.dsymv`` on every iteration.  Safe when several threads
     make the first read at once, unlike ``importlib.util.LazyLoader``
     before Python 3.12.
     """

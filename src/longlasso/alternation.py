@@ -9,6 +9,7 @@ fixed-alpha convex program.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -257,12 +258,15 @@ def from_json_dict(payload: dict) -> FitResult:
     """Rebuild a FitResult from its JSON form (correlation re-realized at n).
 
     A payload that is not an object, a missing or ill-typed key, an unknown
-    family, coefficients other than finite JSON numbers, or keys that
-    disagree raise ``DataError`` naming them: ``feature_names`` must hold
-    one name per row of ``shape``, ``shape`` one column per lag 0..``tau``,
-    with ``include_lagged_outcome`` the last name must be
-    ``dataset.LAGGED_OUTCOME_NAME``, and ``structure``, ``alpha`` and ``n``
-    must give a positive definite R.
+    family, coefficients or ``trace`` entries other than finite JSON
+    numbers, a ``seed`` other than null or an integer, a non-finite number
+    in ``config``, or keys that disagree raise ``DataError`` naming them:
+    ``feature_names`` must hold one name per row of ``shape``, ``shape`` one
+    column per lag 0..``tau``, with ``include_lagged_outcome`` the last name
+    must be ``dataset.LAGGED_OUTCOME_NAME``, and ``structure``, ``alpha`` and
+    ``n`` must give a positive definite R.  ``make_working`` refuses a
+    non-finite ``alpha`` or ``phi`` with ``ValueError``.  So a model that
+    loads writes back as standard JSON.
     """
     if not isinstance(payload, dict):
         raise DataError(f"model JSON must hold an object, not {type(payload).__name__}")
@@ -280,6 +284,16 @@ def from_json_dict(payload: dict) -> FitResult:
     if not all(A.dtype.kind in "iuf" and np.all(np.isfinite(A)) for A in (U, V)):
         raise DataError("model JSON coefficients must be finite numbers")
     U, V = U.astype(float), V.astype(float)
+    trace = np.asarray(payload["trace"])
+    if trace.ndim != 1 or trace.dtype.kind not in "iuf" or not np.all(np.isfinite(trace)):
+        raise DataError("model JSON key 'trace' must hold finite numbers")
+    seed = payload.get("seed")
+    if seed is not None and not isinstance(seed, int):
+        raise DataError("model JSON key 'seed' has an invalid value")
+    try:
+        json.dumps(payload["config"], allow_nan=False)
+    except ValueError:
+        raise DataError("model JSON key 'config' holds a non-finite number") from None
     if list(U.shape) != list(payload["shape"]) or list(V.shape) != list(payload["shape"]):
         raise DataError("coefficient arrays disagree with the recorded shape")
     shape, names, tau = payload["shape"], payload["feature_names"], payload["tau"]
@@ -309,11 +323,11 @@ def from_json_dict(payload: dict) -> FitResult:
         include_lagged_outcome=bool(payload["include_lagged_outcome"]),
         feature_names=tuple(payload["feature_names"]),
         outer_iterations=int(payload["outer_iterations"]),
-        trace=tuple(payload["trace"]),
+        trace=tuple(trace.tolist()),
         inner_traces=(),
         inner_step_traces=(),
         converged=bool(payload["converged"]),
         max_outer_reached=bool(payload["max_outer_reached"]),
         config=dict(payload["config"]),
-        seed=payload.get("seed"),
+        seed=seed,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lazy import LazyModule
-from .errors import NumericalError
+from .errors import NumericalError, check_finite
 
 spl = LazyModule("scipy.linalg")
 
@@ -122,8 +122,9 @@ class WorkingCorrelation:
 
 def make_working(structure: str, alpha: float, phi: float, n: int) -> WorkingCorrelation:
     """Build a :class:`WorkingCorrelation`; an R that is not positive definite raises."""
-    if phi <= 0.0:
-        raise ValueError("phi must be positive")
+    check_finite("phi", phi, positive=True)
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     R = build_R(structure, alpha, n)
     R_inv = np.eye(n) if structure == "independent" else spd_inverse(R, "working correlation")
     R.setflags(write=False)

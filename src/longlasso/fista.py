@@ -68,21 +68,34 @@ and allocates no array.
 
 Which BLAS runs what: every product large enough for OpenBLAS to thread
 runs on ``scipy.linalg.blas``, the library that already runs ``dsyrk``,
-``daxpy`` and ``dsyevr`` here, and never on NumPy's ``matmul``.  That is
-the iteration's G w (``fista_step``, ``GramSmooth.predictor``), a scoring
-model's H w, the design products X w (``linear_predictor``) and X^T c
-(``estimating_function``), and the accumulator's whitening and X^T y
-term.  The NumPy and SciPy wheels each bundle their own OpenBLAS, and each
-keeps a thread pool that busy-waits for a while after a call, so a fit
-that alternates between the two libraries has one pool spinning on the
-CPUs the other one needs: in a paper-scale fit on 2 CPUs each eigensolve
-took 0.09-0.19 s, against 0.05 s on an idle pool.  Each product is
-``dgemv`` or ``dgemm`` on the Fortran-ordered view of the same memory and
-with the same transposition that NumPy's ``matmul`` hands its BLAS,
-writing in place where NumPy wrote through ``out=``, so for designs of at
-least two parameters the results are NumPy's bit for bit.  The products
-left to NumPy are n x n correlation products and O(p) dot products; at
-the paper's sizes they stay below OpenBLAS's threading thresholds.
+``daxpy`` and ``dsyevr`` here, and never on NumPy's ``matmul``.  The NumPy
+and SciPy wheels each bundle their own OpenBLAS, and each keeps a thread
+pool that busy-waits for a while after a call, so a fit that alternates
+between the two libraries has one pool spinning on the CPUs the other one
+needs: in a paper-scale fit on 2 CPUs each eigensolve took 0.09-0.19 s,
+against 0.05 s on an idle pool.
+
+- Gram products run ``dsymv``, which reads the diagonal and the upper
+  triangle of G alone: the iteration's G w (``fista_step``, in place into
+  the point's predictor, and ``GramSmooth.predictor``) and a scoring
+  model's H w.  The paper's p = 1000 Gram is 8 MB, its upper triangle
+  4 MB, which fits the L2 caches of two cores: on a 2-CPU Xeon a product
+  took 85 us against 170 us for ``dgemv`` over the whole G.  The results
+  equal NumPy's ``G @ w`` to rounding, not bit for bit.
+- Rectangular products run ``dgemv`` or ``dgemm`` on the Fortran-ordered
+  view of the same memory and with the same transposition that NumPy's
+  ``matmul`` hands its BLAS, so for designs of at least two parameters
+  they are NumPy's bit for bit: the design products X w
+  (``linear_predictor``) and X^T c (``estimating_function``), and the
+  accumulator's whitening and X^T y term.
+
+OpenBLAS's threaded ``dsymv`` gives each thread a block of G and adds
+their partial products, so the bits of a fit depend on the BLAS thread
+count; at a fixed thread count every output is the same from run to run.
+The products left to NumPy are n x n correlation products and O(p) dot
+products; at the paper's sizes they stay below OpenBLAS's threading
+thresholds.
+
 SciPy is imported on the first of these calls, not with this module
 (``_lazy.LazyModule``; ``families`` and ``correlation`` load
 ``scipy.special`` and ``scipy.linalg`` the same way), so ``import
@@ -224,9 +237,11 @@ class GramSmooth:
     """Quadratic smooth part 0.5 * phi * (w^T G w - 2 b^T w + c); the predictor is G w.
 
     ``b`` has the coefficient shape; ``G`` is p x p over the row-major
-    flattened coefficients.  G is held Fortran-ordered, as every Gram here
-    is built, so each ``dgemv`` reads it in place: any other G is copied
-    into Fortran order once, when the quadratic is made.
+    flattened coefficients, full and symmetric.  Every product with G is
+    ``dsymv`` and reads only its diagonal and upper triangle.  G is held
+    Fortran-ordered, as every Gram here is built, so each product reads it
+    in place: any other G is copied into Fortran order once, when the
+    quadratic is made.
     """
 
     G: np.ndarray
@@ -238,7 +253,7 @@ class GramSmooth:
         object.__setattr__(self, "G", np.asfortranarray(self.G, dtype=float))
 
     def predictor(self, W) -> np.ndarray:
-        return blas.dgemv(1.0, self.G, np.ravel(W)).reshape(self.b.shape)
+        return blas.dsymv(1.0, self.G, np.ravel(W), lower=0).reshape(self.b.shape)
 
     def gradient(self, Gw, out=None) -> np.ndarray:
         out = np.subtract(Gw, self.b, out=out)
@@ -629,7 +644,7 @@ def fista_step(state: InnerState) -> InnerState:
         np.multiply(Zn[0], scales[:d, None], out=Zn[0])
         np.multiply(Zn[1], scales[d:], out=Zn[1])
         np.add(Zn[0], Zn[1], out=W.reshape(d, -1))
-        blas.dgemv(1.0, smooth.G, W, y=Zn[2].reshape(-1), overwrite_y=1)
+        blas.dsymv(1.0, smooth.G, W, y=Zn[2].reshape(-1), overwrite_y=1, lower=0)
         np.subtract(Zn, Zt, out=D)
         step_squared = np.vdot(D[:2], D[:2])
         if not state._backtrack:
@@ -743,7 +758,7 @@ def _scoring_solve(design, family: Family, working: WorkingCorrelation, config, 
             fresh = True
         # the model matches the gradient at (U, V); passed unnamed, it is
         # gone before H is rebuilt, so two H never coexist
-        b = blas.dgemv(1.0, H, np.ravel(U + V)).reshape(U.shape) - grad / working.phi
+        b = blas.dsymv(1.0, H, np.ravel(U + V), lower=0).reshape(U.shape) - grad / working.phi
         U_new, V_new, settled = _model_solve(
             GramSmooth(G=H, b=b, c=0.0, phi=working.phi), L, (U, V), config, trace, EARLY_STOP * norm
         )

@@ -384,7 +384,8 @@ def _model_value(key, shape):
         row = st.lists(st.floats(-5, 5) | _JSON_VALUES, min_size=shape[1], max_size=shape[1])
         return _JSON_VALUES | st.lists(row, min_size=shape[0], max_size=shape[0])
     domains = {"family": st.sampled_from(FAMILIES) | st.text(max_size=8),
-               "structure": st.sampled_from(STRUCTURES), "alpha": st.floats(-1.0, 1.0)}
+               "structure": st.sampled_from(STRUCTURES), "alpha": st.floats(-1.0, 1.0),
+               "phi": st.floats()}
     return domains[key] | _JSON_VALUES if key in domains else _JSON_VALUES
 
 
@@ -393,7 +394,8 @@ def _model_value(key, shape):
 @given(structure=st.sampled_from(STRUCTURES), data=st.data())
 def test_model_key_mutations_are_refused_or_predict_from_the_payload(key, structure, data):
     # a model JSON with one key deleted or replaced either loads as a data
-    # error (exit 2) or predicts the family's mean of X (U + V) from its own keys
+    # error (exit 2) or predicts the family's mean of X (U + V) from its own
+    # keys and writes back as standard JSON
     design, text = _saved_model(structure)
     payload = json.loads(text)
     if key in payload and data.draw(st.booleans(), label="delete"):
@@ -407,6 +409,7 @@ def test_model_key_mutations_are_refused_or_predict_from_the_payload(key, struct
     W = np.asarray(payload["U"], dtype=float) + np.asarray(payload["V"], dtype=float)
     expected = get_family(payload["family"]).mean(fista.linear_predictor(design, W))
     assert np.array_equal(ll.predict(result, design), expected)
+    json.dumps(alternation.to_json_dict(result), allow_nan=False)
 
 
 def test_from_json_dict_rejects_bad_schema():

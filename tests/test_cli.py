@@ -715,6 +715,15 @@ def test_predict_rejects_a_malformed_model(tmp_path, capsys, payload, message):
     ("V", [[None] * 2] * 4, "model JSON coefficients must be finite numbers"),
     ("family", "gamma", "model JSON key 'family' has an invalid value"),
     ("U", [[{}, 0.0]] * 4, "model JSON coefficients must be finite numbers"),
+    # json writes and reads NaN and Infinity, which are no standard JSON: a
+    # model that loads must write back without them
+    ("phi", float("nan"), "phi must be finite and positive, got nan"),
+    ("phi", float("inf"), "phi must be finite and positive, got inf"),
+    ("alpha", float("-inf"), "alpha must be finite, got -inf"),
+    ("trace", [1.0, float("nan")], "model JSON key 'trace' must hold finite numbers"),
+    ("trace", ["1"], "model JSON key 'trace' must hold finite numbers"),
+    ("config", {"max_outer": float("inf")}, "model JSON key 'config' holds a non-finite number"),
+    ("seed", float("nan"), "model JSON key 'seed' has an invalid value"),
 ])
 def test_predict_names_an_ill_typed_model_key(tmp_path, capsys, key, value, message):
     # one error line naming the key, never a traceback or NaN predictions

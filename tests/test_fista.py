@@ -236,7 +236,11 @@ def _reference_model_solve(smooth, L, start, config, floor=0.0):
     Its per-step arithmetic is the solver's before the stacked workspace:
     the shrink by ``np.where`` under ``errstate``, the majorization test,
     the loss and the stopping rules by ``np.sum`` and ``np.linalg.norm``.
+    Each Gram product is ``dsymv`` on G's upper triangle, as the solver's.
     """
+
+    def product(W):
+        return blas.dsymv(1.0, G, np.ravel(W)).reshape(b.shape)
 
     def shrink_rows(P, theta):
         norms = np.sqrt(np.sum(P**2, axis=1))
@@ -249,7 +253,7 @@ def _reference_model_solve(smooth, L, start, config, floor=0.0):
     if backtracking:
         L = L / fista.INIT_L_SHRINK
     U, V = (np.zeros(b.shape), np.zeros(b.shape)) if start is None else (start[0].copy(), start[1].copy())
-    eta = (G @ np.ravel(U + V)).reshape(b.shape)
+    eta = product(U + V)
     U_t, V_t, eta_t, t = U, V, eta, 1.0
     objective, steps = [], []
     while len(objective) < config.max_iterations:
@@ -258,7 +262,7 @@ def _reference_model_solve(smooth, L, start, config, floor=0.0):
             U_n = shrink_rows(U_t - grad / L, config.lam1 / L)
             V_n = shrink_rows((V_t - grad / L).T, config.lam2 / L).T
             W_n = U_n + V_n
-            eta_n = (G @ np.ravel(W_n)).reshape(b.shape)
+            eta_n = product(W_n)
             if not backtracking:
                 break
             dU, dV = U_n - U_t, V_n - V_t
@@ -318,6 +322,9 @@ def test_model_solve_matches_plain_reference_loop(seed, d, lags, lam, step_mode,
     assert trace[1] == steps
     assert len(trace[0]) == len(objective) and converged == converged_ref
     assert np.allclose(trace[0], objective, rtol=1e-12, atol=0.0)
+    # one triangle or the whole G: the products differ in their last bits only
+    W = np.ravel(U + V)
+    assert np.allclose(smooth.predictor(W).ravel(), smooth.G @ W, rtol=1e-12, atol=1e-12)
 
 
 def _identity_step(lam1, lam2, grad):
@@ -729,7 +736,8 @@ def test_accumulate_matches_numpy_products_bit_for_bit(shape, chunk, monkeypatch
 @pytest.mark.parametrize("step_mode", ["fixed", "backtracking"])
 def test_fista_step_predictors_match_numpy_products(shape, step_mode):
     # the iteration's product is written in place into the point's
-    # predictor: a copied target would leave a stale predictor behind
+    # predictor: a copied target would leave a stale predictor behind.  It
+    # is dsymv on G's upper triangle, equal to NumPy's G @ w to rounding
     design = random_design(54, **shape)
     working = make_working("ar1", 0.4, 1.2, design.n)
     smooth = build_gram(design, working)
@@ -741,7 +749,7 @@ def test_fista_step_predictors_match_numpy_products(shape, step_mode):
     state = InnerState(smooth, config, L, start)
 
     def product(U, V):
-        return (G @ np.ravel(U + V)).reshape(design.coef_shape)
+        return blas.dsymv(1.0, G, np.ravel(U + V)).reshape(design.coef_shape)
 
     assert np.array_equal(state.Z[2], product(*start))
     assert np.array_equal(state.Z_tilde[2], state.Z[2])
@@ -754,6 +762,8 @@ def test_fista_step_predictors_match_numpy_products(shape, step_mode):
         shift = (t_before - 1.0) / state.t
         assert np.array_equal(state.Z_tilde[2], eta + (eta - eta_before) * shift)
         assert np.allclose(state.Z_tilde[2], product(*state.Z_tilde[:2]), rtol=1e-12, atol=1e-12)
+    W = np.ravel(state.U + state.V)
+    assert np.allclose(state.Z[2].ravel(), G @ W, rtol=1e-12, atol=1e-12)
 
 
 def test_gram_smooth_holds_its_gram_in_fortran_order():
@@ -767,10 +777,36 @@ def test_gram_smooth_holds_its_gram_in_fortran_order():
     assert smooth.G.flags.f_contiguous and not np.shares_memory(smooth.G, G_c)
     assert np.array_equal(smooth.G, G_c)
     G_f = np.asfortranarray(G_c)
-    assert np.array_equal(smooth.predictor(W), (G_f @ W.ravel()).reshape(3, 2))
+    assert np.array_equal(smooth.predictor(W), blas.dsymv(1.0, G_f, W.ravel()).reshape(3, 2))
+    assert np.allclose(smooth.predictor(W).ravel(), G_c @ W.ravel(), rtol=1e-12, atol=1e-12)
     held = fista.GramSmooth(G=G_f, b=np.zeros((3, 2)), c=0.0, phi=1.0)
     assert held.G is G_f
     assert replace(held, G=G_c).G.flags.f_contiguous
+
+
+@pytest.mark.parametrize("step_mode", ["fixed", "backtracking"])
+def test_gram_products_read_one_triangle(step_mode):
+    # every Gram product reads the diagonal and the upper triangle alone: a
+    # Gram whose strict lower triangle is NaN gives the intact Gram's arrays
+    design = random_design(57, **BLAS_DESIGNS[0])
+    working = make_working("ar1", 0.4, 1.2, design.n)
+    intact = build_gram(design, working)
+    G = intact.G.copy(order="F")
+    G[np.tril_indices_from(G, k=-1)] = np.nan
+    upper = replace(intact, G=G)
+    L = lipschitz_upper(design, GAUSS, working, gram=intact.G)
+    config = InnerConfig(lam1=0.05, lam2=0.05, max_iterations=200, step_mode=step_mode)
+    rng = np.random.default_rng(58)
+    start = (rng.normal(size=design.coef_shape), rng.normal(size=design.coef_shape))
+    assert np.array_equal(upper.predictor(start[0]), intact.predictor(start[0]))
+    states = [InnerState(smooth, config, L, start) for smooth in (intact, upper)]
+    for _ in range(4):
+        for state in states:
+            fista_step(state)
+        assert np.array_equal(states[1].Z, states[0].Z) and np.array_equal(states[1].Z_tilde, states[0].Z_tilde)
+        assert states[1].L == states[0].L and states[1].loss == states[0].loss
+    solved = [fista._model_solve(smooth, L, start, config, ([], [])) for smooth in (intact, upper)]
+    assert all(np.array_equal(a, b) for a, b in zip(*solved))
 
 
 def _cholesky_gram(design, working):
