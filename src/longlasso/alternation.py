@@ -23,7 +23,7 @@ from .correlation import (
     pearson_residuals,
 )
 from .dataset import LAGGED_OUTCOME_NAME, LaggedDesign
-from .errors import DataError, NumericalError, check_finite
+from .errors import DataError, check_finite
 from .families import FAMILIES, Family, get_family
 from .penalty import CoefficientPair, row_norms
 
@@ -255,7 +255,7 @@ _MODEL_KEYS = {
 
 
 def from_json_dict(payload: dict) -> FitResult:
-    """Rebuild a FitResult from its JSON form (correlation re-realized at n).
+    """Rebuild a FitResult from its JSON form.
 
     A payload that is not an object, a missing or ill-typed key, an unknown
     family, coefficients or ``trace`` entries other than finite JSON
@@ -264,8 +264,9 @@ def from_json_dict(payload: dict) -> FitResult:
     ``feature_names`` must hold one name per row of ``shape``, ``shape`` one
     column per lag 0..``tau``, with ``include_lagged_outcome`` the last name
     must be ``dataset.LAGGED_OUTCOME_NAME``, and ``structure``, ``alpha`` and
-    ``n`` must give a positive definite R.  ``make_working`` refuses a
-    non-finite ``alpha`` or ``phi`` with ``ValueError``.  So a model that
+    ``n`` must give a positive definite R, by the structure's closed-form
+    bound (R itself is built only if read).  ``WorkingCorrelation`` refuses
+    a non-finite ``alpha`` or ``phi`` with ``ValueError``.  So a model that
     loads writes back as standard JSON.
     """
     if not isinstance(payload, dict):
@@ -308,10 +309,12 @@ def from_json_dict(payload: dict) -> FitResult:
     if payload["include_lagged_outcome"] and names[-1:] != [LAGGED_OUTCOME_NAME]:
         raise DataError("model JSON keys 'include_lagged_outcome' and 'feature_names' disagree: "
                         f"the last name is not {LAGGED_OUTCOME_NAME!r}")
-    try:
-        working = make_working(payload["structure"], payload["alpha"], payload["phi"], int(payload["n"]))
-    except NumericalError as exc:
-        raise DataError(f"model JSON keys 'structure', 'alpha' and 'n' disagree: {exc}") from None
+    # predict reads no R: its positive definiteness is checked by the
+    # closed-form bound on alpha at n, so no n x n matrix is built
+    working = WorkingCorrelation(payload["structure"], payload["alpha"], payload["phi"], payload["n"])
+    if not working.positive_definite:
+        raise DataError("model JSON keys 'structure', 'alpha' and 'n' disagree: "
+                        "working correlation is not positive definite")
     return FitResult(
         coefficients=CoefficientPair(
             U=U, V=V, lam1=payload["lambda1"], lam2=payload["lambda2"]

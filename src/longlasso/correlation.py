@@ -11,7 +11,9 @@ inverse of the usual GLM dispersion.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +47,33 @@ def alpha_bounds(structure: str, n: int) -> tuple[float, float]:
         lo = -1.0 / (n - 1) + 1e-6 if n > 1 else -0.99
         return (lo, 1.0 - 1e-6)
     if structure == "tridiagonal":
-        bound = 1.0 / (2.0 * np.cos(np.pi / (n + 1)))
-        bound = min(0.99, bound - 1e-6)
+        bound = min(0.99, _tridiagonal_bound(n) - 1e-6)
         return (-bound, bound)
     return (-0.99, 0.99)
+
+
+def _tridiagonal_bound(n: int) -> float:
+    """Tridiagonal R(alpha) at size n is positive definite iff |alpha| is below this."""
+    return 1.0 / (2.0 * np.cos(np.pi / (n + 1)))
+
+
+def _check_parameters(structure: str, alpha: float, n: int) -> None:
+    """The checks of ``build_R``: a known structure, n >= 1 and alpha in range.
+
+    An n beyond the float range is refused too: the bounds on alpha are
+    taken in floats.
+    """
+    _check_structure(structure)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > sys.float_info.max:
+        raise ValueError(f"n must not exceed {sys.float_info.max:g}")
+    if structure == "independent":
+        return
+    if abs(alpha) >= 1.0:
+        raise ValueError("alpha must satisfy |alpha| < 1")
+    if structure == "exchangeable" and n > 1 and alpha <= -1.0 / (n - 1):
+        raise ValueError("exchangeable alpha must exceed -1/(n-1)")
 
 
 def build_R(structure: str, alpha: float, n: int) -> np.ndarray:
@@ -57,17 +82,11 @@ def build_R(structure: str, alpha: float, n: int) -> np.ndarray:
     Requires |alpha| < 1 (exchangeable additionally alpha > -1/(n-1)).
     Positive definiteness is checked where a factorization is taken.
     """
-    _check_structure(structure)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_parameters(structure, alpha, n)
     if structure == "independent":
         return np.eye(n)
-    if abs(alpha) >= 1.0:
-        raise ValueError("alpha must satisfy |alpha| < 1")
     idx = np.arange(n)
     if structure == "exchangeable":
-        if n > 1 and alpha <= -1.0 / (n - 1):
-            raise ValueError("exchangeable alpha must exceed -1/(n-1)")
         R = np.full((n, n), alpha)
         np.fill_diagonal(R, 1.0)
         return R
@@ -103,33 +122,64 @@ def spd_cholesky(M: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class WorkingCorrelation:
-    """A realized working correlation: structure, alpha, phi, R and R^-1."""
+    """A working correlation: structure, alpha, phi and its size n.
+
+    Construction checks the parameters as ``build_R`` does but builds no
+    matrix: R and R^-1 are realized when first read, and kept.  A model
+    loaded only to predict never reads them, whatever its n.
+    """
 
     structure: str
     alpha: float
     phi: float
-    R: np.ndarray
-    R_inv: np.ndarray
+    n: int
 
-    @property
-    def n(self) -> int:
-        return self.R.shape[0]
+    def __post_init__(self):
+        check_finite("phi", self.phi, positive=True)
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        _check_parameters(self.structure, self.alpha, self.n)
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def is_identity(self) -> bool:
         return self.structure == "independent" or self.alpha == 0.0
 
+    @property
+    def positive_definite(self) -> bool:
+        """Whether R is positive definite, from the closed-form bound on alpha at n.
+
+        Construction already holds alpha to -1/(n-1) < alpha < 1
+        (exchangeable) and |alpha| < 1 (AR(1)), which are those structures'
+        bounds; tridiagonal R needs |alpha| < 1/(2 cos(pi/(n+1))).  No
+        matrix is built.
+        """
+        return self.structure != "tridiagonal" or abs(self.alpha) < _tridiagonal_bound(self.n)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        R = build_R(self.structure, self.alpha, self.n)
+        R.setflags(write=False)
+        return R
+
+    @cached_property
+    def R_inv(self) -> np.ndarray:
+        """R^-1 from one Cholesky attempt; an R that is not positive definite raises."""
+        if self.structure == "independent":
+            R_inv = np.eye(self.n)
+        else:
+            R_inv = spd_inverse(self.R, "working correlation")
+        R_inv.setflags(write=False)
+        return R_inv
+
 
 def make_working(structure: str, alpha: float, phi: float, n: int) -> WorkingCorrelation:
-    """Build a :class:`WorkingCorrelation`; an R that is not positive definite raises."""
-    check_finite("phi", phi, positive=True)
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    R = build_R(structure, alpha, n)
-    R_inv = np.eye(n) if structure == "independent" else spd_inverse(R, "working correlation")
-    R.setflags(write=False)
-    R_inv.setflags(write=False)
-    return WorkingCorrelation(structure=structure, alpha=float(alpha), phi=float(phi), R=R, R_inv=R_inv)
+    """A :class:`WorkingCorrelation` with R and R^-1 realized; an R that is not positive definite raises."""
+    working = WorkingCorrelation(structure, alpha, phi, n)
+    working.R_inv  # realized here, so a fit meets a bad R before it solves
+    return working
 
 
 def pearson_residuals(y, mu, sigma_diag) -> np.ndarray:

@@ -8,6 +8,7 @@ other feature).
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -148,24 +149,47 @@ def _parse_time(raw: str, subject: str) -> int:
     return time
 
 
-def _read_lines(source) -> list[str]:
-    """The payload split on ``\\n`` and ``\\r\\n`` only (not ``\\x0c``, ``\\u2028``, ...)."""
+# Payload slices decode with surrogatepass: a byte source is checked as
+# strict UTF-8 once, so there it decodes as strict does, and a text
+# source's lone surrogates come back as they went in.
+_ERRORS = "surrogatepass"
+
+
+def _read_payload(source) -> bytes:
+    """The source's content as UTF-8 bytes; a byte source must decode."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "rb") as fh:
             payload = fh.read()
     else:
         payload = source.read()
-    if isinstance(payload, bytes):
-        payload = payload.decode("utf-8")
-    payload = payload.removeprefix("\ufeff")  # one byte-order mark, from bytes or text
-    if not payload:
-        raise DataError("empty CSV")
-    lines = payload.split("\n")
-    del payload
-    for i, line in enumerate(lines):  # in place, so one copy of the text is live
-        if line.endswith("\r"):
-            lines[i] = line[:-1]
-    return lines
+    if isinstance(payload, str):
+        return payload.encode("utf-8", _ERRORS)
+    if not payload.isascii():
+        payload.decode("utf-8")  # the check only: the decoded text is dropped at once
+    return payload
+
+
+def _line_spans(payload: bytes, pos: int):
+    """(start, end) of each line from ``pos`` on, split on ``\\n`` only.
+
+    ``end`` leaves out one trailing ``\\r``, so ``\\r\\n`` ends a line too.
+    """
+    while True:
+        newline = payload.find(b"\n", pos)
+        stop = len(payload) if newline < 0 else newline
+        yield pos, (stop - 1 if stop > pos and payload[stop - 1] == 13 else stop)
+        if newline < 0:
+            return
+        pos = newline + 1
+
+
+def _numbered(payload: bytes, spans):
+    """(line number, text) of each (start, end) row span, given in file order."""
+    lineno, pos = 1, 0
+    for start, end in spans:
+        lineno += payload.count(b"\n", pos, start)
+        pos = start
+        yield lineno, payload[start:end].decode("utf-8", _ERRORS)
 
 
 def _csv_cells(line: str, lineno: int) -> list[str]:
@@ -188,11 +212,11 @@ def _reject_repeats(names) -> None:
         seen.add(name)
 
 
-def _is_blank(line: str) -> bool:
-    head = line[:1]  # most lines start with data: skip copying them
-    if head and not head.isspace() and head != ",":
-        return False
-    return not line.replace(",", "").strip()
+def _is_blank(payload: bytes, start: int, end: int) -> bool:
+    """Whether a line holds nothing but separators and whitespace."""
+    if start < end and 32 < payload[start] < 128 and payload[start] != 44:
+        return False  # most lines start with data (ASCII, not a comma): decode none of them
+    return not payload[start:end].decode("utf-8", _ERRORS).replace(",", "").strip()
 
 
 def _raise_first_row_error(rows, width, subject_pos, time_pos, value_cols):
@@ -243,6 +267,13 @@ def load_csv(
     ``features=()`` reads only the keys and the outcome, checking every
     row's width but leaving the feature cells unparsed.
 
+    A load holds one copy of the file's bytes, each data row as its
+    offsets into them, and the parsed cells, 8 bytes each.  The bytes are
+    freed before the cells are copied into per-subject blocks, so the
+    peak is about the file's size plus twice its parsed cells; no line is
+    kept as a string.  Bytes that are not all ASCII are first decoded
+    whole, as a UTF-8 check, and that text is dropped at once.
+
     ``last_times=k`` returns only each subject's last k times (all of
     them when k >= T), with their absolute time labels, bit-equal to the
     trailing window of a full load.  Value cells are parsed only in that
@@ -254,8 +285,12 @@ def load_csv(
     """
     if last_times is not None and last_times < 1:
         raise ValueError("last_times must be at least 1")
-    lines = _read_lines(source)
-    header = [h.strip() for h in _csv_cells(lines[0], 1)]
+    payload = _read_payload(source)
+    spans = _line_spans(payload, len(codecs.BOM_UTF8) if payload.startswith(codecs.BOM_UTF8) else 0)
+    start, end = next(spans)
+    if start == len(payload):
+        raise DataError("empty CSV")
+    header = [h.strip() for h in _csv_cells(payload[start:end].decode("utf-8", _ERRORS), 1)]
     _reject_repeats(header)
     for col in KEY_COLUMNS:
         if col not in header:
@@ -280,28 +315,31 @@ def load_csv(
     key_split = max(subject_pos, time_pos) + 1
 
     # One pass over the lines: drop blanks, check widths, pull out the keys.
-    rows, subjects, times = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if '"' in line or "\r" in line:
-            cells = _csv_cells(line, lineno)
+    # A row is kept as its (start, end) offsets in the payload.
+    starts, ends, subjects, times = [], [], [], []
+    for lineno, (start, end) in enumerate(spans, start=2):
+        if payload.find(b'"', start, end) >= 0 or payload.find(b"\r", start, end) >= 0:
+            cells = _csv_cells(payload[start:end].decode("utf-8", _ERRORS), lineno)
             if all(not c.strip() for c in cells):
                 continue
             n_cells = len(cells)
-        elif _is_blank(line):
+        elif _is_blank(payload, start, end):
             continue
         else:
-            cells = line.split(",", key_split)
-            n_cells = line.count(",") + 1
-        rows.append((lineno, line))
+            parts = payload[start:end].split(b",", key_split)
+            cells = [part.decode("utf-8", _ERRORS) for part in parts[:key_split]]
+            n_cells = payload.count(b",", start, end) + 1
+        starts.append(start)
+        ends.append(end)
         if n_cells != width:
-            _raise_first_row_error(rows, *key_layout)
+            _raise_first_row_error(_numbered(payload, zip(starts, ends)), *key_layout)
         subject = cells[subject_pos].strip()
         try:
             times.append(_parse_time(cells[time_pos], subject))
         except DataError:
-            _raise_first_row_error(rows, *key_layout)
+            _raise_first_row_error(_numbered(payload, zip(starts, ends)), *key_layout)
         subjects.append(subject)
-    if not rows:
+    if not starts:
         raise DataError("CSV contains no data rows")
 
     ids, subject_of = np.unique(np.array(subjects, dtype=object), return_inverse=True)
@@ -309,7 +347,7 @@ def load_csv(
     order = np.lexsort((times, subject_of))
     subject_of, times = subject_of[order], times[order]
     if np.any((subject_of[1:] == subject_of[:-1]) & (times[1:] == times[:-1])):
-        _raise_first_row_error(rows, *key_layout)
+        _raise_first_row_error(_numbered(payload, zip(starts, ends)), *key_layout)
     counts = np.bincount(subject_of)
     if counts.min() != counts.max():
         raise DataError("unequal series length")
@@ -320,18 +358,22 @@ def load_csv(
     if gaps.size:
         raise DataError(f"times for subject {ids[gaps[0]]!r} are not consecutive")
 
-    # Parse the window's rows only, already in (subject, time) order.
+    # Parse the window's rows only, already in (subject, time) order, each
+    # from a slice that lives only while loadtxt reads it.
     k = T if last_times is None else min(last_times, T)
     picked = order.reshape(m, T)[:, T - k:].ravel()
     try:
         values = np.loadtxt(
-            [rows[i][1] for i in picked.tolist()], delimiter=",", quotechar='"', comments=None,
+            (payload[starts[i]:ends[i]].decode("utf-8", _ERRORS) for i in picked.tolist()),
+            delimiter=",", quotechar='"', comments=None,
             usecols=[pos for _, pos in value_cols], ndmin=2,
         )
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
-        _raise_first_row_error([rows[i] for i in np.sort(picked).tolist()], *layout)
+        rows = ((starts[i], ends[i]) for i in np.sort(picked).tolist())
+        _raise_first_row_error(_numbered(payload, rows), *layout)
+    del payload  # before the cube: the bytes and two copies of the cells are never all live
     # (m, 1+d, k): each subject's outcomes and features are contiguous slices.
     cube = np.ascontiguousarray(values.reshape(m, k, -1).transpose(0, 2, 1))
     subjects = tuple(

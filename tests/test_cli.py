@@ -767,6 +767,62 @@ def test_predict_rejects_model_keys_that_disagree(tmp_path, capsys, changes, mes
     assert not (tmp_path / "preds.csv").exists()
 
 
+@pytest.mark.parametrize("structure, alpha, n, message", [
+    ("ar1", None, 1_000_000, None),
+    ("exchangeable", 0.2, 1_000_000, None),
+    ("tridiagonal", 0.49, 1_000_000, None),
+    ("tridiagonal", 0.51, 1_000_000, "model JSON keys 'structure', 'alpha' and 'n' disagree: "
+                                     "working correlation is not positive definite"),
+    ("exchangeable", -0.01, 1_000_000, "exchangeable alpha must exceed -1/(n-1)"),
+    ("exchangeable", 0.2, 10**400, "n must not exceed 1.79769e+308"),
+    ("tridiagonal", 0.49, 10**400, "n must not exceed 1.79769e+308"),
+])
+def test_predict_builds_no_working_correlation_at_any_n(tmp_path, capsys, structure, alpha, n, message):
+    # R would take 8 TB at n = 1000000 and predict never reads it, yet the
+    # closed-form bound on alpha at n still refuses an indefinite R; an n
+    # beyond the float range, which JSON allows, is a data error
+    data = simulate(tmp_path)
+    model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+    run_ok(["fit", "--input", data, "--output", model, "--structure", "ar1", "--tau", "1",
+            "--holdout", "3"])
+    run_ok(["predict", "--model", model, "--input", data, "--output", preds, "--holdout", "3"])
+    payload = json.loads(model.read_text())
+    payload.update(n=n, structure=structure)
+    if alpha is not None:
+        payload["alpha"] = alpha
+    edited, out = tmp_path / "edited.json", tmp_path / "edited.preds.csv"
+    edited.write_text(json.dumps(payload))
+    code = cli.run(["predict", "--model", str(edited), "--input", str(data), "--output", str(out),
+                    "--holdout", "3"])
+    if message is None:
+        assert code == 0 and out.read_bytes() == preds.read_bytes()
+    else:
+        assert code == 2 and capsys.readouterr().err == f"error[data]: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "evaluate"])
+def test_a_dataset_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    # one bad byte in the first row's last feature cell, which evaluate
+    # and a windowed predict do not parse
+    data, _ = _predictions(tmp_path)
+    raw = data.read_bytes()
+    end = raw.index(b"\r\n", raw.index(b"\r\n") + 2)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(raw[:end] + b"\xff" + raw[end:])
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--input", bad, "--output", out, "--tau", "1"],
+        "predict": ["predict", "--model", tmp_path / "model.json", "--input", bad, "--output", out,
+                    "--holdout", "3"],
+        "evaluate": ["evaluate", "--predictions", tmp_path / "preds.csv", "--input", bad,
+                     "--output", out],
+    }[command]
+    assert cli.run([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error[data]: 'utf-8' codec can't decode byte 0xff in position {end}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, family", [
     ("fit", "bernoulli"), ("fit", "poisson"), ("cv", "bernoulli"), ("cv", "poisson"),
 ])

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,123 @@ def test_load_csv_window_bounds():
     for k in (0, -1):
         with pytest.raises(ValueError, match="^last_times must be at least 1$"):
             _ds(WELL_FORMED, last_times=k)
+
+
+@pytest.mark.parametrize("value, message", [
+    (" ", r"missing value at \(s093,14,y\)"),
+    ("nan", r"missing value at \(s093,14,y\)"),
+    ("1_0", r"invalid value at \(s093,14,y\): '1_0'"),
+    ("\u0661", r"invalid value at \(s093,14,y\): '\u0661'"),
+    ("-inf", r"non-finite value at \(s093,14,y\)"),
+    ("1e400", r"non-finite value at \(s093,14,y\)"),
+])
+def test_load_csv_outcome_only_names_a_bad_outcome_as_a_full_load_does(value, message):
+    rows = _deep_rows()
+    rows[DEEP][2] = value
+    for features in ((), None):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            _ds(_deep_text(rows), features)
+
+
+def test_load_csv_outcome_only_reports_first_bad_row_in_file_order():
+    rows = _deep_rows()
+    rows[_deep_index(90, 5)][2] = "abc"
+    rows[_deep_index(95, 5)].pop()
+    rows[_deep_index(97, 5)][1] = "13"
+    with pytest.raises(DataError, match=r"^invalid value at \(s090,5,y\): 'abc'$"):
+        _ds(_deep_text(rows), ())
+    rows[_deep_index(80, 2)][1] = "two"
+    with pytest.raises(DataError, match=r"^non-integer time 'two' for subject 's080'$"):
+        _ds(_deep_text(rows), ())
+    # series lengths and gaps are checked before any value cell
+    rows = _deep_rows()
+    rows[_deep_index(90, 5)][2] = "abc"
+    del rows[_deep_index(93, DEEP_T)]
+    with pytest.raises(DataError, match="^unequal series length$"):
+        _ds(_deep_text(rows), ())
+
+
+@pytest.mark.parametrize("value", ["abc", " ", "nan", "1_0", "\u0661"])
+def test_load_csv_outcome_only_leaves_feature_cells_unparsed(value):
+    rows = _deep_rows()
+    rows[DEEP][4] = value
+    _assert_same_panel(_ds(_deep_text(rows), ()), _ds(_deep_text(_deep_rows()), ()))
+
+
+@pytest.mark.parametrize("features, last_times", [(None, None), ((), None), (("x1",), 3)])
+def test_load_csv_rejects_invalid_utf8_in_any_cell(features, last_times):
+    # the first row's last feature cell: outside the window, or unparsed
+    rows = _deep_rows()
+    rows[0][4] = "BAD"
+    payload = _deep_text(rows).encode().replace(b"BAD", b"1.5\xff")
+    position = payload.index(b"\xff")
+    message = f"^'utf-8' codec can't decode byte 0xff in position {position}: "
+    with pytest.raises(UnicodeDecodeError, match=message):
+        load_csv(io.BytesIO(payload), features, last_times)
+
+
+def test_load_csv_checks_non_ascii_bytes_as_utf8():
+    # ids of 2-, 3- and 4-byte characters load; a cut character fails with
+    # the whole payload's error, offsets and all
+    text = "subject_id,time,y,x1\n" + "".join(
+        f"{sid},{t},0.5,1.5\n" for sid in ("\u00e9", "\u20ac", "\U0001d11e") for t in (1, 2)
+    )
+    expected = _ds(text)
+    payload = text.encode()
+    bad = payload.replace("\u20ac".encode(), b"\xe2\x82", 1)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        bad.decode("utf-8")
+    _assert_same_panel(load_csv(io.BytesIO(payload)), expected)
+    with pytest.raises(UnicodeDecodeError) as error:
+        load_csv(io.BytesIO(bad))
+    assert str(error.value) == str(whole.value)
+
+
+def test_load_csv_quoted_cells_and_trailing_keys_load_as_plain_rows():
+    # quoted ids take the csv module's path; keys placed after the
+    # features are split out of the whole row
+    rows = _deep_rows()
+    plain = _deep_text(rows)
+    quoted = "\r\n".join(
+        ['"subject_id",time,y,x1,x2', *(",".join([f'"{r[0]}"', *r[1:]]) for r in rows)]
+    ) + "\r\n"
+    keys_last = "x1,x2,y,time,subject_id\n" + "".join(
+        ",".join([*r[3:], r[2], r[1], r[0]]) + "\n" for r in rows
+    )
+    for features in (None, (), ("x2",)):
+        for last_times in (None, 4):
+            reference = _ds(plain, features, last_times)
+            _assert_same_panel(_ds(quoted, features, last_times), reference)
+            _assert_same_panel(_ds(keys_last, features, last_times), reference)
+
+
+def test_load_csv_holds_one_copy_of_the_file_plus_the_cells(tmp_path):
+    # a load keeps the file's bytes, then the parsed cells and their
+    # (subject, value, time) copy: never the file again as line strings
+    rng = np.random.default_rng(3)
+    m, T, d = 100, 20, 100
+    ds = LongitudinalDataset(
+        tuple(SubjectSeries(f"s{i}", rng.normal(size=(d, T)), rng.normal(size=T)) for i in range(m)),
+        tuple(f"x{j}" for j in range(d)),
+    )
+    path = tmp_path / "panel.csv"
+    write_csv(ds, path)
+    size = path.stat().st_size
+    assert size > 3_000_000
+    for kwargs, cells in [
+        ({}, m * T * (1 + d)),
+        ({"features": ()}, m * T),
+        ({"features": ds.feature_names, "last_times": 3}, m * 3 * (1 + d)),
+    ]:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            load_csv(path, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < size + 2 * 8 * cells + 2**20, (kwargs, peak, size)
 
 
 def _reference_csv(ds: LongitudinalDataset) -> str:
