@@ -263,11 +263,13 @@ def from_json_dict(payload: dict) -> FitResult:
     in ``config``, or keys that disagree raise ``DataError`` naming them:
     ``feature_names`` must hold one name per row of ``shape``, ``shape`` one
     column per lag 0..``tau``, with ``include_lagged_outcome`` the last name
-    must be ``dataset.LAGGED_OUTCOME_NAME``, and ``structure``, ``alpha`` and
-    ``n`` must give a positive definite R, by the structure's closed-form
-    bound (R itself is built only if read).  ``WorkingCorrelation`` refuses
-    a non-finite ``alpha`` or ``phi`` with ``ValueError``.  So a model that
-    loads writes back as standard JSON.
+    must be ``dataset.LAGGED_OUTCOME_NAME``, ``trace`` must hold one entry
+    per round, ``outer_iterations`` in all, ``converged`` and
+    ``max_outer_reached`` may not both be true (``fit`` never writes both),
+    and ``structure``, ``alpha`` and ``n`` must give a positive definite R,
+    by the structure's closed-form bound (R itself is built only if read).
+    ``WorkingCorrelation`` refuses a non-finite ``alpha`` or ``phi`` with
+    ``ValueError``.  So a model that loads writes back as standard JSON.
     """
     if not isinstance(payload, dict):
         raise DataError(f"model JSON must hold an object, not {type(payload).__name__}")
@@ -309,6 +311,11 @@ def from_json_dict(payload: dict) -> FitResult:
     if payload["include_lagged_outcome"] and names[-1:] != [LAGGED_OUTCOME_NAME]:
         raise DataError("model JSON keys 'include_lagged_outcome' and 'feature_names' disagree: "
                         f"the last name is not {LAGGED_OUTCOME_NAME!r}")
+    if len(trace) != payload["outer_iterations"]:
+        raise DataError("model JSON keys 'outer_iterations' and 'trace' disagree: "
+                        f"{payload['outer_iterations']} rounds for {len(trace)} trace entries")
+    if payload["converged"] and payload["max_outer_reached"]:
+        raise DataError("model JSON keys 'converged' and 'max_outer_reached' disagree: both are true")
     # predict reads no R: its positive definiteness is checked by the
     # closed-form bound on alpha at n, so no n x n matrix is built
     working = WorkingCorrelation(payload["structure"], payload["alpha"], payload["phi"], payload["n"])

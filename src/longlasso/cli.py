@@ -481,7 +481,8 @@ def build_parser() -> _Parser:
         help="cross-validate the penalty grid, then fit the best cell",
         description="--max-outer, --inner-max-iterations and --inner-tolerance set only the "
         "final refit of the best cell; each CV cell runs the lighter solver settings of "
-        "evaluation.CV_CELL_CONFIG (6 outer rounds, 800 inner iterations, inner tolerance 1e-5).",
+        "evaluation.CV_CELL_CONFIG ({0.max_outer} outer rounds, {0.inner_max_iterations} inner "
+        "iterations, inner tolerance {0.inner_tolerance:g}).".format(evaluation.CV_CELL_CONFIG),
     )
     _add_model_flags(p)
     p.add_argument("--output", required=True, help="best-cell model JSON path")

@@ -263,7 +263,8 @@ def load_csv(
     error names the first bad row or cell in file order, and unequal
     series lengths or a gap are reported before any bad value cell.
     ``features=None`` reads every other column as a feature and needs one;
-    a tuple of names reads those columns, in that order, as the features;
+    a tuple of names reads those columns, in that order, as the features,
+    and may not name a key column;
     ``features=()`` reads only the keys and the outcome, checking every
     row's width but leaving the feature cells unparsed.
 
@@ -302,6 +303,8 @@ def load_csv(
     else:
         features = tuple(features)
         for col in features:
+            if col in KEY_COLUMNS:
+                raise DataError(f"key column {col!r} named as a feature")
             if col not in header:
                 raise DataError(f"missing feature column {col!r}")
         _reject_repeats(features)

@@ -49,11 +49,12 @@ at a time is whitened into one 1 MB buffer and added with one ``dsyrk``.
   after an accepted step that left the norm above ``STALL`` times its
   value.
 
-Every step bound L = 2 * phi * lambda_max(H) is exact, from one LAPACK
-``dsyevr`` on the curvature Gram (G itself for Gaussian solves), run in
-place on the Gram with no p x p copy.  At R = I a Gaussian G is the
-basis's G0, whose lambda_max the basis finds once, when it is built, so
-the CV cells of one fold share one ``dsyevr`` for their alpha = 0 rounds.
+Every step bound L = 2 * phi * lambda_max(H) is exact, from one
+``scipy.linalg.eigh`` (LAPACK's ``dsyevr``) on the curvature Gram (G
+itself for Gaussian solves), run in place on the Gram with no p x p
+copy.  At R = I a Gaussian G is the basis's G0, whose lambda_max the
+basis finds once, when it is built, so the CV cells of one fold share one
+eigensolve for their alpha = 0 rounds.
 Convergence is declared on iterate change between consecutive iterates.
 
 Each model solve is one ``InnerState``, made once with its buffers: U, V
@@ -82,12 +83,13 @@ against 0.05 s on an idle pool.
   4 MB, which fits the L2 caches of two cores: on a 2-CPU Xeon a product
   took 85 us against 170 us for ``dgemv`` over the whole G.  The results
   equal NumPy's ``G @ w`` to rounding, not bit for bit.
-- Rectangular products run ``dgemv`` or ``dgemm`` on the Fortran-ordered
-  view of the same memory and with the same transposition that NumPy's
-  ``matmul`` hands its BLAS, so for designs of at least two parameters
-  they are NumPy's bit for bit: the design products X w
-  (``linear_predictor``) and X^T c (``estimating_function``), and the
-  accumulator's whitening and X^T y term.
+- Rectangular products run ``dgemv`` or ``dgemm``.  The design products
+  X w (``linear_predictor``) and X^T c (``estimating_function``) read the
+  Fortran-ordered view of the same memory with the same transposition
+  that NumPy's ``matmul`` hands its BLAS, so for designs of at least two
+  parameters they are NumPy's bit for bit.  The accumulator whitens each
+  subject with one ``dgemm``, and its sums equal the per-subject sums to
+  rounding, not NumPy's ``matmul`` bit for bit.
 
 OpenBLAS's threaded ``dsymv`` gives each thread a block of G and adds
 their partial products, so the bits of a fit depend on the BLAS thread
@@ -118,7 +120,7 @@ from .families import Family
 from .penalty import group_scales, norm_12_cols, norm_12_rows, prox_col_groups, prox_row_groups
 
 blas = LazyModule("scipy.linalg.blas")
-lapack = LazyModule("scipy.linalg.lapack")
+linalg = LazyModule("scipy.linalg")
 
 L_FLOOR = 1e-8
 # Step policy: backtracking starts from the Lipschitz bound over INIT_L_SHRINK;
@@ -277,15 +279,15 @@ def _accumulate(design: LaggedDesign, factor=None, root_var=None):
     A chunk of subjects at a time, as many as fit ``GRAM_CHUNK_BYTES`` of
     whitened rows (r per subject), is whitened into one reusable buffer and
     added with one rank-k update, so a call holds one p x p array plus the
-    buffer.  Where C is the identity and A = I the rows are the whitened
-    rows themselves and are read in place.  Each subject's C^T A_i^{1/2} X_i
-    is one ``dgemm`` into the buffer (one ``dgemv`` for a one-column C, as
-    NumPy's ``matmul`` would run it).
+    buffer.  Where C is the identity (``factor`` None) and A = I the rows
+    are the whitened rows themselves and are read in place.  Each
+    subject's C^T A_i^{1/2} X_i is one ``dgemm`` into the buffer
+    (``_whiten``).
     """
     m, n, p = design.m, design.n, design.n_params
     C = np.eye(n) if factor is None else factor
     r = C.shape[1]
-    plain = root_var is None and np.array_equal(C, np.eye(n))
+    plain = root_var is None and factor is None
     chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * r * p)), m)
     scale = None if root_var is None else np.broadcast_to(root_var, (m, n))
     flat = design.flat_design()
@@ -316,23 +318,18 @@ def _accumulate(design: LaggedDesign, factor=None, root_var=None):
 
 
 def _whiten(whiten: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.matmul(whiten, X, out=out)`` on SciPy's BLAS, one subject at a time.
+    """Each subject's whiten_i X_i into ``out``, one ``dgemm`` each on SciPy's BLAS.
 
     ``whiten`` is one r x n matrix or one per subject, ``X`` the (k, n, p)
     example matrices and ``out`` a C-ordered (k, r, p) buffer.  Subject i's
     product is computed transposed, X_i^T whiten_i^T into the
-    Fortran-ordered view of out[i]; whiten_i is read in place, transposed
-    by the BLAS where it is Fortran-ordered.  One-row factors run
-    ``dgemv``, as they do under ``matmul``.
+    Fortran-ordered view of out[i], with whiten_i transposed by the BLAS.
+    Every factor ``_accumulate`` passes is Fortran-ordered, so it is read
+    in place; any other is copied.
     """
     for i in range(X.shape[0]):
         w = whiten if whiten.ndim == 2 else whiten[i]
-        if w.shape[0] == 1:
-            blas.dgemv(1.0, X[i].T, w[0], y=out[i, 0], overwrite_y=1)
-        elif w.flags.f_contiguous:
-            blas.dgemm(1.0, X[i].T, w, trans_b=1, c=out[i].T, overwrite_c=1)
-        else:
-            blas.dgemm(1.0, X[i].T, w.T, c=out[i].T, overwrite_c=1)
+        blas.dgemm(1.0, X[i].T, w, trans_b=1, c=out[i].T, overwrite_c=1)
     return out
 
 
@@ -432,7 +429,8 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
         b = weights @ basis.b
         c = float(weights @ basis.c)
     else:
-        G, b, c = _accumulate(design, spd_cholesky(working.R_inv, "inverse working correlation"), root_var)
+        factor = None if working.is_identity else spd_cholesky(working.R_inv, "inverse working correlation")
+        G, b, c = _accumulate(design, factor, root_var)
     _mirror_upper(G)
     return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
 
@@ -563,7 +561,7 @@ def _gaussian_bound(design, family: Family, working: WorkingCorrelation, G: np.n
     At R = I (round 0 of every fit, and every independent round) the basis
     weights are 1 for G0 and 0 for every other term, so G is G0 bit for bit
     and so is its top eigenvalue, which the design's basis holds from its
-    build: the CV cells of one fold run one ``dsyevr`` for their alpha = 0
+    build: the CV cells of one fold run one eigensolve for their alpha = 0
     rounds instead of one each.
     """
     basis = design._gram_cache.get(working.structure)
@@ -573,16 +571,15 @@ def _gaussian_bound(design, family: Family, working: WorkingCorrelation, G: np.n
 
 
 def _top_eigenvalue(G: np.ndarray) -> float:
-    """lambda_max of the symmetric G, from LAPACK dsyevr on its lower triangle.
+    """lambda_max of the symmetric G, from ``scipy.linalg.eigh`` on its lower triangle.
 
     A writable Fortran-ordered G is worked on in place, with no p x p
-    copy: dsyevr overwrites the diagonal and the lower triangle, and both
-    are restored afterwards from a saved diagonal and the strict upper
-    triangle, which it leaves alone.  The workspace is LAPACK's optimal
-    size, as ``scipy.linalg.eigh`` queries it, so the two agree bit for
-    bit.  Any other G is copied first.  G must be a Gram (positive
-    semidefinite), as every curvature Gram here is; an all-zero one (a
-    degenerate design) or a non-finite diagonal raises ``NumericalError``.
+    copy: LAPACK's ``dsyevr`` overwrites the diagonal and the lower
+    triangle, and both are restored afterwards from a saved diagonal and
+    the strict upper triangle, which it leaves alone.  ``eigh`` copies any
+    other G first.  G must be a Gram (positive semidefinite), as every
+    curvature Gram here is; an all-zero one (a degenerate design) or a
+    non-finite diagonal raises ``NumericalError``.
     """
     p = G.shape[0]
     diag = np.diagonal(G).copy()
@@ -593,20 +590,18 @@ def _top_eigenvalue(G: np.ndarray) -> float:
     if not np.any(diag):
         raise NumericalError("degenerate design")
     in_place = G.flags.f_contiguous and G.flags.writeable
-    a = G if in_place else np.array(G, order="F")
-    work, iwork, _ = lapack.dsyevr_lwork(p, lower=1)
     try:
-        top, _, _, _, info = lapack.dsyevr(
-            a, compute_v=0, range="I", il=p, iu=p, lower=1,
-            lwork=int(work), liwork=int(iwork), overwrite_a=1,
-        )
+        top = linalg.eigh(G, lower=True, eigvals_only=True, overwrite_a=in_place, check_finite=False,
+                          subset_by_index=[p - 1, p - 1], driver="evr")[0]
+    except np.linalg.LinAlgError:
+        top = math.nan
     finally:
         if in_place:
             np.fill_diagonal(G, diag)
             _mirror_upper(G)
-    if info != 0 or not math.isfinite(top[0]):
+    if not math.isfinite(top):
         raise NumericalError("no top eigenvalue of the curvature Gram")
-    return float(top[0])
+    return float(top)
 
 
 def fista_step(state: InnerState) -> InnerState:

@@ -303,6 +303,42 @@ def test_poisson_fit_through_alternation():
     assert np.corrcoef(np.log(mu).ravel(), eta_true.ravel())[0, 1] > 0.7
 
 
+@functools.lru_cache(maxsize=None)
+def _strong_design(family, m=40, d=6, T=12, tau=2):
+    """A lagged design whose outcomes follow three rows of W drawn from N(0, 2^2)."""
+    rng = np.random.default_rng(7)
+    W = np.zeros((d, tau + 1))
+    W[:3] = rng.normal(0.0, 2.0, (3, tau + 1))
+    subjects = []
+    for i in range(m):
+        X = rng.normal(0.0, 1.0, (d, T))
+        eta = np.zeros(T)
+        for lag in range(tau + 1):
+            eta[tau:] += W[:, lag] @ X[:, tau - lag:T - lag]
+        if family == "bernoulli":
+            y = (rng.uniform(size=T) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        else:
+            y = rng.poisson(np.exp(eta)).astype(float)
+        subjects.append(SubjectSeries(id=f"s{i:02d}", features=X, outcomes=y))
+    return build_lagged(LongitudinalDataset(tuple(subjects), tuple(f"f{j}" for j in range(d))), tau)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("family", ["poisson", "bernoulli"])
+def test_scoring_fit_converges_in_few_rounds_on_a_strong_signal(family, lam):
+    # the Fisher-scoring loop converges in 3 outer rounds here, within 1e-4
+    # of a tight refit; one scoring step per inner solve takes 8-10 rounds,
+    # or stops without converging.  The refit's tolerance is the tightest at
+    # which the Poisson fit at lam = 1 still converges: at 1e-9 it runs to
+    # the outer cap
+    design = _strong_design(family)
+    res = ll.fit(design, family, "exchangeable", lam, lam)
+    assert res.converged and res.outer_iterations <= 6
+    tight = ll.fit(design, family, "exchangeable", lam, lam, config=ll.FitConfig(inner_tolerance=1e-8))
+    assert tight.converged
+    assert np.linalg.norm(res.W - tight.W) <= 1e-3 * np.linalg.norm(tight.W)
+
+
 def test_fit_result_json_round_trip():
     ds, _ = gaussian_dataset(10)
     design = build_lagged(ds, 1)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from longlasso import alternation, cli, fista
+from longlasso import alternation, cli, evaluation, fista
 from longlasso.dataset import build_lagged, load_csv, split_temporal
 
 SIM_ARGS = [
@@ -501,6 +501,14 @@ def test_help_exits_zero(capsys):
     assert "simulate" in capsys.readouterr().out
 
 
+def test_cv_help_names_the_cell_settings(capsys):
+    assert cli.run(["cv", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    cell = evaluation.CV_CELL_CONFIG
+    assert (f"({cell.max_outer} outer rounds, {cell.inner_max_iterations} inner iterations, "
+            f"inner tolerance {cell.inner_tolerance:g})") in text
+
+
 def test_io_failures_exit_2_naming_the_path(tmp_path, capsys):
     data = str(simulate(tmp_path))
     (tmp_path / "taken").mkdir()
@@ -749,6 +757,14 @@ def test_predict_names_an_ill_typed_model_key(tmp_path, capsys, key, value, mess
     ({"U": [0.0] * 4, "V": [0.0] * 4, "shape": [4]}, "model JSON key 'shape' must hold two dimensions"),
     ({"structure": "tridiagonal", "alpha": 0.9}, "model JSON keys 'structure', 'alpha' and 'n' disagree: "
                                                  "working correlation is not positive definite"),
+    # fit writes one trace entry per outer round, and max_outer_reached
+    # only when the alternation did not settle, which converged needs
+    ({"outer_iterations": 3, "trace": [1.0, 2.0]},
+     "model JSON keys 'outer_iterations' and 'trace' disagree: 3 rounds for 2 trace entries"),
+    ({"converged": True, "max_outer_reached": True},
+     "model JSON keys 'converged' and 'max_outer_reached' disagree: both are true"),
+    # the names load as they stand, but the outcome column is no feature
+    ({"feature_names": ["y", "x2", "x3", "x4"]}, "key column 'y' named as a feature"),
 ])
 def test_predict_rejects_model_keys_that_disagree(tmp_path, capsys, changes, message):
     # an edited model whose keys disagree would read the wrong feature

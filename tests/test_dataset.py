@@ -97,6 +97,13 @@ def test_load_csv_header_and_schema_errors():
         _ds("")
 
 
+@pytest.mark.parametrize("key", ["subject_id", "time", "y"])
+def test_load_csv_refuses_a_key_column_as_a_feature(key):
+    # the outcome or a key read as a feature would enter the design
+    with pytest.raises(DataError, match=f"^key column '{key}' named as a feature$"):
+        _ds(WELL_FORMED, ("x1", key))
+
+
 def test_load_csv_outcome_only_schema():
     # features=() reads keys and outcomes only: feature cells are not
     # parsed, but every row's width is still checked
