@@ -254,10 +254,20 @@ _MODEL_KEYS = {
 }
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a boolean or an array holding one at any depth.
+
+    A JSON boolean loads as a Python bool, which is an int, and NumPy reads
+    one among numbers as 0 or 1, so a type check alone takes it for a number.
+    """
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
 def from_json_dict(payload: dict) -> FitResult:
     """Rebuild a FitResult from its JSON form.
 
-    A payload that is not an object, a missing or ill-typed key, an unknown
+    A payload that is not an object, a missing or ill-typed key (a boolean,
+    also inside an array, belongs only in the boolean keys), an unknown
     family, coefficients or ``trace`` entries other than finite JSON
     numbers, a ``seed`` other than null or an integer, a non-finite number
     in ``config``, or keys that disagree raise ``DataError`` naming them:
@@ -278,7 +288,7 @@ def from_json_dict(payload: dict) -> FitResult:
     for key, kind in _MODEL_KEYS.items():
         if key not in payload:
             raise DataError(f"model JSON has no key {key!r}")
-        if not isinstance(payload[key], kind):
+        if not isinstance(payload[key], kind) or (kind is not bool and _holds_bool(payload[key])):
             raise DataError(f"model JSON key {key!r} has an invalid value")
     if payload["family"] not in FAMILIES:
         raise DataError("model JSON key 'family' has an invalid value")
@@ -291,7 +301,7 @@ def from_json_dict(payload: dict) -> FitResult:
     if trace.ndim != 1 or trace.dtype.kind not in "iuf" or not np.all(np.isfinite(trace)):
         raise DataError("model JSON key 'trace' must hold finite numbers")
     seed = payload.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise DataError("model JSON key 'seed' has an invalid value")
     try:
         json.dumps(payload["config"], allow_nan=False)

@@ -28,7 +28,10 @@ import sys
 
 from . import __version__, alternation, evaluation, simulate
 from .correlation import STRUCTURES
-from .dataset import KEY_COLUMNS, _parse_float, _parse_time, build_lagged, load_csv, split_temporal, write_csv
+from .dataset import (
+    KEY_COLUMNS, _parse_float, _parse_time, _reject_repeats, build_lagged, load_csv, split_temporal,
+    write_csv,
+)
 from .errors import DataError, NumericalError
 from .families import FAMILIES
 
@@ -312,21 +315,31 @@ def _read_predictions(path: str) -> dict:
     The subject id is stripped, and the time and the prediction are parsed
     by ``load_csv``'s rules for a time and a value cell, so a key names the
     same row as in the dataset and ``1_0`` or ``١١`` is rejected in both.
-    One leading byte-order mark is skipped, as ``load_csv`` skips it.
+    One leading byte-order mark is skipped, as ``load_csv`` skips it, and so
+    are blank and all-separator lines.  As in ``load_csv``, a repeated
+    header name and a row whose cell count differs from the header's raise
+    ``DataError``, the row named by its line.
     """
-    subject_col, time_col, value_col = _PREDICTION_COLUMNS
+    value_col = _PREDICTION_COLUMNS[2]
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(_PREDICTION_COLUMNS) <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        _reject_repeats(header)
+        positions = {name: pos for pos, name in enumerate(header)}
+        if not set(_PREDICTION_COLUMNS) <= positions.keys():
             raise DataError(f"predictions CSV needs columns {','.join(_PREDICTION_COLUMNS)}")
+        subject_pos, time_pos, value_pos = (positions[name] for name in _PREDICTION_COLUMNS)
         rows = {}
-        for row in reader:
-            try:
-                sid = row[subject_col].strip()
-                time = _parse_time(row[time_col], sid)
-                value = _parse_float(row[value_col], sid, time, value_col)
-            except AttributeError:  # a short row
-                raise DataError("malformed predictions row") from None
+        for cells in reader:
+            if not any(cell.strip() for cell in cells):
+                continue
+            if len(cells) != len(header):
+                raise DataError(
+                    f"predictions row {reader.line_num} has {len(cells)} cells, expected {len(header)}"
+                )
+            sid = cells[subject_pos].strip()
+            time = _parse_time(cells[time_pos], sid)
+            value = _parse_float(cells[value_pos], sid, time, value_col)
             if not math.isfinite(value):
                 raise DataError(f"non-finite value at ({sid},{time},{value_col})")
             if (sid, time) in rows:

@@ -54,8 +54,19 @@ Every step bound L = 2 * phi * lambda_max(H) is exact, from one
 itself for Gaussian solves), run in place on the Gram with no p x p
 copy.  At R = I a Gaussian G is the basis's G0, whose lambda_max the
 basis finds once, when it is built, so the CV cells of one fold share one
-eigensolve for their alpha = 0 rounds.
-Convergence is declared on iterate change between consecutive iterates.
+eigensolve for their alpha = 0 rounds.  Convergence is declared on
+iterate change between consecutive iterates.
+
+Every quadratic solve has one step rule: its step constant never exceeds
+the bound.  Backtracking starts at the bound over ``INIT_L_SHRINK`` and
+doubles, capped at the bound, until the majorization test holds; at the
+bound the step is accepted without the test, since the bound majorizes
+the quadratic exactly, and FISTA with backtracking keeps its O(1/k^2)
+rate for any constants at or below it (Beck & Teboulle 2009).  "fixed"
+starts, and stays, at the bound.  So a model step takes at most
+log2(``INIT_L_SHRINK``) + 1 trials and cannot fail, and a test that
+rounds against the step at an exact tie cannot push the constant past
+the bound.
 
 Each model solve is one ``InnerState``, made once with its buffers: U, V
 and G (U + V) in one (3, d_eff, tau+1) array per point (iterate, previous
@@ -123,10 +134,11 @@ blas = LazyModule("scipy.linalg.blas")
 linalg = LazyModule("scipy.linalg")
 
 L_FLOOR = 1e-8
-# Step policy: backtracking starts from the Lipschitz bound over INIT_L_SHRINK;
-# each failed majorization test multiplies the step constant by GROWTH, at
-# most MAX_BACKTRACKS times.  A scoring step that fails on a fresh model is
-# halved toward the current point at most MAX_BACKTRACKS times.
+# Step rule: backtracking starts from the Lipschitz bound over INIT_L_SHRINK;
+# each failed majorization test multiplies the step constant by GROWTH,
+# capped at the bound, where the step is accepted untested.  A scoring step
+# that fails on a fresh model is halved toward the current point at most
+# MAX_BACKTRACKS times.
 INIT_L_SHRINK = 8.0
 GROWTH = 2.0
 MAX_BACKTRACKS = 60
@@ -149,12 +161,14 @@ BASIS_STRUCTURES = ("independent", "exchangeable", "ar1")
 class InnerConfig:
     """Solver settings for one inner run.
 
-    ``step_mode`` is "backtracking" or "fixed", for every family.
-    Backtracking starts each quadratic solve from its Lipschitz bound
-    divided by ``INIT_L_SHRINK`` and multiplies the step constant by
-    ``GROWTH`` until the majorization inequality holds; "fixed" steps at
-    the bound.  ``max_iterations`` caps the accelerated iterations of one
-    inner solve, summed over all of its quadratic models.
+    ``step_mode`` is "backtracking" or "fixed", for every family, and
+    sets only where a quadratic solve's step constant starts: at the
+    solve's Lipschitz bound divided by ``INIT_L_SHRINK``, or at the bound.
+    From there the constant is multiplied by ``GROWTH``, capped at the
+    bound, until the majorization inequality holds; a step at the bound
+    is taken untested, so "fixed" steps at the bound throughout.
+    ``max_iterations`` caps the accelerated iterations of one inner solve,
+    summed over all of its quadratic models.
     """
 
     lam1: float
@@ -182,10 +196,12 @@ class InnerState:
     three points at the start: the all-zero pair, or a checked copy of the
     warm start ``start`` = (U0, V0).  It fixes once what every step of the
     solve reads: the quadratic ``smooth``, the per-group penalty weights of
-    ``config`` and its step policy.  Backtracking starts from the bound
-    ``L`` over ``INIT_L_SHRINK``; "fixed" steps at ``L`` itself.  The state
-    owns the solve's one gradient buffer beside scratch arrays of a point's
-    size, O(p) in all, and ``fista_step`` advances it in place, writing each
+    ``config`` and the step bound ``L``, which must be finite and positive
+    (``ValueError`` otherwise).  Its step constant starts at ``L`` over
+    ``INIT_L_SHRINK`` under backtracking and at ``L`` itself under "fixed",
+    and never exceeds ``L``.  The state owns the solve's one gradient
+    buffer beside scratch arrays of a point's size, O(p) in all, and
+    ``fista_step`` advances it in place, writing each
     candidate into the point it no longer needs, so a solve allocates no
     array per iteration.  After a step, ``loss`` and ``penalty`` are the
     quadratic and the block penalty at the iterate, ``change`` is the
@@ -196,11 +212,14 @@ class InnerState:
 
     __slots__ = (
         "Z", "Z_prev", "Z_tilde", "t", "L", "loss", "penalty", "change", "mapping",
-        "_smooth", "_backtrack", "_grad", "_diff", "_work", "_W", "_norms", "_scales", "_weights",
+        "_smooth", "_bound", "_grad", "_diff", "_work", "_W", "_norms", "_scales", "_weights",
         "_thetas", "_floors",
     )
 
     def __init__(self, smooth: "GramSmooth", config: InnerConfig, L: float, start=None):
+        # positive after the shrink too, so that doubling reaches the bound
+        if not (math.isfinite(L) and L / INIT_L_SHRINK > 0.0):
+            raise ValueError(f"step bound L must be finite and positive, got {L!r}")
         U0, V0 = _start_pair(smooth.b.shape, start)
         d, k = U0.shape
         Z = np.empty((3, d, k))
@@ -212,7 +231,7 @@ class InnerState:
         self.t = 1.0
         self.loss = self.penalty = self.change = self.mapping = math.nan
         self._smooth = smooth
-        self._backtrack = config.step_mode == "backtracking"
+        self._bound = float(L)
         self._grad = np.empty((d, k))
         self._diff = np.empty_like(Z)
         self._work = np.empty((2, d, k))
@@ -221,7 +240,7 @@ class InnerState:
         self._norms, self._scales, self._weights, self._thetas, self._floors = np.empty((5, d + k))
         self._weights[:d] = config.lam1
         self._weights[d:] = config.lam2
-        self._set_step(float(L) / INIT_L_SHRINK if self._backtrack else float(L))
+        self._set_step(self._bound / INIT_L_SHRINK if config.step_mode == "backtracking" else self._bound)
 
     U = property(lambda self: self.Z[0])
     V = property(lambda self: self.Z[1])
@@ -612,10 +631,12 @@ def fista_step(state: InnerState) -> InnerState:
     forms Z~ - grad / L for U and V together, and the row norms of U's and
     the column norms of V's step come from one array of squares.  Each
     trial costs one predictor product, at the candidate, written into the
-    point before last.  A backtracking state grows the step constant, and
-    the thresholds lam / L with it, until the majorization test holds; a
-    fixed one steps at ``state.L``.  The test is exact in curvature form:
-    for a quadratic, f(x) - f(y) - <grad, x - y> = 0.5 * phi * <G d, d>
+    point before last.  Below the state's bound the step constant, and the
+    thresholds lam / L with it, doubles until the majorization test holds,
+    capped at the bound; a step at the bound is accepted untested, so a
+    step takes at most log2(``INIT_L_SHRINK``) + 1 trials and never fails.
+    The test is exact in curvature form: for a quadratic,
+    f(x) - f(y) - <grad, x - y> = 0.5 * phi * <G d, d>
     with d = x - y = dU + dV, and G d is the difference of the held
     predictors, so it costs no product and no loss value.  The next
     extrapolated point, predictor included, follows by linearity from one
@@ -626,7 +647,7 @@ def fista_step(state: InnerState) -> InnerState:
     norms, scales, W = state._norms, state._scales, state._W
     d = Zn.shape[1]
     grad = smooth.gradient(Zt[2], out=state._grad)
-    for _ in range(MAX_BACKTRACKS + 1):
+    while True:
         L = state.L
         # work holds the step grad / L, then the candidate's squares, then dU + dV
         np.divide(grad, L, out=work[0])
@@ -642,14 +663,12 @@ def fista_step(state: InnerState) -> InnerState:
         blas.dsymv(1.0, smooth.G, W, y=Zn[2].reshape(-1), overwrite_y=1, lower=0)
         np.subtract(Zn, Zt, out=D)
         step_squared = np.vdot(D[:2], D[:2])
-        if not state._backtrack:
+        if L >= state._bound:
             break
         dW = np.add(D[0], D[1], out=work[0])
         if smooth.phi * np.vdot(D[2], dW) <= L * step_squared:
             break
-        state._set_step(L * GROWTH)
-    else:
-        raise NumericalError("no valid step")
+        state._set_step(min(L * GROWTH, state._bound))
     t_next = momentum_update(state.t)
     shift = (state.t - 1.0) / t_next
     state.Z_prev, state.Z = state.Z, Zn
@@ -694,8 +713,8 @@ def _relative_change(dU, dV, U, V) -> float:
 def _model_solve(smooth: GramSmooth, L: float, start, config: InnerConfig, trace, floor=0.0):
     """Accelerated iterations on one quadratic from ``start``; returns (U, V, converged).
 
-    The step starts at the bound ``L`` (over ``INIT_L_SHRINK`` when
-    backtracking).  Each iteration appends its penalized value and step
+    The step constant starts at the bound ``L`` (over ``INIT_L_SHRINK``
+    when backtracking) and never exceeds it.  Each iteration appends its penalized value and step
     constant to ``trace``, a pair of lists, until the lists hold
     ``max_iterations`` entries, the iterate-change rule holds, or, given a
     positive ``floor``, the gradient mapping at the extrapolated point,

@@ -410,18 +410,35 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# the keys that hold JSON numbers: a boolean there, also inside an array, is refused
+_NUMBER_KEYS = {"seed", "U", "V", "shape", "trace"} | {
+    key for key, kind in alternation._MODEL_KEYS.items() if kind in (int, (int, float))
+}
+
+
+def _booleans(value) -> int:
+    """The JSON booleans in a value, inside arrays at any depth."""
+    return (value is True or value is False) + (sum(map(_booleans, value)) if isinstance(value, list) else 0)
+
+
 def _model_value(key, shape):
-    """JSON values for one model key, with values of the key's own domain mixed in."""
+    """JSON values for one model key, with values of the key's own domain mixed in.
+
+    Every key that holds numbers also draws booleans, alone and in arrays.
+    """
     if key == "n":
         # R is n x n but predict never reads it: a large n must cost nothing
-        return st.integers(1, 60) | st.integers(1, 10**12) | st.integers(1, 10**400)
+        return st.integers(1, 60) | st.integers(1, 10**12) | st.integers(1, 10**400) | st.booleans()
     if key in ("U", "V"):
-        row = st.lists(st.floats(-5, 5) | _JSON_VALUES, min_size=shape[1], max_size=shape[1])
+        row = st.lists(st.floats(-5, 5) | st.booleans() | _JSON_VALUES, min_size=shape[1], max_size=shape[1])
         return _JSON_VALUES | st.lists(row, min_size=shape[0], max_size=shape[0])
     domains = {"family": st.sampled_from(FAMILIES) | st.text(max_size=8),
                "structure": st.sampled_from(STRUCTURES), "alpha": st.floats(-1.0, 1.0),
                "phi": st.floats()}
-    return domains[key] | _JSON_VALUES if key in domains else _JSON_VALUES
+    values = domains[key] | _JSON_VALUES if key in domains else _JSON_VALUES
+    if key in _NUMBER_KEYS:
+        values = values | st.booleans() | st.lists(st.integers(-3, 70) | st.booleans(), max_size=3)
+    return values
 
 
 @pytest.mark.parametrize("key", [*alternation._MODEL_KEYS, "schema", "seed", "extra"])
@@ -441,10 +458,28 @@ def test_model_key_mutations_are_refused_or_predict_from_the_payload(key, struct
         result = alternation.from_json_dict(payload)
     except ValueError:
         return
+    assert not (key in _NUMBER_KEYS and _booleans(payload.get(key)))
     W = np.asarray(payload["U"], dtype=float) + np.asarray(payload["V"], dtype=float)
     expected = get_family(payload["family"]).mean(fista.linear_predictor(design, W))
     assert np.array_equal(ll.predict(result, design), expected)
     json.dumps(alternation.to_json_dict(result), allow_nan=False)
+
+
+@pytest.mark.parametrize("where", ["tau", "n", "outer_iterations", "seed", "lambda1", "alpha", "phi",
+                                   "U.0.0", "V.1.1", "trace.0"])
+def test_from_json_dict_refuses_a_boolean_for_a_number(where):
+    # ``where`` is a key, then the indices of one entry of its array
+    key, *index = where.split(".")
+    payload = json.loads(_saved_model("ar1")[1])
+    # one round, so that outer_iterations = true would agree with the trace
+    payload["trace"], payload["outer_iterations"] = payload["trace"][:1], 1
+    alternation.from_json_dict(payload)
+    target, last = payload, key
+    for step in index:
+        target, last = target[last], int(step)
+    target[last] = True
+    with pytest.raises(ll.DataError, match=f"model JSON key '{key}' has an invalid value"):
+        alternation.from_json_dict(payload)
 
 
 def test_from_json_dict_rejects_bad_schema():

@@ -590,6 +590,34 @@ def test_evaluate_rejects_a_non_finite_prediction(tmp_path, capsys, value):
     assert not (tmp_path / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("extra, width", [(",junk,more", 5), ("", 2)])
+def test_evaluate_rejects_a_ragged_prediction_row(tmp_path, capsys, extra, width):
+    # every row holds one cell per header name, as in load_csv: extra cells
+    # are not dropped, and a short row is named by its line.  Blank and
+    # all-separator lines are skipped, and counted in the line numbers
+    data, lines = _predictions(tmp_path)
+    assert _evaluate(tmp_path, data, lines) == 0
+    plain = json.loads((tmp_path / "metrics.json").read_text())
+    lines[1:1] = ["\r\n", " , ,\r\n"]
+    assert _evaluate(tmp_path, data, lines + ["\r\n"]) == 0
+    assert json.loads((tmp_path / "metrics.json").read_text()) == plain
+    (tmp_path / "metrics.json").unlink()
+    sid, time, value = lines[4].strip().split(",")
+    lines[4] = f"{sid},{time},{value}{extra}\r\n" if extra else f"{sid},{time}\r\n"
+    assert _evaluate(tmp_path, data, lines) == 2
+    assert capsys.readouterr().err == f"error[data]: predictions row 5 has {width} cells, expected 3\n"
+    assert not (tmp_path / "metrics.json").exists()
+
+
+def test_evaluate_rejects_a_repeated_predictions_column(tmp_path, capsys):
+    # as load_csv does: a second "prediction" column would otherwise be read in place of the first
+    data, lines = _predictions(tmp_path)
+    lines = [lines[0].rstrip("\r\n") + ",prediction\n"] + [line.rstrip("\r\n") + ",0.5\n" for line in lines[1:]]
+    assert _evaluate(tmp_path, data, lines) == 2
+    assert capsys.readouterr().err == "error[data]: duplicate column 'prediction'\n"
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def _rewrite_columns(src, dst, edit):
     """Copy a dataset CSV, passing its header list to ``edit``, which returns the new order."""
     with open(src, newline="") as fh:

@@ -218,17 +218,36 @@ def test_fista_step_backtracking_grows_L():
     assert stepped.L > L / 64.0
 
 
-def test_fista_step_no_valid_step_error():
+def test_fista_step_accepts_the_step_at_a_bound_below_the_curvature(monkeypatch):
     design = random_design(9)
     working = make_working("independent", 0.0, 1.0, design.n)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking")
 
-    # a curvature that no step constant within MAX_BACKTRACKS doublings covers
+    # a curvature far above the bound: the majorization test fails at every
+    # constant below it, and the step is taken at the bound itself
     system = build_gram(design, working)
     smooth = replace(system, G=system.G * 1e40)
     state = InnerState(smooth, config, 1.0)
-    with pytest.raises(NumericalError, match="no valid step"):
-        fista_step(state)
+    calls = []
+
+    def dsymv(*args, **kwargs):
+        calls.append(1)
+        return blas.dsymv(*args, **kwargs)
+
+    monkeypatch.setattr(fista, "blas", SimpleNamespace(dsymv=dsymv))
+    stepped = fista_step(state)
+    # one product per trial, at 1/8, 1/4 and 1/2, then the untested one at 1
+    assert len(calls) == 1 + math.log2(fista.INIT_L_SHRINK) == 4
+    assert stepped.L == 1.0
+    assert np.all(np.isfinite(stepped.Z)) and math.isfinite(stepped.mapping)
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("step_mode", ["backtracking", "fixed"])
+def test_inner_state_refuses_a_bound_that_is_not_finite_and_positive(L, step_mode):
+    smooth = fista.GramSmooth(G=np.eye(2, order="F"), b=np.ones((2, 1)), c=0.0, phi=1.0)
+    with pytest.raises(ValueError, match="step bound L must be finite and positive"):
+        InnerState(smooth, InnerConfig(lam1=0.1, lam2=0.1, step_mode=step_mode), L)
 
 
 def _reference_model_solve(smooth, L, start, config, floor=0.0):
@@ -238,6 +257,8 @@ def _reference_model_solve(smooth, L, start, config, floor=0.0):
     the shrink by ``np.where`` under ``errstate``, the majorization test,
     the loss and the stopping rules by ``np.sum`` and ``np.linalg.norm``.
     Each Gram product is ``dsymv`` on G's upper triangle, as the solver's.
+    Its step rule is the solver's: the constant doubles, capped at the
+    bound ``L``, and a step at the bound is accepted untested.
     """
 
     def product(W):
@@ -250,8 +271,8 @@ def _reference_model_solve(smooth, L, start, config, floor=0.0):
         return scale[:, None] * P
 
     G, b, c, phi = smooth.G, smooth.b, smooth.c, smooth.phi
-    backtracking = config.step_mode == "backtracking"
-    if backtracking:
+    bound = L
+    if config.step_mode == "backtracking":
         L = L / fista.INIT_L_SHRINK
     U, V = (np.zeros(b.shape), np.zeros(b.shape)) if start is None else (start[0].copy(), start[1].copy())
     eta = product(U + V)
@@ -259,18 +280,18 @@ def _reference_model_solve(smooth, L, start, config, floor=0.0):
     objective, steps = [], []
     while len(objective) < config.max_iterations:
         grad = phi * (eta_t - b)
-        for _ in range(fista.MAX_BACKTRACKS + 1):
+        while True:
             U_n = shrink_rows(U_t - grad / L, config.lam1 / L)
             V_n = shrink_rows((V_t - grad / L).T, config.lam2 / L).T
             W_n = U_n + V_n
             eta_n = product(W_n)
-            if not backtracking:
+            if L >= bound:
                 break
             dU, dV = U_n - U_t, V_n - V_t
             curvature = phi * float(np.sum((eta_n - eta_t) * (dU + dV)))
             if curvature <= L * float(np.sum(dU * dU) + np.sum(dV * dV)):
                 break
-            L *= fista.GROWTH
+            L = min(L * fista.GROWTH, bound)
         loss = 0.5 * phi * (c - 2.0 * np.sum(b * W_n) + np.sum(W_n * eta_n))
         objective.append(loss + config.lam1 * norm_12_rows(U_n) + config.lam2 * norm_12_cols(V_n))
         steps.append(L)
@@ -302,6 +323,9 @@ def _reference_model_solve(smooth, L, start, config, floor=0.0):
 )
 @example(seed=1, d=1, lags=3, lam=0.05, step_mode="backtracking", warm=True, floor=0.0)
 @example(seed=2, d=4, lags=1, lam=0.05, step_mode="fixed", warm=False, floor=1e-3)
+# p = 1 at lam = 0: the majorization test at the bound is an exact tie
+# that the solver's dot products round against the step
+@example(seed=190768, d=1, lags=1, lam=0.0, step_mode="backtracking", warm=True, floor=0.0)
 def test_model_solve_matches_plain_reference_loop(seed, d, lags, lam, step_mode, warm, floor):
     # the stacked, in-place iteration keeps the U/V arithmetic bit for bit;
     # only the objective's sums run in another order
@@ -326,17 +350,6 @@ def test_model_solve_matches_plain_reference_loop(seed, d, lags, lam, step_mode,
     # one triangle or the whole G: the products differ in their last bits only
     W = np.ravel(U + V)
     assert np.allclose(smooth.predictor(W).ravel(), smooth.G @ W, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: at p = 1 and lam = 0 the majorization test at the Lipschitz bound is an "
-    "exact tie, the solver's dot products round it against the step and L doubles past the bound",
-)
-def test_model_solve_accepts_the_step_at_an_exact_tie():
-    test_model_solve_matches_plain_reference_loop.hypothesis.inner_test(
-        seed=190768, d=1, lags=1, lam=0.0, step_mode="backtracking", warm=True, floor=0.0
-    )
 
 
 def _identity_step(lam1, lam2, grad):
@@ -1168,6 +1181,41 @@ def test_inner_solve_fixed_step_takes_warm_bound_above_cold():
         assert np.all(np.isfinite(result.U)) and np.all(np.isfinite(result.V))
         if step_mode == "fixed":
             assert result.step_trace[0] == warm
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(2, 5),
+    d=st.integers(1, 3),
+    tau=st.integers(0, 2),
+    extra=st.integers(2, 5),
+    structure=st.sampled_from(["independent", "exchangeable", "tridiagonal", "ar1"]),
+    position=st.floats(0.05, 0.95),
+    lam=st.sampled_from([0.0, 0.05, 0.5]),
+    step_mode=st.sampled_from(["backtracking", "fixed"]),
+    warm=st.booleans(),
+)
+# p = 1 at lam = 0: every step at the bound is an exact tie of the majorization test
+@example(seed=0, m=3, d=1, tau=0, extra=4, structure="ar1", position=0.7, lam=0.0,
+         step_mode="backtracking", warm=True)
+@example(seed=1, m=2, d=1, tau=0, extra=3, structure="independent", position=0.5, lam=0.0,
+         step_mode="backtracking", warm=False)
+def test_inner_solve_steps_never_exceed_the_bound(
+    seed, m, d, tau, extra, structure, position, lam, step_mode, warm
+):
+    # every Gaussian solve is one model on the bound it reports
+    design = build_lagged(random_panel(seed, m, d, tau + extra), tau, False)
+    lo, hi = alpha_bounds(structure, design.n)
+    working = make_working(structure, lo + position * (hi - lo), 1.0, design.n)
+    rng = np.random.default_rng(seed)
+    start = (rng.normal(size=design.coef_shape), rng.normal(size=design.coef_shape)) if warm else None
+    config = InnerConfig(lam1=lam, lam2=lam, max_iterations=300, step_mode=step_mode)
+    result = inner_solve(design, GAUSS, working, config, start=start)
+    assert result.iterations > 0
+    assert np.all(result.step_trace <= result.lipschitz_bound)
+    if step_mode == "fixed":
+        assert np.all(result.step_trace == result.lipschitz_bound)
 
 
 def _rising_norm(monkeypatch):
