@@ -128,7 +128,6 @@ def fit(
     U = np.zeros(design.coef_shape)
     V = np.zeros(design.coef_shape)
     settled = False
-    rounds = 0
 
     for outer in range(config.max_outer):
         # The loss carries the phi scaling through Sigma^{-1}, so the
@@ -142,7 +141,6 @@ def fit(
         # restarting from zero wastes iterations and an underconverged
         # refit would bias the next moment update.
         result = fista.inner_solve(design, family, working, inner_cfg, start=(U, V))
-        rounds += 1
         coef_change = fista._relative_change(result.U - U, result.V - V, result.U, result.V)
         U, V = result.U, result.V
         # every inner solve records at least one iteration
@@ -169,7 +167,7 @@ def fit(
         tau=design.tau,
         include_lagged_outcome=design.include_lagged_outcome,
         feature_names=design.feature_names,
-        outer_iterations=rounds,
+        outer_iterations=len(trace),
         trace=tuple(trace),
         inner_traces=tuple(inner_traces),
         inner_step_traces=tuple(inner_step_traces),

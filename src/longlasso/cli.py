@@ -95,12 +95,14 @@ def _parse_index_range(text: str, flag: str) -> tuple[int, ...]:
     if text.lower() in ("", "none"):
         return ()
     try:
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            return tuple(range(int(lo), int(hi)))
-        return tuple(int(part) for part in text.split(","))
+        if ":" not in text:
+            return tuple(int(part) for part in text.split(","))
+        lo, hi = (int(part) for part in text.split(":", 1))
     except ValueError:
         raise UsageError(f"{flag} expects 'a:b', 'i,j,k', or 'none'") from None
+    if hi <= lo:
+        raise UsageError(f"{flag} range {text!r} is empty; pass 'none' to select no index")
+    return tuple(range(lo, hi))
 
 
 def _parse_grid(text: str):

@@ -24,8 +24,6 @@ spl = LazyModule("scipy.linalg")
 
 STRUCTURES = ("independent", "exchangeable", "tridiagonal", "ar1")
 
-PHI_FLOOR = 1e-8
-
 
 def _check_structure(structure: str) -> None:
     if structure not in STRUCTURES:
@@ -206,7 +204,8 @@ def estimate_phi(gamma, n_params: int) -> float:
 
     ``gamma`` are Pearson residuals scaled by the variance function
     (sigma_diag evaluated with phi = 1), N their total count and p the
-    effective parameter count d*(tau+1).  Floored at PHI_FLOOR.
+    effective parameter count d*(tau+1).  It comes from the residuals
+    alone, so outcomes rescaled by s give phi / s^2.
     """
     gamma = np.asarray(gamma, dtype=float)
     N = gamma.size
@@ -215,7 +214,7 @@ def estimate_phi(gamma, n_params: int) -> float:
     total = float(np.sum(gamma**2))
     if total <= 0.0:
         raise ValueError("cannot estimate phi from all-zero residuals")
-    return max((N - n_params) / total, PHI_FLOOR)
+    return (N - n_params) / total
 
 
 def estimate_alpha(gamma, structure: str, n_params: int, phi: float) -> float:

@@ -77,14 +77,14 @@ def lambda_max(design, family) -> tuple[float, float]:
 
     Computed from the gradient at W = 0 under R = I, phi = 1: the largest
     row norm bounds lambda1, the largest column norm bounds lambda2.
+    Both are the norms as the data give them, so outcomes rescaled by s
+    scale them by s, and features rescaled by s scale them by s too.
     """
     if isinstance(family, str):
         family = get_family(family)
     working = make_working("independent", 0.0, 1.0, design.n)
     g = fista.gradient_matrix(design, family, working, np.zeros(design.coef_shape))
-    lam1 = float(row_norms(g).max())
-    lam2 = float(row_norms(g.T).max())
-    return max(lam1, 1e-12), max(lam2, 1e-12)
+    return float(row_norms(g).max()), float(row_norms(g.T).max())
 
 
 def support_lambdas(design, family, structure: str, seed: int = 0):

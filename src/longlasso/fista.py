@@ -133,7 +133,6 @@ from .penalty import group_scales, norm_12_cols, norm_12_rows, prox_col_groups, 
 blas = LazyModule("scipy.linalg.blas")
 linalg = LazyModule("scipy.linalg")
 
-L_FLOOR = 1e-8
 # Step rule: backtracking starts from the Lipschitz bound over INIT_L_SHRINK;
 # each failed majorization test multiplies the step constant by GROWTH,
 # capped at the bound, where the step is accepted untested.  A scoring step
@@ -564,14 +563,16 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation, gram=No
     variance-function diagonal at W = 0 (A = a0 * I) unless ``gram``
     supplies it: the Gaussian Gram G, or a scoring model's H at its own
     point.  The U/V parameterization has joint Hessian
-    phi * [[H, H], [H, H]], whose top eigenvalue is 2 * phi * lambda_max(H).
+    phi * [[H, H], [H, H]], whose top eigenvalue is 2 * phi * lambda_max(H),
+    the bound returned: features rescaled by s scale it by s^2, and
+    outcomes rescaled by s scale it, through phi, by 1/s^2.
     A writable Fortran-ordered ``gram`` is used in place and left as it
     was (see ``_top_eigenvalue``).
     """
     if gram is None:
         root_var = math.sqrt(float(family.variance(family.mean(np.zeros(1)))[0]))
         gram = build_gram(design, working, root_var).G
-    return max(2.0 * working.phi * _top_eigenvalue(gram), L_FLOOR)
+    return 2.0 * working.phi * _top_eigenvalue(gram)
 
 
 def _gaussian_bound(design, family: Family, working: WorkingCorrelation, G: np.ndarray) -> float:
@@ -586,7 +587,7 @@ def _gaussian_bound(design, family: Family, working: WorkingCorrelation, G: np.n
     basis = design._gram_cache.get(working.structure)
     if basis is None or not working.is_identity:
         return lipschitz_upper(design, family, working, gram=G)
-    return max(2.0 * working.phi * basis.top0, L_FLOOR)
+    return 2.0 * working.phi * basis.top0
 
 
 def _top_eigenvalue(G: np.ndarray) -> float:

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import longlasso as ll
@@ -392,6 +392,52 @@ def test_model_round_trip_is_exact(family, structure, lagged, seed, panel):
     assert json.dumps(alternation.to_json_dict(back), sort_keys=True, indent=2) == text
     assert back.seed == seed and back.include_lagged_outcome == lagged
     assert np.array_equal(ll.predict(back, design), ll.predict(res, design))
+
+
+def _unit_panel(seed, family, outcome_scale=1.0, feature_scale=1.0):
+    """30 subjects, d = 4, T = 12, eta = 2 x0(t) - x1(t-1), in the given units."""
+    rng = np.random.default_rng(seed)
+    subjects = []
+    for i in range(30):
+        X = rng.normal(0, 1, (4, 12))
+        eta = 2.0 * X[0]
+        eta[1:] -= X[1, :-1]
+        if family == "bernoulli":
+            y = (rng.uniform(size=12) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        else:
+            y = eta + rng.normal(size=12)
+        subjects.append(SubjectSeries(id=f"s{i}", features=X * feature_scale, outcomes=y * outcome_scale))
+    return build_lagged(LongitudinalDataset(tuple(subjects), tuple(f"f{j}" for j in range(4))), 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    family=st.just("gaussian"),
+    structure=st.sampled_from(STRUCTURES),
+    lam=st.sampled_from([0.0, 0.3, 1.0]),
+    scaled=st.sampled_from(["outcomes", "features"]),
+    k=st.integers(0, 10),
+    panel=st.integers(0, 2**16),
+)
+@example(family="bernoulli", structure="exchangeable", lam=0.3, scaled="features", k=8, panel=0)
+def test_fit_is_unit_equivariant(family, structure, lam, scaled, k, panel):
+    # a change of units only rescales the fit: outcomes times s with the
+    # penalties times s, or features over s with the penalties over s, give
+    # W times s and the same alpha; phi goes as 1 / s^2 with the outcomes.
+    # The iterate-change rule's 1 + ||U|| + ||V|| is not scale-free, so at
+    # k = 0 the alternation may settle a round apart; on this panel that
+    # moves W by a few 1e-6
+    s = 10.0 ** k
+    if scaled == "outcomes":
+        design, lam_s, phi_s = _unit_panel(panel, family, outcome_scale=s), lam * s, 1.0 / s**2
+    else:
+        design, lam_s, phi_s = _unit_panel(panel, family, feature_scale=1.0 / s), lam / s, 1.0
+    config = ll.FitConfig(inner_tolerance=1e-10, inner_max_iterations=20000)
+    base = ll.fit(_unit_panel(panel, family), family, structure, lam, lam, config=config)
+    res = ll.fit(design, family, structure, lam_s, lam_s, config=config)
+    assert np.linalg.norm(res.W / s - base.W) <= 1e-4 * np.linalg.norm(base.W)
+    assert res.working.alpha == pytest.approx(base.working.alpha, abs=1e-4)
+    assert res.working.phi == pytest.approx(base.working.phi * phi_s, rel=1e-4)
 
 
 @functools.lru_cache(maxsize=None)

@@ -484,6 +484,17 @@ def test_malformed_index_range_is_usage_error(tmp_path, capsys):
     assert "--zero-feature-rows" in err
 
 
+@pytest.mark.parametrize("flag", ["--zero-feature-rows", "--zero-lag-columns"])
+@pytest.mark.parametrize("text", ["3:1", "2:2"])
+def test_empty_index_range_is_usage_error(tmp_path, capsys, flag, text):
+    out = tmp_path / "x.csv"
+    assert cli.run(["simulate", "--output", str(out), flag, text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[usage]:")
+    assert flag in err and "none" in err
+    assert not out.exists()
+
+
 def test_infeasible_residual_correlation_is_numeric_error(tmp_path, capsys):
     # tridiagonal R with alpha = 0.8 is indefinite for n >= 3
     code = cli.run([

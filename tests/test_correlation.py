@@ -111,6 +111,12 @@ def test_estimate_phi_examples():
         estimate_phi(gamma, 20)
 
 
+def test_estimate_phi_is_the_moment_ratio_for_large_residuals():
+    # residuals in large units give a small scale, (N - p) / sum(gamma^2) exactly
+    gamma = np.random.default_rng(0).normal(0.0, 1e5, (6, 10))
+    assert estimate_phi(gamma, 4) == (60 - 4) / float(np.sum(gamma**2))
+
+
 def test_estimate_alpha_closed_form_hand_case():
     # two subjects, two times, all residuals one: r_12 = n * sum(g1*g2) / (N-p)
     gamma = np.ones((2, 2))

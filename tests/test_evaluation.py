@@ -290,6 +290,22 @@ def test_default_grids_span_and_size():
     assert g2[-1] == pytest.approx(l2m)
 
 
+def test_lambda_max_and_default_grids_scale_exactly_with_the_features():
+    # a power-of-two rescaling of the features is exact in every product,
+    # so the largest group norms, and every grid point, follow it bit for bit
+    rng = np.random.default_rng(0)
+    scale = 2.0 ** -50
+    panels = [[], []]
+    for i in range(10):
+        X, y = rng.normal(size=(3, 8)), rng.normal(size=8)
+        panels[0].append(ll.SubjectSeries(id=f"s{i}", features=X, outcomes=y))
+        panels[1].append(ll.SubjectSeries(id=f"s{i}", features=X * scale, outcomes=y))
+    design, small = (build_lagged(ll.LongitudinalDataset(tuple(p), ("a", "b", "c")), 1) for p in panels)
+    assert ll.lambda_max(small, "gaussian") == tuple(scale * v for v in ll.lambda_max(design, "gaussian"))
+    grids = ll.default_grids(design, "gaussian")
+    assert ll.default_grids(small, "gaussian") == tuple(tuple(scale * v for v in g) for g in grids)
+
+
 def test_support_lambdas_deterministic_and_positive():
     ds, _ = _sim_train()
     design = build_lagged(ds, 1)
