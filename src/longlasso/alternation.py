@@ -98,6 +98,19 @@ def _moment_update(design, family, structure, W):
     return phi, alpha
 
 
+def check_design(design: LaggedDesign, structure: str) -> None:
+    """Raise ``DataError`` unless a fit of ``structure`` can use ``design``.
+
+    The moment updates need more examples than parameters, and a
+    correlated structure needs two examples per subject for its alpha.
+    """
+    if design.n_examples <= design.n_params:
+        raise DataError("not enough examples to estimate the scale parameter")
+    if structure != "independent" and design.n < 2:
+        raise DataError(f"the {structure} working correlation needs at least two examples per subject, "
+                        f"got {design.n} at tau {design.tau}")
+
+
 def fit(
     design: LaggedDesign,
     family: str | Family = "gaussian",
@@ -112,14 +125,15 @@ def fit(
     The independent structure runs exactly one correlation pass (phi
     only).  Hitting the outer-round cap is flagged on the result, not an
     error.  ``converged`` holds only when the alternation settled and the
-    final round's inner solve converged too.
+    final round's inner solve converged too.  Outcomes outside the
+    family's support, and a design that ``check_design`` refuses, raise
+    ``DataError`` before any solve.
     """
     if isinstance(family, str):
         family = get_family(family)
     family.check_outcomes(design.y)
     config = config or FitConfig()
-    if design.n_examples <= design.n_params:
-        raise DataError("not enough examples to estimate the scale parameter")
+    check_design(design, structure)
 
     working = make_working(structure, 0.0, 1.0, design.n)
     trace: list[float] = []
@@ -268,10 +282,11 @@ def from_json_dict(payload: dict) -> FitResult:
     also inside an array, belongs only in the boolean keys), an unknown
     family, coefficients or ``trace`` entries other than finite JSON
     numbers, a ``seed`` other than null or an integer, a non-finite number
-    in ``config``, or keys that disagree raise ``DataError`` naming them:
-    ``feature_names`` must hold one name per row of ``shape``, ``shape`` one
-    column per lag 0..``tau``, with ``include_lagged_outcome`` the last name
-    must be ``dataset.LAGGED_OUTCOME_NAME``, ``trace`` must hold one entry
+    in ``config``, ``feature_names`` other than unique strings, or keys that
+    disagree raise ``DataError`` naming them: ``feature_names`` must hold
+    one name per row of ``shape``, ``shape`` one column per lag 0..``tau``,
+    with ``include_lagged_outcome`` the last name must be
+    ``dataset.LAGGED_OUTCOME_NAME``, ``trace`` must hold one entry
     per round, ``outer_iterations`` in all, ``converged`` and
     ``max_outer_reached`` may not both be true (``fit`` never writes both),
     and ``structure``, ``alpha`` and ``n`` must give a positive definite R,
@@ -308,6 +323,8 @@ def from_json_dict(payload: dict) -> FitResult:
     if list(U.shape) != list(payload["shape"]) or list(V.shape) != list(payload["shape"]):
         raise DataError("coefficient arrays disagree with the recorded shape")
     shape, names, tau = payload["shape"], payload["feature_names"], payload["tau"]
+    if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
+        raise DataError("model JSON key 'feature_names' must hold unique strings")
     if len(shape) != 2:
         raise DataError("model JSON key 'shape' must hold two dimensions")
     if len(names) != shape[0]:

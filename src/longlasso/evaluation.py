@@ -14,7 +14,7 @@ import numpy as np
 from . import alternation, fista
 from .correlation import make_working, spd_cholesky
 from .dataset import LongitudinalDataset, build_lagged
-from .errors import NumericalError, check_finite
+from .errors import DataError, NumericalError, check_finite
 from .families import get_family
 from .penalty import row_norms
 
@@ -213,12 +213,17 @@ def grid_cv(
     toward larger lambda1 + lambda2, i.e. sparser models.  Cells whose fit
     fails on any fold are marked invalid, and the reason is kept in
     ``failures``; if every cell is invalid an error is raised.  Outcomes
-    outside the family's support raise ``DataError`` before any cell runs,
-    since they would fail every cell alike.
+    outside the family's support, or not binary under the AUC metric,
+    raise ``DataError`` before any cell runs, and so does a fold's training
+    design that ``alternation.check_design`` refuses before that fold's
+    cells, since either would fail every cell alike.
     """
     spec = spec or CvSpec()
     # the cells fit and score every subject's outcomes from time tau on
-    get_family(family).check_outcomes(np.concatenate([s.outcomes[tau:] for s in train.subjects]))
+    outcomes = np.concatenate([s.outcomes[tau:] for s in train.subjects])
+    get_family(family).check_outcomes(outcomes)
+    if spec.metric == "auc" and not np.all((outcomes == 0.0) | (outcomes == 1.0)):
+        raise DataError("metric 'auc' needs binary outcomes, 0 or 1")
     lam1_grid, lam2_grid = spec.lam1_grid, spec.lam2_grid
     if lam1_grid is None or lam2_grid is None:
         # the whole panel's design serves only the grids: freed before fold 0
@@ -235,6 +240,7 @@ def grid_cv(
         held_out = [sid for sid in train.subject_ids if assignment[sid] == f]
         kept = [sid for sid in train.subject_ids if assignment[sid] != f]
         design = build_lagged(train.subset(kept), tau, include_lagged_outcome)
+        alternation.check_design(design, structure)
         test_design = build_lagged(train.subset(held_out), tau, include_lagged_outcome)
         scores = []
         for lam1, lam2 in cells:

@@ -40,22 +40,23 @@ at a time is whitened into one 1 MB buffer and added with one ``dsyrk``.
   R the estimating function is the gradient of no scalar loss.  Each
   outer step solves the model at the current point w with G = H, the
   curvature Gram sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i (GEE's Fisher
-  information over phi) from ``build_gram`` given A^{1/2}, b = H w - grad / phi and
-  c = 0, stopping early once the model's own gradient mapping is below
-  ``EARLY_STOP`` times the outer one.  The step is accepted when the
-  gradient-mapping norm ||L0 (x - prox(x - grad / L0))||, L0 fixed per
+  information over phi) from ``build_gram`` given A^{1/2}, with its step
+  bound, b = H w - grad / phi and c = 0, stopping early once the model's
+  own gradient mapping is below ``EARLY_STOP`` times the outer one.  The
+  step is accepted when the gradient-mapping norm
+  ||L0 (x - prox(x - grad / L0))||, L0 the first model's bound, fixed per
   solve, does not rise.  Otherwise H is rebuilt at the current point, and
   a step that fails on a fresh H is halved toward it.  H is also rebuilt
   after an accepted step that left the norm above ``STALL`` times its
   value.
 
-Every step bound L = 2 * phi * lambda_max(H) is exact, from one
-``scipy.linalg.eigh`` (LAPACK's ``dsyevr``) on the curvature Gram (G
-itself for Gaussian solves), run in place on the Gram with no p x p
-copy.  At R = I a Gaussian G is the basis's G0, whose lambda_max the
-basis finds once, when it is built, so the CV cells of one fold share one
-eigensolve for their alpha = 0 rounds.  Convergence is declared on
-iterate change between consecutive iterates.
+Every quadratic carries its own step bound L = 2 * phi * lambda_max(G),
+set by ``build_gram`` where the Gram is made and read from there by every
+solve: one ``scipy.linalg.eigh`` (LAPACK's ``dsyevr``) on G, run in place
+with no p x p copy.  At R = I a Gaussian G is the basis's G0, whose
+lambda_max the basis finds once, when it is built, so the CV cells of one
+fold share one eigensolve for their alpha = 0 rounds.  Convergence is
+declared on iterate change between consecutive iterates.
 
 Every quadratic solve has one step rule: its step constant never exceeds
 the bound.  Backtracking starts at the bound over ``INIT_L_SHRINK`` and
@@ -89,11 +90,12 @@ against 0.05 s on an idle pool.
 
 - Gram products run ``dsymv``, which reads the diagonal and the upper
   triangle of G alone: the iteration's G w (``fista_step``, in place into
-  the point's predictor, and ``GramSmooth.predictor``) and a scoring
-  model's H w.  The paper's p = 1000 Gram is 8 MB, its upper triangle
-  4 MB, which fits the L2 caches of two cores: on a 2-CPU Xeon a product
-  took 85 us against 170 us for ``dgemv`` over the whole G.  The results
-  equal NumPy's ``G @ w`` to rounding, not bit for bit.
+  the point's predictor) and every other one (``GramSmooth.predictor``,
+  a scoring model's H w among them).  The paper's p = 1000 Gram is 8 MB,
+  its upper triangle 4 MB, which fits the L2 caches of two cores: on a
+  2-CPU Xeon a product took 85 us against 170 us for ``dgemv`` over the
+  whole G.  The results equal NumPy's ``G @ w`` to rounding, not bit for
+  bit.
 - Rectangular products run ``dgemv`` or ``dgemm``.  The design products
   X w (``linear_predictor``) and X^T c (``estimating_function``) read the
   Fortran-ordered view of the same memory with the same transposition
@@ -119,7 +121,7 @@ it calls it: ``simulate``, ``fit``, ``cv`` and ``predict`` do, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,15 +196,14 @@ class InnerState:
     ``Z_tilde`` the extrapolation point.  A new state has t_1 = 1 and all
     three points at the start: the all-zero pair, or a checked copy of the
     warm start ``start`` = (U0, V0).  It fixes once what every step of the
-    solve reads: the quadratic ``smooth``, the per-group penalty weights of
-    ``config`` and the step bound ``L``, which must be finite and positive
-    (``ValueError`` otherwise).  Its step constant starts at ``L`` over
-    ``INIT_L_SHRINK`` under backtracking and at ``L`` itself under "fixed",
-    and never exceeds ``L``.  The state owns the solve's one gradient
-    buffer beside scratch arrays of a point's size, O(p) in all, and
-    ``fista_step`` advances it in place, writing each
-    candidate into the point it no longer needs, so a solve allocates no
-    array per iteration.  After a step, ``loss`` and ``penalty`` are the
+    solve reads: the quadratic ``smooth``, whose ``L`` is the step bound,
+    and the per-group penalty weights of ``config``.  Its step constant
+    starts at the bound over ``INIT_L_SHRINK`` under backtracking and at
+    the bound itself under "fixed", and never exceeds it.  The state owns
+    the solve's one gradient buffer beside scratch arrays of a point's
+    size, O(p) in all, and ``fista_step`` advances it in place, writing
+    each candidate into the point it no longer needs, so a solve allocates
+    no array per iteration.  After a step, ``loss`` and ``penalty`` are the
     quadratic and the block penalty at the iterate, ``change`` is the
     relative iterate change max(||dU||, ||dV||) / (1 + ||U|| + ||V||) and
     ``mapping`` the gradient mapping L * ||(U, V) - (U~, V~)|| at the
@@ -211,14 +212,11 @@ class InnerState:
 
     __slots__ = (
         "Z", "Z_prev", "Z_tilde", "t", "L", "loss", "penalty", "change", "mapping",
-        "_smooth", "_bound", "_grad", "_diff", "_work", "_W", "_norms", "_scales", "_weights",
+        "_smooth", "_grad", "_diff", "_work", "_W", "_norms", "_scales", "_weights",
         "_thetas", "_floors",
     )
 
-    def __init__(self, smooth: "GramSmooth", config: InnerConfig, L: float, start=None):
-        # positive after the shrink too, so that doubling reaches the bound
-        if not (math.isfinite(L) and L / INIT_L_SHRINK > 0.0):
-            raise ValueError(f"step bound L must be finite and positive, got {L!r}")
+    def __init__(self, smooth: "GramSmooth", config: InnerConfig, start=None):
         U0, V0 = _start_pair(smooth.b.shape, start)
         d, k = U0.shape
         Z = np.empty((3, d, k))
@@ -230,7 +228,6 @@ class InnerState:
         self.t = 1.0
         self.loss = self.penalty = self.change = self.mapping = math.nan
         self._smooth = smooth
-        self._bound = float(L)
         self._grad = np.empty((d, k))
         self._diff = np.empty_like(Z)
         self._work = np.empty((2, d, k))
@@ -239,7 +236,7 @@ class InnerState:
         self._norms, self._scales, self._weights, self._thetas, self._floors = np.empty((5, d + k))
         self._weights[:d] = config.lam1
         self._weights[d:] = config.lam2
-        self._set_step(self._bound / INIT_L_SHRINK if config.step_mode == "backtracking" else self._bound)
+        self._set_step(smooth.L / INIT_L_SHRINK if config.step_mode == "backtracking" else smooth.L)
 
     U = property(lambda self: self.Z[0])
     V = property(lambda self: self.Z[1])
@@ -261,15 +258,21 @@ class GramSmooth:
     ``dsymv`` and reads only its diagonal and upper triangle.  G is held
     Fortran-ordered, as every Gram here is built, so each product reads it
     in place: any other G is copied into Fortran order once, when the
-    quadratic is made.
+    quadratic is made.  ``L`` is the step bound of every solve on the
+    quadratic, 2 * phi * lambda_max(G) as ``build_gram`` sets it; it must
+    be finite and positive (``ValueError`` otherwise).
     """
 
     G: np.ndarray
     b: np.ndarray
     c: float
     phi: float
+    L: float
 
     def __post_init__(self):
+        # positive after the shrink too, so that doubling reaches the bound
+        if not (math.isfinite(self.L) and self.L / INIT_L_SHRINK > 0.0):
+            raise ValueError(f"step bound L must be finite and positive, got {self.L!r}")
         object.__setattr__(self, "G", np.asfortranarray(self.G, dtype=float))
 
     def predictor(self, W) -> np.ndarray:
@@ -417,7 +420,7 @@ def _build_basis(design: LaggedDesign, factors) -> GramBasis:
 
 
 def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None) -> GramSmooth:
-    """The quadratic over G = sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i, with the matching b and c.
+    """The quadratic over G = sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i, with b, c and its step bound.
 
     X_i is subject i's n x p example matrix and ``root_var`` A^{1/2}: a
     scalar, one entry per example in an (m, n) array, or None for A = I,
@@ -426,10 +429,19 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     ``GramBasis`` (built on the first call and kept, one at a time) with
     the weights of ``_basis_terms``: one p x p scale and an axpy per
     further term into a new G, and no design row read.  Otherwise (every
-    tridiagonal solve, and the curvature Gram H of ``lipschitz_upper`` and
-    of each scoring model, which read G alone) it is one ``_accumulate``
-    pass with C the Cholesky factor of R^{-1} = C C^T.
+    tridiagonal solve, the curvature Gram H of ``lipschitz_upper``, which
+    reads L alone, and that of each scoring model, whose b and c the
+    caller replaces) it is one ``_accumulate`` pass with C the Cholesky
+    factor of R^{-1} = C C^T.
+
+    The step bound L = 2 * phi * lambda_max(G) takes one ``_top_eigenvalue``
+    of G, except on the basis at R = I (round 0 of every fit, and every
+    independent round), where the weights are 1 for G0 and 0 for every
+    other term, so G is G0 bit for bit and its lambda_max is the basis's
+    ``top0``: the CV cells of one fold share one eigensolve for their
+    alpha = 0 rounds.
     """
+    basis = None
     if root_var is None and working.structure in BASIS_STRUCTURES:
         terms = _basis_terms(working.structure, working.R_inv)
         cache = design._gram_cache
@@ -450,7 +462,8 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
         factor = None if working.is_identity else spd_cholesky(working.R_inv, "inverse working correlation")
         G, b, c = _accumulate(design, factor, root_var)
     _mirror_upper(G)
-    return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
+    top = basis.top0 if basis is not None and working.is_identity else _top_eigenvalue(G)
+    return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi, L=2.0 * working.phi * top)
 
 
 def _mirror_upper(G: np.ndarray) -> None:
@@ -555,39 +568,19 @@ def penalized_objective(design, family, working, U, V, lam1: float, lam2: float)
     return smooth + lam1 * norm_12_rows(U) + lam2 * norm_12_cols(V)
 
 
-def lipschitz_upper(design, family: Family, working: WorkingCorrelation, gram=None) -> float:
-    """Joint (U, V) Lipschitz constant of the gradient, 2 * phi * lambda_max(H).
+def lipschitz_upper(design, family: Family, working: WorkingCorrelation) -> float:
+    """Joint (U, V) Lipschitz constant of the gradient at W = 0, 2 * phi * lambda_max(H).
 
     H = sum_i X_i^T A_i^{1/2} R^{-1} A_i^{1/2} X_i is the W-space
-    Gauss-Newton curvature, built by ``build_gram`` with A_i the
-    variance-function diagonal at W = 0 (A = a0 * I) unless ``gram``
-    supplies it: the Gaussian Gram G, or a scoring model's H at its own
-    point.  The U/V parameterization has joint Hessian
-    phi * [[H, H], [H, H]], whose top eigenvalue is 2 * phi * lambda_max(H),
-    the bound returned: features rescaled by s scale it by s^2, and
-    outcomes rescaled by s scale it, through phi, by 1/s^2.
-    A writable Fortran-ordered ``gram`` is used in place and left as it
-    was (see ``_top_eigenvalue``).
+    Gauss-Newton curvature with A_i the variance-function diagonal at
+    W = 0 (A = a0 * I), and the bound is the ``L`` of its ``build_gram``
+    quadratic.  The U/V parameterization has joint Hessian
+    phi * [[H, H], [H, H]], whose top eigenvalue is 2 * phi * lambda_max(H):
+    features rescaled by s scale it by s^2, and outcomes rescaled by s
+    scale it, through phi, by 1/s^2.
     """
-    if gram is None:
-        root_var = math.sqrt(float(family.variance(family.mean(np.zeros(1)))[0]))
-        gram = build_gram(design, working, root_var).G
-    return 2.0 * working.phi * _top_eigenvalue(gram)
-
-
-def _gaussian_bound(design, family: Family, working: WorkingCorrelation, G: np.ndarray) -> float:
-    """``lipschitz_upper`` on the Gaussian Gram G, reusing lambda_max(G0) where R = I.
-
-    At R = I (round 0 of every fit, and every independent round) the basis
-    weights are 1 for G0 and 0 for every other term, so G is G0 bit for bit
-    and so is its top eigenvalue, which the design's basis holds from its
-    build: the CV cells of one fold run one eigensolve for their alpha = 0
-    rounds instead of one each.
-    """
-    basis = design._gram_cache.get(working.structure)
-    if basis is None or not working.is_identity:
-        return lipschitz_upper(design, family, working, gram=G)
-    return 2.0 * working.phi * basis.top0
+    root_var = math.sqrt(float(family.variance(family.mean(np.zeros(1)))[0]))
+    return build_gram(design, working, root_var).L
 
 
 def _top_eigenvalue(G: np.ndarray) -> float:
@@ -632,8 +625,8 @@ def fista_step(state: InnerState) -> InnerState:
     forms Z~ - grad / L for U and V together, and the row norms of U's and
     the column norms of V's step come from one array of squares.  Each
     trial costs one predictor product, at the candidate, written into the
-    point before last.  Below the state's bound the step constant, and the
-    thresholds lam / L with it, doubles until the majorization test holds,
+    point before last.  Below the quadratic's bound the step constant, and
+    the thresholds lam / L with it, doubles until the majorization test holds,
     capped at the bound; a step at the bound is accepted untested, so a
     step takes at most log2(``INIT_L_SHRINK``) + 1 trials and never fails.
     The test is exact in curvature form: for a quadratic,
@@ -664,12 +657,12 @@ def fista_step(state: InnerState) -> InnerState:
         blas.dsymv(1.0, smooth.G, W, y=Zn[2].reshape(-1), overwrite_y=1, lower=0)
         np.subtract(Zn, Zt, out=D)
         step_squared = np.vdot(D[:2], D[:2])
-        if L >= state._bound:
+        if L >= smooth.L:
             break
         dW = np.add(D[0], D[1], out=work[0])
         if smooth.phi * np.vdot(D[2], dW) <= L * step_squared:
             break
-        state._set_step(min(L * GROWTH, state._bound))
+        state._set_step(min(L * GROWTH, smooth.L))
     t_next = momentum_update(state.t)
     shift = (state.t - 1.0) / t_next
     state.Z_prev, state.Z = state.Z, Zn
@@ -693,7 +686,7 @@ class InnerSolveResult:
     the penalized value of the quadratic model the iteration ran on, so
     entries of different models do not compare.  ``converged`` means the
     iterate-change rule held before ``max_iterations`` ran out;
-    ``lipschitz_bound`` is the step bound at the start.
+    ``lipschitz_bound`` is the ``L`` of the solve's first quadratic.
     """
 
     U: np.ndarray
@@ -711,18 +704,19 @@ def _relative_change(dU, dV, U, V) -> float:
     return delta / (1.0 + math.sqrt(np.vdot(U, U)) + math.sqrt(np.vdot(V, V)))
 
 
-def _model_solve(smooth: GramSmooth, L: float, start, config: InnerConfig, trace, floor=0.0):
+def _model_solve(smooth: GramSmooth, start, config: InnerConfig, trace, floor=0.0):
     """Accelerated iterations on one quadratic from ``start``; returns (U, V, converged).
 
-    The step constant starts at the bound ``L`` (over ``INIT_L_SHRINK``
-    when backtracking) and never exceeds it.  Each iteration appends its penalized value and step
-    constant to ``trace``, a pair of lists, until the lists hold
-    ``max_iterations`` entries, the iterate-change rule holds, or, given a
-    positive ``floor``, the gradient mapping at the extrapolated point,
-    L * ||(U, V) - (U~, V~)||, drops below it.  The state, with every
+    The step constant starts at the bound ``smooth.L`` (over
+    ``INIT_L_SHRINK`` when backtracking) and never exceeds it.  Each
+    iteration appends its penalized value and step constant to ``trace``,
+    a pair of lists, until the lists hold ``max_iterations`` entries, the
+    iterate-change rule holds, or, given a positive ``floor``, the
+    gradient mapping at the extrapolated point, L * ||(U, V) - (U~, V~)||,
+    drops below it.  The state, with every
     buffer, is allocated once per call.
     """
-    state = InnerState(smooth, config, L, start)
+    state = InnerState(smooth, config, start)
     objective_trace, step_trace = trace
     while len(objective_trace) < config.max_iterations:
         fista_step(state)
@@ -750,9 +744,8 @@ def _scoring_solve(design, family: Family, working: WorkingCorrelation, config, 
     """Penalized Fisher scoring for Bernoulli/Poisson; returns (U, V, converged, L0)."""
 
     def curvature(eta):
-        # the model's Gram and step bound at the point with predictor eta
-        H = build_gram(design, working, np.sqrt(family.variance(family.mean(eta)))).G
-        return H, lipschitz_upper(design, family, working, gram=H)
+        # the curvature quadratic, with its step bound, at the point with predictor eta
+        return build_gram(design, working, np.sqrt(family.variance(family.mean(eta))))
 
     def at(U, V):
         # predictor, gradient and gradient-mapping norm of a point
@@ -762,25 +755,26 @@ def _scoring_solve(design, family: Family, working: WorkingCorrelation, config, 
 
     U, V = _start_pair(design.coef_shape, start)
     eta = linear_predictor(design, U + V)
-    H, L = curvature(eta)
-    L0 = L
+    model = curvature(eta)
+    L0 = model.L
     grad = _gradient_from_eta(design, family, working, eta)
     norm = _mapping_norm(U, V, grad, config, L0)
     fresh = True
     while len(trace[0]) < config.max_iterations:
-        if H is None:
-            H, L = curvature(eta)
+        if model is None:
+            model = curvature(eta)
             fresh = True
-        # the model matches the gradient at (U, V); passed unnamed, it is
-        # gone before H is rebuilt, so two H never coexist
-        b = blas.dsymv(1.0, H, np.ravel(U + V), lower=0).reshape(U.shape) - grad / working.phi
+        # the model, on the curvature's G, matches the gradient at (U, V);
+        # passed unnamed, it is gone before the curvature is rebuilt, so two
+        # Grams never coexist
         U_new, V_new, settled = _model_solve(
-            GramSmooth(G=H, b=b, c=0.0, phi=working.phi), L, (U, V), config, trace, EARLY_STOP * norm
+            replace(model, b=model.predictor(U + V) - grad / working.phi, c=0.0),
+            (U, V), config, trace, EARLY_STOP * norm,
         )
         eta_new, grad_new, norm_new = at(U_new, V_new)
         if norm_new > norm:
             if not fresh:
-                H = None
+                model = None
                 continue
             if settled:
                 # the fresh model's steps fell below the tolerance: keep the better point
@@ -797,7 +791,7 @@ def _scoring_solve(design, family: Family, working: WorkingCorrelation, config, 
             else:
                 raise NumericalError("no valid step")
         if norm_new > STALL * norm:
-            H = None
+            model = None
         fresh = False
         U, V, eta, grad, norm = U_new, V_new, eta_new, grad_new, norm_new
         if settled:
@@ -826,8 +820,8 @@ def inner_solve(
     trace = ([], [])
     if family.kind == "gaussian":
         smooth = build_gram(design, working)
-        L_bound = _gaussian_bound(design, family, working, smooth.G)
-        U, V, converged = _model_solve(smooth, L_bound, start, config, trace)
+        L_bound = smooth.L
+        U, V, converged = _model_solve(smooth, start, config, trace)
     else:
         U, V, converged, L_bound = _scoring_solve(design, family, working, config, start, trace)
     return InnerSolveResult(

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -525,6 +526,31 @@ def test_from_json_dict_refuses_a_boolean_for_a_number(where):
         target, last = target[last], int(step)
     target[last] = True
     with pytest.raises(ll.DataError, match=f"model JSON key '{key}' has an invalid value"):
+        alternation.from_json_dict(payload)
+
+
+@pytest.mark.parametrize("structure", ["exchangeable", "tridiagonal", "ar1"])
+def test_fit_refuses_one_example_per_subject_under_a_correlated_structure_before_any_solve(monkeypatch, structure):
+    # tau = T - 1 leaves one example per subject: no alpha to estimate
+    design = build_lagged(_panel(7, "gaussian", m=20, T=4), 3)
+    assert design.n == 1
+    ll.fit(design, "gaussian", "independent", 0.1, 0.1)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(fista, "inner_solve", unreachable)
+    with pytest.raises(ll.DataError, match=f"^the {structure} working correlation needs at least two examples"):
+        ll.fit(design, "gaussian", structure, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("names", [[None, math.inf], ["f0", 5], ["f0", "f0"]], ids=["null-inf", "number", "repeated"])
+def test_from_json_dict_refuses_feature_names_other_than_unique_strings(names):
+    # each would load: the first then fails to write back as standard JSON,
+    # the others fail at the read of a dataset's columns by name
+    payload = json.loads(_saved_model("ar1")[1])
+    payload["feature_names"][:2] = names
+    with pytest.raises(ll.DataError, match="model JSON key 'feature_names' must hold unique strings"):
         alternation.from_json_dict(payload)
 
 

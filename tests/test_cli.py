@@ -899,6 +899,29 @@ def test_outcomes_outside_the_family_support_exit_2(tmp_path, capsys, monkeypatc
     assert not model.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cv", "--metric", "auc", "--tau", "1", "--grid", "0.5,2;0.5,2", "--folds", "2"],
+     "metric 'auc' needs binary outcomes"),
+    (["cv", "--structure", "exchangeable", "--tau", "11", "--grid", "0.5,2;0.5,2", "--folds", "2"],
+     "the exchangeable working correlation needs at least two examples per subject"),
+    (["fit", "--structure", "ar1", "--tau", "11"],
+     "the ar1 working correlation needs at least two examples per subject"),
+])
+def test_inputs_no_cell_or_fit_can_use_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, argv, message):
+    # a Gaussian panel of 12 time points: AUC scores need binary outcomes,
+    # and tau = 11 leaves one example per subject, 60 in all for p = 24
+    data = simulate(tmp_path, extra=["--d", "2", "--subjects", "60"])
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(fista, "inner_solve", unreachable)
+    model = tmp_path / "model.json"
+    assert cli.run([*argv, "--input", str(data), "--output", str(model)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[data]: {message}")
+    assert not model.exists()
+
+
 def test_fit_frees_the_training_panel_before_the_solve(tmp_path, monkeypatch):
     data = simulate(tmp_path)
     panels, alive = [], []

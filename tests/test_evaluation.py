@@ -209,6 +209,44 @@ def test_grid_cv_rejects_outcomes_outside_the_family_support_before_any_cell(mon
         ll.grid_cv(ds, 1, family, "independent", spec)
 
 
+def test_grid_cv_auc_on_outcomes_that_are_not_binary_fails_before_any_cell(monkeypatch):
+    # AUC scores would refuse every cell alike, after every cell was fit
+    ds, _ = _sim_train()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(alternation, "fit", unreachable)
+    spec = ll.CvSpec(lam1_grid=(0.5, 2.0), lam2_grid=(0.5, 2.0), folds=2, metric="auc", seed=0)
+    with pytest.raises(ll.DataError, match="^metric 'auc' needs binary outcomes"):
+        ll.grid_cv(ds, 1, "gaussian", "independent", spec)
+
+
+@pytest.mark.parametrize("structure,m,T,tau,folds,message", [
+    # one example per subject: no alpha to estimate
+    ("exchangeable", 60, 4, 3, 3, "the exchangeable working correlation needs at least two examples"),
+    # 2 training subjects of 3 examples for p = 4 * 2 parameters
+    ("independent", 4, 4, 1, 2, "not enough examples"),
+])
+def test_grid_cv_refuses_a_fold_design_no_fit_can_use_before_its_cells(
+    monkeypatch, structure, m, T, tau, folds, message
+):
+    rng = np.random.default_rng(0)
+    ds = ll.LongitudinalDataset(
+        tuple(ll.SubjectSeries(id=f"s{i}", features=rng.normal(size=(4, T)), outcomes=rng.normal(size=T))
+              for i in range(m)),
+        tuple(f"f{j}" for j in range(4)),
+    )
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(alternation, "fit", unreachable)
+    spec = ll.CvSpec(lam1_grid=(0.5, 2.0), lam2_grid=(0.5, 2.0), folds=folds, seed=0)
+    with pytest.raises(ll.DataError, match=f"^{message}"):
+        ll.grid_cv(ds, tau, "gaussian", structure, spec)
+
+
 def test_grid_cv_partial_failure_marks_cell_invalid(monkeypatch):
     ds, _ = _sim_train()
     real_fit = alternation.fit

@@ -165,9 +165,8 @@ def test_fista_step_huge_penalty_kills_everything():
     design = random_design(5)
     working = make_working("independent", 0.0, 1.0, design.n)
     config = InnerConfig(lam1=1e9, lam2=1e9, step_mode="fixed")
-    L = lipschitz_upper(design, GAUSS, working)
     smooth = build_gram(design, working)
-    state = fista_step(InnerState(smooth, config, L))
+    state = fista_step(InnerState(smooth, config))
     assert np.array_equal(state.U, np.zeros(design.coef_shape))
     assert np.array_equal(state.V, np.zeros(design.coef_shape))
 
@@ -176,12 +175,12 @@ def test_fista_step_first_iteration_extrapolates_from_start():
     design = random_design(6)
     working = make_working("independent", 0.0, 1.0, design.n)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="fixed")
-    L = lipschitz_upper(design, GAUSS, working)
     rng = np.random.default_rng(7)
     U0 = rng.normal(size=design.coef_shape)
     V0 = rng.normal(size=design.coef_shape)
     smooth = build_gram(design, working)
-    state = InnerState(smooth, config, L, start=(U0, V0))
+    L = smooth.L
+    state = InnerState(smooth, config, start=(U0, V0))
     assert np.array_equal(state.Z_tilde[0], U0)
     assert np.array_equal(state.Z_tilde[1], V0)
     g, _ = gradient(design, GAUSS, working, *state.Z_tilde[:2])
@@ -198,7 +197,7 @@ def test_fista_step_extrapolated_predictor_matches_matvec():
     working = make_working("ar1", 0.3, 1.0, design.n)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="fixed")
     smooth = build_gram(design, working)
-    state = InnerState(smooth, config, lipschitz_upper(design, GAUSS, working))
+    state = InnerState(smooth, config)
     for _ in range(5):
         state = fista_step(state)
         direct = smooth.predictor(state.Z_tilde[0] + state.Z_tilde[1])
@@ -208,11 +207,11 @@ def test_fista_step_extrapolated_predictor_matches_matvec():
 def test_fista_step_backtracking_grows_L():
     design = random_design(8)
     working = make_working("independent", 0.0, 1.0, design.n)
-    L = lipschitz_upper(design, GAUSS, working)
     config = InnerConfig(lam1=0.1, lam2=0.1, step_mode="backtracking")
     smooth = build_gram(design, working)
-    # backtracking starts from the bound it is given over INIT_L_SHRINK = 8
-    state = InnerState(smooth, config, L / 8.0)
+    L = smooth.L
+    # backtracking starts from the quadratic's bound over INIT_L_SHRINK = 8
+    state = InnerState(replace(smooth, L=L / 8.0), config)
     assert state.L == L / 64.0
     stepped = fista_step(state)
     assert stepped.L > L / 64.0
@@ -226,8 +225,8 @@ def test_fista_step_accepts_the_step_at_a_bound_below_the_curvature(monkeypatch)
     # a curvature far above the bound: the majorization test fails at every
     # constant below it, and the step is taken at the bound itself
     system = build_gram(design, working)
-    smooth = replace(system, G=system.G * 1e40)
-    state = InnerState(smooth, config, 1.0)
+    smooth = replace(system, G=system.G * 1e40, L=1.0)
+    state = InnerState(smooth, config)
     calls = []
 
     def dsymv(*args, **kwargs):
@@ -245,12 +244,13 @@ def test_fista_step_accepts_the_step_at_a_bound_below_the_curvature(monkeypatch)
 @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("step_mode", ["backtracking", "fixed"])
 def test_inner_state_refuses_a_bound_that_is_not_finite_and_positive(L, step_mode):
-    smooth = fista.GramSmooth(G=np.eye(2, order="F"), b=np.ones((2, 1)), c=0.0, phi=1.0)
+    # the bound is the quadratic's: no state under either step mode is made on it
+    config = InnerConfig(lam1=0.1, lam2=0.1, step_mode=step_mode)
     with pytest.raises(ValueError, match="step bound L must be finite and positive"):
-        InnerState(smooth, InnerConfig(lam1=0.1, lam2=0.1, step_mode=step_mode), L)
+        InnerState(fista.GramSmooth(G=np.eye(2, order="F"), b=np.ones((2, 1)), c=0.0, phi=1.0, L=L), config)
 
 
-def _reference_model_solve(smooth, L, start, config, floor=0.0):
+def _reference_model_solve(smooth, start, config, floor=0.0):
     """``_model_solve`` with one fresh array per operation, as a plain loop.
 
     Its per-step arithmetic is the solver's before the stacked workspace:
@@ -258,7 +258,7 @@ def _reference_model_solve(smooth, L, start, config, floor=0.0):
     the loss and the stopping rules by ``np.sum`` and ``np.linalg.norm``.
     Each Gram product is ``dsymv`` on G's upper triangle, as the solver's.
     Its step rule is the solver's: the constant doubles, capped at the
-    bound ``L``, and a step at the bound is accepted untested.
+    bound ``smooth.L``, and a step at the bound is accepted untested.
     """
 
     def product(W):
@@ -270,7 +270,7 @@ def _reference_model_solve(smooth, L, start, config, floor=0.0):
             scale = np.where(norms > theta, 1.0 - theta / norms, 0.0)
         return scale[:, None] * P
 
-    G, b, c, phi = smooth.G, smooth.b, smooth.c, smooth.phi
+    G, b, c, phi, L = smooth.G, smooth.b, smooth.c, smooth.phi, smooth.L
     bound = L
     if config.step_mode == "backtracking":
         L = L / fista.INIT_L_SHRINK
@@ -334,15 +334,15 @@ def test_model_solve_matches_plain_reference_loop(seed, d, lags, lam, step_mode,
     A = rng.normal(size=(p + 12, p))
     y = rng.normal(size=p + 12) + A @ rng.normal(size=p)
     phi = float(rng.uniform(0.5, 2.0))
+    G = np.asfortranarray(A.T @ A)
     smooth = fista.GramSmooth(
-        G=np.asfortranarray(A.T @ A), b=(A.T @ y).reshape(d, lags), c=float(y @ y), phi=phi
+        G=G, b=(A.T @ y).reshape(d, lags), c=float(y @ y), phi=phi, L=2.0 * phi * fista._top_eigenvalue(G)
     )
-    L = 2.0 * phi * fista._top_eigenvalue(smooth.G)
     start = (rng.normal(size=(d, lags)), rng.normal(size=(d, lags))) if warm else None
     config = InnerConfig(lam1=lam, lam2=2.0 * lam, max_iterations=300, tolerance=1e-9, step_mode=step_mode)
     trace = ([], [])
-    U, V, converged = fista._model_solve(smooth, L, start, config, trace, floor)
-    U_ref, V_ref, objective, steps, converged_ref = _reference_model_solve(smooth, L, start, config, floor)
+    U, V, converged = fista._model_solve(smooth, start, config, trace, floor)
+    U_ref, V_ref, objective, steps, converged_ref = _reference_model_solve(smooth, start, config, floor)
     assert np.array_equal(U, U_ref) and np.array_equal(V, V_ref)
     assert trace[1] == steps
     assert len(trace[0]) == len(objective) and converged == converged_ref
@@ -357,8 +357,8 @@ def _identity_step(lam1, lam2, grad):
 
     With b = -grad the quadratic's gradient at the origin is ``grad`` itself.
     """
-    smooth = fista.GramSmooth(G=np.eye(grad.size, order="F"), b=-grad, c=0.0, phi=1.0)
-    return fista_step(InnerState(smooth, InnerConfig(lam1=lam1, lam2=lam2, step_mode="fixed"), 1.0))
+    smooth = fista.GramSmooth(G=np.eye(grad.size, order="F"), b=-grad, c=0.0, phi=1.0, L=1.0)
+    return fista_step(InnerState(smooth, InnerConfig(lam1=lam1, lam2=lam2, step_mode="fixed")))
 
 
 def test_fista_step_shrink_keeps_zero_groups_at_zero_threshold():
@@ -647,7 +647,7 @@ def test_gram_lipschitz_matches_top_eigenvalue(structure, alpha):
     working = make_working(structure, alpha, 1.7, design.n)
     system = build_gram(design, working)
     exact = 2.0 * 1.7 * np.linalg.eigvalsh(system.G)[-1]
-    assert lipschitz_upper(design, GAUSS, working, gram=system.G) == pytest.approx(exact, rel=1e-10)
+    assert system.L == pytest.approx(exact, rel=1e-10)
 
 
 @pytest.mark.parametrize("p", [1, 2, 7, 64, 130])
@@ -667,15 +667,18 @@ def test_top_eigenvalue_in_place_matches_eigh_and_restores_gram(p):
         assert np.array_equal(other, before)
 
 
-def test_lipschitz_keeps_a_gaussian_gram_intact():
+def test_lipschitz_keeps_a_gaussian_gram_intact(monkeypatch):
+    # the step bound's eigensolve runs in place on the quadratic's own G
     design = random_design(34, m=6, d=3, T=9, tau=2)
-    working = make_working("ar1", 0.6, 1.7, design.n)
-    system = build_gram(design, working)
-    before = system.G.copy()
-    L = lipschitz_upper(design, GAUSS, working, gram=system.G)
-    assert np.array_equal(system.G, before)
+    build_gram(design, make_working("ar1", 0.0, 1.7, design.n))  # the basis, with its own eigensolve
+    grams = []
+    real = fista._top_eigenvalue
+    monkeypatch.setattr(fista, "_top_eigenvalue", lambda G: grams.append((G, G.copy())) or real(G))
+    system = build_gram(design, make_working("ar1", 0.6, 1.7, design.n))
+    [(G, before)] = grams
+    assert G is system.G and np.array_equal(system.G, before)
     p = design.n_params
-    assert L == 2.0 * 1.7 * eigh(before, eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
+    assert system.L == 2.0 * 1.7 * eigh(before, eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
 
 
 def test_top_eigenvalue_rejects_non_finite_gram():
@@ -786,8 +789,7 @@ def test_fista_step_predictors_match_numpy_products(shape, step_mode):
     config = InnerConfig(lam1=0.05, lam2=0.05, step_mode=step_mode)
     rng = np.random.default_rng(55)
     start = (rng.normal(size=design.coef_shape), rng.normal(size=design.coef_shape))
-    L = lipschitz_upper(design, GAUSS, working, gram=G)
-    state = InnerState(smooth, config, L, start)
+    state = InnerState(smooth, config, start)
 
     def product(U, V):
         return blas.dsymv(1.0, G, np.ravel(U + V)).reshape(design.coef_shape)
@@ -814,13 +816,13 @@ def test_gram_smooth_holds_its_gram_in_fortran_order():
     A = rng.normal(size=(20, 6))
     G_c = np.ascontiguousarray(A.T @ A)
     W = rng.normal(size=(3, 2))
-    smooth = fista.GramSmooth(G=G_c, b=np.zeros((3, 2)), c=0.0, phi=1.0)
+    smooth = fista.GramSmooth(G=G_c, b=np.zeros((3, 2)), c=0.0, phi=1.0, L=1.0)
     assert smooth.G.flags.f_contiguous and not np.shares_memory(smooth.G, G_c)
     assert np.array_equal(smooth.G, G_c)
     G_f = np.asfortranarray(G_c)
     assert np.array_equal(smooth.predictor(W), blas.dsymv(1.0, G_f, W.ravel()).reshape(3, 2))
     assert np.allclose(smooth.predictor(W).ravel(), G_c @ W.ravel(), rtol=1e-12, atol=1e-12)
-    held = fista.GramSmooth(G=G_f, b=np.zeros((3, 2)), c=0.0, phi=1.0)
+    held = fista.GramSmooth(G=G_f, b=np.zeros((3, 2)), c=0.0, phi=1.0, L=1.0)
     assert held.G is G_f
     assert replace(held, G=G_c).G.flags.f_contiguous
 
@@ -835,29 +837,30 @@ def test_gram_products_read_one_triangle(step_mode):
     G = intact.G.copy(order="F")
     G[np.tril_indices_from(G, k=-1)] = np.nan
     upper = replace(intact, G=G)
-    L = lipschitz_upper(design, GAUSS, working, gram=intact.G)
     config = InnerConfig(lam1=0.05, lam2=0.05, max_iterations=200, step_mode=step_mode)
     rng = np.random.default_rng(58)
     start = (rng.normal(size=design.coef_shape), rng.normal(size=design.coef_shape))
     assert np.array_equal(upper.predictor(start[0]), intact.predictor(start[0]))
-    states = [InnerState(smooth, config, L, start) for smooth in (intact, upper)]
+    states = [InnerState(smooth, config, start) for smooth in (intact, upper)]
     for _ in range(4):
         for state in states:
             fista_step(state)
         assert np.array_equal(states[1].Z, states[0].Z) and np.array_equal(states[1].Z_tilde, states[0].Z_tilde)
         assert states[1].L == states[0].L and states[1].loss == states[0].loss
-    solved = [fista._model_solve(smooth, L, start, config, ([], [])) for smooth in (intact, upper)]
+    solved = [fista._model_solve(smooth, start, config, ([], [])) for smooth in (intact, upper)]
     assert all(np.array_equal(a, b) for a, b in zip(*solved))
 
 
 def _cholesky_gram(design, working):
     """The quadratic of ``build_gram`` from one pass whitened by the Cholesky factor of R^{-1}.
 
-    That is the pass ``build_gram`` makes for a structure without a basis.
+    That is the pass ``build_gram`` makes for a structure without a basis,
+    with its own eigensolve for the step bound.
     """
     G, b, c = fista._accumulate(design, spd_cholesky(working.R_inv))
     fista._mirror_upper(G)
-    return fista.GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi)
+    L = 2.0 * working.phi * fista._top_eigenvalue(G)
+    return fista.GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi, L=L)
 
 
 def _structured(working):
@@ -967,7 +970,7 @@ def test_gaussian_gram_at_zero_alpha_is_build_gram_bit_for_bit():
         system = build_gram(design, working)
         ref = _cholesky_gram(design, working)
         assert np.array_equal(system.G, ref.G) and np.array_equal(system.b, ref.b)
-        assert system.c == ref.c
+        assert system.c == ref.c and system.L == ref.L
         basis = design._gram_cache[structure]
         assert basis.top0 == fista._top_eigenvalue(ref.G)
         assert not any(G.flags.writeable for G in basis.G)
@@ -1116,7 +1119,7 @@ def test_lipschitz_matrix_free_matches_dense_curvature(family_name, structure, a
     if warm:
         # the scoring model's Gram at a warm point
         W = np.random.default_rng(37).normal(0, 0.3, design.coef_shape)
-        L = lipschitz_upper(design, family, working, gram=_curvature_gram(design, family, working, W))
+        L = _curvature_gram(design, family, working, W).L
     else:
         W = np.zeros(design.coef_shape)
         L = lipschitz_upper(design, family, working)
@@ -1124,8 +1127,9 @@ def test_lipschitz_matrix_free_matches_dense_curvature(family_name, structure, a
 
 
 def _curvature_gram(design, family, working, W):
+    """The scoring model's quadratic at W, with its step bound."""
     root = np.sqrt(family.variance(family.mean(fista.linear_predictor(design, W))))
-    return build_gram(design, working, root).G
+    return build_gram(design, working, root)
 
 
 @pytest.mark.parametrize(
@@ -1170,7 +1174,7 @@ def test_inner_solve_fixed_step_takes_warm_bound_above_cold():
     U0[0, 0] = 1e4
     start = (U0, np.zeros(design.coef_shape))
     cold = lipschitz_upper(design, family, working)
-    warm = lipschitz_upper(design, family, working, gram=_curvature_gram(design, family, working, U0))
+    warm = _curvature_gram(design, family, working, U0).L
     assert warm > 10.0 * cold
     assert warm == pytest.approx(_dense_lipschitz(design, family, working, U0), rel=1e-10)
     for step_mode in ("fixed", "backtracking"):
