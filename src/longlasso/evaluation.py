@@ -214,9 +214,11 @@ def grid_cv(
     fails on any fold are marked invalid, and the reason is kept in
     ``failures``; if every cell is invalid an error is raised.  Outcomes
     outside the family's support, or not binary under the AUC metric,
-    raise ``DataError`` before any cell runs, and so does a fold's training
-    design that ``alternation.check_design`` refuses before that fold's
-    cells, since either would fail every cell alike.
+    raise ``DataError`` before any cell runs, and so does a held-out fold
+    whose outcomes the metric refuses to score (a single class under AUC,
+    zero variance under nMSE); a fold's training design that
+    ``alternation.check_design`` refuses raises it before that fold's
+    cells.  Each would fail every cell alike.
     """
     spec = spec or CvSpec()
     # the cells fit and score every subject's outcomes from time tau on
@@ -224,6 +226,15 @@ def grid_cv(
     get_family(family).check_outcomes(outcomes)
     if spec.metric == "auc" and not np.all((outcomes == 0.0) | (outcomes == 1.0)):
         raise DataError("metric 'auc' needs binary outcomes, 0 or 1")
+    assignment = fold_assignments(train.subject_ids, spec.folds, spec.seed)
+    metric = nmse if spec.metric == "nmse" else auc
+    for f in range(spec.folds):
+        # the metric's own refusals, on the held-out outcomes scored against themselves
+        held = np.concatenate([s.outcomes[tau:] for s in train.subjects if assignment[s.id] == f])
+        try:
+            metric(held, held)
+        except ValueError as exc:
+            raise DataError(f"held-out fold {f} cannot be scored by metric {spec.metric!r}: {exc}") from None
     lam1_grid, lam2_grid = spec.lam1_grid, spec.lam2_grid
     if lam1_grid is None or lam2_grid is None:
         # the whole panel's design serves only the grids: freed before fold 0
@@ -231,7 +242,6 @@ def grid_cv(
         lam1_grid, lam2_grid = lam1_grid or auto1, lam2_grid or auto2
 
     cells = [(lam1, lam2) for lam1 in lam1_grid for lam2 in lam2_grid]
-    assignment = fold_assignments(train.subject_ids, spec.folds, spec.seed)
     fold_scores = []
     failures = {}
     for f in range(spec.folds):

@@ -52,10 +52,14 @@ at a time is whitened into one 1 MB buffer and added with one ``dsyrk``.
 
 Every quadratic carries its own step bound L = 2 * phi * lambda_max(G),
 set by ``build_gram`` where the Gram is made and read from there by every
-solve: one ``scipy.linalg.eigh`` (LAPACK's ``dsyevr``) on G, run in place
-with no p x p copy.  At R = I a Gaussian G is the basis's G0, whose
-lambda_max the basis finds once, when it is built, so the CV cells of one
-fold share one eigensolve for their alpha = 0 rounds.  Convergence is
+solve: one ``scipy.linalg.eigh`` (LAPACK's ``dsyevr``) on G.  A Gram is its
+diagonal and upper triangle, the part every product reads; its lower
+triangle holds no state and serves the eigensolve as scratch, filled from
+the upper one just before the call, so the solve runs in place with no
+p x p copy and nothing is restored but the diagonal.  At R = I a Gaussian
+quadratic is the basis's own G0, b0 and c0, whose lambda_max the basis
+finds once, when it is built, so the CV cells of one fold share one
+eigensolve and one Gram for their alpha = 0 rounds.  Convergence is
 declared on iterate change between consecutive iterates.
 
 Every quadratic solve has one step rule: its step constant never exceeds
@@ -254,11 +258,12 @@ class GramSmooth:
     """Quadratic smooth part 0.5 * phi * (w^T G w - 2 b^T w + c); the predictor is G w.
 
     ``b`` has the coefficient shape; ``G`` is p x p over the row-major
-    flattened coefficients, full and symmetric.  Every product with G is
-    ``dsymv`` and reads only its diagonal and upper triangle.  G is held
-    Fortran-ordered, as every Gram here is built, so each product reads it
-    in place: any other G is copied into Fortran order once, when the
-    quadratic is made.  ``L`` is the step bound of every solve on the
+    flattened coefficients and holds the Gram in its diagonal and upper
+    triangle, the part every product with it, ``dsymv``, reads; its lower
+    triangle holds no state (``_top_eigenvalue`` uses it as scratch).  G
+    is held Fortran-ordered, as every Gram here is built, so each product
+    reads it in place: any other G is copied into Fortran order once, when
+    the quadratic is made.  ``L`` is the step bound of every solve on the
     quadratic, 2 * phi * lambda_max(G) as ``build_gram`` sets it; it must
     be finite and positive (``ValueError`` otherwise).
     """
@@ -394,12 +399,13 @@ class GramBasis:
 
     Entry k of ``G``, ``b`` and ``c`` is the ``_accumulate`` sum of factor
     C_k of ``_basis_terms``: G_k = sum_i X_i^T C_k C_k^T X_i and the
-    matching X^T y and y^T y terms.  ``G[0]`` is G0 = sum_i X_i^T X_i, held
-    whole; the others, the Grams of the per-subject column sums
-    (exchangeable), or of the adjacent-row sums and of each subject's first
-    and last rows (AR(1)), hold their upper triangle only.  ``top0`` is
-    lambda_max(G0), the step bound's eigenvalue at R = I.  The basis and
-    its arrays are read-only, so the fits that share a design share it.
+    matching X^T y and y^T y terms.  ``G[0]`` is G0 = sum_i X_i^T X_i; the
+    others are the Grams of the per-subject column sums (exchangeable), or
+    of the adjacent-row sums and of each subject's first and last rows
+    (AR(1)).  Each holds its Gram in the diagonal and upper triangle, like
+    every Gram here.  ``top0`` is lambda_max(G0), the step bound's
+    eigenvalue at R = I.  The basis and its arrays are read-only, so the
+    fits that share a design share it, and the R = I quadratic is G0 itself.
     """
 
     G: tuple
@@ -409,9 +415,8 @@ class GramBasis:
 
 
 def _build_basis(design: LaggedDesign, factors) -> GramBasis:
-    """The ``GramBasis`` of ``factors``: one ``_accumulate`` pass each, lambda_max(G0) in place."""
+    """The ``GramBasis`` of ``factors``: one ``_accumulate`` pass each, and lambda_max(G0)."""
     G, b, c = zip(*(_accumulate(design, factor) for factor in factors))
-    _mirror_upper(G[0])
     top0 = _top_eigenvalue(G[0])
     b, c = np.array(b), np.array(c)
     for array in (*G, b, c):
@@ -428,20 +433,19 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     ``BASIS_STRUCTURES``, G, b and c are sum_k w_k G_k over the design's
     ``GramBasis`` (built on the first call and kept, one at a time) with
     the weights of ``_basis_terms``: one p x p scale and an axpy per
-    further term into a new G, and no design row read.  Otherwise (every
+    further term into a new G, and no design row read.  At R = I (round 0
+    of every fit, and every independent round) the weights are 1 for G0
+    and 0 for every other term, so the quadratic is the basis's own
+    read-only G0, b0 and c0 with the bound 2 * phi * ``top0``: no p x p
+    array is made, and the CV cells of one fold share one eigensolve for
+    their alpha = 0 rounds.  Otherwise (every
     tridiagonal solve, the curvature Gram H of ``lipschitz_upper``, which
     reads L alone, and that of each scoring model, whose b and c the
     caller replaces) it is one ``_accumulate`` pass with C the Cholesky
-    factor of R^{-1} = C C^T.
-
-    The step bound L = 2 * phi * lambda_max(G) takes one ``_top_eigenvalue``
-    of G, except on the basis at R = I (round 0 of every fit, and every
-    independent round), where the weights are 1 for G0 and 0 for every
-    other term, so G is G0 bit for bit and its lambda_max is the basis's
-    ``top0``: the CV cells of one fold share one eigensolve for their
-    alpha = 0 rounds.
+    factor of R^{-1} = C C^T.  Every G holds its Gram in the diagonal and
+    upper triangle, and off R = I on the basis its step bound
+    L = 2 * phi * lambda_max(G) takes one ``_top_eigenvalue`` of G.
     """
-    basis = None
     if root_var is None and working.structure in BASIS_STRUCTURES:
         terms = _basis_terms(working.structure, working.R_inv)
         cache = design._gram_cache
@@ -450,6 +454,9 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
             basis = _build_basis(design, [factor for factor, _ in terms])
             cache.clear()
             cache[working.structure] = basis
+        if working.is_identity:
+            return GramSmooth(G=basis.G[0], b=basis.b[0].reshape(design.coef_shape), c=float(basis.c[0]),
+                              phi=working.phi, L=2.0 * working.phi * basis.top0)
         weights = np.array([weight for _, weight in terms])
         G = basis.G[0] * weights[0]
         for term, weight in zip(basis.G[1:], weights[1:]):
@@ -461,9 +468,8 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     else:
         factor = None if working.is_identity else spd_cholesky(working.R_inv, "inverse working correlation")
         G, b, c = _accumulate(design, factor, root_var)
-    _mirror_upper(G)
-    top = basis.top0 if basis is not None and working.is_identity else _top_eigenvalue(G)
-    return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi, L=2.0 * working.phi * top)
+    L = 2.0 * working.phi * _top_eigenvalue(G)
+    return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi, L=L)
 
 
 def _mirror_upper(G: np.ndarray) -> None:
@@ -584,15 +590,17 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation) -> floa
 
 
 def _top_eigenvalue(G: np.ndarray) -> float:
-    """lambda_max of the symmetric G, from ``scipy.linalg.eigh`` on its lower triangle.
+    """lambda_max of the Gram held in G's diagonal and upper triangle, from one in-place ``eigh``.
 
-    A writable Fortran-ordered G is worked on in place, with no p x p
-    copy: LAPACK's ``dsyevr`` overwrites the diagonal and the lower
-    triangle, and both are restored afterwards from a saved diagonal and
-    the strict upper triangle, which it leaves alone.  ``eigh`` copies any
-    other G first.  G must be a Gram (positive semidefinite), as every
-    curvature Gram here is; an all-zero one (a degenerate design) or a
-    non-finite diagonal raises ``NumericalError``.
+    G is a writable Fortran-ordered p x p array that holds its Gram in the
+    diagonal and upper triangle, as every Gram here does.  Its lower
+    triangle holds no state: it is filled from the upper one just before
+    ``scipy.linalg.eigh`` (LAPACK's ``dsyevr``) reads it and overwrites it
+    together with the diagonal, with no p x p copy, and it is not restored.
+    The diagonal is put back afterwards, and LAPACK leaves the strict upper
+    triangle alone, so the Gram is intact.  G must be a Gram (positive
+    semidefinite), as every curvature Gram here is; an all-zero one (a
+    degenerate design) or a non-finite diagonal raises ``NumericalError``.
     """
     p = G.shape[0]
     diag = np.diagonal(G).copy()
@@ -602,16 +610,13 @@ def _top_eigenvalue(G: np.ndarray) -> float:
         raise NumericalError("non-finite curvature Gram")
     if not np.any(diag):
         raise NumericalError("degenerate design")
-    in_place = G.flags.f_contiguous and G.flags.writeable
+    _mirror_upper(G)
     try:
-        top = linalg.eigh(G, lower=True, eigvals_only=True, overwrite_a=in_place, check_finite=False,
+        top = linalg.eigh(G, lower=True, eigvals_only=True, overwrite_a=True, check_finite=False,
                           subset_by_index=[p - 1, p - 1], driver="evr")[0]
     except np.linalg.LinAlgError:
         top = math.nan
-    finally:
-        if in_place:
-            np.fill_diagonal(G, diag)
-            _mirror_upper(G)
+    np.fill_diagonal(G, diag)
     if not math.isfinite(top):
         raise NumericalError("no top eigenvalue of the curvature Gram")
     return float(top)

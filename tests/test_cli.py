@@ -147,6 +147,34 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("lambda1 = 2.5\n", "config file is not valid JSON: "),
+    ("[1, 2]\n", "config file must hold a JSON object"),
+])
+def test_config_file_that_is_not_a_json_object_exits_2(tmp_path, capsys, text, message):
+    data = simulate(tmp_path)
+    config = tmp_path / "override.json"
+    config.write_text(text)
+    code = cli.run([
+        "fit", "--input", str(data), "--output", str(tmp_path / "m.json"), "--config", str(config),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error[data]: {message}")
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-outer", "0"], "max_outer must be at least 1"),
+    (["--tau", "-1"], "tau must be nonnegative"),
+])
+def test_fit_settings_out_of_range_exit_2(tmp_path, capsys, argv, message):
+    data = simulate(tmp_path)
+    code = cli.run(["fit", "--input", str(data), "--output", str(tmp_path / "m.json"), *argv])
+    assert code == 2
+    assert capsys.readouterr().err == f"error[data]: {message}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
@@ -275,12 +303,18 @@ def test_cv_report_keeps_failure_reason(tmp_path, monkeypatch):
 
 def test_grid_parsing_errors(tmp_path, capsys):
     data = simulate(tmp_path)
-    code = cli.run([
-        "cv", "--input", str(data), "--output", str(tmp_path / "m.json"),
-        "--tau", "1", "--grid", "0.1,0.2",
-    ])
-    assert code == 1
-    assert "error[usage]" in capsys.readouterr().err
+    for grid, message in [
+        ("0.1,0.2", "--grid expects 'auto' or '<lambda1 list>;<lambda2 list>'"),
+        ("a;1", "--grid values must be numbers"),
+        ("1,2;", "--grid lists must be nonempty"),
+    ]:
+        code = cli.run([
+            "cv", "--input", str(data), "--output", str(tmp_path / "m.json"),
+            "--tau", "1", "--grid", grid,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error[usage]: {message}\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_non_finite_settings_exit_2_before_the_data_is_read(tmp_path, capsys, monkeypatch):
@@ -620,6 +654,18 @@ def test_evaluate_rejects_a_ragged_prediction_row(tmp_path, capsys, extra, width
     assert not (tmp_path / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [lines[0].replace("prediction", "score"), *lines[1:]],
+     "predictions CSV needs columns subject_id,time,prediction"),
+    (lambda lines: lines[:1], "predictions CSV is empty"),
+], ids=["no-prediction-column", "header-only"])
+def test_evaluate_rejects_predictions_without_their_column_or_rows(tmp_path, capsys, edit, message):
+    data, lines = _predictions(tmp_path)
+    assert _evaluate(tmp_path, data, edit(lines)) == 2
+    assert capsys.readouterr().err == f"error[data]: {message}\n"
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def test_evaluate_rejects_a_repeated_predictions_column(tmp_path, capsys):
     # as load_csv does: a second "prediction" column would otherwise be read in place of the first
     data, lines = _predictions(tmp_path)
@@ -919,6 +965,33 @@ def test_inputs_no_cell_or_fit_can_use_exit_2_before_any_solve(tmp_path, capsys,
     model = tmp_path / "model.json"
     assert cli.run([*argv, "--input", str(data), "--output", str(model)]) == 2
     assert capsys.readouterr().err.startswith(f"error[data]: {message}")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("metric", ["auc", "nmse"])
+def test_cv_on_a_held_out_fold_its_metric_cannot_score_exits_2_before_any_solve(
+    tmp_path, capsys, monkeypatch, metric
+):
+    # 8 Bernoulli subjects whose only positives are in s0: with 2 folds at
+    # seed 0 the fold holding out s1, s2, s3 and s5 is all negatives.  Every
+    # cell used to fit and then fail on that fold's score: exit 3
+    data = tmp_path / "one_class.csv"
+    lines = ["subject_id,time,y,f0,f1,f2"]
+    for i in range(8):
+        for t in range(10):
+            lines.append(f"s{i},{t},{int(i == 0 and t % 2 == 1)},{(i + t) % 3},{i * t % 5}.5,-{t}.25")
+    data.write_text("\n".join(lines) + "\n")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(fista, "inner_solve", unreachable)
+    model = tmp_path / "model.json"
+    code = cli.run(["cv", "--input", str(data), "--output", str(model), "--family", "bernoulli",
+                    "--structure", "exchangeable", "--metric", metric, "--tau", "1",
+                    "--grid", "0.5,2;0.5,2", "--folds", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error[data]: held-out fold 0 cannot be scored by metric '{metric}'")
     assert not model.exists()
 
 

@@ -95,6 +95,8 @@ def test_load_csv_header_and_schema_errors():
         _ds(WELL_FORMED, ("x9",))
     with pytest.raises(DataError, match="empty CSV"):
         _ds("")
+    with pytest.raises(DataError, match="^CSV contains no data rows$"):
+        _ds(WELL_FORMED.splitlines(keepends=True)[0])
 
 
 @pytest.mark.parametrize("key", ["subject_id", "time", "y"])
@@ -440,13 +442,14 @@ def test_load_csv_checks_non_ascii_bytes_as_utf8():
 
 
 def test_load_csv_quoted_cells_and_trailing_keys_load_as_plain_rows():
-    # quoted ids take the csv module's path; keys placed after the
-    # features are split out of the whole row
+    # quoted ids take the csv module's path, which skips a quoted row of
+    # blank cells as the plain path skips a blank line; keys placed after
+    # the features are split out of the whole row
     rows = _deep_rows()
     plain = _deep_text(rows)
-    quoted = "\r\n".join(
-        ['"subject_id",time,y,x1,x2', *(",".join([f'"{r[0]}"', *r[1:]]) for r in rows)]
-    ) + "\r\n"
+    quoted_rows = [",".join([f'"{r[0]}"', *r[1:]]) for r in rows]
+    quoted_rows.insert(1, '"","","",""," "')
+    quoted = "\r\n".join(['"subject_id",time,y,x1,x2', *quoted_rows]) + "\r\n"
     keys_last = "x1,x2,y,time,subject_id\n" + "".join(
         ",".join([*r[3:], r[2], r[1], r[0]]) + "\n" for r in rows
     )

@@ -222,6 +222,34 @@ def test_grid_cv_auc_on_outcomes_that_are_not_binary_fails_before_any_cell(monke
         ll.grid_cv(ds, 1, "gaussian", "independent", spec)
 
 
+@pytest.mark.parametrize("metric,reason", [
+    ("auc", "both classes must be present"),
+    ("nmse", "zero variance in actuals"),
+])
+def test_grid_cv_refuses_a_held_out_fold_its_metric_cannot_score_before_any_cell(monkeypatch, metric, reason):
+    # 8 Bernoulli subjects whose only positives are in s0: with 2 folds at
+    # seed 0 fold 0 holds out only negatives, one class of zero variance.
+    # The metric would refuse that fold in every cell alike, after every
+    # cell was fit
+    rng = np.random.default_rng(0)
+    outcomes = [np.zeros(10) for _ in range(8)]
+    outcomes[0][1::2] = 1.0
+    ds = ll.LongitudinalDataset(
+        tuple(ll.SubjectSeries(id=f"s{i}", features=rng.normal(size=(3, 10)), outcomes=y)
+              for i, y in enumerate(outcomes)),
+        ("f0", "f1", "f2"),
+    )
+    assert evaluation.fold_assignments(ds.subject_ids, 2, 0)["s0"] == 1
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(alternation, "fit", unreachable)
+    spec = ll.CvSpec(lam1_grid=(0.5, 2.0), lam2_grid=(0.5, 2.0), folds=2, metric=metric, seed=0)
+    with pytest.raises(ll.DataError, match=f"^held-out fold 0 cannot be scored by metric '{metric}': {reason}$"):
+        ll.grid_cv(ds, 1, "bernoulli", "exchangeable", spec)
+
+
 @pytest.mark.parametrize("structure,m,T,tau,folds,message", [
     # one example per subject: no alpha to estimate
     ("exchangeable", 60, 4, 3, 3, "the exchangeable working correlation needs at least two examples"),

@@ -33,6 +33,11 @@ from longlasso.penalty import norm_12_cols, norm_12_rows, prox_col_groups, prox_
 GAUSS = get_family("gaussian")
 
 
+def _symmetric(G):
+    """The symmetric matrix a Gram array holds in its diagonal and upper triangle."""
+    return np.triu(G) + np.triu(G, 1).T
+
+
 def single_example_design(x=2.0, y=1.0):
     return LaggedDesign(
         tau=0,
@@ -349,7 +354,7 @@ def test_model_solve_matches_plain_reference_loop(seed, d, lags, lam, step_mode,
     assert np.allclose(trace[0], objective, rtol=1e-12, atol=0.0)
     # one triangle or the whole G: the products differ in their last bits only
     W = np.ravel(U + V)
-    assert np.allclose(smooth.predictor(W).ravel(), smooth.G @ W, rtol=1e-12, atol=1e-12)
+    assert np.allclose(smooth.predictor(W).ravel(), _symmetric(smooth.G) @ W, rtol=1e-12, atol=1e-12)
 
 
 def _identity_step(lam1, lam2, grad):
@@ -531,6 +536,27 @@ def test_inner_config_validation():
     ll.CoefficientPair(U=zeros, V=zeros, lam1=0.0, lam2=0.0)
 
 
+def test_inner_solve_refuses_a_working_correlation_or_warm_start_of_the_wrong_size():
+    design = random_design(24)
+    config = InnerConfig(lam1=0.1, lam2=0.1)
+    with pytest.raises(ValueError, match="^working correlation size does not match the design$"):
+        inner_solve(design, GAUSS, make_working("ar1", 0.3, 1.0, design.n + 1), config)
+    working = make_working("ar1", 0.3, 1.0, design.n)
+    d, k = design.coef_shape
+    for shape in ((d + 1, k), (d, k + 1)):
+        start = (np.zeros(shape), np.zeros(shape))
+        with pytest.raises(ValueError, match="^warm start shape does not match the design$"):
+            inner_solve(design, GAUSS, working, config, start)
+
+
+def test_model_solve_raises_when_the_objective_is_not_finite():
+    smooth = fista.GramSmooth(G=np.eye(4, order="F"), b=np.ones((2, 2)), c=math.inf, phi=1.0, L=2.0)
+    trace = ([], [])
+    with pytest.raises(NumericalError, match="^objective diverged$"):
+        fista._model_solve(smooth, None, InnerConfig(lam1=0.1, lam2=0.1), trace)
+    assert trace == ([], [])
+
+
 def _per_subject_gram(design, working):
     flat = design.flat_design()
     G = sum(flat[i].T @ working.R_inv @ flat[i] for i in range(design.m))
@@ -586,8 +612,7 @@ def test_build_gram_matches_per_subject_sums(structure, alpha, lagged, m, chunk,
     working = make_working(structure, alpha, 1.3, design.n)
     system = build_gram(design, working)
     G, b, c = _per_subject_gram(design, working)
-    assert np.array_equal(system.G, system.G.T)
-    assert _close(system.G, G) and _close(system.b, b)
+    assert _close(np.triu(system.G), np.triu(G)) and _close(system.b, b)
     assert system.c == pytest.approx(c, rel=1e-12)
     assert system.phi == 1.3
     # every factor the solver whitens by, under no, a scalar and a
@@ -625,8 +650,8 @@ def test_build_gram_variance_weighting_matches_per_subject_sums(per_example, mon
     root_var = rng.uniform(0.2, 2.0, (design.m, design.n)) if per_example else 0.5
     H = build_gram(design, working, root_var).G
     G, _, _ = _per_subject_gram(_weighted(design, np.broadcast_to(root_var, design.y.shape)), working)
-    assert H.flags.f_contiguous and np.array_equal(H, H.T)
-    assert _close(H, G)
+    assert H.flags.f_contiguous
+    assert _close(np.triu(H), np.triu(G))
 
 
 @pytest.mark.parametrize("structure,alpha", STRUCTURES)
@@ -646,25 +671,25 @@ def test_gram_lipschitz_matches_top_eigenvalue(structure, alpha):
     design = random_design(33, m=6, d=3, T=9, tau=2)
     working = make_working(structure, alpha, 1.7, design.n)
     system = build_gram(design, working)
-    exact = 2.0 * 1.7 * np.linalg.eigvalsh(system.G)[-1]
+    exact = 2.0 * 1.7 * np.linalg.eigvalsh(system.G, UPLO="U")[-1]
     assert system.L == pytest.approx(exact, rel=1e-10)
 
 
 @pytest.mark.parametrize("p", [1, 2, 7, 64, 130])
 def test_top_eigenvalue_in_place_matches_eigh_and_restores_gram(p):
+    # the Gram is its diagonal and upper triangle, which the eigensolve
+    # leaves as they were; the lower triangle is its scratch space
     rng = np.random.default_rng(p)
     A = rng.normal(size=(2 * p + 1, p))
-    G = np.asfortranarray(A.T @ A)
+    G = np.asfortranarray(np.triu(A.T @ A))
     before = G.copy()
     top = fista._top_eigenvalue(G)
-    assert np.array_equal(G, before)
-    assert top == eigh(before, eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
-    # a C-ordered or read-only Gram is copied, and left as it was too
-    frozen = before.copy()
-    frozen.setflags(write=False)
-    for other in (np.ascontiguousarray(before), frozen):
-        assert fista._top_eigenvalue(other) == top
-        assert np.array_equal(other, before)
+    assert np.array_equal(np.triu(G), before)
+    assert top == eigh(_symmetric(before), eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
+    # a C-ordered Gram is copied by the eigensolve, and left intact too
+    other = np.array(before, order="C")
+    assert fista._top_eigenvalue(other) == top
+    assert np.array_equal(np.triu(other), before)
 
 
 def test_lipschitz_keeps_a_gaussian_gram_intact(monkeypatch):
@@ -676,9 +701,10 @@ def test_lipschitz_keeps_a_gaussian_gram_intact(monkeypatch):
     monkeypatch.setattr(fista, "_top_eigenvalue", lambda G: grams.append((G, G.copy())) or real(G))
     system = build_gram(design, make_working("ar1", 0.6, 1.7, design.n))
     [(G, before)] = grams
-    assert G is system.G and np.array_equal(system.G, before)
+    assert G is system.G and np.array_equal(np.triu(system.G), np.triu(before))
     p = design.n_params
-    assert system.L == 2.0 * 1.7 * eigh(before, eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
+    top = eigh(_symmetric(before), eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
+    assert system.L == 2.0 * 1.7 * top
 
 
 def test_top_eigenvalue_rejects_non_finite_gram():
@@ -687,7 +713,8 @@ def test_top_eigenvalue_rejects_non_finite_gram():
 
 
 def test_failed_eigensolve_raises_and_restores_gram(monkeypatch):
-    # LAPACK may have overwritten the lower triangle before it failed
+    # LAPACK may have overwritten the diagonal and the lower triangle
+    # before it failed: the diagonal is put back
     def failing_eigh(a, **kwargs):
         a[np.tril_indices_from(a)] = np.nan
         raise np.linalg.LinAlgError("internal error")
@@ -697,7 +724,7 @@ def test_failed_eigensolve_raises_and_restores_gram(monkeypatch):
     before = G.copy()
     with pytest.raises(NumericalError, match="no top eigenvalue"):
         fista._top_eigenvalue(G)
-    assert np.array_equal(G, before)
+    assert np.array_equal(np.triu(G), np.triu(before))
 
 
 # designs small and large enough for OpenBLAS to thread the products
@@ -806,7 +833,7 @@ def test_fista_step_predictors_match_numpy_products(shape, step_mode):
         assert np.array_equal(state.Z_tilde[2], eta + (eta - eta_before) * shift)
         assert np.allclose(state.Z_tilde[2], product(*state.Z_tilde[:2]), rtol=1e-12, atol=1e-12)
     W = np.ravel(state.U + state.V)
-    assert np.allclose(state.Z[2].ravel(), G @ W, rtol=1e-12, atol=1e-12)
+    assert np.allclose(state.Z[2].ravel(), _symmetric(G) @ W, rtol=1e-12, atol=1e-12)
 
 
 def test_gram_smooth_holds_its_gram_in_fortran_order():
@@ -858,7 +885,6 @@ def _cholesky_gram(design, working):
     with its own eigensolve for the step bound.
     """
     G, b, c = fista._accumulate(design, spd_cholesky(working.R_inv))
-    fista._mirror_upper(G)
     L = 2.0 * working.phi * fista._top_eigenvalue(G)
     return fista.GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi, L=L)
 
@@ -935,12 +961,12 @@ def test_basis_gram_matches_build_gram(
     with mock.patch.object(fista, "GRAM_CHUNK_BYTES", chunk_rows * 8 * p):
         system = build_gram(design, working)
         ref = _cholesky_gram(design, reference)
-    assert system.G.flags.f_contiguous and np.array_equal(system.G, system.G.T)
+    assert system.G.flags.f_contiguous
     norm = np.linalg.norm(exact, 2)
     flat = design.flat_design()
     columns = float(np.max(np.sum(flat * flat, axis=(0, 1))))
     outcomes = float(np.sum(design.y * design.y))
-    assert np.abs(system.G - ref.G).max() <= 1e-12 * norm * columns
+    assert np.abs(np.triu(system.G - ref.G)).max() <= 1e-12 * norm * columns
     assert np.abs(system.b - ref.b).max() <= 1e-12 * norm * math.sqrt(columns * outcomes)
     assert abs(system.c - ref.c) <= 1e-12 * norm * outcomes
     assert system.phi == 1.3
@@ -962,16 +988,17 @@ def test_inner_solve_on_basis_matches_build_gram(structure, alpha, monkeypatch):
 
 
 def test_gaussian_gram_at_zero_alpha_is_build_gram_bit_for_bit():
-    # round 0 of every fit runs at R = I, where the basis Gram is G0 and the
-    # step bound comes from the basis's lambda_max(G0)
+    # round 0 of every fit runs at R = I, where the quadratic is the basis's
+    # own G0, b0 and c0 and the step bound comes from the basis's lambda_max(G0)
     design = random_design(51, m=5, d=3, T=9, tau=2, include_lagged_outcome=True)
     for structure in ("independent", "exchangeable", "ar1"):
         working = make_working(structure, 0.0, 1.0, design.n)
         system = build_gram(design, working)
         ref = _cholesky_gram(design, working)
-        assert np.array_equal(system.G, ref.G) and np.array_equal(system.b, ref.b)
+        assert np.array_equal(np.triu(system.G), np.triu(ref.G)) and np.array_equal(system.b, ref.b)
         assert system.c == ref.c and system.L == ref.L
         basis = design._gram_cache[structure]
+        assert system.G is basis.G[0] and np.shares_memory(system.b, basis.b)
         assert basis.top0 == fista._top_eigenvalue(ref.G)
         assert not any(G.flags.writeable for G in basis.G)
         with pytest.raises(FrozenInstanceError):
