@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -440,15 +441,22 @@ def write_csv(ds: LongitudinalDataset, target) -> None:
 
 @dataclass(frozen=True)
 class LaggedDesign:
-    """Per-subject lagged example matrices with aligned outcomes.
+    """The feature window of a lagged design, with the outcomes it predicts.
 
-    ``X`` has shape (m, n, d_eff, tau+1): example ``(i, j)`` stacks the
-    feature vectors at the current time and the tau previous ones, column
-    k holding the values lagged by k.  ``times`` are 0-based indices into
-    the source series for each example's current time.  When lagged
-    outcomes are included, one extra row holds y_{t-1}..y_{t-tau} in lag
-    columns 1..tau and 0 in lag column 0 (the current outcome never leaks
-    into the design).
+    ``X`` has shape (m, T, d_eff): row t of subject i holds the d_eff
+    values at time t (0-based in the source series), so every feature value
+    is held once.  Example ``(i, j)`` is the d_eff x (tau+1) matrix whose
+    lag column k holds row tau + j - k of subject i's window: the feature
+    vectors at the current time and the tau previous ones, for
+    n = T - tau examples per subject.  ``y`` holds the (m, n) outcomes the
+    examples predict, and ``times`` the 0-based current time of each
+    example (tau..T-1).  When lagged outcomes are included, the last
+    window column holds the outcome series y_0..y_{T-1}, and its examples
+    read lag column 0 as zero: lag k >= 1 holds y_{t-k}, and the current
+    outcome never leaks into the design.  ``lagged_rows`` and
+    ``flat_design`` copy examples out of the window; the solver reads the
+    window alone.  A design whose fields disagree on a size raises
+    ``DataError`` naming the field.
 
     ``_gram_cache`` is private to the solver, which fills it: it holds
     the alpha-free Gaussian Gram terms of one correlation structure,
@@ -469,10 +477,28 @@ class LaggedDesign:
     _gram_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "X", _frozen(self.X))
-        object.__setattr__(self, "y", _frozen(self.y))
+        X = _frozen(self.X)
+        if X.ndim != 3:
+            raise DataError(f"X must be an (m, T, d_eff) window, got shape {X.shape}")
+        m, T, d_eff = X.shape
+        if not 0 <= self.tau < T:
+            raise DataError(f"tau must be in [0, T) for a window of T = {T} times, got {self.tau}")
+        n = T - self.tau
+        y = _frozen(self.y)
+        if y.shape != (m, n):
+            raise DataError(f"y must be (m, T - tau) = {(m, n)}, got {y.shape}")
         times = np.ascontiguousarray(self.times, dtype=int)
+        if times.shape != (n,):
+            raise DataError(f"times must hold T - tau = {n} entries, got shape {times.shape}")
+        for name in ("subject_ids", "subject_starts"):
+            size = len(getattr(self, name))
+            if size != m:
+                raise DataError(f"{name} must hold one entry per subject ({m}), got {size}")
+        if len(self.feature_names) != d_eff:
+            raise DataError(f"feature_names must hold d_eff = {d_eff} names, got {len(self.feature_names)}")
         times.setflags(write=False)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
         object.__setattr__(self, "times", times)
 
     @property
@@ -482,7 +508,7 @@ class LaggedDesign:
     @property
     def n(self) -> int:
         """Examples per subject."""
-        return self.X.shape[1]
+        return self.y.shape[1]
 
     @property
     def d_eff(self) -> int:
@@ -490,7 +516,7 @@ class LaggedDesign:
 
     @property
     def n_lags(self) -> int:
-        return self.X.shape[3]
+        return self.tau + 1
 
     @property
     def coef_shape(self) -> tuple[int, int]:
@@ -504,9 +530,29 @@ class LaggedDesign:
     def n_examples(self) -> int:
         return self.m * self.n
 
+    def lagged_rows(self, first: int, out: np.ndarray) -> np.ndarray:
+        """The example rows of subjects ``first``, ``first + 1``, ... copied into ``out``; returns it.
+
+        ``out`` is a C-ordered (k, n, n_params) buffer for k subjects; row
+        (i, j) is example j of subject first + i, its d_eff x (tau+1)
+        matrix flattened row-major, as the coefficients are.
+        """
+        rows = out.reshape(out.shape[0], self.n, self.d_eff, self.n_lags)
+        # entry [i, j, f, l] of the sliding window is X[i, j + l, f]: reversed
+        # on l, it reads lag l of example j
+        window = sliding_window_view(self.X[first:first + out.shape[0]], self.n_lags, axis=1)
+        np.copyto(rows, window[..., ::-1])
+        if self.include_lagged_outcome:
+            rows[:, :, -1, 0] = 0.0
+        return out
+
     def flat_design(self) -> np.ndarray:
-        """(m, n, d_eff*(tau+1)) view of the example matrices."""
-        return self.X.reshape(self.m, self.n, self.n_params)
+        """A new (m, n, d_eff*(tau+1)) array of every example row, from ``lagged_rows``.
+
+        It holds every feature value tau + 1 times, so the solver never
+        makes one; it is there for checks against plain NumPy products.
+        """
+        return self.lagged_rows(0, np.empty((self.m, self.n, self.n_params)))
 
     def example_times(self) -> np.ndarray:
         """(m, n) absolute time labels of each example's current point."""
@@ -519,32 +565,31 @@ def build_lagged(ds: LongitudinalDataset, tau: int, include_lagged_outcome: bool
 
     Each example pairs the outcome at time t with the feature columns at
     times t, t-1, ..., t-tau, for t = tau..T-1 (0-based), giving
-    n = T - tau examples per subject.
+    n = T - tau examples per subject.  The design holds each subject's
+    features once, transposed into its T x d_eff window (the outcome series
+    as the last column when lagged outcomes are included): 8 * m * T * d_eff
+    bytes, against tau + 1 times that for the examples themselves.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if tau >= ds.T:
         raise DataError("lag exhausts series")
-    n = ds.T - tau
     d_eff = ds.d + (1 if include_lagged_outcome else 0)
     if d_eff < 1:
         raise DataError("design needs at least one feature")
-    X = np.zeros((ds.m, n, d_eff, tau + 1))
-    y = np.zeros((ds.m, n))
+    X = np.empty((ds.m, ds.T, d_eff))
     for i, s in enumerate(ds.subjects):
-        for k in range(tau + 1):
-            X[i, :, : ds.d, k] = s.features[:, tau - k : ds.T - k].T
-            if include_lagged_outcome and k >= 1:
-                X[i, :, ds.d, k] = s.outcomes[tau - k : ds.T - k]
-        y[i] = s.outcomes[tau:]
+        X[i, :, : ds.d] = s.features.T
+        if include_lagged_outcome:
+            X[i, :, ds.d] = s.outcomes
+    y = np.array([s.outcomes[tau:] for s in ds.subjects])
     names = ds.feature_names + ((LAGGED_OUTCOME_NAME,) if include_lagged_outcome else ())
-    times = np.arange(tau, ds.T)
     return LaggedDesign(
         tau=tau,
         include_lagged_outcome=include_lagged_outcome,
         subject_ids=ds.subject_ids,
         feature_names=names,
-        times=times,
+        times=np.arange(tau, ds.T),
         subject_starts=tuple(s.time_start for s in ds.subjects),
         X=X,
         y=y,

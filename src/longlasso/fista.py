@@ -17,10 +17,15 @@ p x p matvec, and backtracking uses the exact curvature form of the
 majorization test (comparing loss values would subtract numbers of the
 size of c).
 
+The design holds each subject's features once, as the (m, T, d_eff)
+window ``LaggedDesign.X``, and every design read here works from it: X_i,
+subject i's n x p example matrix, is never held whole.
+
 Every Gram has the form sum_i X_i^T A_i^{1/2} C C^T A_i^{1/2} X_i for an
 n x r factor C and a variance diagonal A; ``build_gram`` makes them all,
 reading the design in one accumulator, ``_accumulate``: a chunk of subjects
-at a time is whitened into one 1 MB buffer and added with one ``dsyrk``.
+at a time has its example rows copied out of the window, is whitened into
+one 1 MB buffer and is added with one ``dsyrk``.
 
 - Gaussian: the quadratic is the smooth part itself, with
   G = X^T (I_m kron R^{-1}) X, b = X^T (I_m kron R^{-1}) y and
@@ -101,10 +106,12 @@ against 0.05 s on an idle pool.
   whole G.  The results equal NumPy's ``G @ w`` to rounding, not bit for
   bit.
 - Rectangular products run ``dgemv`` or ``dgemm``.  The design products
-  X w (``linear_predictor``) and X^T c (``estimating_function``) read the
-  Fortran-ordered view of the same memory with the same transposition
-  that NumPy's ``matmul`` hands its BLAS, so for designs of at least two
-  parameters they are NumPy's bit for bit.  The accumulator whitens each
+  read the window in place: X w (``linear_predictor``) is one ``dgemm``
+  of the window by W and tau shifted adds, and X^T c
+  (``estimating_function``) one ``dgemm`` of the window's transpose by the
+  residuals placed at each lag's shift.  They sum each example's lags in
+  another order than NumPy's ``matmul`` over the example rows, so they
+  equal it to rounding, not bit for bit.  The accumulator whitens each
   subject with one ``dgemm``, and its sums equal the per-subject sums to
   rounding, not NumPy's ``matmul`` bit for bit.
 
@@ -304,36 +311,49 @@ def _accumulate(design: LaggedDesign, factor=None, root_var=None):
 
     A chunk of subjects at a time, as many as fit ``GRAM_CHUNK_BYTES`` of
     whitened rows (r per subject), is whitened into one reusable buffer and
-    added with one rank-k update, so a call holds one p x p array plus the
-    buffer.  Where C is the identity (``factor`` None) and A = I the rows
-    are the whitened rows themselves and are read in place.  Each
-    subject's C^T A_i^{1/2} X_i is one ``dgemm`` into the buffer
-    (``_whiten``).
+    added with one rank-k update, so a call holds one p x p array plus at
+    most two buffers.  The example rows X_i are copied out of the design's
+    window (``LaggedDesign.lagged_rows``), as many subjects at a time as
+    fit ``GRAM_CHUNK_BYTES`` of them, into a second buffer.  Where C is the
+    identity (``factor`` None) and A = I they are the whitened rows
+    themselves, copied straight into the chunk's buffer.  Otherwise each
+    subject's C^T A_i^{1/2} X_i is one ``dgemm`` from the copied rows into
+    the chunk's buffer (``_whiten``).  The chunks are set by the whitened
+    rows alone, so the sums do not depend on how many subjects' rows are
+    copied at once.
     """
     m, n, p = design.m, design.n, design.n_params
     C = np.eye(n) if factor is None else factor
     r = C.shape[1]
     plain = root_var is None and factor is None
     chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * r * p)), m)
+    # subjects whose example rows are copied at once: a whole chunk when
+    # C is the identity (r = n), several groups per chunk when r < n
+    group = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
     scale = None if root_var is None else np.broadcast_to(root_var, (m, n))
-    flat = design.flat_design()
     G = np.zeros((p, p), order="F")
     b = np.zeros(p)
     c = 0.0
     buffer = np.empty((chunk, r, p))
+    lagged = None if plain else np.empty((group, n, p))
     for first in range(0, m, chunk):
         k = min(chunk, m - first)
         block = slice(first, first + k)
-        X, y = flat[block], design.y[block]
-        if not plain:
+        y = design.y[block]
+        if plain:
+            design.lagged_rows(first, buffer[:k])
+        else:
             whiten = C.T
             if scale is not None:
                 # C^T A_i^{1/2}, one r x n factor per subject
                 whiten = C.T * scale[block, None, :]
                 y = y * scale[block]
-            X = _whiten(whiten, X, buffer[:k])
+            for start in range(0, k, group):
+                part = slice(start, min(start + group, k))
+                X = design.lagged_rows(first + start, lagged[: part.stop - start])
+                _whiten(whiten if whiten.ndim == 2 else whiten[part], X, buffer[part])
             y = y @ C
-        rows = X.reshape(k * r, p)
+        rows = buffer[:k].reshape(k * r, p)
         white_y = y.ravel()
         # added afterwards: beta = 1 would sum the product into b in another order
         b += blas.dgemv(1.0, rows.T, white_y)
@@ -501,28 +521,50 @@ def momentum_update(t: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
 
-def _design_columns(design: LaggedDesign) -> np.ndarray:
-    """The p x N transposed design, a Fortran-ordered view of the example rows."""
-    return design.flat_design().reshape(design.n_examples, design.n_params).T
-
-
 def linear_predictor(design: LaggedDesign, W: np.ndarray) -> np.ndarray:
-    """(m, n) matrix of trace inner products <X_(i;t), W>."""
-    eta = blas.dgemv(1.0, _design_columns(design), np.ravel(W), trans=1)
-    return eta.reshape(design.m, design.n)
+    """(m, n) matrix of trace inner products <X_(i;t), W>.
+
+    One ``dgemm`` multiplies the design's window by W, giving every window
+    row's product with each lag column of W, and example (i, j) adds lag
+    k's product at row tau + j - k: tau shifted adds.  The lagged-outcome
+    row's lag-0 entry of W is read as zero, so it moves no prediction.
+    """
+    m, n, tau = design.m, design.n, design.tau
+    W = np.array(W, dtype=float).reshape(design.coef_shape)
+    if design.include_lagged_outcome:
+        W[-1, 0] = 0.0
+    window = design.X.reshape(-1, design.d_eff)
+    # a Fortran-ordered (m T, tau+1) product, so per_lag[k] is the window times W[:, k]
+    per_lag = blas.dgemm(1.0, window.T, W.T, trans_a=1, trans_b=1).T.reshape(tau + 1, m, -1)
+    eta = per_lag[0, :, tau:].copy()
+    for k in range(1, tau + 1):
+        eta += per_lag[k, :, tau - k : tau - k + n]
+    return eta
 
 
 def estimating_function(design, working: WorkingCorrelation, s, root=None):
     """X^T (phi A^{1/2} R^{-1} A^{-1/2} s) for residuals s, shaped like W.
 
     ``root`` holds the per-example standard deviations A^{1/2}; None
-    stands for all ones (Gaussian outcomes).
+    stands for all ones (Gaussian outcomes).  The weighted residuals c are
+    placed at each lag's shift, c[i, j] at window row tau + j - k of lag
+    column k, and one ``dgemm`` multiplies them by the design's window.
+    The lagged-outcome row's lag-0 entry is exactly 0.
     """
     if root is None:
         c = working.phi * (s @ working.R_inv)
     else:
         c = working.phi * root * ((s / root) @ working.R_inv)
-    return blas.dgemv(1.0, _design_columns(design), c.ravel()).reshape(design.coef_shape)
+    m, n, tau = design.m, design.n, design.tau
+    shifted = np.zeros((tau + 1, m, design.X.shape[1]))
+    for k in range(tau + 1):
+        shifted[k, :, tau - k : tau - k + n] = c
+    window = design.X.reshape(-1, design.d_eff)
+    # a Fortran-ordered (tau+1, d_eff) product, transposed to a C-ordered W
+    g = blas.dgemm(1.0, shifted.reshape(tau + 1, -1).T, window.T, trans_a=1, trans_b=1).T
+    if design.include_lagged_outcome:
+        g[-1, 0] = 0.0
+    return g
 
 
 def _gradient_from_eta(design, family: Family, working: WorkingCorrelation, eta):

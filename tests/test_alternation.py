@@ -132,7 +132,8 @@ def test_predict_hand_trace():
         feature_names=("x1",),
         times=np.array([1]),
         subject_starts=(1,),
-        X=np.array([[[[3.0, 4.0]]]]),
+        # one example at time 1: x_1 = 3 at lag 0, x_0 = 4 at lag 1
+        X=np.array([[[4.0], [3.0]]]),
         y=np.array([[0.0]]),
     )
     result = alternation.FitResult(

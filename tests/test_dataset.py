@@ -1,6 +1,7 @@
 import csv
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -636,7 +637,7 @@ def test_arrays_are_immutable():
         ds.subjects[0].features[0, 0] = 9.0
     design = build_lagged(ds, 1)
     with pytest.raises(ValueError):
-        design.X[0, 0, 0, 0] = 9.0
+        design.X[0, 0, 0] = 9.0
 
 
 def test_build_lagged_hand_example():
@@ -644,8 +645,11 @@ def test_build_lagged_hand_example():
     ds = _ds(WELL_FORMED)
     design = build_lagged(ds, 1)
     assert design.n == 2
-    assert np.allclose(design.X[0, 0, 0], [2.0, 1.0])
-    assert np.allclose(design.X[0, 1, 0], [3.0, 2.0])
+    # the window holds each value once; the examples are its lag-shifted rows
+    assert np.array_equal(design.X[0, :, 0], [1.0, 2.0, 3.0])
+    flat = design.flat_design()
+    assert np.allclose(flat[0, 0], [2.0, 1.0])
+    assert np.allclose(flat[0, 1], [3.0, 2.0])
     assert np.allclose(design.y[0], [0.6, 0.7])
     assert np.array_equal(design.times, [1, 2])
 
@@ -655,7 +659,8 @@ def test_build_lagged_tau_zero_identity():
     design = build_lagged(ds, 0)
     assert design.n == ds.T
     assert design.n_lags == 1
-    assert np.allclose(design.X[1, :, 0, 0], ds.subjects[1].features[0])
+    assert np.allclose(design.X[1, :, 0], ds.subjects[1].features[0])
+    assert np.array_equal(design.flat_design()[1, :, 0], design.X[1, :, 0])
 
 
 def test_build_lagged_example_count():
@@ -679,11 +684,38 @@ def test_build_lagged_with_lagged_outcome():
     design = build_lagged(ds, 1, include_lagged_outcome=True)
     assert design.d_eff == 2
     assert design.feature_names == ("x1", "lagged_outcome")
+    # the window's outcome column holds the whole outcome series
+    assert np.array_equal(design.X[0, :, 1], ds.subjects[0].outcomes)
+    examples = design.flat_design().reshape(design.m, design.n, 2, 2)
     # lag column 0 of the outcome row never holds the current outcome
-    assert np.allclose(design.X[:, :, 1, 0], 0.0)
+    assert np.allclose(examples[:, :, 1, 0], 0.0)
     # lag column 1 holds y_{t-1}
-    assert np.allclose(design.X[0, :, 1, 1], [0.5, 0.6])
-    assert np.allclose(design.X[1, :, 1, 1], [1.5, 1.6])
+    assert np.allclose(examples[0, :, 1, 1], [0.5, 0.6])
+    assert np.allclose(examples[1, :, 1, 1], [1.5, 1.6])
+
+
+# (field, its replacement from the design, what the message names): each
+# a size the design refuses
+DESIGN_FIELD_CASES = [
+    pytest.param("tau", lambda d: -1, "tau", id="tau-negative"),
+    pytest.param("tau", lambda d: 3, "tau", id="tau-at-T"),
+    pytest.param("X", lambda d: d.X[0], "X", id="X-not-3d"),
+    pytest.param("y", lambda d: np.zeros((2, 3)), "y must be", id="y-one-column-too-long"),
+    pytest.param("y", lambda d: np.zeros((1, 2)), "y must be", id="y-one-subject-short"),
+    pytest.param("times", lambda d: np.arange(3), "times", id="times"),
+    pytest.param("subject_ids", lambda d: ("a",), "subject_ids", id="subject_ids-short"),
+    pytest.param("subject_ids", lambda d: ("a", "b", "c"), "subject_ids", id="subject_ids-long"),
+    pytest.param("subject_starts", lambda d: (1,), "subject_starts", id="subject_starts"),
+    pytest.param("feature_names", lambda d: ("x1",), "feature_names", id="feature_names"),
+]
+
+
+@pytest.mark.parametrize("name,value,named", DESIGN_FIELD_CASES)
+def test_lagged_design_refuses_fields_that_disagree_on_a_size(name, value, named):
+    # m = 2 subjects, T = 3 times, tau = 1, d_eff = 2 (x1 and the lagged outcome)
+    design = build_lagged(_ds(WELL_FORMED), 1, include_lagged_outcome=True)
+    with pytest.raises(DataError, match=named):
+        replace(design, **{name: value(design)})
 
 
 @settings(deadline=None, max_examples=30)
@@ -703,10 +735,13 @@ def test_build_lagged_preserves_content(seed, d, T, m):
     ds = LongitudinalDataset(subjects, tuple(f"f{j}" for j in range(d)))
     design = build_lagged(ds, tau)
     assert design.n == T - tau
+    assert design.X.shape == (m, T, d)
+    examples = design.flat_design().reshape(m, T - tau, d, tau + 1)
     for i, s in enumerate(ds.subjects):
+        assert np.array_equal(design.X[i], s.features.T)
         for j, t in enumerate(design.times):
             for k in range(tau + 1):
-                assert np.array_equal(design.X[i, j, :, k], s.features[:, t - k])
+                assert np.array_equal(examples[i, j, :, k], s.features[:, t - k])
             assert design.y[i, j] == s.outcomes[t]
 
 
@@ -758,8 +793,9 @@ def test_split_then_build_partitions_full_design():
     cut = T - holdout
     full_times = full.example_times()
     train_mask = full_times[0] < cut + 1  # absolute times start at 1
-    assert np.array_equal(dtr.X, full.X[:, train_mask])
-    assert np.array_equal(dte.X, full.X[:, ~train_mask])
+    flat = full.flat_design()
+    assert np.array_equal(dtr.flat_design(), flat[:, train_mask])
+    assert np.array_equal(dte.flat_design(), flat[:, ~train_mask])
     assert np.array_equal(dtr.y, full.y[:, train_mask])
     assert np.array_equal(dte.y, full.y[:, ~train_mask])
     assert np.array_equal(dte.example_times(), full.example_times()[:, ~train_mask])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import longlasso as ll
 from longlasso import alternation, evaluation
-from longlasso.dataset import build_lagged
+from longlasso.dataset import LaggedDesign, build_lagged
 from longlasso.errors import NumericalError
 from longlasso.evaluation import CV_CELL_CONFIG
 
@@ -390,3 +390,32 @@ def test_cv_spec_validation():
         ll.CvSpec(metric="accuracy")
     with pytest.raises(ValueError):
         ll.CvSpec(lam1_grid=())
+
+
+def test_no_library_path_copies_the_flat_design(monkeypatch):
+    # fits, predictions, lambda_max and CV read the design's feature window
+    # alone: the flat (m, n, p) copy is for checks against NumPy only
+    cfg = ll.SimConfig(
+        d=4, T=10, m=12, tau=2, zero_feature_rows=(0, 1), zero_lag_columns=(),
+        structure="ar1", alpha=0.4, residual_sd=1.0, seed=3,
+    )
+    ds, *_ = ll.generate_regression(cfg)
+    labels, *_ = ll.generate_classification(cfg)
+    design = build_lagged(ds, 2)
+    bern_design = build_lagged(labels, 2, include_lagged_outcome=True)
+    # one copy of every feature value (and of the outcome series)
+    assert design.X.nbytes == 8 * ds.m * ds.T * ds.d
+    assert bern_design.X.nbytes == 8 * labels.m * labels.T * (labels.d + 1)
+
+    def forbidden(self):
+        raise AssertionError("flat design copied")
+
+    monkeypatch.setattr(LaggedDesign, "flat_design", forbidden)
+    for structure in ("ar1", "tridiagonal"):
+        fit = ll.fit(design, "gaussian", structure, 0.5, 0.5)
+        assert ll.predict(fit, design).shape == design.y.shape
+    bern = ll.fit(bern_design, "bernoulli", "exchangeable", 0.5, 0.5)
+    assert ll.predict(bern, bern_design).shape == bern_design.y.shape
+    assert all(value > 0 for value in evaluation.lambda_max(design, "gaussian"))
+    cv = ll.grid_cv(ds, 2, "gaussian", "ar1", ll.CvSpec(folds=2, seed=0))
+    assert len(cv.mean_scores) == 25 and not cv.failures

@@ -46,7 +46,7 @@ def single_example_design(x=2.0, y=1.0):
         feature_names=("x1",),
         times=np.array([0]),
         subject_starts=(1,),
-        X=np.array([[[[x]]]]),
+        X=np.array([[[x]]]),
         y=np.array([[y]]),
     )
 
@@ -557,26 +557,15 @@ def test_model_solve_raises_when_the_objective_is_not_finite():
     assert trace == ([], [])
 
 
-def _per_subject_gram(design, working):
+def _per_subject_gram(design, working, root=None):
+    """G, b and c summed subject by subject, with example (i, j)'s row scaled by root[i, j]."""
     flat = design.flat_design()
+    if root is not None:
+        flat = flat * root[:, :, None]
     G = sum(flat[i].T @ working.R_inv @ flat[i] for i in range(design.m))
     b = sum(flat[i].T @ working.R_inv @ design.y[i] for i in range(design.m))
     c = sum(design.y[i] @ working.R_inv @ design.y[i] for i in range(design.m))
     return G, b.reshape(design.coef_shape), float(c)
-
-
-def _weighted(design, weights):
-    """The design with example (i, j) of X scaled by weights[i, j]."""
-    return LaggedDesign(
-        tau=design.tau,
-        include_lagged_outcome=design.include_lagged_outcome,
-        subject_ids=design.subject_ids,
-        feature_names=design.feature_names,
-        times=design.times,
-        subject_starts=design.subject_starts,
-        X=design.X * weights[:, :, None, None],
-        y=design.y,
-    )
 
 
 def _per_subject_sums(design, C, root_var):
@@ -649,7 +638,7 @@ def test_build_gram_variance_weighting_matches_per_subject_sums(per_example, mon
     rng = np.random.default_rng(42)
     root_var = rng.uniform(0.2, 2.0, (design.m, design.n)) if per_example else 0.5
     H = build_gram(design, working, root_var).G
-    G, _, _ = _per_subject_gram(_weighted(design, np.broadcast_to(root_var, design.y.shape)), working)
+    G, _, _ = _per_subject_gram(design, working, np.broadcast_to(root_var, design.y.shape))
     assert H.flags.f_contiguous
     assert _close(np.triu(H), np.triu(G))
 
@@ -732,13 +721,15 @@ BLAS_DESIGNS = [dict(m=7, d=3, T=8, tau=2), dict(m=40, d=24, T=14, tau=4)]
 
 
 @pytest.mark.parametrize("shape", BLAS_DESIGNS)
-def test_design_products_match_numpy_bit_for_bit(shape):
+def test_design_products_match_numpy_to_rounding(shape):
+    # the window products sum each example's lags in another order than
+    # NumPy's matmul over the example rows, so they agree to rounding only
     design = random_design(50, include_lagged_outcome=True, **shape)
     flat = design.flat_design().reshape(design.n_examples, design.n_params)
     rng = np.random.default_rng(51)
     W = rng.normal(size=design.coef_shape)
     eta = fista.linear_predictor(design, W)
-    assert np.array_equal(eta, (flat @ W.ravel()).reshape(design.m, design.n))
+    assert _close(eta, (flat @ W.ravel()).reshape(design.m, design.n))
     s = rng.normal(size=design.y.shape)
     root = rng.uniform(0.2, 2.0, design.y.shape)
     for structure, alpha in STRUCTURES:
@@ -746,7 +737,52 @@ def test_design_products_match_numpy_bit_for_bit(shape):
         for r in (None, root):
             c = working.phi * (s @ working.R_inv) if r is None else working.phi * r * ((s / r) @ working.R_inv)
             expected = (flat.T @ c.ravel()).reshape(design.coef_shape)
-            assert np.array_equal(fista.estimating_function(design, working, s, r), expected), structure
+            assert _close(fista.estimating_function(design, working, s, r), expected), structure
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 4),
+    d=st.integers(1, 3),
+    T=st.integers(2, 7),
+    lagged=st.booleans(),
+    data=st.data(),
+)
+def test_window_products_match_numpy_on_the_flat_design(seed, m, d, T, lagged, data):
+    tau = data.draw(st.integers(0, T - 1), label="tau")  # tau = T - 1 leaves n = 1
+    rng = np.random.default_rng(seed)
+    subjects = tuple(
+        SubjectSeries(id=f"s{i}", features=rng.normal(size=(d, T)), outcomes=rng.normal(size=T))
+        for i in range(m)
+    )
+    design = build_lagged(LongitudinalDataset(subjects, tuple(f"f{j}" for j in range(d))), tau, lagged)
+    n = design.n
+    flat = design.flat_design().reshape(design.n_examples, design.n_params)
+    W = rng.normal(size=design.coef_shape)
+    eta = fista.linear_predictor(design, W)
+    assert _close(eta, (flat @ W.ravel()).reshape(m, n))
+    if lagged:
+        # the lagged-outcome row's lag 0 is structurally zero: its entry of W moves nothing
+        moved = W.copy()
+        moved[-1, 0] += 1e3
+        assert np.array_equal(fista.linear_predictor(design, moved), eta)
+    s = rng.normal(size=(m, n))
+    root = rng.uniform(0.2, 2.0, (m, n))
+    for structure, alpha in STRUCTURES:
+        working = make_working(structure, alpha, 1.3, n)
+        for r in (None, root):
+            c = working.phi * (s @ working.R_inv) if r is None else working.phi * r * ((s / r) @ working.R_inv)
+            g = fista.estimating_function(design, working, s, r)
+            assert _close(g, (flat.T @ c.ravel()).reshape(design.coef_shape)), structure
+            if lagged:
+                assert g[-1, 0] == 0.0
+        for root_var in (None, 0.5, root):
+            system = build_gram(design, working, root_var)
+            G, b, c = _per_subject_sums(design, np.linalg.cholesky(working.R_inv), root_var)
+            assert _close(np.triu(system.G), np.triu(G)), (structure, root_var)
+            assert _close(system.b, b.reshape(design.coef_shape)), (structure, root_var)
+            assert system.c == pytest.approx(c, rel=1e-12)
 
 
 def _numpy_accumulate(design, factor, root_var):
@@ -1131,7 +1167,7 @@ def test_unbased_solves_build_their_own_grams(family_name, structure, monkeypatc
 def _dense_lipschitz(design, family, working, W):
     """2 * phi * lambda_max of the curvature, summed subject by subject."""
     root = np.sqrt(family.variance(family.mean(design.flat_design() @ W.ravel())))
-    H, _, _ = _per_subject_gram(_weighted(design, root), working)
+    H, _, _ = _per_subject_gram(design, working, root)
     return 2.0 * working.phi * np.linalg.eigvalsh(H)[-1]
 
 
