@@ -249,7 +249,8 @@ def _cmd_fit(args) -> None:
     config = _fit_config(args)
     # the penalties are checked, with the tolerances, before the data is read
     config.inner(args.lambda1, args.lambda2)
-    # the panel is freed once its design is built, before the solve
+    # the design's window is the training panel's feature array itself (a new
+    # array only with the lagged-outcome column), so the solve holds it once
     design = build_lagged(_training_panel(args), args.tau, args.include_lagged_outcome)
     result = _fit_and_write(args, design, args.lambda1, args.lambda2, config, {})
     if args.trace_out:
@@ -356,9 +357,8 @@ def _cmd_evaluate(args) -> None:
     rows = _read_predictions(args.predictions)
     # only the outcomes are looked up: the feature columns are not parsed
     ds = load_csv(args.input, features=())
-    actual_by_key = {
-        (s.id, s.time_start + t): float(y) for s in ds.subjects for t, y in enumerate(s.outcomes)
-    }
+    series = zip(ds.subject_ids, ds.time_starts, ds.outcomes.tolist())
+    actual_by_key = {(sid, start + t): y for sid, start, row in series for t, y in enumerate(row)}
     predictions = []
     actuals = []
     for (sid, time), value in rows.items():
@@ -424,7 +424,7 @@ def _cmd_cv(args) -> None:
         "best_lambda2": cv.best_lam2,
     }
     design = build_lagged(ds, args.tau, args.include_lagged_outcome)
-    del ds  # the panel is not needed past its design
+    del ds  # the design keeps only its window and the outcomes it predicts
     _fit_and_write(args, design, cv.best_lam1, cv.best_lam2, config, {"cv": summary})
 
 

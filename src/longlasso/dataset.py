@@ -1,7 +1,14 @@
 """Long-format longitudinal data: ingestion, lagged designs, temporal splits.
 
+A dataset holds its values in one layout from the CSV to the solver: an
+(m, T, d) feature panel and (m, T) outcomes.  ``load_csv`` and the
+simulator fill it directly, ``split_temporal`` and ``subset`` copy a slice
+of it once, and a lagged design reads it as its window, with no copy
+unless the lagged outcome is added as a column.
+
 All container types are immutable after construction (arrays are marked
-read-only) and safe to share across threads.  Times are integer indices;
+read-only) and safe to share across threads; they compare by identity, as
+arrays have no single truth value.  Times are integer indices;
 calendar parsing is up to the caller.  No intercept is added implicitly;
 add a constant feature column if one is wanted (it is penalized like any
 other feature).
@@ -13,7 +20,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +38,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubjectSeries:
     """One subject: a d x T feature matrix and a length-T outcome vector.
 
@@ -57,61 +64,93 @@ class SubjectSeries:
         object.__setattr__(self, "outcomes", outcomes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class LongitudinalDataset:
-    """Per-subject series with a common length and feature set.
+    """A panel of subjects with a common length and feature set.
 
-    The feature set may be empty (d = 0): ``load_csv(source, features=())``
-    reads keys and outcomes only.  A lagged design still needs at least one
-    feature row.
+    ``features`` is the (m, T, d) panel, row t of subject i holding the d
+    feature values at time t: the layout of a lagged design's window,
+    which ``build_lagged`` reads with no copy.  ``outcomes`` is (m, T).
+    Both are C-ordered, finite and read-only.  ``time_starts`` holds each
+    subject's first time label, so file round trips keep the time axis.
+
+    ``LongitudinalDataset(subjects, feature_names)`` stacks a sequence of
+    ``SubjectSeries`` into the panel, and ``subjects`` gives them back,
+    built anew on each read.  The feature set may be empty (d = 0):
+    ``load_csv(source, features=())`` reads keys and outcomes only.  A
+    lagged design still needs at least one feature row.
     """
 
-    subjects: tuple[SubjectSeries, ...]
+    features: np.ndarray
+    outcomes: np.ndarray
+    subject_ids: tuple[str, ...]
+    time_starts: tuple[int, ...]
     feature_names: tuple[str, ...]
 
-    def __post_init__(self):
-        subjects = tuple(self.subjects)
-        names = tuple(str(n) for n in self.feature_names)
+    def __init__(self, subjects, feature_names):
+        subjects = tuple(subjects)
         if not subjects:
             raise DataError("dataset needs at least one subject")
-        d, T = subjects[0].features.shape
+        if any(s.features.shape != subjects[0].features.shape for s in subjects):
+            raise DataError("unequal series length")
+        self._hold(np.stack([s.features.T for s in subjects]), np.stack([s.outcomes for s in subjects]),
+                   [s.id for s in subjects], [s.time_start for s in subjects], feature_names)
+
+    @classmethod
+    def _panel(cls, features, outcomes, subject_ids, time_starts, feature_names) -> "LongitudinalDataset":
+        """The dataset that holds these arrays, or C-ordered copies where they are not."""
+        return cls.__new__(cls)._hold(features, outcomes, subject_ids, time_starts, feature_names)
+
+    def _hold(self, features, outcomes, subject_ids, time_starts, feature_names) -> "LongitudinalDataset":
+        """Check the panel and set the fields from it; returns the dataset."""
+        features, outcomes = _frozen(features), _frozen(outcomes)
+        ids, starts, names = tuple(subject_ids), tuple(time_starts), tuple(map(str, feature_names))
+        m, T, d = features.shape
+        if m == 0:
+            raise DataError("dataset needs at least one subject")
         if T < 2:
             raise DataError("dataset needs at least two time points")
         if len(names) != d:
             raise DataError("feature_names must have one entry per feature")
-        ids = [s.id for s in subjects]
-        if len(set(ids)) != len(ids):
+        if len(set(ids)) != m:
             raise DataError("subject ids must be unique")
-        for s in subjects:
-            if s.features.shape != (d, T):
-                raise DataError("unequal series length")
-        object.__setattr__(self, "subjects", subjects)
-        object.__setattr__(self, "feature_names", names)
+        if not np.isfinite(features).all() or not np.isfinite(outcomes).all():
+            raise DataError("missing value in the panel")
+        for f, value in zip(fields(self), (features, outcomes, ids, starts, names)):
+            object.__setattr__(self, f.name, value)
+        return self
 
     @property
     def m(self) -> int:
-        return len(self.subjects)
+        return self.features.shape[0]
 
     @property
     def d(self) -> int:
-        return self.subjects[0].features.shape[0]
+        return self.features.shape[2]
 
     @property
     def T(self) -> int:
-        return self.subjects[0].features.shape[1]
+        return self.features.shape[1]
 
     @property
-    def subject_ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.subjects)
+    def subjects(self) -> tuple[SubjectSeries, ...]:
+        """Each subject's series, d x T, built anew from the panel on each read."""
+        return tuple(map(SubjectSeries, self.subject_ids, self.features.transpose(0, 2, 1), self.outcomes,
+                         self.time_starts))
 
     def subset(self, ids) -> "LongitudinalDataset":
         """Restrict to the given subject ids, keeping dataset order."""
         wanted = set(ids)
-        kept = tuple(s for s in self.subjects if s.id in wanted)
-        missing = wanted - {s.id for s in kept}
+        missing = wanted.difference(self.subject_ids)
         if missing:
             raise DataError(f"unknown subject ids: {sorted(missing)}")
-        return LongitudinalDataset(kept, self.feature_names)
+        return self._take([i for i, sid in enumerate(self.subject_ids) if sid in wanted], 0, self.T)
+
+    def _take(self, rows, start: int, stop: int) -> "LongitudinalDataset":
+        """Subjects ``rows`` at times ``start:stop`` as one new panel, with their absolute time labels."""
+        return self._panel(self.features[rows, start:stop], self.outcomes[rows, start:stop],
+                           [self.subject_ids[i] for i in rows], [self.time_starts[i] + start for i in rows],
+                           self.feature_names)
 
 
 _TIME = re.compile(r"[+-]?[0-9]+")
@@ -271,9 +310,10 @@ def load_csv(
 
     A load holds one copy of the file's bytes, each data row as its
     offsets into them, and the parsed cells, 8 bytes each.  The bytes are
-    freed before the cells are copied into per-subject blocks, so the
-    peak is about the file's size plus twice its parsed cells; no line is
-    kept as a string.  Bytes that are not all ASCII are first decoded
+    freed before the cells are copied into the dataset's (m, T, d) feature
+    panel and (m, T) outcomes, so the peak is about the file's size plus
+    twice its parsed cells, and the dataset holds each cell once; no line
+    is kept as a string.  Bytes that are not all ASCII are first decoded
     whole, as a UTF-8 check, and that text is dropped at once.
 
     ``last_times=k`` returns only each subject's last k times (all of
@@ -377,17 +417,13 @@ def load_csv(
     if values is None or not np.isfinite(values).all():
         rows = ((starts[i], ends[i]) for i in np.sort(picked).tolist())
         _raise_first_row_error(_numbered(payload, rows), *layout)
-    del payload  # before the cube: the bytes and two copies of the cells are never all live
-    # (m, 1+d, k): each subject's outcomes and features are contiguous slices.
-    cube = np.ascontiguousarray(values.reshape(m, k, -1).transpose(0, 2, 1))
-    subjects = tuple(
-        SubjectSeries(
-            id=subject, features=cube[i, 1:], outcomes=cube[i, 0],
-            time_start=int(sorted_times[i, T - k]),
-        )
-        for i, subject in enumerate(ids.tolist())
+    del payload  # before the panel: the bytes and two copies of the cells are never all live
+    # (m, k, 1+d), already the panel's layout: the outcome column and the
+    # features are each copied out once
+    cells = values.reshape(m, k, -1)
+    return LongitudinalDataset._panel(
+        cells[:, :, 1:], cells[:, :, 0], ids.tolist(), sorted_times[:, T - k].tolist(), features
     )
-    return LongitudinalDataset(subjects, features)
 
 
 def _changes_on_load(text: str) -> bool:
@@ -416,9 +452,9 @@ def write_csv(ds: LongitudinalDataset, target) -> None:
     line break or with whitespace at either end, or a feature named like a
     key column or like another feature.
     """
-    for s in ds.subjects:
-        if _changes_on_load(s.id):
-            raise DataError(f"subject id {s.id!r} would not load back from CSV")
+    for sid in ds.subject_ids:
+        if _changes_on_load(sid):
+            raise DataError(f"subject id {sid!r} would not load back from CSV")
     header = [*KEY_COLUMNS, *ds.feature_names]
     for name in ds.feature_names:
         if _changes_on_load(name) or header.count(name) > 1:
@@ -427,11 +463,11 @@ def write_csv(ds: LongitudinalDataset, target) -> None:
     fh = open(target, "w", encoding="utf-8", newline="") if own else target
     try:
         csv.writer(fh).writerow(header)
-        for s in ds.subjects:
-            subject = _csv_field(s.id)
-            block = np.column_stack([s.outcomes, s.features.T]).tolist()
+        for sid, start, outcomes, features in zip(ds.subject_ids, ds.time_starts, ds.outcomes, ds.features):
+            subject = _csv_field(sid)
+            block = np.column_stack([outcomes, features]).tolist()
             fh.write("".join(
-                f"{subject},{s.time_start + t},{','.join(map(repr, row))}\r\n"
+                f"{subject},{start + t},{','.join(map(repr, row))}\r\n"
                 for t, row in enumerate(block)
             ))
     finally:
@@ -439,7 +475,7 @@ def write_csv(ds: LongitudinalDataset, target) -> None:
             fh.close()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaggedDesign:
     """The feature window of a lagged design, with the outcomes it predicts.
 
@@ -450,7 +486,8 @@ class LaggedDesign:
     vectors at the current time and the tau previous ones, for
     n = T - tau examples per subject.  ``y`` holds the (m, n) outcomes the
     examples predict, and ``times`` the 0-based current time of each
-    example (tau..T-1).  When lagged outcomes are included, the last
+    example (tau..T-1).  Without lagged outcomes ``X`` is the dataset's
+    own feature panel.  When lagged outcomes are included, the last
     window column holds the outcome series y_0..y_{T-1}, and its examples
     read lag column 0 as zero: lag k >= 1 holds y_{t-k}, and the current
     outcome never leaks into the design.  ``lagged_rows`` and
@@ -470,7 +507,6 @@ class LaggedDesign:
     include_lagged_outcome: bool
     subject_ids: tuple[str, ...]
     feature_names: tuple[str, ...]
-    times: np.ndarray
     subject_starts: tuple[int, ...]
     X: np.ndarray
     y: np.ndarray
@@ -487,19 +523,14 @@ class LaggedDesign:
         y = _frozen(self.y)
         if y.shape != (m, n):
             raise DataError(f"y must be (m, T - tau) = {(m, n)}, got {y.shape}")
-        times = np.ascontiguousarray(self.times, dtype=int)
-        if times.shape != (n,):
-            raise DataError(f"times must hold T - tau = {n} entries, got shape {times.shape}")
         for name in ("subject_ids", "subject_starts"):
             size = len(getattr(self, name))
             if size != m:
                 raise DataError(f"{name} must hold one entry per subject ({m}), got {size}")
         if len(self.feature_names) != d_eff:
             raise DataError(f"feature_names must hold d_eff = {d_eff} names, got {len(self.feature_names)}")
-        times.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "times", times)
 
     @property
     def m(self) -> int:
@@ -513,6 +544,11 @@ class LaggedDesign:
     @property
     def d_eff(self) -> int:
         return self.X.shape[2]
+
+    @property
+    def times(self) -> np.ndarray:
+        """The 0-based current time of each example: tau..T-1."""
+        return np.arange(self.tau, self.X.shape[1])
 
     @property
     def n_lags(self) -> int:
@@ -565,44 +601,32 @@ def build_lagged(ds: LongitudinalDataset, tau: int, include_lagged_outcome: bool
 
     Each example pairs the outcome at time t with the feature columns at
     times t, t-1, ..., t-tau, for t = tau..T-1 (0-based), giving
-    n = T - tau examples per subject.  The design holds each subject's
-    features once, transposed into its T x d_eff window (the outcome series
-    as the last column when lagged outcomes are included): 8 * m * T * d_eff
-    bytes, against tau + 1 times that for the examples themselves.
+    n = T - tau examples per subject.  The design's window is the
+    dataset's own (m, T, d) feature panel, with no copy; with lagged
+    outcomes it is one new (m, T, d + 1) array whose last column holds the
+    outcome series.  Either way it holds 8 * m * T * d_eff bytes, against
+    tau + 1 times that for the examples themselves.  ``y`` is a copy of
+    the outcomes from time tau on.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if tau >= ds.T:
         raise DataError("lag exhausts series")
-    d_eff = ds.d + (1 if include_lagged_outcome else 0)
-    if d_eff < 1:
+    if ds.d == 0 and not include_lagged_outcome:
         raise DataError("design needs at least one feature")
-    X = np.empty((ds.m, ds.T, d_eff))
-    for i, s in enumerate(ds.subjects):
-        X[i, :, : ds.d] = s.features.T
-        if include_lagged_outcome:
-            X[i, :, ds.d] = s.outcomes
-    y = np.array([s.outcomes[tau:] for s in ds.subjects])
-    names = ds.feature_names + ((LAGGED_OUTCOME_NAME,) if include_lagged_outcome else ())
+    X, names = ds.features, ds.feature_names
+    if include_lagged_outcome:
+        X = np.concatenate([X, ds.outcomes[:, :, None]], axis=2)
+        names += (LAGGED_OUTCOME_NAME,)
     return LaggedDesign(
         tau=tau,
         include_lagged_outcome=include_lagged_outcome,
         subject_ids=ds.subject_ids,
         feature_names=names,
-        times=np.arange(tau, ds.T),
-        subject_starts=tuple(s.time_start for s in ds.subjects),
+        subject_starts=ds.time_starts,
         X=X,
-        y=y,
+        y=ds.outcomes[:, tau:],
     )
-
-
-def _window(ds: LongitudinalDataset, start: int, stop: int) -> LongitudinalDataset:
-    """Every subject's times ``start:stop``, keeping the absolute time labels."""
-    subjects = tuple(
-        SubjectSeries(s.id, s.features[:, start:stop], s.outcomes[start:stop], s.time_start + start)
-        for s in ds.subjects
-    )
-    return LongitudinalDataset(subjects, ds.feature_names)
 
 
 def split_temporal(ds: LongitudinalDataset, holdout: int, tau: int):
@@ -611,11 +635,14 @@ def split_temporal(ds: LongitudinalDataset, holdout: int, tau: int):
     The train set keeps the first T - holdout times.  The test set keeps
     the trailing holdout times plus the tau preceding ones, so that
     building a lagged design on it yields exactly the examples whose
-    current time falls in the holdout window.
+    current time falls in the holdout window.  Each half is one
+    contiguous copy of its slice of the panel along time, which its
+    lagged design then reads with no further copy.
     """
     if not 0 < holdout < ds.T - tau:
         raise ValueError("holdout out of range")
     cut = ds.T - holdout
     if cut < 2 or holdout + tau < 2:
         raise ValueError("holdout out of range: each side needs at least two time points")
-    return _window(ds, 0, cut), _window(ds, cut - tau, ds.T)
+    rows = range(ds.m)
+    return ds._take(rows, 0, cut), ds._take(rows, cut - tau, ds.T)

@@ -222,7 +222,7 @@ def grid_cv(
     """
     spec = spec or CvSpec()
     # the cells fit and score every subject's outcomes from time tau on
-    outcomes = np.concatenate([s.outcomes[tau:] for s in train.subjects])
+    outcomes = train.outcomes[:, tau:].ravel()
     get_family(family).check_outcomes(outcomes)
     if spec.metric == "auc" and not np.all((outcomes == 0.0) | (outcomes == 1.0)):
         raise DataError("metric 'auc' needs binary outcomes, 0 or 1")
@@ -230,7 +230,7 @@ def grid_cv(
     metric = nmse if spec.metric == "nmse" else auc
     for f in range(spec.folds):
         # the metric's own refusals, on the held-out outcomes scored against themselves
-        held = np.concatenate([s.outcomes[tau:] for s in train.subjects if assignment[s.id] == f])
+        held = train.outcomes[[assignment[sid] == f for sid in train.subject_ids], tau:].ravel()
         try:
             metric(held, held)
         except ValueError as exc:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .correlation import build_R, spd_cholesky
-from .dataset import LongitudinalDataset, SubjectSeries
+from .dataset import LongitudinalDataset
 from .errors import check_finite
 from .families import get_family
 
@@ -112,8 +112,7 @@ def _generate(cfg: SimConfig, labels: bool):
     W = U + V
     chol = spd_cholesky(build_R(cfg.structure, cfg.alpha, cfg.T), "residual correlation")
     logistic = get_family("bernoulli").mean
-    width = len(str(cfg.m - 1))
-    subjects = []
+    features, outcomes = np.empty((cfg.m, cfg.T, cfg.d)), np.empty((cfg.m, cfg.T))
     for i, rng in enumerate(subject_streams):
         ext = rng.normal(0.0, cfg.feature_sd, size=(cfg.d, cfg.T + cfg.tau))
         eta = np.zeros(cfg.T)
@@ -122,9 +121,11 @@ def _generate(cfg: SimConfig, labels: bool):
         y = eta + cfg.residual_sd * (chol @ rng.normal(0.0, 1.0, size=cfg.T))
         if labels:
             y = (rng.uniform(size=cfg.T) < logistic(y)).astype(float)
-        subjects.append(SubjectSeries(id=f"s{i:0{width}d}", features=ext[:, cfg.tau :], outcomes=y))
+        features[i], outcomes[i] = ext[:, cfg.tau :].T, y
+    width = len(str(cfg.m - 1))
+    ids = [f"s{i:0{width}d}" for i in range(cfg.m)]
     names = tuple(f"x{j + 1}" for j in range(cfg.d))
-    return LongitudinalDataset(tuple(subjects), names), U, V
+    return LongitudinalDataset._panel(features, outcomes, ids, [1] * cfg.m, names), U, V
 
 
 def generate_regression(cfg: SimConfig):

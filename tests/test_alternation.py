@@ -130,7 +130,6 @@ def test_predict_hand_trace():
         include_lagged_outcome=False,
         subject_ids=("a",),
         feature_names=("x1",),
-        times=np.array([1]),
         subject_starts=(1,),
         # one example at time 1: x_1 = 3 at lag 0, x_0 = 4 at lag 1
         X=np.array([[[4.0], [3.0]]]),

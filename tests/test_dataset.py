@@ -514,9 +514,9 @@ _names = st.text(alphabet='ab ,"', min_size=1, max_size=5).filter(lambda s: s ==
 
 
 @st.composite
-def _datasets(draw):
+def _datasets(draw, min_d=1):
     m = draw(st.integers(1, 4))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(min_d, 3))
     T = draw(st.integers(2, 5))
     ids = draw(st.lists(_names, min_size=m, max_size=m, unique=True))
     features = draw(
@@ -563,6 +563,36 @@ def test_write_csv_matches_reference_and_round_trips(ds, data):
     header, *body = text.split("\r\n")[:-1]
     shuffled = data.draw(st.permutations(body))
     _assert_bit_equal(ds, _ds("\r\n".join([header, *shuffled]) + "\r\n"))
+
+
+def _assert_same_arrays(a: LongitudinalDataset, b: LongitudinalDataset):
+    """Two datasets hold the same panel, bit for bit."""
+    assert a.subject_ids == b.subject_ids and a.feature_names == b.feature_names
+    assert a.time_starts == b.time_starts
+    assert a.features.shape == b.features.shape
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.outcomes.tobytes() == b.outcomes.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(ds=_datasets(min_d=0), data=st.data())
+def test_panel_round_trips_bit_equal(ds, data):
+    # the series that ``subjects`` builds stack back into the same panel
+    _assert_same_arrays(LongitudinalDataset(ds.subjects, ds.feature_names), ds)
+    # a subset is a row selection in dataset order, whatever the order of the ids
+    rows = sorted(data.draw(st.sets(st.integers(0, ds.m - 1), min_size=1)))
+    sub = ds.subset(data.draw(st.permutations([ds.subject_ids[i] for i in rows])))
+    assert sub.subject_ids == tuple(ds.subject_ids[i] for i in rows)
+    assert sub.time_starts == tuple(ds.time_starts[i] for i in rows)
+    assert sub.features.tobytes() == ds.features[rows].tobytes()
+    assert sub.outcomes.tobytes() == ds.outcomes[rows].tobytes()
+    # a CSV round trip gives the panel back with its subjects sorted by id,
+    # d = 0 included: the file then holds the keys and the outcomes only
+    buffer = io.StringIO()
+    write_csv(ds, buffer)
+    order = sorted(range(ds.m), key=ds.subject_ids.__getitem__)
+    by_id = LongitudinalDataset([ds.subjects[i] for i in order], ds.feature_names)
+    _assert_same_arrays(_ds(buffer.getvalue(), ds.feature_names), by_id)
 
 
 def test_write_csv_to_path_matches_reference(tmp_path):
@@ -640,6 +670,67 @@ def test_arrays_are_immutable():
         design.X[0, 0, 0] = 9.0
 
 
+def test_containers_compare_by_identity():
+    # array fields have no truth value: each container is equal to itself only
+    ds = _ds(WELL_FORMED)
+    series = ds.subjects[0]
+    for item, copy in [
+        (series, SubjectSeries(series.id, series.features, series.outcomes, series.time_start)),
+        (ds, LongitudinalDataset(ds.subjects, ds.feature_names)),
+        (build_lagged(ds, 1), build_lagged(ds, 1)),
+    ]:
+        assert (item == item) is True
+        assert (item == copy) is False
+        assert (item != copy) is True
+
+
+def _random_dataset(seed, m, T, d):
+    rng = np.random.default_rng(seed)
+    subjects = tuple(
+        SubjectSeries(f"s{i}", rng.normal(size=(d, T)), rng.normal(size=T), int(rng.integers(-5, 5)))
+        for i in range(m)
+    )
+    return LongitudinalDataset(subjects, tuple(f"x{j}" for j in range(d)))
+
+
+def test_build_lagged_window_is_the_dataset_panel():
+    ds = _random_dataset(11, m=100, T=30, d=100)
+    assert ds.features.nbytes > 2_000_000
+    for array in (ds.features, ds.outcomes):
+        assert array.flags.c_contiguous and not array.flags.writeable
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        design = build_lagged(ds, 4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the window is the panel itself: only the outcomes it predicts are new
+    assert np.shares_memory(design.X, ds.features)
+    assert peak < design.y.nbytes + 2**20, (peak, design.y.nbytes)
+    assert design.subject_starts == ds.time_starts
+    # the lagged-outcome column takes one new window
+    lagged = build_lagged(ds, 4, include_lagged_outcome=True)
+    assert not np.shares_memory(lagged.X, ds.features)
+    assert lagged.X[:, :, :-1].tobytes() == ds.features.tobytes()
+    assert lagged.X[:, :, -1].tobytes() == ds.outcomes.tobytes()
+
+
+@pytest.mark.parametrize("holdout, tau", [(5, 4), (1, 1), (3, 0), (10, 0)])
+def test_split_temporal_halves_are_contiguous_slices_of_the_panel(holdout, tau):
+    ds = _random_dataset(12, m=5, T=12, d=3)
+    train, test = split_temporal(ds, holdout, tau)
+    cut = ds.T - holdout
+    for half, start, stop in [(train, 0, cut), (test, cut - tau, ds.T)]:
+        for array in (half.features, half.outcomes):
+            assert array.flags.c_contiguous and not array.flags.writeable
+        assert half.features.tobytes() == ds.features[:, start:stop].tobytes()
+        assert half.outcomes.tobytes() == ds.outcomes[:, start:stop].tobytes()
+        assert half.time_starts == tuple(t + start for t in ds.time_starts)
+        assert half.subject_ids == ds.subject_ids and half.feature_names == ds.feature_names
+
+
 def test_build_lagged_hand_example():
     # d=1, T=3, tau=1, x=[x1,x2,x3]: examples [x2,x1] then [x3,x2]
     ds = _ds(WELL_FORMED)
@@ -702,7 +793,6 @@ DESIGN_FIELD_CASES = [
     pytest.param("X", lambda d: d.X[0], "X", id="X-not-3d"),
     pytest.param("y", lambda d: np.zeros((2, 3)), "y must be", id="y-one-column-too-long"),
     pytest.param("y", lambda d: np.zeros((1, 2)), "y must be", id="y-one-subject-short"),
-    pytest.param("times", lambda d: np.arange(3), "times", id="times"),
     pytest.param("subject_ids", lambda d: ("a",), "subject_ids", id="subject_ids-short"),
     pytest.param("subject_ids", lambda d: ("a", "b", "c"), "subject_ids", id="subject_ids-long"),
     pytest.param("subject_starts", lambda d: (1,), "subject_starts", id="subject_starts"),

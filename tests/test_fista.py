@@ -44,7 +44,6 @@ def single_example_design(x=2.0, y=1.0):
         include_lagged_outcome=False,
         subject_ids=("a",),
         feature_names=("x1",),
-        times=np.array([0]),
         subject_starts=(1,),
         X=np.array([[[x]]]),
         y=np.array([[y]]),
@@ -85,7 +84,6 @@ def test_gradient_zero_at_perfect_fit():
         include_lagged_outcome=False,
         subject_ids=design.subject_ids,
         feature_names=design.feature_names,
-        times=design.times,
         subject_starts=design.subject_starts,
         X=design.X,
         y=eta,
@@ -389,7 +387,6 @@ def test_inner_solve_zero_outcome_fixed_point():
         include_lagged_outcome=False,
         subject_ids=design.subject_ids,
         feature_names=design.feature_names,
-        times=design.times,
         subject_starts=design.subject_starts,
         X=design.X,
         y=np.zeros_like(design.y),
