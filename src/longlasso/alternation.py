@@ -59,16 +59,18 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted coefficients plus the correlation estimate and run metadata."""
+    """Fitted coefficients plus the correlation estimate and run metadata.
+
+    ``structure`` is the working correlation's, and ``outer_iterations``
+    the number of rounds, one ``trace`` entry each.
+    """
 
     coefficients: CoefficientPair
     working: WorkingCorrelation
     family: str
-    structure: str
     tau: int
     include_lagged_outcome: bool
     feature_names: tuple[str, ...]
-    outer_iterations: int
     trace: tuple[float, ...]
     inner_traces: tuple[np.ndarray, ...]
     inner_step_traces: tuple[np.ndarray, ...]
@@ -80,6 +82,9 @@ class FitResult:
     @property
     def W(self) -> np.ndarray:
         return self.coefficients.W
+
+    structure = property(lambda self: self.working.structure)
+    outer_iterations = property(lambda self: len(self.trace))
 
 
 def _moment_update(design, family, structure, W):
@@ -177,11 +182,9 @@ def fit(
         coefficients=CoefficientPair(U=U, V=V, lam1=lam1, lam2=lam2),
         working=working,
         family=family.kind,
-        structure=structure,
         tau=design.tau,
         include_lagged_outcome=design.include_lagged_outcome,
         feature_names=design.feature_names,
-        outer_iterations=len(trace),
         trace=tuple(trace),
         inner_traces=tuple(inner_traces),
         inner_step_traces=tuple(inner_step_traces),
@@ -353,11 +356,9 @@ def from_json_dict(payload: dict) -> FitResult:
         ),
         working=working,
         family=payload["family"],
-        structure=payload["structure"],
         tau=int(payload["tau"]),
         include_lagged_outcome=bool(payload["include_lagged_outcome"]),
         feature_names=tuple(payload["feature_names"]),
-        outer_iterations=int(payload["outer_iterations"]),
         trace=tuple(trace.tolist()),
         inner_traces=(),
         inner_step_traces=(),

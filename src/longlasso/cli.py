@@ -249,8 +249,8 @@ def _cmd_fit(args) -> None:
     config = _fit_config(args)
     # the penalties are checked, with the tolerances, before the data is read
     config.inner(args.lambda1, args.lambda2)
-    # the design's window is the training panel's feature array itself (a new
-    # array only with the lagged-outcome column), so the solve holds it once
+    # the design holds the training panel itself (a new one only with the
+    # lagged-outcome column), so the solve holds each value once
     design = build_lagged(_training_panel(args), args.tau, args.include_lagged_outcome)
     result = _fit_and_write(args, design, args.lambda1, args.lambda2, config, {})
     if args.trace_out:
@@ -424,7 +424,6 @@ def _cmd_cv(args) -> None:
         "best_lambda2": cv.best_lam2,
     }
     design = build_lagged(ds, args.tau, args.include_lagged_outcome)
-    del ds  # the design keeps only its window and the outcomes it predicts
     _fit_and_write(args, design, cv.best_lam1, cv.best_lam2, config, {"cv": summary})
 
 

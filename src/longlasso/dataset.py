@@ -1,17 +1,19 @@
 """Long-format longitudinal data: ingestion, lagged designs, temporal splits.
 
 A dataset holds its values in one layout from the CSV to the solver: an
-(m, T, d) feature panel and (m, T) outcomes.  ``load_csv`` and the
-simulator fill it directly, ``split_temporal`` and ``subset`` copy a slice
-of it once, and a lagged design reads it as its window, with no copy
-unless the lagged outcome is added as a column.
+(m, T, d) feature panel and (m, T) outcomes, with each subject's id and
+first time label.  ``load_csv`` and the simulator fill it directly,
+``split_temporal`` and ``subset`` copy a slice of it once, and a lagged
+design holds it as its panel and reads every value and key from it, with
+no copy unless the lagged outcome is added as a column.
 
-All container types are immutable after construction (arrays are marked
-read-only) and safe to share across threads; they compare by identity, as
-arrays have no single truth value.  Times are integer indices;
-calendar parsing is up to the caller.  No intercept is added implicitly;
-add a constant feature column if one is wanted (it is penalized like any
-other feature).
+All container types are immutable after construction and safe to share
+across threads: a panel's arrays are read-only, and a series keeps a
+read-only float64 input as it is given, as a view, and a copy of any other
+input.  They compare by identity, as arrays have no single truth value.
+Times are integer indices; calendar parsing is up to the caller.  No
+intercept is added implicitly; add a constant feature column if one is
+wanted (it is penalized like any other feature).
 """
 from __future__ import annotations
 
@@ -38,12 +40,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _read_only(a) -> np.ndarray:
+    """``a`` itself if it is a read-only float64 array, else a read-only copy."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class SubjectSeries:
     """One subject: a d x T feature matrix and a length-T outcome vector.
 
     ``time_start`` records the first (integer) time label of the series
-    so file round trips keep the original time axis.
+    so file round trips keep the original time axis.  A read-only float64
+    input is kept as it is given, a view of the caller's memory (a panel's
+    ``subjects`` are such views); any other input is copied into a new
+    read-only array, and the caller's array keeps its flags.
     """
 
     id: str
@@ -52,8 +65,8 @@ class SubjectSeries:
     time_start: int = 1
 
     def __post_init__(self):
-        features = _frozen(np.atleast_2d(self.features))
-        outcomes = _frozen(np.atleast_1d(self.outcomes))
+        features = _read_only(np.atleast_2d(self.features))
+        outcomes = _read_only(np.atleast_1d(self.outcomes))
         if features.ndim != 2 or outcomes.ndim != 1:
             raise DataError("features must be d x T and outcomes a vector")
         if features.shape[1] != outcomes.shape[0]:
@@ -76,7 +89,8 @@ class LongitudinalDataset:
 
     ``LongitudinalDataset(subjects, feature_names)`` stacks a sequence of
     ``SubjectSeries`` into the panel, and ``subjects`` gives them back,
-    built anew on each read.  The feature set may be empty (d = 0):
+    built anew on each read as views of the panel, so a read copies no
+    value.  The feature set may be empty (d = 0):
     ``load_csv(source, features=())`` reads keys and outcomes only.  A
     lagged design still needs at least one feature row.
     """
@@ -134,7 +148,7 @@ class LongitudinalDataset:
 
     @property
     def subjects(self) -> tuple[SubjectSeries, ...]:
-        """Each subject's series, d x T, built anew from the panel on each read."""
+        """Each subject's series, d x T, built anew on each read as views of the panel."""
         return tuple(map(SubjectSeries, self.subject_ids, self.features.transpose(0, 2, 1), self.outcomes,
                          self.time_starts))
 
@@ -477,23 +491,26 @@ def write_csv(ds: LongitudinalDataset, target) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LaggedDesign:
-    """The feature window of a lagged design, with the outcomes it predicts.
+    """A lagged design: a dataset's panel read as the window of its examples.
 
-    ``X`` has shape (m, T, d_eff): row t of subject i holds the d_eff
-    values at time t (0-based in the source series), so every feature value
-    is held once.  Example ``(i, j)`` is the d_eff x (tau+1) matrix whose
-    lag column k holds row tau + j - k of subject i's window: the feature
-    vectors at the current time and the tau previous ones, for
-    n = T - tau examples per subject.  ``y`` holds the (m, n) outcomes the
-    examples predict, and ``times`` the 0-based current time of each
-    example (tau..T-1).  Without lagged outcomes ``X`` is the dataset's
-    own feature panel.  When lagged outcomes are included, the last
-    window column holds the outcome series y_0..y_{T-1}, and its examples
-    read lag column 0 as zero: lag k >= 1 holds y_{t-k}, and the current
-    outcome never leaks into the design.  ``lagged_rows`` and
-    ``flat_design`` copy examples out of the window; the solver reads the
-    window alone.  A design whose fields disagree on a size raises
-    ``DataError`` naming the field.
+    ``panel`` holds every value and key the design reads, and ``X``, ``y``,
+    ``subject_ids``, ``subject_starts`` and ``feature_names`` are read-only
+    views of it, so the design copies none of them.  ``X`` is the panel's
+    (m, T, d_eff) features: row t of subject i holds the d_eff values at
+    time t (0-based in the source series), so every feature value is held
+    once.  Example ``(i, j)`` is the d_eff x (tau+1) matrix whose lag column
+    k holds row tau + j - k of subject i's window: the feature vectors at
+    the current time and the tau previous ones, for n = T - tau examples
+    per subject.  ``y`` is the view ``panel.outcomes[:, tau:]`` of the
+    (m, n) outcomes the examples predict, and ``times`` the 0-based current
+    time of each example (tau..T-1).  When lagged outcomes are included,
+    the panel's last feature is ``LAGGED_OUTCOME_NAME``, holding the
+    outcome series y_0..y_{T-1}, and its examples read lag column 0 as
+    zero: lag k >= 1 holds y_{t-k}, and the current outcome never leaks
+    into the design.  A tau outside [0, T), or a lagged-outcome design
+    whose panel's last feature is not that series, raises ``DataError``.
+    ``lagged_rows`` and ``flat_design`` copy examples out of the window;
+    the solver reads the window alone.
 
     ``_gram_cache`` is private to the solver, which fills it: it holds
     the alpha-free Gaussian Gram terms of one correlation structure,
@@ -503,52 +520,39 @@ class LaggedDesign:
     thread; fits of different structures at once only rebuild them.
     """
 
+    panel: LongitudinalDataset
     tau: int
-    include_lagged_outcome: bool
-    subject_ids: tuple[str, ...]
-    feature_names: tuple[str, ...]
-    subject_starts: tuple[int, ...]
-    X: np.ndarray
-    y: np.ndarray
+    include_lagged_outcome: bool = False
     _gram_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X = _frozen(self.X)
-        if X.ndim != 3:
-            raise DataError(f"X must be an (m, T, d_eff) window, got shape {X.shape}")
-        m, T, d_eff = X.shape
+        T = self.panel.T
         if not 0 <= self.tau < T:
             raise DataError(f"tau must be in [0, T) for a window of T = {T} times, got {self.tau}")
-        n = T - self.tau
-        y = _frozen(self.y)
-        if y.shape != (m, n):
-            raise DataError(f"y must be (m, T - tau) = {(m, n)}, got {y.shape}")
-        for name in ("subject_ids", "subject_starts"):
-            size = len(getattr(self, name))
-            if size != m:
-                raise DataError(f"{name} must hold one entry per subject ({m}), got {size}")
-        if len(self.feature_names) != d_eff:
-            raise DataError(f"feature_names must hold d_eff = {d_eff} names, got {len(self.feature_names)}")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        if self.include_lagged_outcome and not (
+            self.feature_names[-1:] == (LAGGED_OUTCOME_NAME,)
+            and np.array_equal(self.X[:, :, -1], self.panel.outcomes)
+        ):
+            raise DataError(f"a lagged-outcome design's last feature must be {LAGGED_OUTCOME_NAME!r}, "
+                            "the outcome series")
 
-    @property
-    def m(self) -> int:
-        return self.X.shape[0]
+    X = property(lambda self: self.panel.features)
+    y = property(lambda self: self.panel.outcomes[:, self.tau:])
+    subject_ids = property(lambda self: self.panel.subject_ids)
+    subject_starts = property(lambda self: self.panel.time_starts)
+    feature_names = property(lambda self: self.panel.feature_names)
+    m = property(lambda self: self.panel.m)
+    d_eff = property(lambda self: self.panel.d)
 
     @property
     def n(self) -> int:
         """Examples per subject."""
-        return self.y.shape[1]
-
-    @property
-    def d_eff(self) -> int:
-        return self.X.shape[2]
+        return self.panel.T - self.tau
 
     @property
     def times(self) -> np.ndarray:
         """The 0-based current time of each example: tau..T-1."""
-        return np.arange(self.tau, self.X.shape[1])
+        return np.arange(self.tau, self.panel.T)
 
     @property
     def n_lags(self) -> int:
@@ -601,12 +605,12 @@ def build_lagged(ds: LongitudinalDataset, tau: int, include_lagged_outcome: bool
 
     Each example pairs the outcome at time t with the feature columns at
     times t, t-1, ..., t-tau, for t = tau..T-1 (0-based), giving
-    n = T - tau examples per subject.  The design's window is the
-    dataset's own (m, T, d) feature panel, with no copy; with lagged
-    outcomes it is one new (m, T, d + 1) array whose last column holds the
-    outcome series.  Either way it holds 8 * m * T * d_eff bytes, against
-    tau + 1 times that for the examples themselves.  ``y`` is a copy of
-    the outcomes from time tau on.
+    n = T - tau examples per subject.  Without lagged outcomes the design's
+    panel is ``ds`` itself, with no copy; with them it is one new panel
+    whose features gain the outcome series as their last column, in one
+    new (m, T, d + 1) array, and which shares ``ds.outcomes``.  Either way
+    the window holds 8 * m * T * d_eff bytes, against tau + 1 times that
+    for the examples themselves.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -614,19 +618,11 @@ def build_lagged(ds: LongitudinalDataset, tau: int, include_lagged_outcome: bool
         raise DataError("lag exhausts series")
     if ds.d == 0 and not include_lagged_outcome:
         raise DataError("design needs at least one feature")
-    X, names = ds.features, ds.feature_names
     if include_lagged_outcome:
-        X = np.concatenate([X, ds.outcomes[:, :, None]], axis=2)
-        names += (LAGGED_OUTCOME_NAME,)
-    return LaggedDesign(
-        tau=tau,
-        include_lagged_outcome=include_lagged_outcome,
-        subject_ids=ds.subject_ids,
-        feature_names=names,
-        subject_starts=ds.time_starts,
-        X=X,
-        y=ds.outcomes[:, tau:],
-    )
+        ds = LongitudinalDataset._panel(np.concatenate([ds.features, ds.outcomes[:, :, None]], axis=2),
+                                        ds.outcomes, ds.subject_ids, ds.time_starts,
+                                        ds.feature_names + (LAGGED_OUTCOME_NAME,))
+    return LaggedDesign(ds, tau, include_lagged_outcome)
 
 
 def split_temporal(ds: LongitudinalDataset, holdout: int, tau: int):

@@ -17,9 +17,10 @@ p x p matvec, and backtracking uses the exact curvature form of the
 majorization test (comparing loss values would subtract numbers of the
 size of c).
 
-The design holds each subject's features once, as the (m, T, d_eff)
-window ``LaggedDesign.X``, and every design read here works from it: X_i,
-subject i's n x p example matrix, is never held whole.
+The design holds each subject's features once, in its dataset's panel,
+whose (m, T, d_eff) features are the window ``LaggedDesign.X``, and every
+design read here works from it: X_i, subject i's n x p example matrix, is
+never held whole.
 
 Every Gram has the form sum_i X_i^T A_i^{1/2} C C^T A_i^{1/2} X_i for an
 n x r factor C and a variance diagonal A; ``build_gram`` makes them all,
@@ -112,8 +113,9 @@ against 0.05 s on an idle pool.
   residuals placed at each lag's shift.  They sum each example's lags in
   another order than NumPy's ``matmul`` over the example rows, so they
   equal it to rounding, not bit for bit.  The accumulator whitens each
-  subject with one ``dgemm``, and its sums equal the per-subject sums to
-  rounding, not NumPy's ``matmul`` bit for bit.
+  subject by a factor with one ``dgemm`` (by the identity it only scales
+  the rows), and its sums equal the per-subject sums to rounding, not
+  NumPy's ``matmul`` bit for bit.
 
 OpenBLAS's threaded ``dsymv`` gives each thread a block of G and adds
 their partial products, so the bits of a fit depend on the BLAS thread
@@ -312,47 +314,46 @@ def _accumulate(design: LaggedDesign, factor=None, root_var=None):
     A chunk of subjects at a time, as many as fit ``GRAM_CHUNK_BYTES`` of
     whitened rows (r per subject), is whitened into one reusable buffer and
     added with one rank-k update, so a call holds one p x p array plus at
-    most two buffers.  The example rows X_i are copied out of the design's
-    window (``LaggedDesign.lagged_rows``), as many subjects at a time as
-    fit ``GRAM_CHUNK_BYTES`` of them, into a second buffer.  Where C is the
-    identity (``factor`` None) and A = I they are the whitened rows
-    themselves, copied straight into the chunk's buffer.  Otherwise each
-    subject's C^T A_i^{1/2} X_i is one ``dgemm`` from the copied rows into
-    the chunk's buffer (``_whiten``).  The chunks are set by the whitened
-    rows alone, so the sums do not depend on how many subjects' rows are
-    copied at once.
+    most two buffers.  Where C is the identity (``factor`` None) the
+    example rows X_i are copied out of the design's window
+    (``LaggedDesign.lagged_rows``) straight into the chunk's buffer, and
+    scaled there in place by A_i^{1/2}, row by row, as are the outcomes.
+    Otherwise they are copied, as many subjects at a time as fit
+    ``GRAM_CHUNK_BYTES`` of them, into a second buffer, and each subject's
+    C^T A_i^{1/2} X_i is one ``dgemm`` from there into the chunk's buffer
+    (``_whiten``).  The chunks are set by the whitened rows alone, so the
+    sums do not depend on how many subjects' rows are copied at once.
     """
     m, n, p = design.m, design.n, design.n_params
-    C = np.eye(n) if factor is None else factor
-    r = C.shape[1]
-    plain = root_var is None and factor is None
+    r = n if factor is None else factor.shape[1]
     chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * r * p)), m)
-    # subjects whose example rows are copied at once: a whole chunk when
-    # C is the identity (r = n), several groups per chunk when r < n
+    # subjects whose example rows are copied at once for a factor C: a
+    # whole chunk when r = n, several groups per chunk when r < n
     group = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
     scale = None if root_var is None else np.broadcast_to(root_var, (m, n))
     G = np.zeros((p, p), order="F")
     b = np.zeros(p)
     c = 0.0
     buffer = np.empty((chunk, r, p))
-    lagged = None if plain else np.empty((group, n, p))
+    lagged = None if factor is None else np.empty((group, n, p))
     for first in range(0, m, chunk):
         k = min(chunk, m - first)
         block = slice(first, first + k)
         y = design.y[block]
-        if plain:
+        if scale is not None:
+            y = y * scale[block]
+        if factor is None:
             design.lagged_rows(first, buffer[:k])
-        else:
-            whiten = C.T
             if scale is not None:
-                # C^T A_i^{1/2}, one r x n factor per subject
-                whiten = C.T * scale[block, None, :]
-                y = y * scale[block]
+                buffer[:k] *= scale[block, :, None]
+        else:
+            # C^T A_i^{1/2}, one r x n factor per subject when A is given
+            whiten = factor.T if scale is None else factor.T * scale[block, None, :]
             for start in range(0, k, group):
                 part = slice(start, min(start + group, k))
                 X = design.lagged_rows(first + start, lagged[: part.stop - start])
                 _whiten(whiten if whiten.ndim == 2 else whiten[part], X, buffer[part])
-            y = y @ C
+            y = y @ factor
         rows = buffer[:k].reshape(k * r, p)
         white_y = y.ravel()
         # added afterwards: beta = 1 would sum the product into b in another order

@@ -125,25 +125,16 @@ def test_predict_zero_coefficients():
 
 
 def test_predict_hand_trace():
-    design = LaggedDesign(
-        tau=1,
-        include_lagged_outcome=False,
-        subject_ids=("a",),
-        feature_names=("x1",),
-        subject_starts=(1,),
-        # one example at time 1: x_1 = 3 at lag 0, x_0 = 4 at lag 1
-        X=np.array([[[4.0], [3.0]]]),
-        y=np.array([[0.0]]),
-    )
+    # one example at time 1: x_1 = 3 at lag 0, x_0 = 4 at lag 1
+    series = SubjectSeries(id="a", features=[[4.0, 3.0]], outcomes=[0.0, 0.0])
+    design = LaggedDesign(LongitudinalDataset((series,), ("x1",)), 1)
     result = alternation.FitResult(
         coefficients=ll.CoefficientPair(U=np.array([[1.0, 2.0]]), V=np.zeros((1, 2))),
         working=make_working("independent", 0.0, 1.0, 1),
         family="gaussian",
-        structure="independent",
         tau=1,
         include_lagged_outcome=False,
         feature_names=("x1",),
-        outer_iterations=1,
         trace=(0.0,),
         inner_traces=(),
         inner_step_traces=(),
@@ -168,11 +159,9 @@ def _result_with(U, V):
         coefficients=ll.CoefficientPair(U=U, V=V),
         working=make_working("independent", 0.0, 1.0, 2),
         family="gaussian",
-        structure="independent",
         tau=U.shape[1] - 1,
         include_lagged_outcome=False,
         feature_names=tuple(f"f{i}" for i in range(U.shape[0])),
-        outer_iterations=1,
         trace=(0.0,),
         inner_traces=(),
         inner_step_traces=(),

@@ -1,8 +1,11 @@
 """The benchmark tracer wraps functions at named module attributes; a
 refactor that renames or drops one of them breaks ``bench/run.py --trace 1``.
+The committed ``BENCH_*.json`` perf records must say what they ran.
 """
 import importlib
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -25,3 +28,25 @@ def test_tracer_binding_resolves(module_name, attr_path):
         owner = getattr(owner, part)
     assert callable(owner)
 
+
+
+BENCH_RECORDS = sorted(TRACING.parent.parent.glob("BENCH_*.json"))
+
+
+def test_bench_records_name_their_runs():
+    # each committed perf record: alternating pairs of sweep reports on a
+    # parent commit and a change, one seed per pair
+    assert BENCH_RECORDS
+    for path in BENCH_RECORDS:
+        record = json.loads(path.read_text())
+        assert isinstance(record["pr"], int), path.name
+        assert re.fullmatch(r"[0-9a-f]{7,40}", record["parent"]), path.name
+        assert record["pairs"], path.name
+        for pair in record["pairs"]:
+            assert isinstance(pair["seed"], int) and pair["first"] in ("parent", "change"), path.name
+            for side in ("parent", "change"):
+                report = pair[side]
+                assert isinstance(report["environment"]["blas_threads"], int), path.name
+                assert report["workloads"], path.name
+                for workload in report["workloads"].values():
+                    assert [run["seed"] for run in workload["runs"]] == [pair["seed"]], path.name

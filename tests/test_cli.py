@@ -998,17 +998,19 @@ def test_cv_on_a_held_out_fold_its_metric_cannot_score_exits_2_before_any_solve(
 def test_fit_frees_the_training_panel_before_the_solve(tmp_path, monkeypatch):
     data = simulate(tmp_path)
     panels, alive = [], []
-    build, fit = cli.build_lagged, alternation.fit
+    load, fit = cli.load_csv, alternation.fit
 
-    def build_and_watch(ds, *args):
+    # the panel the CSV loads to: the design holds only the training half cut from it
+    def load_and_watch(*args):
+        ds = load(*args)
         panels.append(weakref.ref(ds))
-        return build(ds, *args)
+        return ds
 
     def fit_and_check(*args, **kwargs):
         alive.append([ref() is not None for ref in panels])
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_lagged", build_and_watch)
+    monkeypatch.setattr(cli, "load_csv", load_and_watch)
     monkeypatch.setattr(alternation, "fit", fit_and_check)
     run_ok(["fit", "--input", data, "--output", tmp_path / "model.json", "--tau", "1",
             "--holdout", "3"])

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from longlasso.dataset import (
     KEY_COLUMNS,
+    LAGGED_OUTCOME_NAME,
+    LaggedDesign,
     LongitudinalDataset,
     SubjectSeries,
     build_lagged,
@@ -717,6 +719,66 @@ def test_build_lagged_window_is_the_dataset_panel():
     assert lagged.X[:, :, -1].tobytes() == ds.outcomes.tobytes()
 
 
+def test_subjects_are_views_of_the_panel():
+    ds = _random_dataset(13, m=100, T=30, d=100)
+    assert ds.features.nbytes > 2_000_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        subjects = ds.subjects
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    for i, series in enumerate(subjects):
+        assert np.shares_memory(series.features, ds.features)
+        assert np.shares_memory(series.outcomes, ds.outcomes)
+        assert series.features.tobytes() == ds.features[i].T.tobytes()
+
+
+def test_series_copies_a_writable_input_and_leaves_it_writable():
+    features, outcomes = np.ones((2, 3)), np.arange(3)
+    series = SubjectSeries(id="a", features=features, outcomes=outcomes)
+    assert features.flags.writeable and outcomes.flags.writeable
+    features[0, 0] = outcomes[0] = 9
+    assert series.features[0, 0] == 1.0 and series.outcomes[0] == 0.0
+    assert series.outcomes.dtype == np.float64
+    assert not series.features.flags.writeable and not series.outcomes.flags.writeable
+
+
+@pytest.mark.parametrize("include_lagged_outcome", [False, True])
+def test_design_reads_its_keys_and_outcomes_from_the_panel(include_lagged_outcome):
+    ds = _random_dataset(14, m=4, T=6, d=2)
+    design = build_lagged(ds, 2, include_lagged_outcome)
+    panel = design.panel
+    assert (panel is ds) is not include_lagged_outcome
+    assert design.subject_ids is panel.subject_ids
+    assert design.subject_starts is panel.time_starts
+    assert design.feature_names is panel.feature_names
+    assert design.X is panel.features
+    assert np.shares_memory(design.y, panel.outcomes)
+    # the lagged-outcome panel shares the dataset's outcomes
+    assert np.shares_memory(design.y, ds.outcomes)
+    assert design.y.tobytes() == ds.outcomes[:, 2:].tobytes()
+
+
+def test_lagged_outcome_design_refuses_a_panel_without_the_outcome_series():
+    ds = _random_dataset(15, m=3, T=5, d=2)
+    named = LongitudinalDataset._panel(ds.features, ds.outcomes, ds.subject_ids, ds.time_starts,
+                                       ("x0", LAGGED_OUTCOME_NAME))
+    window = np.concatenate([ds.features, ds.outcomes[:, :, None]], axis=2)
+    unnamed = LongitudinalDataset._panel(window, ds.outcomes, ds.subject_ids, ds.time_starts,
+                                         ("x0", "x1", "x2"))
+    keys_only = LongitudinalDataset._panel(ds.features[:, :, :0], ds.outcomes, ds.subject_ids,
+                                           ds.time_starts, ())
+    for panel in (ds, named, unnamed, keys_only):
+        with pytest.raises(DataError, match=LAGGED_OUTCOME_NAME):
+            LaggedDesign(panel, 1, True)
+    LaggedDesign(named, 1)  # the same panel reads as a plain design
+    assert LaggedDesign(build_lagged(ds, 1, True).panel, 1, True).d_eff == 3
+
+
 @pytest.mark.parametrize("holdout, tau", [(5, 4), (1, 1), (3, 0), (10, 0)])
 def test_split_temporal_halves_are_contiguous_slices_of_the_panel(holdout, tau):
     ds = _random_dataset(12, m=5, T=12, d=3)
@@ -785,26 +847,27 @@ def test_build_lagged_with_lagged_outcome():
     assert np.allclose(examples[1, :, 1, 1], [1.5, 1.6])
 
 
-# (field, its replacement from the design, what the message names): each
-# a size the design refuses
+# (field, its replacement from the design, the error, what the message
+# names): each a size the design refuses.  Only tau is a size of its own:
+# every other field is read from the panel, so a design cannot be given one.
 DESIGN_FIELD_CASES = [
-    pytest.param("tau", lambda d: -1, "tau", id="tau-negative"),
-    pytest.param("tau", lambda d: 3, "tau", id="tau-at-T"),
-    pytest.param("X", lambda d: d.X[0], "X", id="X-not-3d"),
-    pytest.param("y", lambda d: np.zeros((2, 3)), "y must be", id="y-one-column-too-long"),
-    pytest.param("y", lambda d: np.zeros((1, 2)), "y must be", id="y-one-subject-short"),
-    pytest.param("subject_ids", lambda d: ("a",), "subject_ids", id="subject_ids-short"),
-    pytest.param("subject_ids", lambda d: ("a", "b", "c"), "subject_ids", id="subject_ids-long"),
-    pytest.param("subject_starts", lambda d: (1,), "subject_starts", id="subject_starts"),
-    pytest.param("feature_names", lambda d: ("x1",), "feature_names", id="feature_names"),
+    pytest.param("tau", lambda d: -1, DataError, "tau", id="tau-negative"),
+    pytest.param("tau", lambda d: 3, DataError, "tau", id="tau-at-T"),
+    pytest.param("X", lambda d: d.X[0], TypeError, "'X'", id="X-not-3d"),
+    pytest.param("y", lambda d: np.zeros((2, 3)), TypeError, "'y'", id="y-one-column-too-long"),
+    pytest.param("y", lambda d: np.zeros((1, 2)), TypeError, "'y'", id="y-one-subject-short"),
+    pytest.param("subject_ids", lambda d: ("a",), TypeError, "'subject_ids'", id="subject_ids-short"),
+    pytest.param("subject_ids", lambda d: ("a", "b", "c"), TypeError, "'subject_ids'", id="subject_ids-long"),
+    pytest.param("subject_starts", lambda d: (1,), TypeError, "'subject_starts'", id="subject_starts"),
+    pytest.param("feature_names", lambda d: ("x1",), TypeError, "'feature_names'", id="feature_names"),
 ]
 
 
-@pytest.mark.parametrize("name,value,named", DESIGN_FIELD_CASES)
-def test_lagged_design_refuses_fields_that_disagree_on_a_size(name, value, named):
+@pytest.mark.parametrize("name,value,error,named", DESIGN_FIELD_CASES)
+def test_lagged_design_refuses_fields_that_disagree_on_a_size(name, value, error, named):
     # m = 2 subjects, T = 3 times, tau = 1, d_eff = 2 (x1 and the lagged outcome)
     design = build_lagged(_ds(WELL_FORMED), 1, include_lagged_outcome=True)
-    with pytest.raises(DataError, match=named):
+    with pytest.raises(error, match=named):
         replace(design, **{name: value(design)})
 
 

@@ -39,15 +39,9 @@ def _symmetric(G):
 
 
 def single_example_design(x=2.0, y=1.0):
-    return LaggedDesign(
-        tau=0,
-        include_lagged_outcome=False,
-        subject_ids=("a",),
-        feature_names=("x1",),
-        subject_starts=(1,),
-        X=np.array([[[x]]]),
-        y=np.array([[y]]),
-    )
+    # one subject at two times, tau = 1: the one example reads x at lag 0 and 0 at lag 1
+    series = SubjectSeries(id="a", features=[[0.0, x]], outcomes=[0.0, y])
+    return build_lagged(LongitudinalDataset((series,), ("x1",)), 1)
 
 
 def random_panel(seed, m=4, d=3, T=8, family="gaussian", constant=False):
@@ -79,15 +73,11 @@ def test_gradient_zero_at_perfect_fit():
     rng = np.random.default_rng(1)
     W = rng.normal(size=design.coef_shape)
     eta = fista.linear_predictor(design, W)
-    perfect = LaggedDesign(
-        tau=design.tau,
-        include_lagged_outcome=False,
-        subject_ids=design.subject_ids,
-        feature_names=design.feature_names,
-        subject_starts=design.subject_starts,
-        X=design.X,
-        y=eta,
-    )
+    panel = design.panel
+    outcomes = np.zeros((panel.m, panel.T))
+    outcomes[:, design.tau:] = eta
+    perfect = LaggedDesign(LongitudinalDataset._panel(panel.features, outcomes, panel.subject_ids,
+                                                      panel.time_starts, panel.feature_names), design.tau)
     gU, gV = gradient(perfect, GAUSS, working, W, np.zeros_like(W))
     assert np.allclose(gU, 0.0, atol=1e-12)
     assert np.array_equal(gU, gV)
@@ -96,8 +86,9 @@ def test_gradient_zero_at_perfect_fit():
 def test_gradient_hand_example():
     design = single_example_design(x=2.0, y=1.0)
     working = make_working("independent", 0.0, 1.0, 1)
-    gU, gV = gradient(design, GAUSS, working, np.zeros((1, 1)), np.zeros((1, 1)))
+    gU, gV = gradient(design, GAUSS, working, np.zeros((1, 2)), np.zeros((1, 2)))
     assert gU[0, 0] == pytest.approx(-2.0)
+    assert gU[0, 1] == 0.0
     assert np.array_equal(gU, gV)
 
 
@@ -382,15 +373,10 @@ def test_fista_step_shrink_kills_groups_at_the_threshold():
 
 def test_inner_solve_zero_outcome_fixed_point():
     design = random_design(10)
-    zeroed = LaggedDesign(
-        tau=design.tau,
-        include_lagged_outcome=False,
-        subject_ids=design.subject_ids,
-        feature_names=design.feature_names,
-        subject_starts=design.subject_starts,
-        X=design.X,
-        y=np.zeros_like(design.y),
-    )
+    panel = design.panel
+    zeroed = LaggedDesign(LongitudinalDataset._panel(panel.features, np.zeros_like(panel.outcomes),
+                                                     panel.subject_ids, panel.time_starts, panel.feature_names),
+                          design.tau)
     working = make_working("independent", 0.0, 1.0, design.n)
     result = inner_solve(zeroed, GAUSS, working, InnerConfig(lam1=0.5, lam2=0.5))
     assert np.array_equal(result.U, np.zeros(design.coef_shape))
