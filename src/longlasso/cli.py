@@ -22,22 +22,14 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 
 from . import __version__, alternation, evaluation, simulate
 from .correlation import STRUCTURES
-from .dataset import (
-    KEY_COLUMNS, _parse_float, _parse_time, _reject_repeats, build_lagged, load_csv, split_temporal,
-    write_csv,
-)
+from .dataset import PREDICTION_COLUMNS, build_lagged, load_csv, load_predictions, split_temporal, write_csv
 from .errors import DataError, NumericalError
 from .families import FAMILIES
-
-
-# a predictions CSV: the dataset's subject and time keys, then the prediction
-_PREDICTION_COLUMNS = (*KEY_COLUMNS[:2], "prediction")
 
 
 class UsageError(Exception):
@@ -300,7 +292,7 @@ def _cmd_predict(args) -> None:
     times = design.example_times()
     _write_csv_rows(
         args.output,
-        _PREDICTION_COLUMNS,
+        PREDICTION_COLUMNS,
         (
             [sid, int(times[i, j]), repr(float(predictions[i, j]))]
             for i, sid in enumerate(design.subject_ids)
@@ -312,49 +304,8 @@ def _cmd_predict(args) -> None:
 # ---------------------------------------------------------------- evaluate
 
 
-def _read_predictions(path: str) -> dict:
-    """Predictions keyed by (subject id, time), in file order.
-
-    The subject id is stripped, and the time and the prediction are parsed
-    by ``load_csv``'s rules for a time and a value cell, so a key names the
-    same row as in the dataset and ``1_0`` or ``١١`` is rejected in both.
-    One leading byte-order mark is skipped, as ``load_csv`` skips it, and so
-    are blank and all-separator lines.  As in ``load_csv``, a repeated
-    header name and a row whose cell count differs from the header's raise
-    ``DataError``, the row named by its line.
-    """
-    value_col = _PREDICTION_COLUMNS[2]
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        _reject_repeats(header)
-        positions = {name: pos for pos, name in enumerate(header)}
-        if not set(_PREDICTION_COLUMNS) <= positions.keys():
-            raise DataError(f"predictions CSV needs columns {','.join(_PREDICTION_COLUMNS)}")
-        subject_pos, time_pos, value_pos = (positions[name] for name in _PREDICTION_COLUMNS)
-        rows = {}
-        for cells in reader:
-            if not any(cell.strip() for cell in cells):
-                continue
-            if len(cells) != len(header):
-                raise DataError(
-                    f"predictions row {reader.line_num} has {len(cells)} cells, expected {len(header)}"
-                )
-            sid = cells[subject_pos].strip()
-            time = _parse_time(cells[time_pos], sid)
-            value = _parse_float(cells[value_pos], sid, time, value_col)
-            if not math.isfinite(value):
-                raise DataError(f"non-finite value at ({sid},{time},{value_col})")
-            if (sid, time) in rows:
-                raise DataError(f"duplicate (subject,time) pair ({sid},{time})")
-            rows[sid, time] = value
-    if not rows:
-        raise DataError("predictions CSV is empty")
-    return rows
-
-
 def _cmd_evaluate(args) -> None:
-    rows = _read_predictions(args.predictions)
+    rows = load_predictions(args.predictions)
     # only the outcomes are looked up: the feature columns are not parsed
     ds = load_csv(args.input, features=())
     series = zip(ds.subject_ids, ds.time_starts, ds.outcomes.tolist())

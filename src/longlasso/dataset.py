@@ -6,6 +6,8 @@ first time label.  ``load_csv`` and the simulator fill it directly,
 ``split_temporal`` and ``subset`` copy a slice of it once, and a lagged
 design holds it as its panel and reads every value and key from it, with
 no copy unless the lagged outcome is added as a column.
+``load_predictions`` reads a predictions CSV by the same header and row
+grammar, so its keys name the dataset's rows.
 
 All container types are immutable after construction and safe to share
 across threads: a panel's arrays are read-only, and a series keeps a
@@ -32,6 +34,8 @@ from .errors import DataError
 LAGGED_OUTCOME_NAME = "lagged_outcome"
 # the key columns of the long-format CSV: subject id, time and outcome
 KEY_COLUMNS = ("subject_id", "time", "y")
+# a predictions CSV: the dataset's subject and time keys, then the prediction
+PREDICTION_COLUMNS = (*KEY_COLUMNS[:2], "prediction")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -273,26 +277,53 @@ def _is_blank(payload: bytes, start: int, end: int) -> bool:
     return not payload[start:end].decode("utf-8", _ERRORS).replace(",", "").strip()
 
 
-def _raise_first_row_error(rows, width, subject_pos, time_pos, value_cols):
-    """Name the first bad row in file order, as a per-row reader would.
+def _parsed_rows(rows, width, subject_pos, time_pos, value_cols):
+    """Each (subject, time, values) of ``(line number, text)`` rows, in file order.
 
-    Error reporting only: the bulk parse found a problem, and this scan
-    checks the rows one by one up to the first one that shows it.
+    The exact per-row reader: blank and all-separator rows are skipped,
+    and the first bad row, cell or repeated (subject, time) pair raises.
+    ``values`` holds the cells of ``value_cols``, ``(name, position)``
+    pairs, parsed as finite floats.
     """
     seen = set()
     for lineno, line in rows:
         cells = _csv_cells(line, lineno)
+        if not any(c.strip() for c in cells):
+            continue
         if len(cells) != width:
             raise DataError(f"row {lineno} has {len(cells)} cells, expected {width}")
         subject = cells[subject_pos].strip()
         time = _parse_time(cells[time_pos], subject)
-        for column, pos in value_cols:
-            _parse_cell(cells[pos], subject, cells[time_pos].strip(), column)
+        label = cells[time_pos].strip()
+        values = [_parse_cell(cells[pos], subject, label, column) for column, pos in value_cols]
         if (subject, time) in seen:
             raise DataError(f"duplicate (subject,time) pair ({subject},{time})")
         seen.add((subject, time))
-    # Not reached while the scan checks at least what the bulk parse does.
+        yield subject, time, values
+
+
+def _raise_first_row_error(rows, *layout):
+    """Name the first bad row in file order: the bulk parse found a problem, the exact reader meets it."""
+    for _ in _parsed_rows(rows, *layout):
+        pass
+    # Not reached while the exact reader checks at least what the bulk parse does.
     raise DataError("CSV rows could not be parsed")
+
+
+def _open_csv(source):
+    """The source's bytes, its header names (stripped, none repeated) and the spans of the lines after it.
+
+    One leading UTF-8 byte-order mark is skipped; a source with no header
+    line is ``empty CSV``.
+    """
+    payload = _read_payload(source)
+    spans = _line_spans(payload, len(codecs.BOM_UTF8) if payload.startswith(codecs.BOM_UTF8) else 0)
+    start, end = next(spans)
+    if start == len(payload):
+        raise DataError("empty CSV")
+    header = [h.strip() for h in _csv_cells(payload[start:end].decode("utf-8", _ERRORS), 1)]
+    _reject_repeats(header)
+    return payload, spans, header
 
 
 def load_csv(
@@ -341,13 +372,7 @@ def load_csv(
     """
     if last_times is not None and last_times < 1:
         raise ValueError("last_times must be at least 1")
-    payload = _read_payload(source)
-    spans = _line_spans(payload, len(codecs.BOM_UTF8) if payload.startswith(codecs.BOM_UTF8) else 0)
-    start, end = next(spans)
-    if start == len(payload):
-        raise DataError("empty CSV")
-    header = [h.strip() for h in _csv_cells(payload[start:end].decode("utf-8", _ERRORS), 1)]
-    _reject_repeats(header)
+    payload, spans, header = _open_csv(source)
     for col in KEY_COLUMNS:
         if col not in header:
             raise DataError(f"missing required column {col!r}")
@@ -438,6 +463,29 @@ def load_csv(
     return LongitudinalDataset._panel(
         cells[:, :, 1:], cells[:, :, 0], ids.tolist(), sorted_times[:, T - k].tolist(), features
     )
+
+
+def load_predictions(source) -> dict:
+    """A predictions CSV as ``{(subject id, time): prediction}``, in file order.
+
+    ``source`` is read as ``load_csv`` reads a dataset, row by row with its
+    exact reader: the header holds the ``PREDICTION_COLUMNS`` in any order,
+    among other columns; names and cells are stripped, so a key names the
+    same row as in the dataset; a time and a prediction follow the dataset
+    grammar of a time and a value cell; and a ragged row, a repeated pair
+    or a missing or non-finite prediction raises ``DataError``, the first
+    bad row named by its line.
+    """
+    payload, spans, header = _open_csv(source)
+    if not set(PREDICTION_COLUMNS) <= set(header):
+        raise DataError(f"predictions CSV needs columns {','.join(PREDICTION_COLUMNS)}")
+    subject_pos, time_pos, value_pos = map(header.index, PREDICTION_COLUMNS)
+    rows = _parsed_rows(_numbered(payload, spans), len(header), subject_pos, time_pos,
+                        [(PREDICTION_COLUMNS[2], value_pos)])
+    predictions = {(subject, time): value for subject, time, (value,) in rows}
+    if not predictions:
+        raise DataError("predictions CSV is empty")
+    return predictions
 
 
 def _changes_on_load(text: str) -> bool:

@@ -625,13 +625,25 @@ def test_evaluate_strips_the_subject_id_of_a_prediction(tmp_path):
     assert json.loads((tmp_path / "metrics.json").read_text()) == plain
 
 
+def test_evaluate_strips_the_predictions_header_names(tmp_path):
+    # load_csv strips every header name, so padded names still name the columns
+    data, lines = _predictions(tmp_path)
+    assert _evaluate(tmp_path, data, lines) == 0
+    plain = json.loads((tmp_path / "metrics.json").read_text())
+    assert lines[0] == "subject_id,time,prediction\n"
+    assert _evaluate(tmp_path, data, [" subject_id , time , prediction \n", *lines[1:]]) == 0
+    assert json.loads((tmp_path / "metrics.json").read_text()) == plain
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_evaluate_rejects_a_non_finite_prediction(tmp_path, capsys, value):
     data, lines = _predictions(tmp_path)
     sid, time, _ = lines[2].strip().split(",")
     lines[2] = f"{sid},{time},{value}\r\n"
     assert _evaluate(tmp_path, data, lines) == 2
-    assert capsys.readouterr().err == f"error[data]: non-finite value at ({sid},{time},prediction)\n"
+    # as in load_csv, a NaN cell is a missing value
+    word = "missing" if value == "nan" else "non-finite"
+    assert capsys.readouterr().err == f"error[data]: {word} value at ({sid},{time},prediction)\n"
     assert not (tmp_path / "metrics.json").exists()
 
 
@@ -650,7 +662,7 @@ def test_evaluate_rejects_a_ragged_prediction_row(tmp_path, capsys, extra, width
     sid, time, value = lines[4].strip().split(",")
     lines[4] = f"{sid},{time},{value}{extra}\r\n" if extra else f"{sid},{time}\r\n"
     assert _evaluate(tmp_path, data, lines) == 2
-    assert capsys.readouterr().err == f"error[data]: predictions row 5 has {width} cells, expected 3\n"
+    assert capsys.readouterr().err == f"error[data]: row 5 has {width} cells, expected 3\n"
     assert not (tmp_path / "metrics.json").exists()
 
 
@@ -658,7 +670,8 @@ def test_evaluate_rejects_a_ragged_prediction_row(tmp_path, capsys, extra, width
     (lambda lines: [lines[0].replace("prediction", "score"), *lines[1:]],
      "predictions CSV needs columns subject_id,time,prediction"),
     (lambda lines: lines[:1], "predictions CSV is empty"),
-], ids=["no-prediction-column", "header-only"])
+    (lambda lines: [], "empty CSV"),
+], ids=["no-prediction-column", "header-only", "empty-file"])
 def test_evaluate_rejects_predictions_without_their_column_or_rows(tmp_path, capsys, edit, message):
     data, lines = _predictions(tmp_path)
     assert _evaluate(tmp_path, data, edit(lines)) == 2
@@ -770,10 +783,12 @@ def test_evaluate_loads_no_scipy(tmp_path):
     (2, 1, "١١", "non-integer time '١١' for subject 's0'"),
     (1, 2, "1_0", "invalid value at (s0,10,prediction): '1_0'"),
     (1, 2, "١", "invalid value at (s0,10,prediction): '١'"),
+    (1, 0, '"\ns0"', "row 2 has a line break inside a field"),
 ])
 def test_evaluate_reads_predictions_by_the_dataset_grammar(tmp_path, capsys, row, column, cell, message):
     # int() and float() read each of these cells as the number it spells
-    # (rows 1 and 2 hold times 10 and 11); load_csv rejects them
+    # (rows 1 and 2 hold times 10 and 11), and the csv module reads a quoted
+    # line break that stripping then drops; load_csv rejects them all
     data, lines = _predictions(tmp_path)
     cells = lines[row].strip().split(",")
     assert cells[1] == str(9 + row)
