@@ -11,14 +11,7 @@ that re-estimates the within-subject working correlation.
 __version__ = "0.1.0"
 
 from .alternation import FitConfig, FitResult, fit, predict, selected_support
-from .correlation import (
-    WorkingCorrelation,
-    build_R,
-    estimate_alpha,
-    estimate_phi,
-    make_working,
-    pearson_residuals,
-)
+from .correlation import WorkingCorrelation, build_R
 from .dataset import (
     LaggedDesign,
     LongitudinalDataset,
@@ -38,15 +31,9 @@ from .evaluation import (
     nmse,
     support_lambdas,
 )
-from .families import Family, get_family
+from .families import Family
 from .fista import InnerConfig
-from .penalty import (
-    CoefficientPair,
-    norm_12_cols,
-    norm_12_rows,
-    prox_col_groups,
-    prox_row_groups,
-)
+from .penalty import CoefficientPair
 from .simulate import SimConfig, generate_classification, generate_regression
 
 __all__ = [
@@ -67,23 +54,14 @@ __all__ = [
     "build_R",
     "build_lagged",
     "default_grids",
-    "estimate_alpha",
-    "estimate_phi",
     "fit",
     "generate_classification",
     "generate_regression",
-    "get_family",
     "grid_cv",
     "lambda_max",
     "load_csv",
-    "make_working",
     "nmse",
-    "norm_12_cols",
-    "norm_12_rows",
-    "pearson_residuals",
     "predict",
-    "prox_col_groups",
-    "prox_row_groups",
     "selected_support",
     "split_temporal",
     "support_lambdas",

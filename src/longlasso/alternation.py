@@ -160,7 +160,7 @@ def fit(
         # restarting from zero wastes iterations and an underconverged
         # refit would bias the next moment update.
         result = fista.inner_solve(design, family, working, inner_cfg, start=(U, V))
-        coef_change = fista._relative_change(result.U - U, result.V - V, result.U, result.V)
+        coef_change = fista.relative_change(result.U - U, result.V - V, result.U, result.V)
         U, V = result.U, result.V
         # every inner solve records at least one iteration
         trace.append(float(result.objective_trace[-1]))

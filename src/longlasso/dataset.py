@@ -24,7 +24,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -115,8 +115,15 @@ class LongitudinalDataset:
                    [s.id for s in subjects], [s.time_start for s in subjects], feature_names)
 
     @classmethod
-    def _panel(cls, features, outcomes, subject_ids, time_starts, feature_names) -> "LongitudinalDataset":
-        """The dataset that holds these arrays, or C-ordered copies where they are not."""
+    def from_panel(cls, features, outcomes, subject_ids, time_starts, feature_names) -> "LongitudinalDataset":
+        """The dataset that holds the (m, T, d) ``features`` and (m, T) ``outcomes`` as its panel.
+
+        It takes ownership of its inputs: a C-ordered float64 array is held
+        as it is and made read-only, so the caller's array is frozen too;
+        any other input is copied into a new C-ordered read-only array.
+        The panel is checked as ``LongitudinalDataset(subjects, ...)``
+        checks it.
+        """
         return cls.__new__(cls)._hold(features, outcomes, subject_ids, time_starts, feature_names)
 
     def _hold(self, features, outcomes, subject_ids, time_starts, feature_names) -> "LongitudinalDataset":
@@ -166,30 +173,26 @@ class LongitudinalDataset:
 
     def _take(self, rows, start: int, stop: int) -> "LongitudinalDataset":
         """Subjects ``rows`` at times ``start:stop`` as one new panel, with their absolute time labels."""
-        return self._panel(self.features[rows, start:stop], self.outcomes[rows, start:stop],
-                           [self.subject_ids[i] for i in rows], [self.time_starts[i] + start for i in rows],
-                           self.feature_names)
+        return self.from_panel(self.features[rows, start:stop], self.outcomes[rows, start:stop],
+                               [self.subject_ids[i] for i in rows], [self.time_starts[i] + start for i in rows],
+                               self.feature_names)
 
 
 _TIME = re.compile(r"[+-]?[0-9]+")
 _INT64_LIMIT = 2**63
 
 
-def _parse_float(raw: str, subject, time, column: str) -> float:
-    """A value cell by the CSV's float grammar; NaN and infinities pass."""
+def _parse_cell(raw: str, subject: str, time: str, column: str) -> float:
+    """A value cell by the CSV's float grammar: an ASCII float literal, neither NaN nor infinite."""
     raw = raw.strip()
     if raw == "":
         raise DataError(f"missing value at ({subject},{time},{column})")
     if not raw.isascii() or "_" in raw:
         raise DataError(f"invalid value at ({subject},{time},{column}): {raw!r}")
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise DataError(f"invalid value at ({subject},{time},{column}): {raw!r}") from None
-
-
-def _parse_cell(raw: str, subject: str, time: str, column: str) -> float:
-    value = _parse_float(raw, subject, time, column)
     if math.isnan(value):
         raise DataError(f"missing value at ({subject},{time},{column})")
     if math.isinf(value):
@@ -460,7 +463,7 @@ def load_csv(
     # (m, k, 1+d), already the panel's layout: the outcome column and the
     # features are each copied out once
     cells = values.reshape(m, k, -1)
-    return LongitudinalDataset._panel(
+    return LongitudinalDataset.from_panel(
         cells[:, :, 1:], cells[:, :, 0], ids.tolist(), sorted_times[:, T - k].tolist(), features
     )
 
@@ -559,19 +562,11 @@ class LaggedDesign:
     whose panel's last feature is not that series, raises ``DataError``.
     ``lagged_rows`` and ``flat_design`` copy examples out of the window;
     the solver reads the window alone.
-
-    ``_gram_cache`` is private to the solver, which fills it: it holds
-    the alpha-free Gaussian Gram terms of one correlation structure,
-    built on the first Gaussian solve on this design and freed with it.
-    They follow from ``X`` and ``y`` alone, and each solve keeps the terms
-    it read, so threads that share a design get the same results as one
-    thread; fits of different structures at once only rebuild them.
     """
 
     panel: LongitudinalDataset
     tau: int
     include_lagged_outcome: bool = False
-    _gram_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         T = self.panel.T
@@ -667,9 +662,9 @@ def build_lagged(ds: LongitudinalDataset, tau: int, include_lagged_outcome: bool
     if ds.d == 0 and not include_lagged_outcome:
         raise DataError("design needs at least one feature")
     if include_lagged_outcome:
-        ds = LongitudinalDataset._panel(np.concatenate([ds.features, ds.outcomes[:, :, None]], axis=2),
-                                        ds.outcomes, ds.subject_ids, ds.time_starts,
-                                        ds.feature_names + (LAGGED_OUTCOME_NAME,))
+        ds = LongitudinalDataset.from_panel(np.concatenate([ds.features, ds.outcomes[:, :, None]], axis=2),
+                                            ds.outcomes, ds.subject_ids, ds.time_starts,
+                                            ds.feature_names + (LAGGED_OUTCOME_NAME,))
     return LaggedDesign(ds, tau, include_lagged_outcome)
 
 

@@ -36,12 +36,13 @@ one 1 MB buffer and is added with one ``dsyrk``.
   the identity, the ones column or the adjacent-sum factor, and AR(1)'s
   edge factor), so the Gram is the weighted sum sum_k w_k G_k of a frozen
   ``GramBasis`` built, one accumulator pass per factor, on the first
-  Gaussian solve on a design and kept on it (``_gram_cache``): up to three
-  p x p arrays that live as long as the design.  Every later outer round,
-  and every CV cell on the same fold design, then costs one p x p scale
-  and an axpy per further term, and reads no design row.  Tridiagonal
-  R^{-1} is dense and not affine in alpha, so each tridiagonal solve makes
-  one accumulator pass, whitening by the Cholesky factor of R^{-1}.
+  Gaussian solve on a design and kept by the solver for as long as the
+  design lives (``_gram_bases``): up to three p x p arrays.  Every later
+  outer round, and every CV cell on the same fold design, then costs one
+  p x p scale and an axpy per further term, and reads no design row.
+  Tridiagonal R^{-1} is dense and not affine in alpha, so each tridiagonal
+  solve makes one accumulator pass, whitening by the Cholesky factor of
+  R^{-1}.
 - Bernoulli/Poisson: penalized Fisher scoring, since under a non-identity
   R the estimating function is the gradient of no scalar loss.  Each
   outer step solves the model at the current point w with G = H, the
@@ -134,6 +135,7 @@ it calls it: ``simulate``, ``fit``, ``cv`` and ``predict`` do, and
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,6 +171,12 @@ _BLOCK_LOWER = np.tri(64, k=-1, dtype=bool)
 # structures whose R^{-1}(alpha) is a fixed combination of alpha-free
 # matrices: their Gaussian Grams are combined from a per-design basis
 BASIS_STRUCTURES = ("independent", "exchangeable", "ar1")
+# each design's (structure, GramBasis), one structure at a time, freed with
+# the design.  A basis follows from the design's X and y alone, and each
+# solve keeps the basis it read, so threads that share a design get the
+# same results as one thread; fits of different structures at once only
+# rebuild it.
+_gram_bases = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -452,9 +460,10 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     scalar, one entry per example in an (m, n) array, or None for A = I,
     the Gaussian smooth part.  With A = I and a structure in
     ``BASIS_STRUCTURES``, G, b and c are sum_k w_k G_k over the design's
-    ``GramBasis`` (built on the first call and kept, one at a time) with
-    the weights of ``_basis_terms``: one p x p scale and an axpy per
-    further term into a new G, and no design row read.  At R = I (round 0
+    ``GramBasis`` (built on the first call and kept in ``_gram_bases``,
+    one structure at a time) with the weights of ``_basis_terms``: one
+    p x p scale and an axpy per further term into a new G, and no design
+    row read.  At R = I (round 0
     of every fit, and every independent round) the weights are 1 for G0
     and 0 for every other term, so the quadratic is the basis's own
     read-only G0, b0 and c0 with the bound 2 * phi * ``top0``: no p x p
@@ -469,12 +478,10 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     """
     if root_var is None and working.structure in BASIS_STRUCTURES:
         terms = _basis_terms(working.structure, working.R_inv)
-        cache = design._gram_cache
-        basis = cache.get(working.structure)
-        if basis is None:
+        structure, basis = _gram_bases.get(design, (None, None))
+        if structure != working.structure:
             basis = _build_basis(design, [factor for factor, _ in terms])
-            cache.clear()
-            cache[working.structure] = basis
+            _gram_bases[design] = (working.structure, basis)
         if working.is_identity:
             return GramSmooth(G=basis.G[0], b=basis.b[0].reshape(design.coef_shape), c=float(basis.c[0]),
                               phi=working.phi, L=2.0 * working.phi * basis.top0)
@@ -719,7 +726,7 @@ def fista_step(state: InnerState) -> InnerState:
     state.penalty = float(np.vdot(state._weights, np.multiply(norms, scales, out=norms)))
     state.mapping = L * math.sqrt(step_squared)
     np.subtract(Zn, state.Z_prev, out=D)
-    state.change = _relative_change(D[0], D[1], Zn[0], Zn[1])
+    state.change = relative_change(D[0], D[1], Zn[0], Zn[1])
     np.multiply(D, shift, out=D)
     np.add(Zn, D, out=Zt)
     return state
@@ -732,21 +739,23 @@ class InnerSolveResult:
     ``objective_trace`` holds the penalized value after each iteration:
     the objective itself for Gaussian solves, and for Bernoulli/Poisson
     the penalized value of the quadratic model the iteration ran on, so
-    entries of different models do not compare.  ``converged`` means the
-    iterate-change rule held before ``max_iterations`` ran out;
-    ``lipschitz_bound`` is the ``L`` of the solve's first quadratic.
+    entries of different models do not compare, and ``iterations`` is
+    their length.  ``converged`` means the iterate-change rule held before
+    ``max_iterations`` ran out; ``lipschitz_bound`` is the ``L`` of the
+    solve's first quadratic.
     """
 
     U: np.ndarray
     V: np.ndarray
     objective_trace: np.ndarray
     step_trace: np.ndarray
-    iterations: int
     converged: bool
     lipschitz_bound: float
 
+    iterations = property(lambda self: len(self.objective_trace))
 
-def _relative_change(dU, dV, U, V) -> float:
+
+def relative_change(dU, dV, U, V) -> float:
     """max(||dU||, ||dV||) / (1 + ||U|| + ||V||) for the step (dU, dV) that reached (U, V)."""
     delta = max(math.sqrt(np.vdot(dU, dU)), math.sqrt(np.vdot(dV, dV)))
     return delta / (1.0 + math.sqrt(np.vdot(U, U)) + math.sqrt(np.vdot(V, V)))
@@ -830,7 +839,7 @@ def _scoring_solve(design, family: Family, working: WorkingCorrelation, config, 
             for _ in range(MAX_BACKTRACKS):
                 U_new = U + 0.5 * (U_new - U)
                 V_new = V + 0.5 * (V_new - V)
-                if _relative_change(U_new - U, V_new - V, U_new, V_new) < config.tolerance:
+                if relative_change(U_new - U, V_new - V, U_new, V_new) < config.tolerance:
                     # halved below the tolerance and the norm never fell
                     return U, V, False, L0
                 eta_new, grad_new, norm_new = at(U_new, V_new)
@@ -877,7 +886,6 @@ def inner_solve(
         V=V,
         objective_trace=np.asarray(trace[0]),
         step_trace=np.asarray(trace[1]),
-        iterations=len(trace[0]),
         converged=converged,
         lipschitz_bound=L_bound,
     )

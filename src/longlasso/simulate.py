@@ -125,7 +125,7 @@ def _generate(cfg: SimConfig, labels: bool):
     width = len(str(cfg.m - 1))
     ids = [f"s{i:0{width}d}" for i in range(cfg.m)]
     names = tuple(f"x{j + 1}" for j in range(cfg.d))
-    return LongitudinalDataset._panel(features, outcomes, ids, [1] * cfg.m, names), U, V
+    return LongitudinalDataset.from_panel(features, outcomes, ids, [1] * cfg.m, names), U, V
 
 
 def generate_regression(cfg: SimConfig):

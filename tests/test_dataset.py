@@ -765,13 +765,13 @@ def test_design_reads_its_keys_and_outcomes_from_the_panel(include_lagged_outcom
 
 def test_lagged_outcome_design_refuses_a_panel_without_the_outcome_series():
     ds = _random_dataset(15, m=3, T=5, d=2)
-    named = LongitudinalDataset._panel(ds.features, ds.outcomes, ds.subject_ids, ds.time_starts,
-                                       ("x0", LAGGED_OUTCOME_NAME))
+    named = LongitudinalDataset.from_panel(ds.features, ds.outcomes, ds.subject_ids, ds.time_starts,
+                                           ("x0", LAGGED_OUTCOME_NAME))
     window = np.concatenate([ds.features, ds.outcomes[:, :, None]], axis=2)
-    unnamed = LongitudinalDataset._panel(window, ds.outcomes, ds.subject_ids, ds.time_starts,
-                                         ("x0", "x1", "x2"))
-    keys_only = LongitudinalDataset._panel(ds.features[:, :, :0], ds.outcomes, ds.subject_ids,
-                                           ds.time_starts, ())
+    unnamed = LongitudinalDataset.from_panel(window, ds.outcomes, ds.subject_ids, ds.time_starts,
+                                             ("x0", "x1", "x2"))
+    keys_only = LongitudinalDataset.from_panel(ds.features[:, :, :0], ds.outcomes, ds.subject_ids,
+                                               ds.time_starts, ())
     for panel in (ds, named, unnamed, keys_only):
         with pytest.raises(DataError, match=LAGGED_OUTCOME_NAME):
             LaggedDesign(panel, 1, True)

@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 from unittest import mock
@@ -76,8 +78,8 @@ def test_gradient_zero_at_perfect_fit():
     panel = design.panel
     outcomes = np.zeros((panel.m, panel.T))
     outcomes[:, design.tau:] = eta
-    perfect = LaggedDesign(LongitudinalDataset._panel(panel.features, outcomes, panel.subject_ids,
-                                                      panel.time_starts, panel.feature_names), design.tau)
+    perfect = LaggedDesign(LongitudinalDataset.from_panel(panel.features, outcomes, panel.subject_ids,
+                                                          panel.time_starts, panel.feature_names), design.tau)
     gU, gV = gradient(perfect, GAUSS, working, W, np.zeros_like(W))
     assert np.allclose(gU, 0.0, atol=1e-12)
     assert np.array_equal(gU, gV)
@@ -374,8 +376,8 @@ def test_fista_step_shrink_kills_groups_at_the_threshold():
 def test_inner_solve_zero_outcome_fixed_point():
     design = random_design(10)
     panel = design.panel
-    zeroed = LaggedDesign(LongitudinalDataset._panel(panel.features, np.zeros_like(panel.outcomes),
-                                                     panel.subject_ids, panel.time_starts, panel.feature_names),
+    zeroed = LaggedDesign(LongitudinalDataset.from_panel(panel.features, np.zeros_like(panel.outcomes),
+                                                         panel.subject_ids, panel.time_starts, panel.feature_names),
                           design.tau)
     working = make_working("independent", 0.0, 1.0, design.n)
     result = inner_solve(zeroed, GAUSS, working, InnerConfig(lam1=0.5, lam2=0.5))
@@ -1016,7 +1018,8 @@ def test_gaussian_gram_at_zero_alpha_is_build_gram_bit_for_bit():
         ref = _cholesky_gram(design, working)
         assert np.array_equal(np.triu(system.G), np.triu(ref.G)) and np.array_equal(system.b, ref.b)
         assert system.c == ref.c and system.L == ref.L
-        basis = design._gram_cache[structure]
+        held, basis = fista._gram_bases[design]
+        assert held == structure
         assert system.G is basis.G[0] and np.shares_memory(system.b, basis.b)
         assert basis.top0 == fista._top_eigenvalue(ref.G)
         assert not any(G.flags.writeable for G in basis.G)
@@ -1052,7 +1055,27 @@ def test_ar1_fit_reads_the_design_for_its_gram_once(monkeypatch):
     ll.fit(design, "gaussian", "ar1", 0.2, 0.2)
     assert len(builds) == 1
     ll.fit(design, "gaussian", "exchangeable", 0.05, 0.05)
-    assert len(builds) == 2 and list(design._gram_cache) == ["exchangeable"]
+    assert len(builds) == 2 and fista._gram_bases[design][0] == "exchangeable"
+
+
+def test_solver_holds_one_basis_per_design_for_as_long_as_the_design_lives():
+    design = random_design(56, m=6, d=3, T=10, tau=1)
+    build_gram(design, make_working("ar1", 0.4, 1.0, design.n))
+    held, first = fista._gram_bases[design]
+    assert held == "ar1"
+    # a second structure on the same design replaces the first
+    build_gram(design, make_working("exchangeable", 0.4, 1.0, design.n))
+    held, second = fista._gram_bases[design]
+    assert held == "exchangeable" and second is not first
+    # the memo keeps no design alive, and its entry goes with the design
+    alive = weakref.ref(design)
+    gc.collect()
+    entries = len(fista._gram_bases)
+    del design
+    gc.collect()
+    assert alive() is None
+    assert len(fista._gram_bases) == entries - 1
+    assert all(basis is not second for _, basis in fista._gram_bases.values())
 
 
 @pytest.mark.parametrize("folds", [2, 3])
