@@ -59,13 +59,13 @@ one 1 MB buffer and is added with one ``dsyrk``.
 
 Every quadratic carries its own step bound L = 2 * phi * lambda_max(G),
 set by ``build_gram`` where the Gram is made and read from there by every
-solve: one ``scipy.linalg.eigh`` (LAPACK's ``dsyevr``) on G.  A Gram is its
-diagonal and upper triangle, the part every product reads; its lower
-triangle holds no state and serves the eigensolve as scratch, filled from
-the upper one just before the call, so the solve runs in place with no
-p x p copy and nothing is restored but the diagonal.  At R = I a Gaussian
-quadratic is the basis's own G0, b0 and c0, whose lambda_max the basis
-finds once, when it is built, so the CV cells of one fold share one
+solve: one Lanczos iteration on G (``_top_eigenvalue``) whose one product
+is the Gram's own ``dsymv``, O(p^2) work per step against the O(p^3)
+tridiagonal reduction of a dense eigensolve, exact to rounding.  A Gram is
+its diagonal and upper triangle, the part every product reads; its lower
+triangle holds no state and nothing reads or writes it.  At R = I a
+Gaussian quadratic is the basis's own G0, b0 and c0, whose lambda_max the
+basis finds once, when it is built, so the CV cells of one fold share one
 eigensolve and one Gram for their alpha = 0 rounds.  Convergence is
 declared on iterate change between consecutive iterates.
 
@@ -91,18 +91,19 @@ costs the p x p matvec plus about thirty NumPy calls on p-element arrays
 and allocates no array.
 
 Which BLAS runs what: every product large enough for OpenBLAS to thread
-runs on ``scipy.linalg.blas``, the library that already runs ``dsyrk``,
-``daxpy`` and ``dsyevr`` here, and never on NumPy's ``matmul``.  The NumPy
-and SciPy wheels each bundle their own OpenBLAS, and each keeps a thread
-pool that busy-waits for a while after a call, so a fit that alternates
-between the two libraries has one pool spinning on the CPUs the other one
-needs: in a paper-scale fit on 2 CPUs each eigensolve took 0.09-0.19 s,
-against 0.05 s on an idle pool.
+runs on ``scipy.linalg.blas``, the library that already runs ``dsyrk``
+and ``daxpy`` here, and never on NumPy's ``matmul``.  The NumPy and SciPy
+wheels each bundle their own OpenBLAS, and each keeps a thread pool that
+busy-waits for a while after a call, so a fit that alternates between the
+two libraries has one pool spinning on the CPUs the other one needs: in a
+paper-scale fit on 2 CPUs a dense eigensolve took 0.09-0.19 s, against
+0.05 s on an idle pool.
 
 - Gram products run ``dsymv``, which reads the diagonal and the upper
   triangle of G alone: the iteration's G w (``fista_step``, in place into
-  the point's predictor) and every other one (``GramSmooth.predictor``,
-  a scoring model's H w among them).  The paper's p = 1000 Gram is 8 MB,
+  the point's predictor), each Lanczos step of a step bound
+  (``_top_eigenvalue``) and every other one (``GramSmooth.predictor``, a
+  scoring model's H w among them).  The paper's p = 1000 Gram is 8 MB,
   its upper triangle 4 MB, which fits the L2 caches of two cores: on a
   2-CPU Xeon a product took 85 us against 170 us for ``dgemv`` over the
   whole G.  The results equal NumPy's ``G @ w`` to rounding, not bit for
@@ -148,7 +149,7 @@ from .families import Family
 from .penalty import group_scales, norm_12_cols, norm_12_rows, prox_col_groups, prox_row_groups
 
 blas = LazyModule("scipy.linalg.blas")
-linalg = LazyModule("scipy.linalg")
+lapack = LazyModule("scipy.linalg.lapack")
 
 # Step rule: backtracking starts from the Lipschitz bound over INIT_L_SHRINK;
 # each failed majorization test multiplies the step constant by GROWTH,
@@ -166,8 +167,9 @@ EARLY_STOP = 0.1
 # size of the whitened rows the Gram accumulator fills a chunk of subjects
 # at a time
 GRAM_CHUNK_BYTES = 1 << 20
-# the strict lower triangle of one diagonal block of _mirror_upper
-_BLOCK_LOWER = np.tri(64, k=-1, dtype=bool)
+# the top-eigenvalue Lanczos iteration stops once its top Ritz pair's
+# residual is at most RITZ_TOL times the Ritz value
+RITZ_TOL = 1e-10
 # structures whose R^{-1}(alpha) is a fixed combination of alpha-free
 # matrices: their Gaussian Grams are combined from a per-design basis
 BASIS_STRUCTURES = ("independent", "exchangeable", "ar1")
@@ -276,11 +278,11 @@ class GramSmooth:
 
     ``b`` has the coefficient shape; ``G`` is p x p over the row-major
     flattened coefficients and holds the Gram in its diagonal and upper
-    triangle, the part every product with it, ``dsymv``, reads; its lower
-    triangle holds no state (``_top_eigenvalue`` uses it as scratch).  G
-    is held Fortran-ordered, as every Gram here is built, so each product
-    reads it in place: any other G is copied into Fortran order once, when
-    the quadratic is made.  ``L`` is the step bound of every solve on the
+    triangle, the part every product with it, ``dsymv``, reads, the
+    Lanczos steps of its step bound among them; its lower triangle holds
+    no state and is never read or written.  G is held Fortran-ordered, as
+    every Gram here is built, so each product reads it in place: any other
+    G is copied into Fortran order once, when the quadratic is made.  ``L`` is the step bound of every solve on the
     quadratic, 2 * phi * lambda_max(G) as ``build_gram`` sets it; it must
     be finite and positive (``ValueError`` otherwise).
     """
@@ -433,8 +435,9 @@ class GramBasis:
     of the adjacent-row sums and of each subject's first and last rows
     (AR(1)).  Each holds its Gram in the diagonal and upper triangle, like
     every Gram here.  ``top0`` is lambda_max(G0), the step bound's
-    eigenvalue at R = I.  The basis and its arrays are read-only, so the
-    fits that share a design share it, and the R = I quadratic is G0 itself.
+    eigenvalue at R = I, from one ``_top_eigenvalue`` Lanczos run on G0.
+    The basis and its arrays are read-only, so the fits that share a
+    design share it, and the R = I quadratic is G0 itself.
     """
 
     G: tuple
@@ -474,7 +477,9 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     caller replaces) it is one ``_accumulate`` pass with C the Cholesky
     factor of R^{-1} = C C^T.  Every G holds its Gram in the diagonal and
     upper triangle, and off R = I on the basis its step bound
-    L = 2 * phi * lambda_max(G) takes one ``_top_eigenvalue`` of G.
+    L = 2 * phi * lambda_max(G) takes one ``_top_eigenvalue`` of G: a
+    Lanczos iteration on ``dsymv`` products, which reads G and writes
+    nothing.
     """
     if root_var is None and working.structure in BASIS_STRUCTURES:
         terms = _basis_terms(working.structure, working.R_inv)
@@ -498,20 +503,6 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
         G, b, c = _accumulate(design, factor, root_var)
     L = 2.0 * working.phi * _top_eigenvalue(G)
     return GramSmooth(G=G, b=b.reshape(design.coef_shape), c=c, phi=working.phi, L=L)
-
-
-def _mirror_upper(G: np.ndarray) -> None:
-    """Copy the upper triangle into the lower one, a block of rows at a time.
-
-    Within a diagonal block only the strict lower triangle is written, in
-    one masked copy.
-    """
-    p, block = G.shape[0], _BLOCK_LOWER.shape[0]
-    for j in range(0, p, block):
-        end = min(j + block, p)
-        G[j:end, :j] = G[:j, j:end].T
-        diag = G[j:end, j:end]
-        np.copyto(diag, diag.T, where=_BLOCK_LOWER[: end - j, : end - j])
 
 
 def _start_pair(shape, start) -> tuple[np.ndarray, np.ndarray]:
@@ -640,36 +631,60 @@ def lipschitz_upper(design, family: Family, working: WorkingCorrelation) -> floa
 
 
 def _top_eigenvalue(G: np.ndarray) -> float:
-    """lambda_max of the Gram held in G's diagonal and upper triangle, from one in-place ``eigh``.
+    """lambda_max of the Gram held in G's diagonal and upper triangle, by Lanczos on ``dsymv``.
 
-    G is a writable Fortran-ordered p x p array that holds its Gram in the
-    diagonal and upper triangle, as every Gram here does.  Its lower
-    triangle holds no state: it is filled from the upper one just before
-    ``scipy.linalg.eigh`` (LAPACK's ``dsyevr``) reads it and overwrites it
-    together with the diagonal, with no p x p copy, and it is not restored.
-    The diagonal is put back afterwards, and LAPACK leaves the strict upper
-    triangle alone, so the Gram is intact.  G must be a Gram (positive
-    semidefinite), as every curvature Gram here is; an all-zero one (a
-    degenerate design) or a non-finite diagonal raises ``NumericalError``.
+    A plain three-term Lanczos iteration whose one product is ``dsymv`` on
+    G's diagonal and upper triangle, like every Gram product here: G is
+    only read, and its lower triangle never.  It starts from a fixed dense
+    vector, a Gaussian draw of seed 0, since the ones vector or a unit
+    vector can be orthogonal to a Gram's top eigenvector.  After step k the
+    top eigenpair (theta, s) of the k x k Lanczos tridiagonal (LAPACK's
+    ``dstemr``) is the top Ritz pair, whose residual is beta_k |s_k|, and
+    the iteration stops once that is at most ``RITZ_TOL`` times theta.  From
+    a random start the top Ritz value reaches lambda_max with high
+    probability (Kuczynski & Wozniakowski 1992) at O(p^2) work per step,
+    against the O(p^3) tridiagonal reduction of a dense eigensolve; the
+    Grams of the quickstart CV (p = 250) and the paper fit (p = 1000)
+    took 39-102 steps and agreed with ``dsyevr`` to rounding.
+    No state carries from one call to the next, so a bound does not depend
+    on call history and two calls on one G give the same bits.
+
+    G must be a Gram (positive semidefinite), as every curvature Gram here
+    is; an all-zero one (a degenerate design) or a non-finite diagonal
+    raises ``NumericalError``, and so does a non-finite product or a rule
+    that has not held by step 2p, twice the steps that end the iteration
+    in exact arithmetic.
     """
-    p = G.shape[0]
-    diag = np.diagonal(G).copy()
+    diag = np.diagonal(G)
     # a Gram's off-diagonal entries are bounded by its diagonal ones, so
     # the diagonal alone shows a non-finite or an all-zero Gram
     if not np.all(np.isfinite(diag)):
         raise NumericalError("non-finite curvature Gram")
     if not np.any(diag):
         raise NumericalError("degenerate design")
-    _mirror_upper(G)
-    try:
-        top = linalg.eigh(G, lower=True, eigvals_only=True, overwrite_a=True, check_finite=False,
-                          subset_by_index=[p - 1, p - 1], driver="evr")[0]
-    except np.linalg.LinAlgError:
-        top = math.nan
-    np.fill_diagonal(G, diag)
-    if not math.isfinite(top):
-        raise NumericalError("no top eigenvalue of the curvature Gram")
-    return float(top)
+    p = G.shape[0]
+    q = np.random.default_rng(0).standard_normal(p)
+    q /= math.sqrt(q @ q)
+    q_prev = np.zeros(p)
+    alphas, betas = np.zeros((2, 2 * p))
+    beta = 0.0
+    for k in range(1, 2 * p + 1):
+        w = blas.dsymv(1.0, G, q, lower=0)
+        alphas[k - 1] = alpha = q @ w
+        # any non-finite entry of the product makes alpha non-finite
+        if not math.isfinite(alpha):
+            break
+        w -= alpha * q
+        w -= beta * q_prev
+        betas[k - 1] = beta = math.sqrt(w @ w)
+        # dstemr overwrites its off-diagonal argument
+        _, theta, s, info = lapack.dstemr(alphas[:k], betas[:k].copy(), 2, 0.0, 0.0, k, k)
+        if info != 0 or not math.isfinite(theta[0]):
+            break
+        if beta * abs(s[k - 1, 0]) <= RITZ_TOL * theta[0]:
+            return float(theta[0])
+        q_prev, q = q, w / beta
+    raise NumericalError("no top eigenvalue of the curvature Gram")
 
 
 def fista_step(state: InnerState) -> InnerState:

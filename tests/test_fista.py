@@ -651,23 +651,24 @@ def test_gram_lipschitz_matches_top_eigenvalue(structure, alpha):
 
 @pytest.mark.parametrize("p", [1, 2, 7, 64, 130])
 def test_top_eigenvalue_in_place_matches_eigh_and_restores_gram(p):
-    # the Gram is its diagonal and upper triangle, which the eigensolve
-    # leaves as they were; the lower triangle is its scratch space
+    # the eigensolve reads the Gram, its diagonal and upper triangle, in
+    # place and writes nothing: all of G, lower triangle included, is unchanged
     rng = np.random.default_rng(p)
     A = rng.normal(size=(2 * p + 1, p))
     G = np.asfortranarray(np.triu(A.T @ A))
     before = G.copy()
     top = fista._top_eigenvalue(G)
-    assert np.array_equal(np.triu(G), before)
-    assert top == eigh(_symmetric(before), eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
+    assert np.array_equal(G, before)
+    assert top == pytest.approx(eigh(_symmetric(before), eigvals_only=True,
+                                     subset_by_index=[p - 1, p - 1])[0], rel=1e-13)
     # a C-ordered Gram is copied by the eigensolve, and left intact too
     other = np.array(before, order="C")
     assert fista._top_eigenvalue(other) == top
-    assert np.array_equal(np.triu(other), before)
+    assert np.array_equal(other, before)
 
 
 def test_lipschitz_keeps_a_gaussian_gram_intact(monkeypatch):
-    # the step bound's eigensolve runs in place on the quadratic's own G
+    # the step bound's eigensolve reads the quadratic's own G and writes nothing
     design = random_design(34, m=6, d=3, T=9, tau=2)
     build_gram(design, make_working("ar1", 0.0, 1.7, design.n))  # the basis, with its own eigensolve
     grams = []
@@ -675,10 +676,10 @@ def test_lipschitz_keeps_a_gaussian_gram_intact(monkeypatch):
     monkeypatch.setattr(fista, "_top_eigenvalue", lambda G: grams.append((G, G.copy())) or real(G))
     system = build_gram(design, make_working("ar1", 0.6, 1.7, design.n))
     [(G, before)] = grams
-    assert G is system.G and np.array_equal(np.triu(system.G), np.triu(before))
+    assert G is system.G and np.array_equal(system.G, before)
     p = design.n_params
     top = eigh(_symmetric(before), eigvals_only=True, subset_by_index=[p - 1, p - 1])[0]
-    assert system.L == 2.0 * 1.7 * top
+    assert system.L == pytest.approx(2.0 * 1.7 * top, rel=1e-13)
 
 
 def test_top_eigenvalue_rejects_non_finite_gram():
@@ -686,19 +687,67 @@ def test_top_eigenvalue_rejects_non_finite_gram():
         fista._top_eigenvalue(np.asfortranarray([[np.inf, 1.0], [1.0, 2.0]]))
 
 
-def test_failed_eigensolve_raises_and_restores_gram(monkeypatch):
-    # LAPACK may have overwritten the diagonal and the lower triangle
-    # before it failed: the diagonal is put back
-    def failing_eigh(a, **kwargs):
-        a[np.tril_indices_from(a)] = np.nan
-        raise np.linalg.LinAlgError("internal error")
+def test_failed_eigensolve_raises_and_restores_gram():
+    # a finite diagonal with a non-finite entry above it: the first product
+    # is non-finite, so no Ritz value is, and G is left as it was
+    for entry in (np.inf, np.nan):
+        G = np.asfortranarray([[2.0, entry, 0.5], [0.0, 3.0, 1.0], [0.0, 0.0, 1.0]])
+        before = G.copy()
+        with pytest.raises(NumericalError, match="no top eigenvalue"):
+            fista._top_eigenvalue(G)
+        assert np.array_equal(G, before, equal_nan=True)
 
-    monkeypatch.setattr(fista, "linalg", SimpleNamespace(eigh=failing_eigh))
-    G = np.asfortranarray([[2.0, 1.0], [1.0, 3.0]])
-    before = G.copy()
-    with pytest.raises(NumericalError, match="no top eigenvalue"):
-        fista._top_eigenvalue(G)
-    assert np.array_equal(np.triu(G), np.triu(before))
+
+def _assert_top_eigenvalue(G):
+    """``_top_eigenvalue`` of G's upper triangle: eigvalsh's to rel 1e-12, the same bits on every call.
+
+    Setting the strict lower triangle to NaN changes no bit.
+    """
+    G = np.asfortranarray(np.triu(G))
+    top = fista._top_eigenvalue(G)
+    assert top == pytest.approx(np.linalg.eigvalsh(G, UPLO="U")[-1], rel=1e-12)
+    assert fista._top_eigenvalue(G) == top
+    G[np.tril_indices_from(G, k=-1)] = np.nan
+    assert fista._top_eigenvalue(G) == top
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), p=st.integers(1, 130), rows=st.floats(0.0, 2.0),
+       spread=st.floats(0.0, 3.0))
+def test_top_eigenvalue_matches_eigvalsh(seed, p, rows, spread):
+    # rank deficient below p rows, and column scales up to e^(3 sd) apart
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(1 + int(rows * p), p)) * np.exp(spread * rng.normal(size=p))
+    _assert_top_eigenvalue(A.T @ A)
+
+
+def _rotated(spectrum, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(spectrum), len(spectrum))))
+    return (Q * spectrum) @ Q.T
+
+
+def _structured_grams():
+    p = 40
+    v = np.resize([1.0, -1.0], p) / math.sqrt(p)
+    rest = np.linspace(0.0, 5.0, p - 5)
+    column = np.random.default_rng(1).normal(size=(p, 1))
+    zero_columns = np.random.default_rng(2).normal(size=(60, p))
+    zero_columns[:, ::3] = 0.0
+    return {
+        # the top eigenvector is orthogonal to the ones vector
+        "orthogonal-to-ones": np.eye(p) + 50.0 * np.outer(v, v),
+        "top-repeated-5-times": _rotated(np.concatenate([np.full(5, 10.0), rest]), 3),
+        "top-gap-1e-12": _rotated(np.concatenate([[10.0, 10.0 * (1.0 - 1e-12)], rest[:-2] + 1.0]), 4),
+        "rank-one": column @ column.T,
+        "zero-columns": zero_columns.T @ zero_columns,
+        "diagonal": np.diag(np.linspace(0.5, 3.0, p)),
+        "p=1": np.array([[2.5]]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_structured_grams()))
+def test_top_eigenvalue_of_structured_grams(name):
+    _assert_top_eigenvalue(_structured_grams()[name])
 
 
 # designs small and large enough for OpenBLAS to thread the products
