@@ -1,6 +1,7 @@
 """Working correlation structures and their moment estimators.
 
-Covers the realized correlation matrix R(alpha) with its inverse,
+Covers the realized correlation matrix R(alpha) with its inverse, the
+alpha-free terms that inverse decomposes into (``inverse_terms``),
 Pearson residuals, and the moment estimators for the scale phi and the
 correlation parameter alpha.  Every factorization here is one Cholesky
 attempt: a matrix that is not positive definite raises ``NumericalError``
@@ -171,6 +172,44 @@ class WorkingCorrelation:
             R_inv = spd_inverse(self.R, "working correlation")
         R_inv.setflags(write=False)
         return R_inv
+
+
+def inverse_terms(structure: str, R_inv: np.ndarray):
+    """Factors C_k and weights w_k with R^{-1} = sum_k w_k C_k C_k^T, as (C_k, w_k) pairs.
+
+    The factors are alpha-free and the weights are read from R^{-1}
+    itself, so X^T R^{-1} X, X^T R^{-1} y and y^T R^{-1} y are the same
+    combinations of alpha-free sums, one per factor.  In order:
+
+    - the identity (None), for every structure;
+    - where R^{-1} couples examples, the ones column (exchangeable:
+      R^{-1} = (r00 - r01) I + r01 11^T) or the n x (n-1) adjacent-sum
+      factor S, column t holding ones in rows t and t+1 (AR(1));
+    - for AR(1) with n > 2, the n x 2 edge factor of columns e_0 and
+      e_{n-1}.  AR(1)'s R^{-1} = r11 I - (r11 - r00) E + r01 Z, with
+      E = e_0 e_0^T + e_{n-1} e_{n-1}^T and Z the sub- and superdiagonal,
+      and S S^T = 2 I - E + Z, so its weights are (r11 - 2 r01, r01,
+      r00 - r11 + r01).
+
+    With n = 2 there is no interior diagonal and the one adjacent sum is
+    the column sum, so AR(1) takes the exchangeable form.  Tridiagonal
+    R^{-1} is dense and not affine in alpha, so it has no such terms and
+    the result is None.
+    """
+    _check_structure(structure)
+    if structure == "tridiagonal":
+        return None
+    n = R_inv.shape[0]
+    if structure == "independent" or n == 1:
+        return [(None, R_inv[0, 0])]
+    r00, r01 = R_inv[0, 0], R_inv[0, 1]
+    if structure == "exchangeable" or n == 2:
+        return [(None, r00 - r01), (np.ones((n, 1)), r01)]
+    r11 = R_inv[1, 1]
+    adjacent = np.eye(n, n - 1) + np.eye(n, n - 1, k=-1)
+    edges = np.zeros((n, 2))
+    edges[0, 0] = edges[-1, 1] = 1.0
+    return [(None, r11 - 2.0 * r01), (adjacent, r01), (edges, r00 - r11 + r01)]
 
 
 def make_working(structure: str, alpha: float, phi: float, n: int) -> WorkingCorrelation:

@@ -558,8 +558,9 @@ class LaggedDesign:
     the panel's last feature is ``LAGGED_OUTCOME_NAME``, holding the
     outcome series y_0..y_{T-1}, and its examples read lag column 0 as
     zero: lag k >= 1 holds y_{t-k}, and the current outcome never leaks
-    into the design.  A tau outside [0, T), or a lagged-outcome design
-    whose panel's last feature is not that series, raises ``DataError``.
+    into the design.  A tau outside [0, T), a lagged-outcome design whose
+    panel's last feature is not that series, or a panel with no feature,
+    raises ``DataError``.
     ``lagged_rows`` and ``flat_design`` copy examples out of the window;
     the solver reads the window alone.
     """
@@ -578,6 +579,8 @@ class LaggedDesign:
         ):
             raise DataError(f"a lagged-outcome design's last feature must be {LAGGED_OUTCOME_NAME!r}, "
                             "the outcome series")
+        if self.panel.d == 0:
+            raise DataError("design needs at least one feature")
 
     X = property(lambda self: self.panel.features)
     y = property(lambda self: self.panel.outcomes[:, self.tau:])
@@ -653,14 +656,10 @@ def build_lagged(ds: LongitudinalDataset, tau: int, include_lagged_outcome: bool
     whose features gain the outcome series as their last column, in one
     new (m, T, d + 1) array, and which shares ``ds.outcomes``.  Either way
     the window holds 8 * m * T * d_eff bytes, against tau + 1 times that
-    for the examples themselves.
+    for the examples themselves.  The design checks tau and the feature
+    count (``LaggedDesign``): a tau outside [0, T), or a panel with no
+    feature and no lagged outcomes, raises ``DataError``.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau >= ds.T:
-        raise DataError("lag exhausts series")
-    if ds.d == 0 and not include_lagged_outcome:
-        raise DataError("design needs at least one feature")
     if include_lagged_outcome:
         ds = LongitudinalDataset.from_panel(np.concatenate([ds.features, ds.outcomes[:, :, None]], axis=2),
                                             ds.outcomes, ds.subject_ids, ds.time_starts,

@@ -32,17 +32,18 @@ one 1 MB buffer and is added with one ``dsyrk``.
   G = X^T (I_m kron R^{-1}) X, b = X^T (I_m kron R^{-1}) y and
   c = y^T (I_m kron R^{-1}) y: one solve on one Gram.  For the
   independent, exchangeable and AR(1) structures R^{-1}(alpha) is a fixed
-  combination sum_k w_k C_k C_k^T of alpha-free factors (``_basis_terms``:
-  the identity, the ones column or the adjacent-sum factor, and AR(1)'s
-  edge factor), so the Gram is the weighted sum sum_k w_k G_k of a frozen
-  ``GramBasis`` built, one accumulator pass per factor, on the first
-  Gaussian solve on a design and kept by the solver for as long as the
-  design lives (``_gram_bases``): up to three p x p arrays.  Every later
-  outer round, and every CV cell on the same fold design, then costs one
-  p x p scale and an axpy per further term, and reads no design row.
-  Tridiagonal R^{-1} is dense and not affine in alpha, so each tridiagonal
-  solve makes one accumulator pass, whitening by the Cholesky factor of
-  R^{-1}.
+  combination sum_k w_k C_k C_k^T of alpha-free factors
+  (``correlation.inverse_terms``: the identity, the ones column or the
+  adjacent-sum factor, and AR(1)'s edge factor), so the Gram is the
+  weighted sum sum_k w_k G_k of a frozen ``GramBasis`` built, one
+  accumulator pass per factor, on the first Gaussian solve on a design
+  and kept by the solver for as long as the design lives
+  (``_gram_bases``): up to three p x p arrays.  Every later outer round,
+  and every CV cell on the same fold design, then costs one p x p scale
+  and an axpy per further term, and reads no design row.  Tridiagonal
+  R^{-1} is dense and not affine in alpha, and has no such terms, so each
+  tridiagonal solve makes one accumulator pass, whitening by the Cholesky
+  factor of R^{-1}.
 - Bernoulli/Poisson: penalized Fisher scoring, since under a non-identity
   R the estimating function is the gradient of no scalar loss.  Each
   outer step solves the model at the current point w with G = H, the
@@ -142,7 +143,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._lazy import LazyModule
-from .correlation import WorkingCorrelation, spd_cholesky
+from .correlation import WorkingCorrelation, inverse_terms, spd_cholesky
 from .dataset import LaggedDesign
 from .errors import NumericalError, check_finite
 from .families import Family
@@ -170,9 +171,6 @@ GRAM_CHUNK_BYTES = 1 << 20
 # the top-eigenvalue Lanczos iteration stops once its top Ritz pair's
 # residual is at most RITZ_TOL times the Ritz value
 RITZ_TOL = 1e-10
-# structures whose R^{-1}(alpha) is a fixed combination of alpha-free
-# matrices: their Gaussian Grams are combined from a per-design basis
-BASIS_STRUCTURES = ("independent", "exchangeable", "ar1")
 # each design's (structure, GramBasis), one structure at a time, freed with
 # the design.  A basis follows from the design's X and y alone, and each
 # solve keeps the basis it read, so threads that share a design get the
@@ -282,9 +280,11 @@ class GramSmooth:
     Lanczos steps of its step bound among them; its lower triangle holds
     no state and is never read or written.  G is held Fortran-ordered, as
     every Gram here is built, so each product reads it in place: any other
-    G is copied into Fortran order once, when the quadratic is made.  ``L`` is the step bound of every solve on the
-    quadratic, 2 * phi * lambda_max(G) as ``build_gram`` sets it; it must
-    be finite and positive (``ValueError`` otherwise).
+    G is copied into Fortran order once, when the quadratic is made.
+
+    ``L`` is the step bound of every solve on the quadratic,
+    2 * phi * lambda_max(G) as ``build_gram`` sets it; it must be finite
+    and positive (``ValueError`` otherwise).
     """
 
     G: np.ndarray
@@ -390,54 +390,20 @@ def _whiten(whiten: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basis_terms(structure: str, R_inv: np.ndarray) -> list:
-    """Factors C_k and weights w_k with R^{-1} = sum_k w_k C_k C_k^T, as (C_k, w_k) pairs.
-
-    The weights are read from R^{-1} itself, and X^T R^{-1} X, X^T R^{-1} y
-    and y^T R^{-1} y are then the same combinations of alpha-free
-    ``_accumulate`` sums, one per factor, which the ``GramBasis`` holds.
-    In order:
-
-    - the identity (None), for every structure;
-    - where R^{-1} couples examples, the ones column (exchangeable:
-      R^{-1} = (r00 - r01) I + r01 11^T) or the n x (n-1) adjacent-sum
-      factor S, column t holding ones in rows t and t+1 (AR(1));
-    - for AR(1) with n > 2, the n x 2 edge factor of columns e_0 and
-      e_{n-1}.  AR(1)'s R^{-1} = r11 I - (r11 - r00) E + r01 Z, with
-      E = e_0 e_0^T + e_{n-1} e_{n-1}^T and Z the sub- and superdiagonal,
-      and S S^T = 2 I - E + Z, so its weights are (r11 - 2 r01, r01,
-      r00 - r11 + r01).
-
-    With n = 2 there is no interior diagonal and the one adjacent sum is
-    the column sum, so AR(1) takes the exchangeable form.
-    """
-    n = R_inv.shape[0]
-    if structure == "independent" or n == 1:
-        return [(None, R_inv[0, 0])]
-    r00, r01 = R_inv[0, 0], R_inv[0, 1]
-    if structure == "exchangeable" or n == 2:
-        return [(None, r00 - r01), (np.ones((n, 1)), r01)]
-    r11 = R_inv[1, 1]
-    adjacent = np.eye(n, n - 1) + np.eye(n, n - 1, k=-1)
-    edges = np.zeros((n, 2))
-    edges[0, 0] = edges[-1, 1] = 1.0
-    return [(None, r11 - 2.0 * r01), (adjacent, r01), (edges, r00 - r11 + r01)]
-
-
 @dataclass(frozen=True, eq=False)
 class GramBasis:
     """The alpha-free terms of one structure's Gaussian Gram on one design.
 
     Entry k of ``G``, ``b`` and ``c`` is the ``_accumulate`` sum of factor
-    C_k of ``_basis_terms``: G_k = sum_i X_i^T C_k C_k^T X_i and the
-    matching X^T y and y^T y terms.  ``G[0]`` is G0 = sum_i X_i^T X_i; the
-    others are the Grams of the per-subject column sums (exchangeable), or
-    of the adjacent-row sums and of each subject's first and last rows
-    (AR(1)).  Each holds its Gram in the diagonal and upper triangle, like
-    every Gram here.  ``top0`` is lambda_max(G0), the step bound's
-    eigenvalue at R = I, from one ``_top_eigenvalue`` Lanczos run on G0.
-    The basis and its arrays are read-only, so the fits that share a
-    design share it, and the R = I quadratic is G0 itself.
+    C_k of ``correlation.inverse_terms``: G_k = sum_i X_i^T C_k C_k^T X_i
+    and the matching X^T y and y^T y terms.  ``G[0]`` is
+    G0 = sum_i X_i^T X_i; the others are the Grams of the per-subject
+    column sums (exchangeable), or of the adjacent-row sums and of each
+    subject's first and last rows (AR(1)).  Each holds its Gram in the
+    diagonal and upper triangle, like every Gram here.  ``top0`` is
+    lambda_max(G0), the step bound's eigenvalue at R = I, from one
+    ``_top_eigenvalue`` Lanczos run on G0.  The basis and its arrays are read-only, so the fits that
+    share a design share it, and the R = I quadratic is G0 itself.
     """
 
     G: tuple
@@ -461,19 +427,18 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
 
     X_i is subject i's n x p example matrix and ``root_var`` A^{1/2}: a
     scalar, one entry per example in an (m, n) array, or None for A = I,
-    the Gaussian smooth part.  With A = I and a structure in
-    ``BASIS_STRUCTURES``, G, b and c are sum_k w_k G_k over the design's
-    ``GramBasis`` (built on the first call and kept in ``_gram_bases``,
-    one structure at a time) with the weights of ``_basis_terms``: one
-    p x p scale and an axpy per further term into a new G, and no design
-    row read.  At R = I (round 0
-    of every fit, and every independent round) the weights are 1 for G0
-    and 0 for every other term, so the quadratic is the basis's own
-    read-only G0, b0 and c0 with the bound 2 * phi * ``top0``: no p x p
-    array is made, and the CV cells of one fold share one eigensolve for
-    their alpha = 0 rounds.  Otherwise (every
-    tridiagonal solve, the curvature Gram H of ``lipschitz_upper``, which
-    reads L alone, and that of each scoring model, whose b and c the
+    the Gaussian smooth part.  With A = I and a structure whose R^{-1}
+    ``correlation.inverse_terms`` decomposes, G, b and c are sum_k w_k G_k
+    over the design's ``GramBasis`` (built on the first call and kept in
+    ``_gram_bases``, one structure at a time) with the weights of those
+    terms: one p x p scale and an axpy per further term into a new G, and
+    no design row read.  At R = I (round 0 of every fit, and every
+    independent round) the weights are 1 for G0 and 0 for every other
+    term, so the quadratic is the basis's own read-only G0, b0 and c0 with
+    the bound 2 * phi * ``top0``: no p x p array is made, and the CV cells
+    of one fold share one eigensolve for their alpha = 0 rounds.  Otherwise
+    (every tridiagonal solve, the curvature Gram H of ``lipschitz_upper``,
+    which reads L alone, and that of each scoring model, whose b and c the
     caller replaces) it is one ``_accumulate`` pass with C the Cholesky
     factor of R^{-1} = C C^T.  Every G holds its Gram in the diagonal and
     upper triangle, and off R = I on the basis its step bound
@@ -481,8 +446,8 @@ def build_gram(design: LaggedDesign, working: WorkingCorrelation, root_var=None)
     Lanczos iteration on ``dsymv`` products, which reads G and writes
     nothing.
     """
-    if root_var is None and working.structure in BASIS_STRUCTURES:
-        terms = _basis_terms(working.structure, working.R_inv)
+    terms = inverse_terms(working.structure, working.R_inv) if root_var is None else None
+    if terms is not None:
         structure, basis = _gram_bases.get(design, (None, None))
         if structure != working.structure:
             basis = _build_basis(design, [factor for factor, _ in terms])
@@ -541,19 +506,16 @@ def linear_predictor(design: LaggedDesign, W: np.ndarray) -> np.ndarray:
     return eta
 
 
-def estimating_function(design, working: WorkingCorrelation, s, root=None):
+def estimating_function(design, working: WorkingCorrelation, s, root):
     """X^T (phi A^{1/2} R^{-1} A^{-1/2} s) for residuals s, shaped like W.
 
-    ``root`` holds the per-example standard deviations A^{1/2}; None
-    stands for all ones (Gaussian outcomes).  The weighted residuals c are
-    placed at each lag's shift, c[i, j] at window row tau + j - k of lag
-    column k, and one ``dgemm`` multiplies them by the design's window.
-    The lagged-outcome row's lag-0 entry is exactly 0.
+    ``root`` holds the per-example standard deviations A^{1/2}, all ones
+    for Gaussian outcomes.  The weighted residuals c are placed at each
+    lag's shift, c[i, j] at window row tau + j - k of lag column k, and
+    one ``dgemm`` multiplies them by the design's window.  The
+    lagged-outcome row's lag-0 entry is exactly 0.
     """
-    if root is None:
-        c = working.phi * (s @ working.R_inv)
-    else:
-        c = working.phi * root * ((s / root) @ working.R_inv)
+    c = working.phi * root * ((s / root) @ working.R_inv)
     m, n, tau = design.m, design.n, design.tau
     shifted = np.zeros((tau + 1, m, design.X.shape[1]))
     for k in range(tau + 1):
@@ -571,8 +533,7 @@ def _gradient_from_eta(design, family: Family, working: WorkingCorrelation, eta)
     mu = family.mean(eta)
     if not np.all(np.isfinite(mu)):
         raise NumericalError("non-finite mean in gradient evaluation")
-    root = None if family.kind == "gaussian" else np.sqrt(family.variance(mu))
-    return -estimating_function(design, working, design.y - mu, root)
+    return -estimating_function(design, working, design.y - mu, np.sqrt(family.variance(mu)))
 
 
 def gradient_matrix(design, family: Family, working: WorkingCorrelation, W) -> np.ndarray:

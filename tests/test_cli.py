@@ -8,6 +8,7 @@ import textwrap
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from longlasso import alternation, cli, evaluation, fista
@@ -165,7 +166,8 @@ def test_config_file_that_is_not_a_json_object_exits_2(tmp_path, capsys, text, m
 
 @pytest.mark.parametrize("argv, message", [
     (["--max-outer", "0"], "max_outer must be at least 1"),
-    (["--tau", "-1"], "tau must be nonnegative"),
+    pytest.param(["--tau", "-1"], "tau must be in [0, T) for a window of T = 12 times, got -1",
+                 id="argv1-tau outside the window"),
 ])
 def test_fit_settings_out_of_range_exit_2(tmp_path, capsys, argv, message):
     data = simulate(tmp_path)
@@ -471,6 +473,33 @@ def test_evaluate_auc_on_classification(tmp_path):
     run_ok(["evaluate", "--predictions", preds, "--input", data, "--metric", "auc", "--output", metrics])
     value = json.loads(metrics.read_text())["value"]
     assert 0.5 <= value <= 1.0
+
+
+@pytest.mark.parametrize("structure", ["ar1", "exchangeable"])
+def test_poisson_fit_predict_evaluate_round_trip(tmp_path, structure):
+    # 20 subjects, 12 times, 3 features; counts whose log rate is half of f0
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(20, 12, 3))
+    y = rng.poisson(np.exp(0.5 * x[:, :, 0]))
+    data = tmp_path / "pois.csv"
+    data.write_text("subject_id,time,y,f0,f1,f2\n" + "".join(
+        f"s{i},{t},{y[i, t]},{x[i, t, 0]:.6f},{x[i, t, 1]:.6f},{x[i, t, 2]:.6f}\n"
+        for i in range(20) for t in range(12)
+    ))
+    model = tmp_path / "model.json"
+    preds = tmp_path / "preds.csv"
+    metrics = tmp_path / "metrics.json"
+    run_ok([
+        "fit", "--input", data, "--output", model, "--family", "poisson", "--structure", structure,
+        "--tau", "1", "--lambda1", "0.5", "--lambda2", "0.5", "--holdout", "3",
+    ])
+    assert json.loads(model.read_text())["converged"] is True
+    run_ok(["predict", "--model", model, "--input", data, "--output", preds, "--holdout", "3"])
+    with open(preds) as fh:
+        means = np.array([float(row["prediction"]) for row in csv.DictReader(fh)])
+    assert means.size == 20 * 3 and np.all(np.isfinite(means) & (means > 0.0))
+    run_ok(["evaluate", "--predictions", preds, "--input", data, "--output", metrics])
+    assert json.loads(metrics.read_text())["n_examples"] == 20 * 3
 
 
 @pytest.mark.parametrize("key", [("s0", 99), ("nobody", 1)])

@@ -32,6 +32,8 @@ def test_build_R_domain_errors():
         build_R("exchangeable", -0.6, 3)  # needs alpha > -1/(n-1) = -0.5
     with pytest.raises(ValueError):
         build_R("markov", 0.1, 3)
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        build_R("ar1", 0.1, 0)
 
 
 def test_tridiagonal_indefinite_fails_after_one_cholesky(monkeypatch):
@@ -99,6 +101,20 @@ def test_pearson_residual_examples():
 def test_pearson_degenerate_variance():
     with pytest.raises(NumericalError, match="degenerate variance"):
         pearson_residuals(np.ones((1, 2)), np.zeros((1, 2)), np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="^y and mu must have matching shapes$"):
+        pearson_residuals(np.ones((1, 2)), np.zeros((2, 1)), 1.0)
+    with pytest.raises(NumericalError, match="^fitted values are not finite$"):
+        pearson_residuals(np.ones((1, 2)), np.array([[0.0, np.inf]]), 1.0)
+
+
+@pytest.mark.parametrize("gamma, n_params, message", [
+    (np.ones(4), 0, r"gamma must be \(subjects, times\)"),
+    (np.ones((5, 1)), 0, "alpha estimation needs at least two time points"),
+    (np.ones((2, 3)), 6, "over-parameterized correlation estimate"),
+])
+def test_estimate_alpha_refusals(gamma, n_params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        estimate_alpha(gamma, "exchangeable", n_params, 1.0)
 
 
 def test_estimate_phi_examples():

@@ -661,6 +661,22 @@ def test_dataset_invariants():
         )
     with pytest.raises(DataError, match="missing value"):
         SubjectSeries(id="a", features=np.array([[1.0, np.nan]]), outcomes=np.zeros(2))
+    with pytest.raises(DataError, match="^features must be d x T and outcomes a vector$"):
+        SubjectSeries(id="a", features=np.ones((1, 2, 3)), outcomes=np.zeros(3))
+    with pytest.raises(DataError, match="^features and outcomes disagree on time points$"):
+        SubjectSeries(id="a", features=np.ones((2, 3)), outcomes=np.zeros(2))
+    with pytest.raises(DataError, match="^dataset needs at least one subject$"):
+        LongitudinalDataset((), ("f1", "f2"))
+    with pytest.raises(DataError, match="^unequal series length$"):
+        LongitudinalDataset(
+            (good, SubjectSeries(id="b", features=np.ones((2, 4)), outcomes=np.zeros(4))), ("f1", "f2")
+        )
+    with pytest.raises(DataError, match="^dataset needs at least one subject$"):
+        LongitudinalDataset.from_panel(np.ones((0, 3, 2)), np.zeros((0, 3)), (), (), ("f1", "f2"))
+    with pytest.raises(DataError, match="^feature_names must have one entry per feature$"):
+        LongitudinalDataset.from_panel(np.ones((1, 3, 2)), np.zeros((1, 3)), ("a",), (1,), ("f1",))
+    with pytest.raises(DataError, match="^missing value in the panel$"):
+        LongitudinalDataset.from_panel(np.full((1, 3, 2), np.nan), np.zeros((1, 3)), ("a",), (1,), ("f1", "f2"))
 
 
 def test_arrays_are_immutable():
@@ -779,6 +795,17 @@ def test_lagged_outcome_design_refuses_a_panel_without_the_outcome_series():
     assert LaggedDesign(build_lagged(ds, 1, True).panel, 1, True).d_eff == 3
 
 
+def test_lagged_design_refuses_a_featureless_panel():
+    # a keys-and-outcomes panel (load_csv with features=()) has no design row
+    ds = _random_dataset(16, m=3, T=5, d=2)
+    featureless = LongitudinalDataset.from_panel(ds.features[:, :, :0], ds.outcomes, ds.subject_ids,
+                                                 ds.time_starts, ())
+    with pytest.raises(DataError, match="^design needs at least one feature$"):
+        LaggedDesign(featureless, 1)
+    # with lagged outcomes the outcome series is its one feature
+    assert build_lagged(featureless, 1, include_lagged_outcome=True).d_eff == 1
+
+
 @pytest.mark.parametrize("holdout, tau", [(5, 4), (1, 1), (3, 0), (10, 0)])
 def test_split_temporal_halves_are_contiguous_slices_of_the_panel(holdout, tau):
     ds = _random_dataset(12, m=5, T=12, d=3)
@@ -828,7 +855,7 @@ def test_build_lagged_example_count():
 
 def test_build_lagged_exhausted_series():
     ds = _ds(WELL_FORMED)
-    with pytest.raises(DataError, match="lag exhausts series"):
+    with pytest.raises(DataError, match=r"^tau must be in \[0, T\) for a window of T = 3 times, got 3$"):
         build_lagged(ds, 3)
 
 

@@ -73,6 +73,8 @@ def test_auc_errors():
         ll.auc(np.array([0.1, 0.2]), np.array([1, 1]))
     with pytest.raises(ValueError, match="binary"):
         ll.auc(np.array([0.1, 0.2]), np.array([1, 2]))
+    with pytest.raises(ValueError, match="^scores and labels must have matching lengths$"):
+        ll.auc(np.array([0.1, 0.2]), np.array([0, 1, 1]))
 
 
 @settings(deadline=None, max_examples=50)

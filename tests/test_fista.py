@@ -15,7 +15,7 @@ from scipy.linalg import blas, eigh
 
 import longlasso as ll
 from longlasso import fista
-from longlasso.correlation import alpha_bounds, make_working, spd_cholesky
+from longlasso.correlation import alpha_bounds, inverse_terms, make_working, spd_cholesky
 from longlasso.dataset import LaggedDesign, LongitudinalDataset, SubjectSeries, build_lagged
 from longlasso.errors import NumericalError
 from longlasso.families import get_family
@@ -118,6 +118,33 @@ def test_gradient_matches_finite_differences():
                 fm = smooth_loss(design, family, working, U - bump + V)
                 fd[r, c] = (fp - fm) / (2 * h)
         assert np.linalg.norm(fd - g) <= 1e-5 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("family_name", ["gaussian", "bernoulli", "poisson"])
+def test_gradient_refuses_a_non_finite_mean(family_name):
+    design = random_design(5, family=family_name)
+    working = make_working("ar1", 0.4, 1.0, design.n)
+    W = np.zeros(design.coef_shape)
+    W[0, 0] = np.nan
+    with pytest.raises(NumericalError, match="^non-finite mean in gradient evaluation$"):
+        fista.gradient_matrix(design, get_family(family_name), working, W)
+
+
+@pytest.mark.parametrize("family_name, structure, alpha", [
+    ("gaussian", "ar1", 0.5),
+    ("bernoulli", "independent", 0.0),
+])
+def test_penalized_objective_is_the_smooth_part_plus_both_penalties(family_name, structure, alpha):
+    family = get_family(family_name)
+    design = random_design(6, family=family_name)
+    working = make_working(structure, alpha, 1.3, design.n)
+    rng = np.random.default_rng(7)
+    U = rng.normal(0, 0.3, design.coef_shape)
+    V = rng.normal(0, 0.3, design.coef_shape)
+    rows = np.linalg.norm(U, axis=1).sum()
+    cols = np.linalg.norm(V, axis=0).sum()
+    expected = smooth_loss(design, family, working, U + V) + 0.7 * rows + 0.2 * cols
+    assert fista.penalized_objective(design, family, working, U, V, 0.7, 0.2) == pytest.approx(expected, rel=1e-14)
 
 
 def test_lipschitz_hand_example_and_scaling():
@@ -505,6 +532,7 @@ def test_inner_config_validation():
         (InnerConfig, dict(lam1=0.0, lam2=0.0, tolerance=nan), "tolerance"),
         (InnerConfig, dict(lam1=0.0, lam2=0.0, tolerance=inf), "tolerance"),
         (InnerConfig, dict(lam1=0.0, lam2=0.0, step_mode="adaptive"), "step_mode"),
+        (InnerConfig, dict(lam1=0.0, lam2=0.0, max_iterations=0), "max_iterations"),
         (ll.FitConfig, dict(inner_tolerance=nan), "inner_tolerance"),
         (ll.FitConfig, dict(inner_max_iterations=0), "inner_max_iterations"),
         (ll.CoefficientPair, dict(U=zeros, V=zeros, lam1=nan), "lam1"),
@@ -768,8 +796,8 @@ def test_design_products_match_numpy_to_rounding(shape):
     root = rng.uniform(0.2, 2.0, design.y.shape)
     for structure, alpha in STRUCTURES:
         working = make_working(structure, alpha, 1.3, design.n)
-        for r in (None, root):
-            c = working.phi * (s @ working.R_inv) if r is None else working.phi * r * ((s / r) @ working.R_inv)
+        for r in (np.ones_like(s), root):
+            c = working.phi * r * ((s / r) @ working.R_inv)
             expected = (flat.T @ c.ravel()).reshape(design.coef_shape)
             assert _close(fista.estimating_function(design, working, s, r), expected), structure
 
@@ -805,8 +833,8 @@ def test_window_products_match_numpy_on_the_flat_design(seed, m, d, T, lagged, d
     root = rng.uniform(0.2, 2.0, (m, n))
     for structure, alpha in STRUCTURES:
         working = make_working(structure, alpha, 1.3, n)
-        for r in (None, root):
-            c = working.phi * (s @ working.R_inv) if r is None else working.phi * r * ((s / r) @ working.R_inv)
+        for r in (np.ones_like(s), root):
+            c = working.phi * r * ((s / r) @ working.R_inv)
             g = fista.estimating_function(design, working, s, r)
             assert _close(g, (flat.T @ c.ravel()).reshape(design.coef_shape)), structure
             if lagged:
@@ -1022,7 +1050,7 @@ def test_basis_gram_matches_build_gram(
     assert np.abs(working.R_inv - exact).max() <= 64 * n * 2.2e-16 * cond * np.abs(exact).max()
     reference = SimpleNamespace(R_inv=exact, phi=working.phi)  # what _cholesky_gram reads
     # the basis terms are R^{-1} itself: sum_k w_k C_k C_k^T
-    terms = fista._basis_terms(structure, exact)
+    terms = inverse_terms(structure, exact)
     combined = sum(w * (np.eye(n) if C is None else C @ C.T) for C, w in terms)
     assert np.allclose(combined, exact, rtol=0.0, atol=1e-12 * np.abs(exact).max())
     p = design.n_params

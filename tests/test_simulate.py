@@ -27,6 +27,10 @@ def test_config_validation():
         small_cfg(zero_lag_columns=(3,))
     with pytest.raises(ValueError):
         small_cfg(residual_sd=0.0)
+    with pytest.raises(ValueError, match="^d and m must be positive$"):
+        small_cfg(d=0, zero_feature_rows=())
+    with pytest.raises(ValueError, match="^T must be at least 2$"):
+        small_cfg(T=1)
 
 
 @pytest.mark.parametrize("field", ["feature_sd", "coef_sd", "residual_sd", "alpha"])

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from longlasso.correlation import STRUCTURES
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "longlasso"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -57,3 +59,26 @@ def test_no_module_reads_another_modules_private_attribute(path):
         and node.attr in others - own
     ]
     assert reads == []
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the docstring constants of the module, its classes and its functions."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+
+
+def test_the_solver_names_no_correlation_structure():
+    # which structures have alpha-free terms in R^{-1} is correlation's rule
+    # (inverse_terms): the solver reads the terms, never a structure's name
+    tree = _tree(PACKAGE / "fista.py")
+    docstrings = _docstrings(tree)
+    named = [
+        f"{node.value!r} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in STRUCTURES and id(node) not in docstrings
+    ]
+    assert named == []
