@@ -134,8 +134,7 @@ def fit(
     family's support, and a design that ``check_design`` refuses, raise
     ``DataError`` before any solve.
     """
-    if isinstance(family, str):
-        family = get_family(family)
+    family = get_family(family)
     family.check_outcomes(design.y)
     config = config or FitConfig()
     check_design(design, structure)

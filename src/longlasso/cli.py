@@ -241,8 +241,8 @@ def _cmd_fit(args) -> None:
     config = _fit_config(args)
     # the penalties are checked, with the tolerances, before the data is read
     config.inner(args.lambda1, args.lambda2)
-    # the design holds the training panel itself (a new one only with the
-    # lagged-outcome column), so the solve holds each value once
+    # the design holds the training panel itself (and a window of its own
+    # only with the lagged-outcome column), so the solve holds each value once
     design = build_lagged(_training_panel(args), args.tau, args.include_lagged_outcome)
     result = _fit_and_write(args, design, args.lambda1, args.lambda2, config, {})
     if args.trace_out:

@@ -5,7 +5,8 @@ A dataset holds its values in one layout from the CSV to the solver: an
 first time label.  ``load_csv`` and the simulator fill it directly,
 ``split_temporal`` and ``subset`` copy a slice of it once, and a lagged
 design holds it as its panel and reads every value and key from it, with
-no copy unless the lagged outcome is added as a column.
+no copy; a lagged-outcome design builds one window of its own, the
+features with the outcome series added as a last column.
 ``load_predictions`` reads a predictions CSV by the same header and row
 grammar, so its keys name the dataset's rows.
 
@@ -544,23 +545,26 @@ def write_csv(ds: LongitudinalDataset, target) -> None:
 class LaggedDesign:
     """A lagged design: a dataset's panel read as the window of its examples.
 
-    ``panel`` holds every value and key the design reads, and ``X``, ``y``,
-    ``subject_ids``, ``subject_starts`` and ``feature_names`` are read-only
-    views of it, so the design copies none of them.  ``X`` is the panel's
-    (m, T, d_eff) features: row t of subject i holds the d_eff values at
-    time t (0-based in the source series), so every feature value is held
-    once.  Example ``(i, j)`` is the d_eff x (tau+1) matrix whose lag column
-    k holds row tau + j - k of subject i's window: the feature vectors at
-    the current time and the tau previous ones, for n = T - tau examples
-    per subject.  ``y`` is the view ``panel.outcomes[:, tau:]`` of the
-    (m, n) outcomes the examples predict, and ``times`` the 0-based current
-    time of each example (tau..T-1).  When lagged outcomes are included,
-    the panel's last feature is ``LAGGED_OUTCOME_NAME``, holding the
-    outcome series y_0..y_{T-1}, and its examples read lag column 0 as
+    ``panel`` is the dataset itself, and ``y``, ``subject_ids`` and
+    ``subject_starts`` are read-only views of it.  ``X`` is the (m, T,
+    d_eff) window: row t of subject i holds the d_eff values at time t
+    (0-based in the source series), so every feature value is held once.
+    Without lagged outcomes it is the panel's features, with no copy.
+    With them the design builds it once, when it is made: one new
+    read-only array of the panel's features followed by the outcome
+    series y_0..y_{T-1} as a last column, named ``LAGGED_OUTCOME_NAME``
+    at the end of ``feature_names``.  Example ``(i, j)`` is the d_eff x
+    (tau+1) matrix whose lag column k holds row tau + j - k of subject i's
+    window: the feature vectors at the current time and the tau previous
+    ones, for n = T - tau examples per subject.  ``y`` is the view
+    ``panel.outcomes[:, tau:]`` of the (m, n) outcomes the examples
+    predict, and ``times`` the 0-based current time of each example
+    (tau..T-1).  The lagged-outcome row's examples read lag column 0 as
     zero: lag k >= 1 holds y_{t-k}, and the current outcome never leaks
-    into the design.  A tau outside [0, T), a lagged-outcome design whose
-    panel's last feature is not that series, or a panel with no feature,
-    raises ``DataError``.
+    into the design.  A tau outside [0, T), a lagged-outcome design on a
+    panel that already has a feature named ``LAGGED_OUTCOME_NAME`` (its
+    names would repeat, so its model could not be loaded), or a window
+    with no feature raises ``DataError``.
     ``lagged_rows`` and ``flat_design`` copy examples out of the window;
     the solver reads the window alone.
     """
@@ -573,22 +577,23 @@ class LaggedDesign:
         T = self.panel.T
         if not 0 <= self.tau < T:
             raise DataError(f"tau must be in [0, T) for a window of T = {T} times, got {self.tau}")
-        if self.include_lagged_outcome and not (
-            self.feature_names[-1:] == (LAGGED_OUTCOME_NAME,)
-            and np.array_equal(self.X[:, :, -1], self.panel.outcomes)
-        ):
-            raise DataError(f"a lagged-outcome design's last feature must be {LAGGED_OUTCOME_NAME!r}, "
-                            "the outcome series")
-        if self.panel.d == 0:
+        window = self.panel.features
+        if self.include_lagged_outcome:
+            if LAGGED_OUTCOME_NAME in self.panel.feature_names:
+                raise DataError(f"the panel already has a feature named {LAGGED_OUTCOME_NAME!r}")
+            window = _frozen(np.concatenate([window, self.panel.outcomes[:, :, None]], axis=2))
+        if window.shape[2] == 0:
             raise DataError("design needs at least one feature")
+        object.__setattr__(self, "_window", window)
 
-    X = property(lambda self: self.panel.features)
+    X = property(lambda self: self._window)
     y = property(lambda self: self.panel.outcomes[:, self.tau:])
     subject_ids = property(lambda self: self.panel.subject_ids)
     subject_starts = property(lambda self: self.panel.time_starts)
-    feature_names = property(lambda self: self.panel.feature_names)
+    feature_names = property(
+        lambda self: self.panel.feature_names + ((LAGGED_OUTCOME_NAME,) if self.include_lagged_outcome else ()))
     m = property(lambda self: self.panel.m)
-    d_eff = property(lambda self: self.panel.d)
+    d_eff = property(lambda self: self.X.shape[2])
 
     @property
     def n(self) -> int:
@@ -647,23 +652,18 @@ class LaggedDesign:
 
 
 def build_lagged(ds: LongitudinalDataset, tau: int, include_lagged_outcome: bool = False) -> LaggedDesign:
-    """Build the lagged design with window size tau.
+    """Build the lagged design with window size tau: ``LaggedDesign(ds, tau, include_lagged_outcome)``.
 
     Each example pairs the outcome at time t with the feature columns at
     times t, t-1, ..., t-tau, for t = tau..T-1 (0-based), giving
-    n = T - tau examples per subject.  Without lagged outcomes the design's
-    panel is ``ds`` itself, with no copy; with them it is one new panel
-    whose features gain the outcome series as their last column, in one
-    new (m, T, d + 1) array, and which shares ``ds.outcomes``.  Either way
-    the window holds 8 * m * T * d_eff bytes, against tau + 1 times that
-    for the examples themselves.  The design checks tau and the feature
-    count (``LaggedDesign``): a tau outside [0, T), or a panel with no
-    feature and no lagged outcomes, raises ``DataError``.
+    n = T - tau examples per subject.  The design's panel is ``ds`` itself.
+    Its window is ``ds.features`` without lagged outcomes, with no copy,
+    and one new (m, T, d + 1) array with them, whose last column is the
+    outcome series.  Either way the window holds 8 * m * T * d_eff bytes,
+    against tau + 1 times that for the examples themselves.  The design
+    checks tau, the lagged outcome's name and the feature count
+    (``LaggedDesign``), each with a ``DataError``.
     """
-    if include_lagged_outcome:
-        ds = LongitudinalDataset.from_panel(np.concatenate([ds.features, ds.outcomes[:, :, None]], axis=2),
-                                            ds.outcomes, ds.subject_ids, ds.time_starts,
-                                            ds.feature_names + (LAGGED_OUTCOME_NAME,))
     return LaggedDesign(ds, tau, include_lagged_outcome)
 
 

@@ -80,8 +80,7 @@ def lambda_max(design, family) -> tuple[float, float]:
     Both are the norms as the data give them, so outcomes rescaled by s
     scale them by s, and features rescaled by s scale them by s too.
     """
-    if isinstance(family, str):
-        family = get_family(family)
+    family = get_family(family)
     working = make_working("independent", 0.0, 1.0, design.n)
     g = fista.gradient_matrix(design, family, working, np.zeros(design.coef_shape))
     return float(row_norms(g).max()), float(row_norms(g.T).max())
@@ -101,8 +100,7 @@ def support_lambdas(design, family, structure: str, seed: int = 0):
     penalty cross-talk (each block's penalty must also absorb the pull
     induced by the other block's active groups).  Returns (lambda1, lambda2).
     """
-    if isinstance(family, str):
-        family = get_family(family)
+    family = get_family(family)
     pilot_config = alternation.FitConfig(max_outer=4, inner_max_iterations=600, inner_tolerance=1e-5)
     pilot = alternation.fit(design, family, structure, 0.0, 0.0, config=pilot_config)
     working = pilot.working

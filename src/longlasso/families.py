@@ -87,8 +87,10 @@ class Family:
             raise DataError(f"poisson outcomes must be nonnegative, got {y.min():g}")
 
 
-def get_family(name: str) -> Family:
-    """Look a family up by its config string."""
+def get_family(name: str | Family) -> Family:
+    """Look a family up by its config string; a ``Family`` is returned as it is."""
+    if isinstance(name, Family):
+        return name
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; expected one of {FAMILIES}")
     return Family(name)

@@ -17,16 +17,18 @@ p x p matvec, and backtracking uses the exact curvature form of the
 majorization test (comparing loss values would subtract numbers of the
 size of c).
 
-The design holds each subject's features once, in its dataset's panel,
-whose (m, T, d_eff) features are the window ``LaggedDesign.X``, and every
-design read here works from it: X_i, subject i's n x p example matrix, is
-never held whole.
+The design holds each subject's features once, in its (m, T, d_eff)
+window ``LaggedDesign.X``: its dataset's feature panel, or with the lagged
+outcome one array of the design's own.  Every design read here works from
+it: X_i, subject i's n x p example matrix, is never held whole.
 
 Every Gram has the form sum_i X_i^T A_i^{1/2} C C^T A_i^{1/2} X_i for an
 n x r factor C and a variance diagonal A; ``build_gram`` makes them all,
 reading the design in one accumulator, ``_accumulate``: a chunk of subjects
-at a time has its example rows copied out of the window, is whitened into
-one 1 MB buffer and is added with one ``dsyrk``.
+at a time is whitened into one 1 MB buffer and added with one ``dsyrk``.
+By the identity the chunk's example rows are copied out of the window
+straight into the buffer; by a factor each subject's rows are copied into
+one n x p array and whitened from there with one ``dgemm``.
 
 - Gaussian: the quadratic is the smooth part itself, with
   G = X^T (I_m kron R^{-1}) X, b = X^T (I_m kron R^{-1}) y and
@@ -323,29 +325,26 @@ def _accumulate(design: LaggedDesign, factor=None, root_var=None):
 
     A chunk of subjects at a time, as many as fit ``GRAM_CHUNK_BYTES`` of
     whitened rows (r per subject), is whitened into one reusable buffer and
-    added with one rank-k update, so a call holds one p x p array plus at
-    most two buffers.  Where C is the identity (``factor`` None) the
-    example rows X_i are copied out of the design's window
-    (``LaggedDesign.lagged_rows``) straight into the chunk's buffer, and
-    scaled there in place by A_i^{1/2}, row by row, as are the outcomes.
-    Otherwise they are copied, as many subjects at a time as fit
-    ``GRAM_CHUNK_BYTES`` of them, into a second buffer, and each subject's
-    C^T A_i^{1/2} X_i is one ``dgemm`` from there into the chunk's buffer
-    (``_whiten``).  The chunks are set by the whitened rows alone, so the
-    sums do not depend on how many subjects' rows are copied at once.
+    added with one rank-k update, so a call holds one p x p array, that
+    buffer and, for a factor, one subject's example rows.  Where C is the
+    identity (``factor`` None) the example rows X_i are copied out of the
+    design's window (``LaggedDesign.lagged_rows``) straight into the
+    chunk's buffer, and scaled there in place by A_i^{1/2}, row by row, as
+    are the outcomes.  Otherwise each subject's rows are copied, one
+    subject at a time, into an n x p array, and C^T A_i^{1/2} X_i is one
+    ``dgemm`` from there into the chunk's buffer, computed transposed,
+    X_i^T (C^T A_i^{1/2})^T into the Fortran-ordered view of the
+    subject's r x p block, with the weight transposed by the BLAS.
     """
     m, n, p = design.m, design.n, design.n_params
     r = n if factor is None else factor.shape[1]
     chunk = min(max(1, GRAM_CHUNK_BYTES // (8 * r * p)), m)
-    # subjects whose example rows are copied at once for a factor C: a
-    # whole chunk when r = n, several groups per chunk when r < n
-    group = min(max(1, GRAM_CHUNK_BYTES // (8 * n * p)), m)
     scale = None if root_var is None else np.broadcast_to(root_var, (m, n))
     G = np.zeros((p, p), order="F")
     b = np.zeros(p)
     c = 0.0
     buffer = np.empty((chunk, r, p))
-    lagged = None if factor is None else np.empty((group, n, p))
+    lagged = None if factor is None else np.empty((1, n, p))
     for first in range(0, m, chunk):
         k = min(chunk, m - first)
         block = slice(first, first + k)
@@ -357,12 +356,11 @@ def _accumulate(design: LaggedDesign, factor=None, root_var=None):
             if scale is not None:
                 buffer[:k] *= scale[block, :, None]
         else:
-            # C^T A_i^{1/2}, one r x n factor per subject when A is given
-            whiten = factor.T if scale is None else factor.T * scale[block, None, :]
-            for start in range(0, k, group):
-                part = slice(start, min(start + group, k))
-                X = design.lagged_rows(first + start, lagged[: part.stop - start])
-                _whiten(whiten if whiten.ndim == 2 else whiten[part], X, buffer[part])
+            for i in range(k):
+                X = design.lagged_rows(first + i, lagged)[0]
+                # the r x n weight C^T A_i^{1/2}
+                whiten = factor.T if scale is None else factor.T * scale[first + i]
+                blas.dgemm(1.0, X.T, whiten, trans_b=1, c=buffer[i].T, overwrite_c=1)
             y = y @ factor
         rows = buffer[:k].reshape(k * r, p)
         white_y = y.ravel()
@@ -372,22 +370,6 @@ def _accumulate(design: LaggedDesign, factor=None, root_var=None):
         # rows.T is a Fortran-ordered view, so dsyrk reads the rows in place
         G = blas.dsyrk(1.0, rows.T, beta=1.0, c=G, overwrite_c=1)
     return G, b, c
-
-
-def _whiten(whiten: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each subject's whiten_i X_i into ``out``, one ``dgemm`` each on SciPy's BLAS.
-
-    ``whiten`` is one r x n matrix or one per subject, ``X`` the (k, n, p)
-    example matrices and ``out`` a C-ordered (k, r, p) buffer.  Subject i's
-    product is computed transposed, X_i^T whiten_i^T into the
-    Fortran-ordered view of out[i], with whiten_i transposed by the BLAS.
-    Every factor ``_accumulate`` passes is Fortran-ordered, so it is read
-    in place; any other is copied.
-    """
-    for i in range(X.shape[0]):
-        w = whiten if whiten.ndim == 2 else whiten[i]
-        blas.dgemm(1.0, X[i].T, w, trans_b=1, c=out[i].T, overwrite_c=1)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -536,6 +536,26 @@ def test_lagged_outcome_flag_round_trips_through_model(tmp_path):
         assert len(list(csv.DictReader(fh))) == 10 * 11
 
 
+@pytest.mark.parametrize("command", ["fit", "cv"])
+def test_lagged_outcome_on_a_panel_with_a_lagged_outcome_feature_exits_2(tmp_path, capsys, monkeypatch, command):
+    # the fit used to succeed and write a model whose repeated feature
+    # names predict could not load
+    data = simulate(tmp_path)
+    data.write_text(data.read_text().replace("x3", "lagged_outcome", 1))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(fista, "inner_solve", unreachable)
+    model = tmp_path / "model.json"
+    grid = ["--grid", "0.5;0.5", "--folds", "2"] if command == "cv" else []
+    code = cli.run([command, "--input", str(data), "--output", str(model), "--tau", "1",
+                    "--include-lagged-outcome", *grid])
+    assert code == 2
+    assert capsys.readouterr().err == "error[data]: the panel already has a feature named 'lagged_outcome'\n"
+    assert not model.exists()
+
+
 def test_malformed_index_range_is_usage_error(tmp_path, capsys):
     code = cli.run([
         "simulate", "--output", str(tmp_path / "x.csv"),

@@ -767,32 +767,45 @@ def test_series_copies_a_writable_input_and_leaves_it_writable():
 def test_design_reads_its_keys_and_outcomes_from_the_panel(include_lagged_outcome):
     ds = _random_dataset(14, m=4, T=6, d=2)
     design = build_lagged(ds, 2, include_lagged_outcome)
-    panel = design.panel
-    assert (panel is ds) is not include_lagged_outcome
-    assert design.subject_ids is panel.subject_ids
-    assert design.subject_starts is panel.time_starts
-    assert design.feature_names is panel.feature_names
-    assert design.X is panel.features
-    assert np.shares_memory(design.y, panel.outcomes)
-    # the lagged-outcome panel shares the dataset's outcomes
+    # the design's panel is the dataset itself, whichever the flag
+    assert design.panel is ds
+    assert design.subject_ids is ds.subject_ids
+    assert design.subject_starts is ds.time_starts
     assert np.shares_memory(design.y, ds.outcomes)
     assert design.y.tobytes() == ds.outcomes[:, 2:].tobytes()
+    if not include_lagged_outcome:
+        assert design.X is ds.features
+        assert design.feature_names == ds.feature_names
+        return
+    # the design builds its own window once: the features, then the outcome series
+    window = design.X
+    assert window.tobytes() == np.concatenate([ds.features, ds.outcomes[:, :, None]], axis=2).tobytes()
+    assert window.shape == (ds.m, ds.T, ds.d + 1)
+    assert window.flags.c_contiguous and not window.flags.writeable
+    assert design.X is window
+    assert design.feature_names == ds.feature_names + (LAGGED_OUTCOME_NAME,)
 
 
-def test_lagged_outcome_design_refuses_a_panel_without_the_outcome_series():
+def test_lagged_outcome_design_refuses_a_feature_named_like_its_column():
+    # the design adds the lagged outcome under its own name: a panel that
+    # already has it would fit a model whose repeated names cannot be loaded
     ds = _random_dataset(15, m=3, T=5, d=2)
     named = LongitudinalDataset.from_panel(ds.features, ds.outcomes, ds.subject_ids, ds.time_starts,
                                            ("x0", LAGGED_OUTCOME_NAME))
+    with pytest.raises(DataError, match=f"^the panel already has a feature named {LAGGED_OUTCOME_NAME!r}$"):
+        build_lagged(named, 1, include_lagged_outcome=True)
+    assert build_lagged(named, 1).feature_names == ("x0", LAGGED_OUTCOME_NAME)  # a plain design reads it
+    # any other panel builds, its window the features and the outcome series
     window = np.concatenate([ds.features, ds.outcomes[:, :, None]], axis=2)
     unnamed = LongitudinalDataset.from_panel(window, ds.outcomes, ds.subject_ids, ds.time_starts,
                                              ("x0", "x1", "x2"))
     keys_only = LongitudinalDataset.from_panel(ds.features[:, :, :0], ds.outcomes, ds.subject_ids,
                                                ds.time_starts, ())
-    for panel in (ds, named, unnamed, keys_only):
-        with pytest.raises(DataError, match=LAGGED_OUTCOME_NAME):
-            LaggedDesign(panel, 1, True)
-    LaggedDesign(named, 1)  # the same panel reads as a plain design
-    assert LaggedDesign(build_lagged(ds, 1, True).panel, 1, True).d_eff == 3
+    for panel in (ds, unnamed, keys_only):
+        design = LaggedDesign(panel, 1, True)
+        assert design.d_eff == panel.d + 1
+        assert design.feature_names[-1] == LAGGED_OUTCOME_NAME
+        assert design.X[:, :, -1].tobytes() == panel.outcomes.tobytes()
 
 
 def test_lagged_design_refuses_a_featureless_panel():
