@@ -61,8 +61,14 @@ class FitConfig:
 class FitResult:
     """Fitted coefficients plus the correlation estimate and run metadata.
 
-    ``structure`` is the working correlation's, and ``outer_iterations``
-    the number of rounds, one ``trace`` entry each.
+    ``working`` is the last moment update's correlation, ``structure`` its
+    structure, and ``outer_iterations`` the number of rounds, one
+    ``trace`` entry each: the last objective value of the round's inner
+    solve.  ``rounds`` holds each round's inner solve result, whose
+    ``working`` is the correlation the round solved under (round 0's is
+    the identity with phi 1, round k's the update after round k - 1).  A
+    model loaded from JSON keeps only ``trace``, and its ``rounds`` is
+    empty.
     """
 
     coefficients: CoefficientPair
@@ -72,12 +78,11 @@ class FitResult:
     include_lagged_outcome: bool
     feature_names: tuple[str, ...]
     trace: tuple[float, ...]
-    inner_traces: tuple[np.ndarray, ...]
-    inner_step_traces: tuple[np.ndarray, ...]
     converged: bool
     max_outer_reached: bool
     config: dict
     seed: int | None = None
+    rounds: tuple[fista.InnerSolveResult, ...] = ()
 
     @property
     def W(self) -> np.ndarray:
@@ -85,6 +90,7 @@ class FitResult:
 
     structure = property(lambda self: self.working.structure)
     outer_iterations = property(lambda self: len(self.trace))
+    inner_traces = property(lambda self: tuple(r.objective_trace for r in self.rounds))
 
 
 def _moment_update(design, family, structure, W):
@@ -140,9 +146,7 @@ def fit(
     check_design(design, structure)
 
     working = make_working(structure, 0.0, 1.0, design.n)
-    trace: list[float] = []
-    inner_traces: list[np.ndarray] = []
-    inner_step_traces: list[np.ndarray] = []
+    rounds: list[fista.InnerSolveResult] = []
     U = np.zeros(design.coef_shape)
     V = np.zeros(design.coef_shape)
     settled = False
@@ -161,10 +165,7 @@ def fit(
         result = fista.inner_solve(design, family, working, inner_cfg, start=(U, V))
         coef_change = fista.relative_change(result.U - U, result.V - V, result.U, result.V)
         U, V = result.U, result.V
-        # every inner solve records at least one iteration
-        trace.append(float(result.objective_trace[-1]))
-        inner_traces.append(result.objective_trace)
-        inner_step_traces.append(result.step_trace)
+        rounds.append(result)
 
         if structure == "independent" and outer > 0:
             settled = True
@@ -184,13 +185,13 @@ def fit(
         tau=design.tau,
         include_lagged_outcome=design.include_lagged_outcome,
         feature_names=design.feature_names,
-        trace=tuple(trace),
-        inner_traces=tuple(inner_traces),
-        inner_step_traces=tuple(inner_step_traces),
+        # every inner solve records at least one iteration
+        trace=tuple(float(r.objective_trace[-1]) for r in rounds),
         converged=settled and result.converged,
         max_outer_reached=not settled,
         config=asdict(config),
         seed=seed,
+        rounds=tuple(rounds),
     )
 
 
@@ -284,12 +285,13 @@ def from_json_dict(payload: dict) -> FitResult:
     also inside an array, belongs only in the boolean keys), an unknown
     family, coefficients or ``trace`` entries other than finite JSON
     numbers, a ``seed`` other than null or an integer, a non-finite number
-    in ``config``, ``feature_names`` other than unique strings, or keys that
-    disagree raise ``DataError`` naming them: ``feature_names`` must hold
-    one name per row of ``shape``, ``shape`` one column per lag 0..``tau``,
-    with ``include_lagged_outcome`` the last name must be
-    ``dataset.LAGGED_OUTCOME_NAME``, ``trace`` must hold one entry
-    per round, ``outer_iterations`` in all, ``converged`` and
+    in ``config``, ``feature_names`` other than unique strings, a negative
+    ``tau``, an ``outer_iterations`` below 1 (``fit`` runs at least one
+    round), or keys that disagree raise ``DataError`` naming them:
+    ``feature_names`` must hold one name per row of ``shape``, ``shape``
+    one column per lag 0..``tau``, with ``include_lagged_outcome`` the last
+    name must be ``dataset.LAGGED_OUTCOME_NAME``, ``trace`` must hold one
+    entry per round, ``outer_iterations`` in all, ``converged`` and
     ``max_outer_reached`` may not both be true (``fit`` never writes both),
     and ``structure``, ``alpha`` and ``n`` must give a positive definite R,
     by the structure's closed-form bound (R itself is built only if read).
@@ -332,12 +334,17 @@ def from_json_dict(payload: dict) -> FitResult:
     if len(names) != shape[0]:
         raise DataError(f"model JSON keys 'feature_names' and 'shape' disagree: "
                         f"{len(names)} names for {shape[0]} rows")
+    if tau < 0:
+        raise DataError(f"model JSON key 'tau' must not be negative, got {tau}")
     if shape[1] != tau + 1:
         raise DataError(f"model JSON keys 'shape' and 'tau' disagree: {shape[1]} lag columns for tau {tau}")
     # one direction only: a dataset may have a feature of its own by that name
     if payload["include_lagged_outcome"] and names[-1:] != [LAGGED_OUTCOME_NAME]:
         raise DataError("model JSON keys 'include_lagged_outcome' and 'feature_names' disagree: "
                         f"the last name is not {LAGGED_OUTCOME_NAME!r}")
+    if payload["outer_iterations"] < 1:
+        raise DataError("model JSON key 'outer_iterations' must be at least 1, "
+                        f"got {payload['outer_iterations']}")
     if len(trace) != payload["outer_iterations"]:
         raise DataError("model JSON keys 'outer_iterations' and 'trace' disagree: "
                         f"{payload['outer_iterations']} rounds for {len(trace)} trace entries")
@@ -359,8 +366,6 @@ def from_json_dict(payload: dict) -> FitResult:
         include_lagged_outcome=bool(payload["include_lagged_outcome"]),
         feature_names=tuple(payload["feature_names"]),
         trace=tuple(trace.tolist()),
-        inner_traces=(),
-        inner_step_traces=(),
         converged=bool(payload["converged"]),
         max_outer_reached=bool(payload["max_outer_reached"]),
         config=dict(payload["config"]),

@@ -250,11 +250,9 @@ def _cmd_fit(args) -> None:
             args.trace_out,
             ["round", "iteration", "objective", "step_L"],
             (
-                [rnd, it, repr(float(obj)), repr(float(L))]
-                for rnd, (objectives, steps) in enumerate(
-                    zip(result.inner_traces, result.inner_step_traces), start=1
-                )
-                for it, (obj, L) in enumerate(zip(objectives, steps), start=1)
+                [k, it, repr(float(obj)), repr(float(L))]
+                for k, rnd in enumerate(result.rounds, start=1)
+                for it, (obj, L) in enumerate(zip(rnd.objective_trace, rnd.step_trace), start=1)
             ),
         )
     if args.coefficients_out:

@@ -692,15 +692,17 @@ def fista_step(state: InnerState) -> InnerState:
 
 @dataclass(frozen=True)
 class InnerSolveResult:
-    """One inner solve.  Both traces hold one entry per counted iteration.
+    """One inner solve, and so the record of one outer round of a fit.
 
-    ``objective_trace`` holds the penalized value after each iteration:
-    the objective itself for Gaussian solves, and for Bernoulli/Poisson
-    the penalized value of the quadratic model the iteration ran on, so
-    entries of different models do not compare, and ``iterations`` is
-    their length.  ``converged`` means the iterate-change rule held before
+    Both traces hold one entry per counted iteration.  ``objective_trace``
+    holds the penalized value after each iteration: the objective itself
+    for Gaussian solves, and for Bernoulli/Poisson the penalized value of
+    the quadratic model the iteration ran on, so entries of different
+    models do not compare, and ``iterations`` is their length.
+    ``converged`` means the iterate-change rule held before
     ``max_iterations`` ran out; ``lipschitz_bound`` is the ``L`` of the
-    solve's first quadratic.
+    solve's first quadratic; ``working`` is the correlation, with its
+    alpha and phi, that the solve's quadratics were built under.
     """
 
     U: np.ndarray
@@ -709,6 +711,7 @@ class InnerSolveResult:
     step_trace: np.ndarray
     converged: bool
     lipschitz_bound: float
+    working: WorkingCorrelation
 
     iterations = property(lambda self: len(self.objective_trace))
 
@@ -846,4 +849,5 @@ def inner_solve(
         step_trace=np.asarray(trace[1]),
         converged=converged,
         lipschitz_bound=L_bound,
+        working=working,
     )

@@ -102,8 +102,27 @@ def test_capped_inner_solves_do_not_report_convergence():
     )
     # the alternation settles, but on one-iteration inner solves
     assert not result.max_outer_reached
-    assert all(t.size == 1 for t in result.inner_traces)
+    assert all(r.iterations == 1 and not r.converged for r in result.rounds)
     assert not result.converged
+
+
+def test_rounds_record_each_outer_round():
+    ds, _ = gaussian_dataset(2)
+    design = build_lagged(ds, 1)
+    config = ll.FitConfig()
+    result = ll.fit(design, "gaussian", "ar1", 0.1, 0.1, config=config)
+    rounds = result.rounds
+    assert len(rounds) == result.outer_iterations > 2
+    assert result.trace == tuple(r.objective_trace[-1] for r in rounds)
+    assert result.inner_traces == tuple(r.objective_trace for r in rounds)
+    # round 0 solves under R = I with phi = 1; round k under round k - 1's update
+    assert rounds[0].working.is_identity and rounds[0].working.phi == 1.0
+    assert all(r.working.structure == "ar1" for r in rounds)
+    assert any(r.working.alpha != 0.0 for r in rounds[1:])
+    # a Gaussian solve stops at its cap exactly when its iterate change never settled
+    assert [r.converged for r in rounds] == [r.iterations < config.inner_max_iterations for r in rounds]
+    assert not rounds[0].converged and rounds[-1].converged
+    assert alternation.from_json_dict(alternation.to_json_dict(result)).rounds == ()
 
 
 def test_predict_zero_coefficients():
@@ -136,8 +155,6 @@ def test_predict_hand_trace():
         include_lagged_outcome=False,
         feature_names=("x1",),
         trace=(0.0,),
-        inner_traces=(),
-        inner_step_traces=(),
         converged=True,
         max_outer_reached=False,
         config={},
@@ -163,8 +180,6 @@ def _result_with(U, V):
         include_lagged_outcome=False,
         feature_names=tuple(f"f{i}" for i in range(U.shape[0])),
         trace=(0.0,),
-        inner_traces=(),
-        inner_step_traces=(),
         converged=True,
         max_outer_reached=False,
         config={},

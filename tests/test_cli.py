@@ -247,7 +247,7 @@ def test_fit_trace_and_coefficient_outputs(tmp_path):
     ])
     with open(trace) as fh:
         rows = list(csv.DictReader(fh))
-    assert set(rows[0]) == {"round", "iteration", "objective", "step_L"}
+    assert list(rows[0]) == ["round", "iteration", "objective", "step_L"]
     assert len(rows) > 1
     with open(coefs) as fh:
         crows = list(csv.DictReader(fh))
@@ -256,6 +256,18 @@ def test_fit_trace_and_coefficient_outputs(tmp_path):
     payload = json.loads(model.read_text())
     assert payload["shape"] == [4, 2]
     assert len(payload["trace"]) == payload["outer_iterations"]
+    # rounds run 1..outer_iterations, iterations 1.. within each round, and
+    # each round's last objective reads back as the model's trace entry
+    rounds = [int(row["round"]) for row in rows]
+    iterations = [int(row["iteration"]) for row in rows]
+    starts = [i for i, it in enumerate(iterations) if it == 1]
+    assert starts[0] == 0 and len(starts) == payload["outer_iterations"]
+    for k, (a, b) in enumerate(zip(starts, starts[1:] + [len(rows)])):
+        assert rounds[a:b] == [k + 1] * (b - a)
+        assert iterations[a:b] == list(range(1, b - a + 1))
+        assert float(rows[b - 1]["objective"]) == payload["trace"][k]
+    steps = np.array([float(row["step_L"]) for row in rows])
+    assert np.all(np.isfinite(steps) & (steps > 0.0))
 
 
 def test_cv_command(tmp_path):
@@ -914,6 +926,11 @@ def test_predict_names_an_ill_typed_model_key(tmp_path, capsys, key, value, mess
      "model JSON keys 'converged' and 'max_outer_reached' disagree: both are true"),
     # the names load as they stand, but the outcome column is no feature
     ({"feature_names": ["y", "x2", "x3", "x4"]}, "key column 'y' named as a feature"),
+    # shape and tau agree on no lag columns, but no window has a negative lag,
+    # and fit runs at least one round
+    ({"tau": -1, "shape": [4, 0], "U": [[]] * 4, "V": [[]] * 4},
+     "model JSON key 'tau' must not be negative, got -1"),
+    ({"outer_iterations": 0, "trace": []}, "model JSON key 'outer_iterations' must be at least 1, got 0"),
 ])
 def test_predict_rejects_model_keys_that_disagree(tmp_path, capsys, changes, message):
     # an edited model whose keys disagree would read the wrong feature
