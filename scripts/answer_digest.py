@@ -1,52 +1,53 @@
-"""Print a digest of the solver's answers, to show two trees answer bit for bit alike.
+"""Print the solver's answers and a digest of them, to compare two trees' answers.
 
-For each seed it simulates its panels from ``SimConfig(seed=s)``, holds
-the last 5 times out (tau = 4) and runs five cases on the training part:
+For each seed it builds the benchmark's own inputs from ``bench/workloads.py``
+(its panels, split, penalties and support tolerance) and runs six cases:
 
-- ``fit-gauss-ar1-paper``: a Gaussian AR(1) fit of the paper panel at
-  lambda = (2000, 5000);
-- ``cv-gauss-ar1-quick``: the default-grid AR(1) ``grid_cv`` of the
-  quickstart panel (d = 50, m = 100, feature rows 0..37 zero);
+- ``fit-gauss-ar1-paper``: ``FitGaussAr1``'s Gaussian AR(1) fit of the
+  paper panel at that class's penalties;
+- ``cv-gauss-ar1-paper``: the default-grid AR(1) ``grid_cv`` of the same
+  panel's training part;
+- ``cv-gauss-ar1-quick``: ``CvGaussAr1``'s default-grid AR(1) ``grid_cv``
+  of the quickstart panel;
 - ``cv-final-fit-quick``: the Gaussian AR(1) fit at its best cell;
-- ``fit-bern-exch-paper``: a Bernoulli exchangeable fit of the paper
-  panel's classification outcomes at lambda = (650, 2400);
 - ``fit-lagged-ar1-quick``: a Gaussian AR(1) fit of the quickstart panel
-  with the lagged outcome in the design, at lambda = (50, 200).
+  with the lagged outcome in the design, at lambda = (50, 200);
+- ``fit-bern-exch-paper``: the Bernoulli exchangeable fit that
+  ``CliBernExch``'s CLI pipeline runs, on that class's panel and penalties.
 
-It prints one JSON line per case and seed: a sha256 over the bytes of U
-and V, the repr of alpha-hat and phi and the inner iterations of each
-outer round, and for the cross-validation its table and best cell.  Two
-trees answer alike when they print the same lines at the same BLAS thread
-count (the last bits of a fit depend on it: set ``OPENBLAS_NUM_THREADS``).
-``--size tiny`` shrinks every panel, and the penalties with it, for a
-smoke run.
+Each case prints one JSON line on stdout: a sha256 and, beside it, the
+answers it covers.  For a fit the sha256 covers U and V bit for bit,
+alpha-hat, phi and each round's inner iterations; the line prints all but
+U and V, and also ``converged`` and the support at the benchmark's
+``SUPPORT_REL_TOL``.  For a cross-validation it covers the table and the
+best cell; the line prints the best and runner-up cells (indices into the
+two grids, ranked as ``grid_cv`` ranks them), their mean scores and their
+gap relative to the best score.  Each case's seconds go to stderr, a
+panel's simulation counted in its first case.  So stdout is the same from
+run to run, and a ``diff`` of two trees' stdout compares their answers at
+the same BLAS thread count (a fit's last bits depend on it: set
+``OPENBLAS_NUM_THREADS``).  ``--size tiny`` runs the benchmark's tiny
+panels for a smoke run.
 
 Example:
-    OPENBLAS_NUM_THREADS=1 python scripts/answer_digest.py --seeds 0-9 > digest.jsonl
+    OPENBLAS_NUM_THREADS=1 python scripts/answer_digest.py --seeds 0-9 > answers.jsonl
+    OPENBLAS_NUM_THREADS=1 python scripts/answer_digest.py --seeds 8,16
     python scripts/answer_digest.py --size tiny --seeds 0
 """
 import argparse
 import hashlib
 import json
 import sys
+import time
+from pathlib import Path
 
 import longlasso as ll
 
-HOLDOUT = 5
-TAU = 4
-# the paper and quickstart panels, and the tiny ones a smoke run fits
-PANELS = {
-    "full": {"paper": dict(d=200, m=400, zero_feature_rows=tuple(range(150))),
-             "quick": dict(d=50, m=100, zero_feature_rows=tuple(range(38)))},
-    "tiny": {"paper": dict(d=8, T=14, m=40, zero_feature_rows=tuple(range(6))),
-             "quick": dict(d=6, T=12, m=20, zero_feature_rows=tuple(range(4)))},
-}
-# (lambda1, lambda2) of the Gaussian paper fit, the Bernoulli fit and the
-# lagged-outcome fit
-PENALTIES = {
-    "full": {"gauss": (2000.0, 5000.0), "bern": (650.0, 2400.0), "lagged": (50.0, 200.0)},
-    "tiny": {"gauss": (100.0, 250.0), "bern": (30.0, 120.0), "lagged": (10.0, 40.0)},
-}
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+# (lambda1, lambda2) of the lagged-outcome fit, which no benchmark workload runs
+LAGGED_PENALTIES = (50.0, 200.0)
 
 
 def parse_seeds(text: str) -> list:
@@ -58,13 +59,6 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def fit_parts(result) -> list:
-    """What a fit answers: U and V bit for bit, alpha-hat, phi and each round's inner iterations."""
-    U, V = result.coefficients.U, result.coefficients.V
-    return [U.tobytes(), V.tobytes(), repr(float(result.working.alpha)), repr(float(result.working.phi)),
-            repr([int(trace.size) for trace in result.inner_traces])]
-
-
 def digest(parts) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -72,42 +66,72 @@ def digest(parts) -> str:
     return h.hexdigest()
 
 
-def training_design(dataset, include_lagged_outcome=False):
-    train, _ = ll.split_temporal(dataset, HOLDOUT, TAU)
-    return train, ll.build_lagged(train, TAU, include_lagged_outcome)
+def fit_answers(result):
+    """A fit's digest parts and the answers its line prints."""
+    alpha, phi = result.working.alpha, result.working.phi
+    iterations = [int(trace.size) for trace in result.inner_traces]
+    parts = [result.coefficients.U.tobytes(), result.coefficients.V.tobytes(),
+             repr(alpha), repr(phi), repr(iterations)]
+    features, lags = ll.selected_support(result, rel_tol=workloads.SUPPORT_REL_TOL)
+    return parts, {"alpha": alpha, "phi": phi, "inner_iterations": iterations,
+                   "converged": bool(result.converged), "support": [features, lags]}
+
+
+def cv_answers(cv):
+    """A cross-validation's digest parts and the answers its line prints.
+
+    The runner-up is the best of the other scored cells by ``grid_cv``'s
+    ranking: lower mean nMSE, ties toward the larger lambda1 + lambda2.
+    """
+    best = (cv.best_lam1, cv.best_lam2)
+    scored = {cell: score for cell, score in cv.mean_scores.items() if score is not None and cell != best}
+    runner_up = min(scored, key=lambda cell: (scored[cell], -(cell[0] + cell[1])))
+    best_score, runner_up_score = cv.mean_scores[best], scored[runner_up]
+
+    def indices(cell):
+        return [cv.lam1_grid.index(cell[0]), cv.lam2_grid.index(cell[1])]
+
+    return [repr(cv.table), repr(indices(best))], {
+        "best_cell": indices(best), "best_score": best_score,
+        "runner_up": indices(runner_up), "runner_up_score": runner_up_score,
+        "relative_gap": (runner_up_score - best_score) / abs(best_score),
+    }
 
 
 def cases(seed: int, size: str):
-    """(case name, the parts of its answer) of each case on one seed's panels."""
-    panels, penalties = PANELS[size], PENALTIES[size]
-    paper = ll.SimConfig(tau=TAU, seed=seed, **panels["paper"])
-    quick = ll.SimConfig(tau=TAU, seed=seed, **panels["quick"])
+    """(case name, (digest parts, answers)) of each case on one seed's panels."""
+    paper = workloads.FitGaussAr1(seed, size, None)
+    state = paper.setup()
+    yield "fit-gauss-ar1-paper", fit_answers(ll.fit(state["design"], "gaussian", "ar1", paper.lam1, paper.lam2))
+    yield "cv-gauss-ar1-paper", cv_answers(ll.grid_cv(state["train"], state["design"].tau, "gaussian", "ar1",
+                                                      ll.CvSpec()))
 
-    _, design = training_design(ll.generate_regression(paper)[0])
-    yield "fit-gauss-ar1-paper", fit_parts(ll.fit(design, "gaussian", "ar1", *penalties["gauss"]))
+    state = workloads.CvGaussAr1(seed, size, None).setup()
+    tau = state["design"].tau
+    cv = ll.grid_cv(state["train"], tau, "gaussian", "ar1", ll.CvSpec())
+    yield "cv-gauss-ar1-quick", cv_answers(cv)
+    yield "cv-final-fit-quick", fit_answers(ll.fit(state["design"], "gaussian", "ar1", cv.best_lam1, cv.best_lam2))
+    lagged = ll.build_lagged(state["train"], tau, include_lagged_outcome=True)
+    yield "fit-lagged-ar1-quick", fit_answers(ll.fit(lagged, "gaussian", "ar1", *LAGGED_PENALTIES))
 
-    quick_panel = ll.generate_regression(quick)[0]
-    train, design = training_design(quick_panel)
-    cv = ll.grid_cv(train, TAU, "gaussian", "ar1", ll.CvSpec())
-    best_cell = [cv.lam1_grid.index(cv.best_lam1), cv.lam2_grid.index(cv.best_lam2)]
-    yield "cv-gauss-ar1-quick", [repr(cv.table), repr(best_cell)]
-    yield "cv-final-fit-quick", fit_parts(ll.fit(design, "gaussian", "ar1", cv.best_lam1, cv.best_lam2))
-
-    _, design = training_design(ll.generate_classification(paper)[0])
-    yield "fit-bern-exch-paper", fit_parts(ll.fit(design, "bernoulli", "exchangeable", *penalties["bern"]))
-
-    _, design = training_design(quick_panel, include_lagged_outcome=True)
-    yield "fit-lagged-ar1-quick", fit_parts(ll.fit(design, "gaussian", "ar1", *penalties["lagged"]))
+    cli = workloads.CliBernExch(seed, size, None)
+    train, _ = ll.split_temporal(ll.generate_classification(cli.cfg)[0], workloads.HOLDOUT, cli.cfg.tau)
+    design = ll.build_lagged(train, cli.cfg.tau)
+    yield "fit-bern-exch-paper", fit_answers(ll.fit(design, "bernoulli", "exchangeable", cli.lam1, cli.lam2))
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seeds", default="0-9", help="seeds as a list of integers and ranges, e.g. 0-9")
-    parser.add_argument("--size", choices=sorted(PANELS), default="full")
+    parser.add_argument("--size", choices=("full", "tiny"), default="full")
     args = parser.parse_args()
     for seed in parse_seeds(args.seeds):
-        for case, parts in cases(seed, args.size):
-            print(json.dumps({"seed": seed, "case": case, "sha256": digest(parts)}), flush=True)
+        start = time.perf_counter()
+        for case, (parts, answers) in cases(seed, args.size):
+            seconds = time.perf_counter() - start
+            print(json.dumps({"seed": seed, "case": case, "sha256": digest(parts), **answers}), flush=True)
+            print(f"seed {seed} {case}: {seconds:.2f} s", file=sys.stderr, flush=True)
+            start = time.perf_counter()
     return 0
 
 

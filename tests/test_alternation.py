@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import itertools
 import json
 import math
 
@@ -360,6 +362,20 @@ def test_fit_result_json_round_trip():
     assert back.working.phi == pytest.approx(res.working.phi)
     assert back.feature_names == res.feature_names
     assert np.allclose(ll.predict(back, design), ll.predict(res, design))
+    # a saved model loads back to the object it was written from: every
+    # field but the per-round solve records, which the JSON does not keep
+    for case in itertools.product(("gaussian", "bernoulli"), STRUCTURES, (False, True)):
+        family, structure, lagged = case
+        design = build_lagged(_panel(3, family), 1, lagged)
+        res = ll.fit(design, family, structure, 0.1, 0.2, config=ll.FitConfig(max_outer=3), seed=5)
+        back = alternation.from_json_dict(json.loads(json.dumps(alternation.to_json_dict(res))))
+        for field in dataclasses.fields(alternation.FitResult):
+            if field.name == "coefficients":
+                for part in ("U", "V", "lam1", "lam2"):
+                    assert np.array_equal(getattr(back.coefficients, part),
+                                          getattr(res.coefficients, part)), (case, part)
+            elif field.name != "rounds":
+                assert getattr(back, field.name) == getattr(res, field.name), (case, field.name)
 
 
 def _panel(seed, family, m=6, d=2, T=8):
